@@ -4,12 +4,13 @@ import scipy.linalg
 
 from fockforge.fock import FockSpace
 from fockforge.ops import pair_exponential_vacuum
-from fockforge.paulifierz import (PauliFierzModel, check_middle, confined_pf_check,
-                                  coupled_annihilate, coupled_create, dressed_coupling,
-                                  hamiltonian, jpvj_closed_form, liouvillean_bundle,
-                                  pair_squeezer, semi_comparison_operator, semi_liouvillean,
-                                  spin_boson, standard_comparison_operator,
-                                  standard_liouvillean, v_star)
+from fockforge.paulifierz import (PauliFierzModel, apply_pair_squeezer, check_middle,
+                                  confined_pf_check, coupled_annihilate, coupled_create,
+                                  difference_targets, dressed_coupling, hamiltonian,
+                                  jpvj_closed_form, liouvillean_bundle,
+                                  matched_spectral_deviation, pair_squeezer,
+                                  semi_comparison_operator, semi_liouvillean, spin_boson,
+                                  standard_comparison_operator, standard_liouvillean, v_star)
 
 
 @pytest.fixture
@@ -233,3 +234,169 @@ def test_liouvillean_bundle():
     for op in (bundle.semi, bundle.standard, bundle.semi_free, bundle.standard_free):
         assert np.linalg.norm(op - op.conj().T, 2) <= 1e-12
     assert bundle.semi.shape == bundle.semi_free.shape
+
+
+def _sigma_y_model(cutoff):
+    """The acceptance model with sigma_y coupling, unitarily equivalent through diag(1, i)."""
+    model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=cutoff)
+    return PauliFierzModel(model.K, model.h, 0.1 * np.array([[0, -1j], [1j, 0]]), model.gamma,
+                           cutoff)
+
+
+def _oracle_family(model, cutoff, family, cluster_tol=1e-4, overlap_min=0.9):
+    """Isolated-target identification through dense complex eigh and the dense squeezer.
+
+    Returns {name: (deviation, weight) or None when unmatched} for the targets
+    whose nearest comparison eigenvalue is isolated within cluster_tol.
+    """
+    k = model.dim_k
+    if family == "semi":
+        ell, space = semi_liouvillean(model, cutoff)
+        comp, _ = semi_comparison_operator(model, cutoff)
+        targets = difference_targets(model)
+        legs = k
+    else:
+        ell, space = standard_liouvillean(model, cutoff)
+        comp, _ = standard_comparison_operator(model, cutoff)
+        e = np.sort(np.linalg.eigvalsh(hamiltonian(model, 30)[0]))[:3]
+        targets = [(f"E{i}-E{j}", float(e[i] - e[j])) for i in range(3) for j in range(3)]
+        legs = k * k
+    assert np.iscomplexobj(ell) and np.iscomplexobj(comp)
+    dress = np.kron(np.eye(legs), pair_squeezer(space, model.gamma))
+    vals_d, vecs_d = np.linalg.eigh(comp)
+    vals_l, vecs_l = np.linalg.eigh(ell)
+    out = {}
+    for name, tgt in targets:
+        i = int(np.argmin(np.abs(vals_d - tgt)))
+        if np.sum(np.abs(vals_d - vals_d[i]) <= cluster_tol * max(1.0, abs(vals_d[i]))) != 1:
+            continue
+        psi = dress @ vecs_d[:, i]
+        overlaps = np.abs(vecs_l.conj().T @ (psi / np.linalg.norm(psi))) ** 2
+        j = int(np.argmax(overlaps))
+        cluster = np.abs(vals_l - vals_l[j]) <= cluster_tol * max(1.0, abs(vals_l[j]))
+        weight = float(overlaps[cluster].sum())
+        if weight < overlap_min:
+            out[name] = None
+        else:
+            val = float((overlaps[cluster] * vals_l[cluster]).sum() / weight)
+            out[name] = (abs(val - tgt), weight)
+    return out, (ell, comp, dress, targets)
+
+
+def _by_name(detail):
+    found = {name: (dev, weight) for name, dev, weight in detail["matched"]}
+    found.update({name: None for name, _ in detail["unmatched"]})
+    return found
+
+
+@pytest.mark.parametrize("coupling", [0.1, 0.3])
+def test_confined_check_matches_dense_complex_oracle(coupling):
+    model = spin_boson(coupling=coupling, gamma_value=0.25, cutoff=6)
+    cutoffs = (4, 5, 6)
+    rep = confined_pf_check(model, cutoffs=cutoffs)
+    checked = 0
+    for family in ("semi", "standard"):
+        for n, detail in zip(cutoffs, rep[f"{family}_detail"]):
+            oracle, (ell, comp, dress, targets) = _oracle_family(model, n, family)
+            plain = _by_name(matched_spectral_deviation(ell, comp, dress, targets))
+            got = _by_name(detail)
+            for name, want in oracle.items():
+                for found in (got[name], plain[name]):
+                    assert (found is None) == (want is None), (family, n, name)
+                    if want is not None:
+                        assert abs(found[0] - want[0]) <= 1e-12
+                        assert abs(found[1] - want[1]) <= 1e-12
+                checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 6), (2, 3)])
+def test_apply_pair_squeezer_matches_dense(rng, d, n_max):
+    space = FockSpace("bose", 2 * d, n_max)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    _, u = np.linalg.eigh(a + a.conj().T)
+    gamma_one = (u * np.linspace(0.1, 0.4, d)) @ u.conj().T  # non-diagonal for d = 2
+    dense = pair_squeezer(space, gamma_one)
+    for legs in (1, 3):
+        shape = (legs * space.dim, 4)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x /= np.linalg.norm(x, axis=0)
+        want = np.kron(np.eye(legs), dense) @ x
+        assert np.max(np.abs(apply_pair_squeezer(space, gamma_one, x) - want)) <= 1e-12
+        assert np.max(np.abs(apply_pair_squeezer(space, gamma_one, x[:, 0]) - want[:, 0])) <= 1e-12
+    with pytest.raises(ValueError):
+        apply_pair_squeezer(space, gamma_one, np.ones(space.dim + 1))
+
+
+def test_degenerate_targets_independent_of_eigenbasis(monkeypatch):
+    # E_i - E_i = 0 is an 18-fold comparison eigenvalue at cutoff 8; any
+    # unitary rotation of that eigenbasis must leave the identification alone
+    model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
+    plain = confined_pf_check(model, cutoffs=(8,))
+    rng = np.random.default_rng(5)
+    eigh = np.linalg.eigh
+    rotated_sizes = []
+
+    def rotated_eigh(a):
+        w, v = eigh(a)
+        v = v.astype(complex)
+        start = 0
+        while start < len(w):
+            stop = start + 1
+            while stop < len(w) and w[stop] - w[start] <= 1e-9 * max(1.0, abs(w[start])):
+                stop += 1
+            size = stop - start
+            if size > 1:
+                q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                                    + 1j * rng.standard_normal((size, size)))
+                v[:, start:stop] = v[:, start:stop] @ q
+                rotated_sizes.append(size)
+            start = stop
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    turned = confined_pf_check(model, cutoffs=(8,))
+    assert 18 in rotated_sizes
+    for family in ("semi", "standard"):
+        want = _by_name(plain[f"{family}_detail"][0])
+        got = _by_name(turned[f"{family}_detail"][0])
+        assert want.keys() == got.keys() and None not in want.values()
+        for name, (dev, weight) in want.items():
+            assert abs(got[name][0] - dev) <= 1e-12
+            assert abs(got[name][1] - weight) <= 1e-10
+    for i in range(3):
+        assert want[f"E{i}-E{i}"][1] >= 0.9999
+
+
+def test_complex_coupling_matches_real_model():
+    model_x = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
+    model_y = _sigma_y_model(8)
+    ell, _ = standard_liouvillean(model_y, 6)
+    assert np.any(ell.imag)  # the sigma_y model takes the complex route
+    rep_x = confined_pf_check(model_x, cutoffs=(6, 8))
+    rep_y = confined_pf_check(model_y, cutoffs=(6, 8))
+    for family in ("semi", "standard"):
+        # eigenvalue rounding is about eps times the operator norm (~30)
+        assert np.max(np.abs(np.subtract(rep_x[family], rep_y[family]))) <= 1e-13
+        for dx, dy in zip(rep_x[f"{family}_detail"], rep_y[f"{family}_detail"]):
+            assert [u[0] for u in dx["unmatched"]] == [u[0] for u in dy["unmatched"]]
+    assert [u[0] for u in rep_x["semi_detail"][0]["unmatched"]] == ["E0-1", "E2-2"]
+
+
+def test_reference_spectrum_built_once(monkeypatch):
+    import fockforge.paulifierz as pf
+
+    cutoffs_seen = []
+    build = pf.hamiltonian
+
+    def counting(model, cutoff=None):
+        cutoffs_seen.append(cutoff)
+        return build(model, cutoff)
+
+    monkeypatch.setattr(pf, "hamiltonian", counting)
+    model = spin_boson(cutoff=3)
+    rep = confined_pf_check(model, cutoffs=(2, 3))
+    assert cutoffs_seen.count(30) == 1
+    assert len(rep["semi"]) == len(rep["standard"]) == 2
+    targets = difference_targets(model)
+    assert [name for name, _ in targets] == [f"E{i}-{j}" for i in range(3) for j in range(3)]
