@@ -9,10 +9,8 @@ occupation tuple within each grade, vacuum first.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import require_square
 
@@ -155,43 +153,24 @@ def dgamma(space: FockSpace, h) -> np.ndarray:
         raise ValueError(f"h is {h.shape}, expected {space.d}x{space.d}")
     out = np.zeros((space.dim, space.dim), dtype=complex)
     for j in range(space.d):
-        row = np.zeros((space.dim, space.dim), dtype=complex)
-        for k in range(space.d):
-            if h[j, k] != 0:
-                row += h[j, k] * space.annihilation(k)
+        # sum_k h_jk a_k = a(conj h_j), a is antilinear
+        row = space.annihilate(np.conj(h[j]))
         if row.any():
             out += space.creation(j) @ row
-    return out
-
-
-def gamma_by_columns(space: FockSpace, p) -> np.ndarray:
-    """Gamma(p) built column by column from Gamma(p) a*(w) = a*(pw) Gamma(p).
-
-    Works for arbitrary (even singular) p; slower than the main path.
-    """
-    p = require_square(np.asarray(p, dtype=complex))
-    if p.shape[0] != space.d:
-        raise ValueError(f"p is {p.shape}, expected {space.d}x{space.d}")
-    cols = [space.create(p[:, k]) for k in range(space.d)]
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, occ in enumerate(space.basis):
-        vec = space.vacuum()
-        norm = 1.0
-        # apply the highest mode first so the lowest-mode creator ends up
-        # leftmost, matching the basis-state ordering (fermionic signs)
-        for k in reversed(range(space.d)):
-            for _ in range(occ[k]):
-                vec = cols[k] @ vec
-            norm *= math.factorial(occ[k])
-        out[:, j] = vec / math.sqrt(norm)
     return out
 
 
 def gamma(space: FockSpace, p) -> np.ndarray:
     """Multiplicative second quantization Gamma(p) on the graded basis.
 
-    Diagonal p takes an exact product path; invertible p goes through
-    exp(dGamma(log p)); singular p falls back to the column construction.
+    Diagonal p takes an exact product path.  Any other p, singular or
+    not, is built sector by sector from Gamma(p) Omega = Omega and
+    Gamma(p) a*(w) = a*(pw) Gamma(p): a basis state |n> whose lowest
+    occupied mode is k equals a*_k |parent> / sqrt(n_k), where the parent
+    has one quantum fewer in mode k (no occupied mode precedes k, so the
+    fermionic sign is +1).  Its column is therefore the sector n-1 -> n
+    block of a*(p e_k) applied to the parent's column, divided by
+    sqrt(n_k), one matrix product per (sector, k) batch.
     """
     p = require_square(np.asarray(p, dtype=complex))
     if p.shape[0] != space.d:
@@ -203,16 +182,29 @@ def gamma(space: FockSpace, p) -> np.ndarray:
             dtype=complex,
         )
         return np.diag(vals)
-    s = np.linalg.svd(p, compute_uv=False)
-    if s.min() <= 1e-13 * max(s.max(), 1e-300):
-        return gamma_by_columns(space, p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            logp = scipy.linalg.logm(p)
-        except Warning:
-            return gamma_by_columns(space, p)
-    return scipy.linalg.expm(dgamma(space, logp))
+    # sector n occupies basis[start[n]:start[n + 1]]
+    start = np.searchsorted(space.total_numbers, np.arange(space.n_max + 2))
+    batches = {}  # (k, n) -> (columns, parent columns, sqrt(n_k))
+    for j, occ in enumerate(space.basis[1:], start=1):
+        k = next(m for m, nm in enumerate(occ) if nm)
+        parent = space.index[occ[:k] + (occ[k] - 1,) + occ[k + 1:]]
+        cols, parents, norms = batches.setdefault((k, sum(occ)), ([], [], []))
+        cols.append(j)
+        parents.append(parent)
+        norms.append(math.sqrt(occ[k]))
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[0, 0] = 1.0
+    # a parent's lowest occupied mode is k or above and its sector is
+    # n - 1, so descending k and ascending n fill every parent first
+    for k in reversed(range(space.d)):
+        creator = space.create(p[:, k])
+        for n in range(1, space.n_max + 1):
+            if (k, n) not in batches:
+                continue
+            cols, parents, norms = batches[(k, n)]
+            rows, prev = slice(start[n], start[n + 1]), slice(start[n - 1], start[n])
+            out[rows, cols] = (creator[rows, prev] @ out[prev, parents]) / norms
+    return out
 
 
 def exp_law(space1: FockSpace, space2: FockSpace, target: FockSpace | None = None,

@@ -71,11 +71,6 @@ class RealSubspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def contains(self, y, tol: float = 1e-9) -> bool:
-        y = np.asarray(y, dtype=float)
-        res = y - self.projector() @ y
-        return float(np.linalg.norm(res)) <= tol * max(1.0, np.linalg.norm(y))
-
     @classmethod
     def from_vectors(cls, d: int, cols) -> "RealSubspace":
         cols = np.asarray(cols, dtype=float)

@@ -80,12 +80,10 @@ def sqrtm_psd(a, tol: float = 1e-11) -> np.ndarray:
     return s
 
 
-def funm_herm(a, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through eigh."""
-    m = require_square(a)
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    out = v @ np.diag(np.asarray([f(x) for x in w], dtype=complex)) @ v.conj().T
-    return out
+def expi_herm(a) -> np.ndarray:
+    """exp(i a) for a Hermitian matrix a through eigh."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def polar_decompose(a, kernel_rtol: float = KERNEL_RTOL):

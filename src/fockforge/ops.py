@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import FockSpace, gamma
-from .linalg import require_square, sqrtm_psd
+from .linalg import expi_herm, require_square, sqrtm_psd
 
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,9 +75,7 @@ def weyl(space: FockSpace, y) -> np.ndarray:
     y = as_doubled(y, space.d)
     if np.max(np.abs(y.z1 - y.conj_pair())) > 1e-12:
         raise ValueError("Weyl operator needs a real doubled vector")
-    phi = field(space, y)
-    w, v = np.linalg.eigh(phi)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return expi_herm(field(space, y))
 
 
 def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray:

@@ -208,13 +208,6 @@ def _doubled_swap_index(space: FockSpace) -> np.ndarray:
     return np.array([space.index[occ[d:] + occ[:d]] for occ in space.basis])
 
 
-def _doubled_swap_gamma(space: FockSpace) -> np.ndarray:
-    """Gamma of the leg swap on Z (+) Zbar, a real sector-preserving permutation."""
-    out = np.zeros((space.dim, space.dim))
-    out[_doubled_swap_index(space), np.arange(space.dim)] = 1.0
-    return out
-
-
 def standard_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
     """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar)."""
     if model.gamma is None:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import BOSE, FERMI, FockSpace, dgamma, exp_law, gamma
-from .linalg import require_square, sqrtm_psd
+from .linalg import expi_herm, require_square, sqrtm_psd
 
 DEFAULT_SINGLE_CUTOFF = 8
 
@@ -171,22 +171,15 @@ class DoubledRep:
             return lam @ op @ lam
         return op
 
-    def annihilate_right(self, z) -> np.ndarray:
-        return self.create_right(z).conj().T
-
     def weyl_left(self, z) -> np.ndarray:
         if self.kind != BOSE:
             raise ValueError("Weyl operators are bosonic")
-        phi = self.field_left(z)
-        w, v = np.linalg.eigh(phi)
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return expi_herm(self.field_left(z))
 
     def weyl_right(self, z) -> np.ndarray:
         if self.kind != BOSE:
             raise ValueError("Weyl operators are bosonic")
-        phi = self.field_right(z)
-        w, v = np.linalg.eigh(phi)
-        return (v * np.exp(1j * w)) @ v.conj().T
+        return expi_herm(self.field_right(z))
 
     # -- modular structure ----------------------------------------------
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fockforge.fock import (CutoffError, FockSpace, build_space, dgamma, exp_law,
-                            gamma, gamma_by_columns)
+from fockforge.fock import CutoffError, FockSpace, build_space, dgamma, exp_law, gamma
 
 
 def test_dimensions():
@@ -104,7 +103,9 @@ def test_gamma_morphism_and_two_routes():
         p2 /= 2.0
         lhs = gamma(sp, p2) @ gamma(sp, p1)
         assert np.linalg.norm(lhs - gamma(sp, p2 @ p1), 2) <= 1e-9
-        assert np.linalg.norm(gamma(sp, p1) - gamma_by_columns(sp, p1), 2) <= 1e-10
+        # oracle: Gamma(p) = exp(dGamma(log p)) for invertible p
+        oracle = scipy.linalg.expm(dgamma(sp, scipy.linalg.logm(p1)))
+        assert np.linalg.norm(gamma(sp, p1) - oracle, 2) <= 1e-10
     assert np.allclose(gamma(FockSpace("bose", 2, 3), np.eye(2)), np.eye(10))
 
 
@@ -126,6 +127,23 @@ def test_gamma_singular_fallback():
     assert g[0, 0] == 1.0
     idx = sp.index[(1, 0)]
     assert np.linalg.norm(g[:, idx]) == 0.0
+
+
+def test_gamma_needs_no_svd_logm_or_expm(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gamma must not call svd, logm or expm")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(scipy.linalg, "logm", forbidden)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    invertible = np.array([[0.6, 0.3j], [-0.2, 0.5]])
+    singular = np.array([[0.4, 0.2], [0.8, 0.4]])
+    for sp in (FockSpace("bose", 2, 4), FockSpace("fermi", 2)):
+        for p in (invertible, singular):
+            g = gamma(sp, p)
+            one = [sp.index[(1, 0)], sp.index[(0, 1)]]
+            assert np.array_equal(g[:, 0], sp.vacuum())
+            assert np.allclose(g[np.ix_(one, one)], p)
 
 
 def test_lambda_values():

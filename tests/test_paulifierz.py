@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fockforge.fock import FockSpace
+from fockforge.fock import FockSpace, gamma
 from fockforge.ops import pair_exponential_vacuum
-from fockforge.paulifierz import (PauliFierzModel, apply_pair_squeezer, check_middle,
-                                  confined_pf_check, coupled_annihilate, coupled_create,
-                                  difference_targets, dressed_coupling, hamiltonian,
+from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, apply_pair_squeezer,
+                                  check_middle, confined_pf_check, coupled_annihilate,
+                                  coupled_create, difference_targets, dressed_coupling, hamiltonian,
                                   jpvj_closed_form, liouvillean_bundle,
                                   matched_spectral_deviation, pair_squeezer,
                                   semi_comparison_operator, semi_liouvillean, spin_boson,
@@ -157,18 +157,39 @@ def test_standard_liouvillean_structure():
     assert np.max(np.abs(ev + ev[::-1])) <= 1e-10
 
 
-def test_jpvj_closed_form(rng):
-    from fockforge.paulifierz import _doubled_swap_gamma
+def _leg_swap(d):
+    """The one-particle swap of the two legs of C^d (+) C^d."""
+    eye = np.eye(d)
+    zero = np.zeros((d, d))
+    return np.block([[zero, eye], [eye, zero]])
 
+
+def test_jpvj_closed_form(rng):
     model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=4)
     _, space = semi_liouvillean(model)
     inter = coupled_create(2, space, dressed_coupling(model))
     v_full = inter + inter.conj().T
-    jw = _doubled_swap_gamma(space)
+    jw = gamma(space, _leg_swap(model.d))
     mirrored = np.kron(np.eye(2), jw) @ np.conj(v_full) @ np.kron(np.eye(2), jw)
     sandwich = np.kron(np.eye(2), mirrored)
     closed = jpvj_closed_form(model, space)
     assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
+
+
+def test_leg_swap_gamma_is_the_swap_permutation():
+    for space in (FockSpace("bose", 4, 6), FockSpace("fermi", 6)):
+        d = space.d // 2
+        perm = np.zeros((space.dim, space.dim))
+        perm[_doubled_swap_index(space), np.arange(space.dim)] = 1.0
+        g = gamma(space, _leg_swap(d))
+        if space.is_fermi:
+            # moving b second-leg creators past a first-leg ones gives the
+            # sign (-1)^(ab) = Lambda(a + b) Lambda(a) Lambda(b)
+            a = np.array([sum(occ[:d]) for occ in space.basis])
+            b = space.total_numbers - a
+            legs = (-1.0) ** (a * (a - 1) // 2 + b * (b - 1) // 2)
+            g = (np.diagonal(space.lambda_op()).real * legs)[:, None] * g
+        assert np.max(np.abs(g - perm)) <= 1e-15
 
 
 def test_left_right_interactions_commute_subcutoff():
