@@ -2,7 +2,9 @@
 report dict with named residuals, tolerances and a pass flag.
 
 Shared by the test suite and the command-line runner; every tolerance is
-pinned here, not at call sites.
+pinned here, not at call sites.  The check bodies that the command-line
+tasks run on a model's own parameters are defined here once, above the
+criteria.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import scipy.linalg
 
 from .bogolubov import (metaplectic_pair, positive_symplectic_from_c,
                         random_orthogonal_blocks, shale_implementer)
-from .fock import FockSpace, gamma
+from .fock import BOSE, FockSpace
 from .lattice import RealSubspace, fermionic_duality_check
 from .ops import DoubledVector, apply_doubled_matrix, euclidean_form, field, gaussian_vector
 from .paulifierz import confined_pf_check, spin_boson
@@ -36,35 +38,109 @@ def _report(name, residual, tolerance, extras=None):
     return rep
 
 
+# -- check bodies shared by the criteria and the command-line tasks --------
+
+
+def car_defect(space, rng, trials):
+    """max ||{phi(y1), phi(y2)} - 2 Re<y1, y2>|| over random real points y1, y2."""
+    d = space.d
+    eye = np.eye(space.dim)
+    worst = 0.0
+    for _ in range(trials):
+        y1 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        y2 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        f1, f2 = field(space, y1), field(space, y2)
+        target = 2.0 * euclidean_form(y1, y2) * eye
+        worst = max(worst, np.linalg.norm(f1 @ f2 + f2 @ f1 - target, 2))
+    return worst
+
+
+def ccr_defect(space, rng, trials):
+    """max ||[a(w1), a*(w2)] - (w1|w2)|| below the top sector over random w1, w2."""
+    d = space.d
+    sub = space.sector_projector(space.n_max - 1)
+    worst = 0.0
+    for _ in range(trials):
+        w1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        w2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        comm = space.annihilate(w1) @ space.create(w2) - space.create(w2) @ space.annihilate(w1)
+        defect = comm - np.vdot(w1, w2) * np.eye(space.dim)
+        worst = max(worst, np.linalg.norm(sub @ defect @ sub, 2))
+    return worst
+
+
+def intertwining_defect(space, blocks, u, y):
+    """The operator u phi(y) u* - phi(T y) for the Bogolubov map T of blocks."""
+    lhs = u @ field(space, y) @ u.conj().T
+    return lhs - field(space, apply_doubled_matrix(blocks.matrix(), y))
+
+
+def kernel_defect(space, c, om, z):
+    """The vector (a(z) -+ a*(c zbar)) om, + for fermions and - for bosons; it
+    vanishes when om is the Gaussian vector of kernel c."""
+    up = space.create(c @ np.conj(z))
+    op = space.annihilate(z) + up if space.is_fermi else space.annihilate(z) - up
+    return op @ om
+
+
+def two_point_defect(rep, z1, z2):
+    """|<a(z1) a*(z2)> - (z1|(1 +- rho) z2)| in the vacuum of rep, rho its density;
+    + for bosons, - for fermions."""
+    dens = rep.params.density
+    vac = rep.space.vacuum()
+    got = np.vdot(vac, rep.annihilate_left(z1) @ rep.create_left(z2) @ vac)
+    if rep.kind == BOSE:
+        return abs(got - (np.vdot(z1, z2) + np.vdot(z1, dens @ z2)))
+    return abs(got - (np.vdot(z1, z2) - np.vdot(z1, dens @ z2)))
+
+
+def conjugation_defect(rep, j, rng, trials):
+    """max ||J phi_l(z) J - phi_r(z)|| over random z."""
+    d = rep.d
+    res = 0.0
+    for _ in range(trials):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        res = max(res, np.linalg.norm(j.sandwich(rep.field_left(z)) - rep.field_right(z), 2))
+    return res
+
+
+def kms_operators(rep, rng):
+    """A = c0 a*(e0) a(e0) + c1 a(e0) and B = c2 a(e0) a*(e0) + c3 a*(e0) on the
+    left leg, with random complex coefficients c."""
+    e0 = np.zeros(rep.d)
+    e0[0] = 1.0
+    up, down = rep.create_left(e0), rep.annihilate_left(e0)
+    coeff = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return coeff[0] * up @ down + coeff[1] * down, coeff[2] * down @ up + coeff[3] * up
+
+
+def duality_defect(space, rng):
+    """Fermionic duality defect of one random real subspace; 1 if the dimensions differ."""
+    d = space.d
+    k = int(rng.integers(1, 2 * d))
+    v = RealSubspace.from_vectors(d, rng.standard_normal((2 * d, k)))
+    rep = fermionic_duality_check(v, space)
+    res = max(rep["defect_comm_in_dual"], rep["defect_dual_in_comm"])
+    if rep["dim_commutant"] != rep["dim_dressed_dual"]:
+        res = max(res, 1.0)
+    return res
+
+
+# -- the criteria ------------------------------------------------------------
+
+
 def criterion_car_exactness(seed=42):
     """CAR anticommutators are exact for random dimensions and vectors."""
     rng = _rng(seed)
-    worst = 0.0
-    for d in (2, 4, 6):
-        space = FockSpace("fermi", d)
-        eye = np.eye(space.dim)
-        for _ in range(34):
-            y1 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-            y2 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-            f1, f2 = field(space, y1), field(space, y2)
-            target = 2.0 * euclidean_form(y1, y2) * eye
-            worst = max(worst, np.linalg.norm(f1 @ f2 + f2 @ f1 - target, 2))
+    worst = max(car_defect(FockSpace("fermi", d), rng, 34) for d in (2, 4, 6))
     return _report("car-exactness", worst, 1e-12)
 
 
 def criterion_ccr_truncation(seed=42):
     """[a(w1), a*(w2)] - (w1|w2) vanishes exactly below the top sector."""
     rng = _rng(seed)
-    worst = 0.0
-    for d, cutoff in ((1, 10), (2, 8), (3, 6)):
-        space = FockSpace("bose", d, cutoff)
-        sub = space.sector_projector(cutoff - 1)
-        for _ in range(10):
-            w1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            w2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            comm = space.annihilate(w1) @ space.create(w2) - space.create(w2) @ space.annihilate(w1)
-            defect = comm - np.vdot(w1, w2) * np.eye(space.dim)
-            worst = max(worst, np.linalg.norm(sub @ defect @ sub, 2))
+    worst = max(ccr_defect(FockSpace("bose", d, cutoff), rng, 10)
+                for d, cutoff in ((1, 10), (2, 8), (3, 6)))
     return _report("ccr-truncation", worst, 1e-12)
 
 
@@ -107,12 +183,9 @@ def criterion_implementers(seed=42):
         for _ in range(10):
             blocks = random_orthogonal_blocks(d, rng)
             u = shale_implementer(space, blocks)
-            mat = blocks.matrix()
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            y = DoubledVector.real_point(z)
-            lhs = u @ field(space, y) @ u.conj().T
-            rhs = field(space, apply_doubled_matrix(mat, y))
-            worst_fermi = max(worst_fermi, np.linalg.norm(lhs - rhs, 2))
+            y = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            worst_fermi = max(worst_fermi,
+                              np.linalg.norm(intertwining_defect(space, blocks, u, y), 2))
     space_b = FockSpace("bose", 1, 20)
     sub = space_b.sector_projector(2)
     worst_bose = 0.0
@@ -120,9 +193,8 @@ def criterion_implementers(seed=42):
         blocks = positive_symplectic_from_c(np.array([[np.tanh(t)]], dtype=complex))
         u = shale_implementer(space_b, blocks)
         y = DoubledVector.real_point(np.array([1.0 + 0.3j]))
-        lhs = u @ field(space_b, y) @ u.conj().T
-        rhs = field(space_b, apply_doubled_matrix(blocks.matrix(), y))
-        worst_bose = max(worst_bose, np.linalg.norm(sub @ (lhs - rhs) @ sub, 2))
+        defect = intertwining_defect(space_b, blocks, u, y)
+        worst_bose = max(worst_bose, np.linalg.norm(sub @ defect @ sub, 2))
     # composition sign of the two-valued implementer
     space_f = FockSpace("fermi", 3)
     worst_comp_f = 0.0
@@ -164,8 +236,7 @@ def criterion_gaussian_kernels(seed=42):
         space = FockSpace("fermi", d)
         om = gaussian_vector(space, c)
         z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        op = space.annihilate(z) + space.create(c @ np.conj(z))
-        worst_fermi = max(worst_fermi, np.linalg.norm(op @ om))
+        worst_fermi = max(worst_fermi, np.linalg.norm(kernel_defect(space, c, om, z)))
     worst_bose = 0.0
     space_b = FockSpace("bose", 1, 20)
     sub = space_b.sector_projector(18)
@@ -173,8 +244,7 @@ def criterion_gaussian_kernels(seed=42):
         c = np.array([[0.6 * (rng.random() - 0.5) * 2]], dtype=complex)
         om = gaussian_vector(space_b, c)
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        op = space_b.annihilate(z) - space_b.create(c @ np.conj(z))
-        worst_bose = max(worst_bose, np.linalg.norm(sub @ (op @ om)))
+        worst_bose = max(worst_bose, np.linalg.norm(sub @ kernel_defect(space_b, c, om, z)))
     passed = worst_fermi <= 1e-12 and worst_bose <= 1e-8
     return {"name": "gaussian-kernels", "residual": float(max(worst_fermi, worst_bose)),
             "tolerance": 1e-8, "pass": bool(passed),
@@ -184,37 +254,23 @@ def criterion_gaussian_kernels(seed=42):
 def criterion_two_point(seed=42):
     """Thermal two-point functions against the closed forms."""
     rng = _rng(seed)
-    worst_fermi = 0.0
-    worst_bose = 0.0
+    worst = {"fermi": 0.0, "bose": 0.0}
+    h = np.array([[1.0, 0.2], [0.2, 1.5]], dtype=complex)
     for beta in (0.5, 1.0, 2.0):
-        h = np.array([[1.0, 0.2], [0.2, 1.5]], dtype=complex)
-        params_f = ThermalParams.gibbs("fermi", h, beta)
-        rep_f = DoubledRep(params_f)
-        chi = params_f.density
-        vac = rep_f.space.vacuum()
-        for _ in range(4):
-            z1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            got = np.vdot(vac, rep_f.annihilate_left(z1) @ rep_f.create_left(z2) @ vac)
-            worst_fermi = max(worst_fermi, abs(got - (np.vdot(z1, z2) - np.vdot(z1, chi @ z2))))
-            got2 = np.vdot(vac, rep_f.create_left(z1) @ rep_f.annihilate_left(z2) @ vac)
-            worst_fermi = max(worst_fermi, abs(got2 - np.vdot(z2, chi @ z1)))
-        params_b = ThermalParams.gibbs("bose", h, beta)
-        rep_b = DoubledRep(params_b, single_cutoff=5)
-        rho = params_b.density
-        vacb = rep_b.space.vacuum()
-        for _ in range(4):
-            z1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            got = np.vdot(vacb, rep_b.annihilate_left(z1) @ rep_b.create_left(z2) @ vacb)
-            want = np.vdot(z1, z2) + np.vdot(z1, rho @ z2)
-            worst_bose = max(worst_bose, abs(got - want))
-            got2 = np.vdot(vacb, rep_b.create_left(z1) @ rep_b.annihilate_left(z2) @ vacb)
-            worst_bose = max(worst_bose, abs(got2 - np.vdot(z2, rho @ z1)))
-    passed = worst_fermi <= 1e-10 and worst_bose <= 1e-6
-    return {"name": "thermal-two-point", "residual": float(max(worst_fermi, worst_bose)),
-            "tolerance": 1e-6, "pass": bool(passed),
-            "fermi": worst_fermi, "bose": worst_bose}
+        for kind, cutoff in (("fermi", None), ("bose", 5)):
+            rep = DoubledRep(ThermalParams.gibbs(kind, h, beta), single_cutoff=cutoff)
+            dens = rep.params.density
+            vac = rep.space.vacuum()
+            for _ in range(4):
+                z1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                # the normal-ordered <a*(z1) a(z2)> = (z2|rho z1) as well
+                got = np.vdot(vac, rep.create_left(z1) @ rep.annihilate_left(z2) @ vac)
+                worst[kind] = max(worst[kind], two_point_defect(rep, z1, z2),
+                                  abs(got - np.vdot(z2, dens @ z1)))
+    passed = worst["fermi"] <= 1e-10 and worst["bose"] <= 1e-6
+    return {"name": "thermal-two-point", "residual": float(max(worst.values())),
+            "tolerance": 1e-6, "pass": bool(passed), **worst}
 
 
 def criterion_modular(seed=42):
@@ -225,12 +281,7 @@ def criterion_modular(seed=42):
     j_lin, delta_oracle = rep_f.modular_oracle()
     res_delta_f = np.linalg.norm(delta_oracle - delta_f, 2) / np.linalg.norm(delta_f, 2)
     res_j = np.linalg.norm(j_lin - j_f.unitary, 2)
-    rng = _rng(seed)
-    res_conj = 0.0
-    for _ in range(5):
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        res_conj = max(res_conj, np.linalg.norm(
-            j_f.sandwich(rep_f.field_left(z)) - rep_f.field_right(z), 2))
+    res_conj = conjugation_defect(rep_f, j_f, _rng(seed), 5)
     rep_b = DoubledRep(ThermalParams.gibbs("bose", np.array([[1.0]]), 1.0), single_cutoff=7)
     j_b, delta_b = rep_b.modular_data()
     jb_lin, delta_b_oracle = rep_b.modular_oracle()
@@ -255,15 +306,7 @@ def criterion_kms(seed=42):
         beta = 1.0
         d = h.shape[0]
         rep = DoubledRep(ThermalParams.gibbs(kind, h, beta), single_cutoff=cutoff)
-        gens = []
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = 1.0
-            gens.append(rep.create_left(e))
-            gens.append(rep.annihilate_left(e))
-        coeff = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        a_op = coeff[0] * gens[0] @ gens[1] + coeff[1] * gens[1]
-        b_op = coeff[2] * gens[1] @ gens[1 % len(gens)] + coeff[3] * gens[0]
+        a_op, b_op = kms_operators(rep, rng)
         results[f"{kind}_match"] = kms_check(rep, h, beta, a_op, b_op, t=0.3)
         # the witness pair carries a creation/annihilation imbalance so the
         # boundary condition actually probes the density
@@ -283,16 +326,8 @@ def criterion_kms(seed=42):
 def criterion_lattice_duality(seed=42):
     """Fermionic duality between the commutant and the dressed complement."""
     rng = _rng(seed)
-    d = 2
-    space = FockSpace("fermi", d)
-    worst = 0.0
-    for _ in range(10):
-        k = int(rng.integers(1, 4))
-        v = RealSubspace.from_vectors(d, rng.standard_normal((2 * d, k)))
-        rep = fermionic_duality_check(v, space)
-        if rep["dim_commutant"] != rep["dim_dressed_dual"]:
-            worst = max(worst, 1.0)
-        worst = max(worst, rep["defect_comm_in_dual"], rep["defect_dual_in_comm"])
+    space = FockSpace("fermi", 2)
+    worst = max(duality_defect(space, rng) for _ in range(10))
     return _report("fermionic-duality", worst, 1e-8)
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: run verification tasks from JSON model files
 and emit machine-readable reports.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 schema error,
-3 numerical failure.
+Exit codes: 0 all checks passed, 1 a check failed, 2 schema or domain
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -19,17 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
+from .acceptance import _report
 from .bogolubov import BogolubovBlocks, shale_implementer, validate_blocks
 from .fock import FockSpace
-from .lattice import RealSubspace, fermionic_duality_check
-from .ops import DoubledVector, apply_doubled_matrix, field, gaussian_vector, squeezer, weyl
-from .paulifierz import PauliFierzModel, confined_pf_check
+from .ops import DoubledVector, gaussian_vector, squeezer, symplectic_form, weyl
+from .paulifierz import PauliFierzModel, confined_pf_check, hamiltonian
 from .thermal import DoubledRep, ThermalParams, kms_check
 
 SCHEMA_VERSION = 1
-
-TASKS = ("verify-ccr", "verify-car", "bogolubov", "gaussian", "thermal", "kms",
-         "lattice", "pauli-fierz", "suite")
 
 
 class SchemaError(ValueError):
@@ -60,11 +57,6 @@ def _require(model: dict, key, types):
     return model[key]
 
 
-def _check_entry(name, residual, tolerance):
-    return {"name": name, "residual": float(residual), "tolerance": float(tolerance),
-            "pass": bool(residual <= tolerance)}
-
-
 def _statistics(model) -> str:
     stat = _require(model, "statistics", str).lower()
     if stat not in ("bose", "fermi"):
@@ -79,44 +71,27 @@ def task_verify_ccr(model, rng):
     tol_comm = float(model.get("tolerances", {}).get("commutator", 1e-12))
     tol_weyl = float(model.get("tolerances", {}).get("weyl", 1e-8))
     space = FockSpace("bose", d, cutoff)
-    sub = space.sector_projector(cutoff - 1)
-    worst = 0.0
-    for _ in range(5):
-        w1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        w2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        comm = space.annihilate(w1) @ space.create(w2) - space.create(w2) @ space.annihilate(w1)
-        worst = max(worst, np.linalg.norm(sub @ (comm - np.vdot(w1, w2) * np.eye(space.dim)) @ sub, 2))
+    worst = acceptance.ccr_defect(space, rng, 5)
     window = space.sector_projector(cutoff // 2)
     z1 = amplitude * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     z1 *= amplitude / max(np.linalg.norm(np.concatenate([z1, z1.conj()])), 1e-12)
     z2 = amplitude * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     z2 *= amplitude / max(np.linalg.norm(np.concatenate([z2, z2.conj()])), 1e-12)
     y1, y2 = DoubledVector.real_point(z1), DoubledVector.real_point(z2)
-    from .ops import symplectic_form
-
     phase = np.exp(-0.5j * symplectic_form(y1, y2))
     y12 = DoubledVector(y1.z1 + y2.z1, y1.z2bar + y2.z2bar)
     defect = weyl(space, y1) @ weyl(space, y2) - phase * weyl(space, y12)
     weyl_res = np.linalg.norm(window @ defect @ window, 2)
-    return [_check_entry("ccr-commutator-subcutoff", worst, tol_comm),
-            _check_entry("weyl-relation-window", weyl_res, tol_weyl)]
+    return [_report("ccr-commutator-subcutoff", worst, tol_comm),
+            _report("weyl-relation-window", weyl_res, tol_weyl)]
 
 
 def task_verify_car(model, rng):
     d = int(model.get("d", 3))
     trials = int(model.get("trials", 25))
     tol = float(model.get("tolerances", {}).get("car", 1e-12))
-    space = FockSpace("fermi", d)
-    from .ops import euclidean_form
-
-    worst = 0.0
-    for _ in range(trials):
-        y1 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        y2 = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-        f1, f2 = field(space, y1), field(space, y2)
-        target = 2.0 * euclidean_form(y1, y2) * np.eye(space.dim)
-        worst = max(worst, np.linalg.norm(f1 @ f2 + f2 @ f1 - target, 2))
-    return [_check_entry("car-anticommutator", worst, tol)]
+    worst = acceptance.car_defect(FockSpace("fermi", d), rng, trials)
+    return [_report("car-anticommutator", worst, tol)]
 
 
 def task_bogolubov(model, rng):
@@ -131,26 +106,24 @@ def task_bogolubov(model, rng):
     diag = validate_blocks(blocks)
     block_res = max(v for k, v in diag.items()
                     if not k.endswith("min_eig") and not k.startswith("hs_"))
-    checks = [_check_entry("block-relations", block_res,
-                           float(tols.get("blocks", 1e-9)))]
+    checks = [_report("block-relations", block_res, float(tols.get("blocks", 1e-9)))]
     space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         u = shale_implementer(space, blocks)
+    z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
+    y = DoubledVector.real_point(z / np.linalg.norm(z))
+    defect = acceptance.intertwining_defect(space, blocks, u, y)
     if stat == "fermi":
         unit = np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2)
-        checks.append(_check_entry("implementer-unitarity", unit,
-                                   float(tols.get("unitarity", 1e-10))))
-        sub = np.eye(space.dim)
+        checks.append(_report("implementer-unitarity", unit,
+                              float(tols.get("unitarity", 1e-10))))
         tol_int = float(tols.get("intertwining", 1e-10))
     else:
         sub = space.sector_projector(max(2, space.n_max // 5))
+        defect = sub @ defect @ sub
         tol_int = float(tols.get("intertwining", 1e-7))
-    z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
-    y = DoubledVector.real_point(z / np.linalg.norm(z))
-    lhs = u @ field(space, y) @ u.conj().T
-    rhs = field(space, apply_doubled_matrix(blocks.matrix(), y))
-    checks.append(_check_entry("intertwining", np.linalg.norm(sub @ (lhs - rhs) @ sub, 2), tol_int))
+    checks.append(_report("intertwining", np.linalg.norm(defect, 2), tol_int))
     return checks
 
 
@@ -162,14 +135,12 @@ def task_gaussian(model, rng):
     space = FockSpace(stat, c.shape[0], cutoff if stat == "bose" else None)
     om = gaussian_vector(space, c)
     z = rng.standard_normal(c.shape[0]) + 1j * rng.standard_normal(c.shape[0])
-    sign = 1.0 if stat == "fermi" else -1.0
-    op = space.annihilate(z) + sign * space.create(c @ np.conj(z))
     tol_k = float(tols.get("kernel", 1e-12 if stat == "fermi" else 1e-8))
-    checks = [_check_entry("kernel-condition", np.linalg.norm(op @ om), tol_k)]
-    r = squeezer(space, c)
-    res = np.linalg.norm(r @ om - space.vacuum())
+    checks = [_report("kernel-condition",
+                      np.linalg.norm(acceptance.kernel_defect(space, c, om, z)), tol_k)]
+    res = np.linalg.norm(squeezer(space, c) @ om - space.vacuum())
     tol_r = float(tols.get("squeezer", 1e-12 if stat == "fermi" else 1e-6))
-    checks.append(_check_entry("squeezer-vacuum", res, tol_r))
+    checks.append(_report("squeezer-vacuum", res, tol_r))
     return checks
 
 
@@ -182,28 +153,16 @@ def task_thermal(model, rng):
     rep = DoubledRep(params, single_cutoff=int(cutoff) if cutoff else None)
     tols = model.get("tolerances", {})
     d = params.d
-    dens = params.density
-    vac = rep.space.vacuum()
     worst = 0.0
     for _ in range(5):
         z1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         z2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        got = np.vdot(vac, rep.annihilate_left(z1) @ rep.create_left(z2) @ vac)
-        if stat == "bose":
-            want = np.vdot(z1, z2) + np.vdot(z1, dens @ z2)
-        else:
-            want = np.vdot(z1, z2) - np.vdot(z1, dens @ z2)
-        worst = max(worst, abs(got - want))
+        worst = max(worst, acceptance.two_point_defect(rep, z1, z2))
     tol_tp = float(tols.get("two_point", 1e-10 if stat == "fermi" else 1e-6))
-    checks = [_check_entry("two-point", worst, tol_tp)]
+    checks = [_report("two-point", worst, tol_tp)]
     if np.linalg.eigvalsh(g).min() > 1e-12:
-        j_op, delta = rep.modular_data()
-        res = 0.0
-        for _ in range(3):
-            z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            res = max(res, np.linalg.norm(j_op.sandwich(rep.field_left(z)) - rep.field_right(z), 2))
-        tol_j = float(tols.get("conjugation", 1e-10))
-        checks.append(_check_entry("modular-conjugation", res, tol_j))
+        res = acceptance.conjugation_defect(rep, rep.modular_conjugation(), rng, 3)
+        checks.append(_report("modular-conjugation", res, float(tols.get("conjugation", 1e-10))))
     return checks
 
 
@@ -214,21 +173,11 @@ def task_kms(model, rng):
     beta = float(_require(model, "beta", (int, float)))
     t = float(model.get("t", 0.0))
     cutoff = model.get("single_cutoff")
-    params = ThermalParams(stat, g, h=h)
-    rep = DoubledRep(params, single_cutoff=int(cutoff) if cutoff else None)
-    d = params.d
-    gens = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        gens.append(rep.create_left(e))
-        gens.append(rep.annihilate_left(e))
-    coeff = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    a_op = coeff[0] * gens[0] @ gens[1] + coeff[1] * gens[1]
-    b_op = coeff[2] * gens[1] @ gens[0] + coeff[3] * gens[0]
+    rep = DoubledRep(ThermalParams(stat, g, h=h), single_cutoff=int(cutoff) if cutoff else None)
+    a_op, b_op = acceptance.kms_operators(rep, rng)
     defect = kms_check(rep, h, beta, a_op, b_op, t=t)
     tol = float(model.get("tolerances", {}).get("kms", 1e-8))
-    return [_check_entry("kms-defect", defect, tol)]
+    return [_report("kms-defect", defect, tol)]
 
 
 def task_lattice(model, rng):
@@ -236,16 +185,8 @@ def task_lattice(model, rng):
     n_sub = int(model.get("subspaces", 5))
     tol = float(model.get("tolerances", {}).get("duality", 1e-8))
     space = FockSpace("fermi", d)
-    checks = []
-    for i in range(n_sub):
-        k = int(rng.integers(1, 2 * d))
-        v = RealSubspace.from_vectors(d, rng.standard_normal((2 * d, k)))
-        rep = fermionic_duality_check(v, space)
-        res = max(rep["defect_comm_in_dual"], rep["defect_dual_in_comm"])
-        if rep["dim_commutant"] != rep["dim_dressed_dual"]:
-            res = max(res, 1.0)
-        checks.append(_check_entry(f"duality-{i}", res, tol))
-    return checks
+    return [_report(f"duality-{i}", acceptance.duality_defect(space, rng), tol)
+            for i in range(n_sub)]
 
 
 def task_pauli_fierz(model, rng):
@@ -257,18 +198,16 @@ def task_pauli_fierz(model, rng):
     pf = PauliFierzModel(k, h, v, g, cutoff)
     tols = model.get("tolerances", {})
     if g is None:
-        from .paulifierz import hamiltonian
-
         ham, _ = hamiltonian(pf)
         herm = np.linalg.norm(ham - ham.conj().T, 2)
-        return [_check_entry("hamiltonian-hermiticity", herm, float(tols.get("hermitian", 1e-12)))]
+        return [_report("hamiltonian-hermiticity", herm, float(tols.get("hermitian", 1e-12)))]
     cutoffs = tuple(model.get("cutoff_grid", (max(4, cutoff - 4), cutoff)))
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])
     tol = float(tols.get("spectra", 1e-5))
-    checks = [_check_entry("confined-spectra", dev, tol)]
+    checks = [_report("confined-spectra", dev, tol)]
     improving = rep["semi"][-1] <= rep["semi"][0] and rep["standard"][-1] <= rep["standard"][0]
-    checks.append(_check_entry("cutoff-improvement", 0.0 if improving else 1.0, 0.5))
+    checks.append(_report("cutoff-improvement", 0.0 if improving else 1.0, 0.5))
     return checks
 
 
@@ -282,6 +221,8 @@ TASK_RUNNERS = {
     "lattice": task_lattice,
     "pauli-fierz": task_pauli_fierz,
 }
+
+TASKS = (*TASK_RUNNERS, "suite")
 
 
 def load_model(path: str) -> dict:
@@ -331,23 +272,19 @@ def serialize_report(report: dict, fmt: str) -> str:
 
 
 def run(model_path: str, out_path: str | None, fmt: str, seed: int) -> int:
-    try:
-        model = load_model(model_path)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    if model["task"] == "suite":
-        name = model.get("name", "smoke")
-        return suite(name, out_path or ".", seed)
     t0 = time.time()
     try:
+        model = load_model(model_path)
+        if model["task"] == "suite":
+            return suite(model.get("name", "smoke"), out_path or ".", seed)
         report = build_report(model, seed)
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so it is caught first
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # SchemaError and domain errors of the model's values
+        print(f"schema error: {exc}", file=sys.stderr)
+        return 2
     text = serialize_report(report, fmt)
     if out_path:
         Path(out_path).write_text(text)

@@ -14,7 +14,7 @@ import scipy.sparse
 
 from .fock import BOSE, FockSpace, dgamma, gamma as second_quantize
 from .linalg import require_square, sqrtm_psd
-from .thermal import ThermalParams
+from .thermal import ThermalParams, pair_kernel
 
 DEFAULT_CUTOFF = 10
 
@@ -158,6 +158,14 @@ def _doubled_energy(model: PauliFierzModel) -> np.ndarray:
     return block
 
 
+def _stack_legs(top: np.ndarray, bottom: np.ndarray, k: int, d: int) -> np.ndarray:
+    """K -> K (x) (Z (+) Zbar) from the legs top: K -> K (x) Z and bottom: K -> K (x) Zbar."""
+    q = np.zeros((k, 2 * d, k), dtype=complex)
+    q[:, :d, :] = top.reshape(k, d, k)
+    q[:, d:, :] = bottom.reshape(k, d, k)
+    return q.reshape(k * 2 * d, k)
+
+
 def dressed_coupling(model: PauliFierzModel) -> np.ndarray:
     """q_gamma = ((1+rho)^{1/2} v on the Z leg, rho-bar^{1/2} v-star on the Zbar leg)."""
     d, k = model.d, model.dim_k
@@ -165,11 +173,7 @@ def dressed_coupling(model: PauliFierzModel) -> np.ndarray:
     top = apply_boson_leg(sqrtm_psd(np.eye(d) + rho), model.v, k, d)
     vst = v_star(model.v, k, d)
     bottom = apply_boson_leg(np.conj(sqrtm_psd(rho)), vst, k, d)
-    q = np.zeros((k * 2 * d, k), dtype=complex)
-    q4 = q.reshape(k, 2 * d, k)
-    q4[:, :d, :] = top.reshape(k, d, k)
-    q4[:, d:, :] = bottom.reshape(k, d, k)
-    return q4.reshape(k * 2 * d, k)
+    return _stack_legs(top, bottom, k, d)
 
 
 def mirrored_coupling(model: PauliFierzModel) -> np.ndarray:
@@ -179,11 +183,7 @@ def mirrored_coupling(model: PauliFierzModel) -> np.ndarray:
     vst_bar = np.conj(v_star(model.v, k, d))
     top = apply_boson_leg(sqrtm_psd(rho), vst_bar, k, d)
     bottom = apply_boson_leg(np.conj(sqrtm_psd(np.eye(d) + rho)), np.conj(model.v), k, d)
-    q = np.zeros((k * 2 * d, k), dtype=complex)
-    q4 = q.reshape(k, 2 * d, k)
-    q4[:, :d, :] = top.reshape(k, d, k)
-    q4[:, d:, :] = bottom.reshape(k, d, k)
-    return q4.reshape(k * 2 * d, k)
+    return _stack_legs(top, bottom, k, d)
 
 
 def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
@@ -296,21 +296,11 @@ def standard_comparison_operator(model: PauliFierzModel, cutoff: int):
     return left - right, space_w
 
 
-def _pair_kernel(space_w: FockSpace, gamma_one: np.ndarray) -> np.ndarray:
-    """The thermal pair kernel gamma^{1/2} between the Z and Zbar legs."""
-    d = space_w.d // 2
-    g = sqrtm_psd(np.asarray(gamma_one, dtype=complex))
-    c = np.zeros((2 * d, 2 * d), dtype=complex)
-    c[:d, d:] = g
-    c[d:, :d] = g.T
-    return c
-
-
 def pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray) -> np.ndarray:
     """The thermal dressing unitary on a doubled bosonic Fock space."""
     from .ops import squeezer
 
-    return squeezer(space_w, _pair_kernel(space_w, gamma_one))
+    return squeezer(space_w, pair_kernel(gamma_one, BOSE))
 
 
 def _nilpotent_exp_apply(a, x: np.ndarray, t: float, steps: int) -> np.ndarray:
@@ -333,7 +323,7 @@ def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray
     truncated space both exponentials are nilpotent and act on x as finite
     sums over the sparse a*(c).  No dim_W x dim_W exponential is formed.
     """
-    c = _pair_kernel(space_w, gamma_one)
+    c = pair_kernel(gamma_one, BOSE)
     if np.linalg.norm(c, 2) >= 1.0:
         raise ValueError("bosonic squeezer needs ||c|| < 1")
     modes = range(space_w.d)

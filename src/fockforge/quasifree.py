@@ -226,6 +226,7 @@ def _complex_chart(g: np.ndarray, jc: np.ndarray):
 
 
 def _reduce_common(cov: CovarianceData, allow_kernel: bool):
+    """The complex structure j and the modulus |mu| of omega = 2 eta mu, as (j, |mu|)."""
     eta = cov.symmetric_form
     om = cov.omega
     dim = cov.dim
@@ -260,7 +261,22 @@ def _reduce_common(cov: CovarianceData, allow_kernel: bool):
             v2 = kernel_basis[:, i + 1]
             j_t = j_t + np.outer(v2, v1) - np.outer(v1, v2)
     j_t = (j_t - j_t.T) / 2
-    return g, ginv, mu_t, abs_mu_t, j_t
+    return ginv @ j_t @ g, ginv @ abs_mu_t @ g
+
+
+def _in_chart(metric: np.ndarray, jc: np.ndarray, real_op: np.ndarray):
+    """The complex chart T of (metric, jc) and real_op written in it."""
+    chart, _ = _complex_chart(metric, jc)
+    half = metric.shape[0] // 2
+    op_c = np.zeros((half, half), dtype=complex)
+    # columns via T(op f_b); T f_b is the unit vector e_b
+    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
+    for b in range(half):
+        e = np.zeros(2 * half)
+        e[b] = 1.0
+        f_b = pinv @ e
+        op_c[:, b] = chart @ (real_op @ f_b)
+    return chart, op_c
 
 
 def reduce_bose(cov: CovarianceData) -> ReducedRepData:
@@ -273,21 +289,10 @@ def reduce_bose(cov: CovarianceData) -> ReducedRepData:
     """
     if cov.kind != BOSE:
         raise ValueError("expected bosonic covariance data")
-    g, ginv, mu_t, abs_mu_t, j_t = _reduce_common(cov, allow_kernel=False)
-    j = ginv @ j_t @ g
-    abs_mu = ginv @ abs_mu_t @ g
-    rho_real = np.linalg.inv(abs_mu) - np.eye(cov.dim)
+    j, abs_mu = _reduce_common(cov, allow_kernel=False)
     metric = cov.symmetric_form @ abs_mu
     metric = (metric + metric.T) / 2
-    chart, _ = _complex_chart(metric, -j)
-    rho_c = np.zeros((cov.dim // 2, cov.dim // 2), dtype=complex)
-    # columns via T(rho f_b); T f_b is the unit vector e_b
-    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
-    for b in range(cov.dim // 2):
-        e = np.zeros(2 * (cov.dim // 2))
-        e[b] = 1.0
-        f_b = pinv @ e
-        rho_c[:, b] = chart @ (rho_real @ f_b)
+    chart, rho_c = _in_chart(metric, -j, np.linalg.inv(abs_mu) - np.eye(cov.dim))
     return ReducedRepData(BOSE, cov.dim // 2, j, rho_c, chart, abs_mu, metric)
 
 
@@ -301,19 +306,9 @@ def reduce_fermi(cov: CovarianceData) -> ReducedRepData:
     """
     if cov.kind != FERMI:
         raise ValueError("expected fermionic covariance data")
-    g, ginv, mu_t, abs_mu_t, j_t = _reduce_common(cov, allow_kernel=True)
-    j = ginv @ j_t @ g
-    abs_mu = ginv @ abs_mu_t @ g
-    chi_real = 0.5 * (np.eye(cov.dim) - abs_mu)
+    j, abs_mu = _reduce_common(cov, allow_kernel=True)
     metric = cov.symmetric_form.copy()
-    chart, _ = _complex_chart(metric, -j)
-    chi_c = np.zeros((cov.dim // 2, cov.dim // 2), dtype=complex)
-    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
-    for b in range(cov.dim // 2):
-        e = np.zeros(2 * (cov.dim // 2))
-        e[b] = 1.0
-        f_b = pinv @ e
-        chi_c[:, b] = chart @ (chi_real @ f_b)
+    chart, chi_c = _in_chart(metric, -j, 0.5 * (np.eye(cov.dim) - abs_mu))
     return ReducedRepData(FERMI, cov.dim // 2, j, chi_c, chart, abs_mu, metric)
 
 

@@ -25,6 +25,17 @@ class KernelViolationError(ValueError):
     pass
 
 
+def pair_kernel(gamma_one, kind: str) -> np.ndarray:
+    """The off-diagonal two-mode kernel with blocks gamma^{1/2} between the
+    original and the conjugate modes, antisymmetric for fermions."""
+    g = sqrtm_psd(np.asarray(gamma_one, dtype=complex))
+    d = g.shape[0]
+    c = np.zeros((2 * d, 2 * d), dtype=complex)
+    c[:d, d:] = g
+    c[d:, :d] = g.T if kind == BOSE else -g.T
+    return c
+
+
 class Antiunitary:
     """An antiunitary operator stored as (unitary matrix, conjugation).
 
@@ -291,13 +302,7 @@ class DoubledRep:
     # -- confined-gas identifications ------------------------------------
 
     def pair_kernel(self) -> np.ndarray:
-        """The off-diagonal two-mode kernel with blocks gamma^{1/2}."""
-        g = sqrtm_psd(self.params.gamma)
-        d = self.d
-        c = np.zeros((2 * d, 2 * d), dtype=complex)
-        c[:d, d:] = g
-        c[d:, :d] = g.T if self.kind == BOSE else -g.T
-        return c
+        return pair_kernel(self.params.gamma, self.kind)
 
     def omega_vector(self) -> np.ndarray:
         """Standard vector representative of the Gibbs state."""

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fockforge import cli
+from fockforge import acceptance, cli
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schema.json"
 
 
 def write_model(tmp_path, name, payload):
@@ -78,6 +81,18 @@ def test_not_json_exits_2(tmp_path):
     assert cli.run(str(path), None, "json", seed=42) == 2
 
 
+@pytest.mark.parametrize("model", [
+    {"task": "verify-ccr", "d": 0},
+    {"task": "verify-ccr", "cutoff": -3},
+    {"task": "lattice", "d": "abc"},
+])
+def test_domain_errors_exit_2(tmp_path, capsys, model):
+    path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})
+    assert cli.run(path, None, "json", seed=42) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and len(err.splitlines()) == 1
+
+
 def test_csv_format(tmp_path):
     path = write_model(tmp_path, "model.json", identity_bogolubov_model())
     out = tmp_path / "report.csv"
@@ -101,6 +116,25 @@ def test_verify_car_task(tmp_path):
     path = write_model(tmp_path, "car.json",
                        {"schema_version": 1, "task": "verify-car", "d": 3, "trials": 10})
     assert cli.run(path, str(tmp_path / "car_rep.json"), "json", seed=3) == 0
+
+
+def test_verify_car_task_is_criterion_01():
+    rng = np.random.default_rng(42)
+    worst = max(cli.task_verify_car({"d": d, "trials": 34}, rng)[0]["residual"]
+                for d in (2, 4, 6))
+    assert worst == acceptance.criterion_car_exactness(42)["residual"]
+
+
+def test_lattice_task_is_criterion_09():
+    checks = cli.task_lattice({"d": 2, "subspaces": 10}, np.random.default_rng(42))
+    assert len(checks) == 10
+    worst = max(c["residual"] for c in checks)
+    assert worst == acceptance.criterion_lattice_duality(42)["residual"]
+
+
+def test_tasks_match_the_schema():
+    enum = json.loads(SCHEMA.read_text())["properties"]["task"]["enum"]
+    assert list(cli.TASKS) == enum
 
 
 def test_gaussian_task(tmp_path):
