@@ -22,6 +22,7 @@ from . import acceptance
 from .acceptance import _report
 from .bogolubov import BogolubovBlocks, shale_implementer, validate_blocks
 from .fock import FockSpace
+from .linalg import window_norm
 from .ops import DoubledVector, gaussian_vector, squeezer, symplectic_form, weyl
 from .paulifierz import PauliFierzModel, confined_pf_check, hamiltonian
 from .thermal import DoubledRep, ThermalParams, kms_check
@@ -57,6 +58,36 @@ def _require(model: dict, key, types):
     return model[key]
 
 
+def _numeric(value, name, integer: bool = False):
+    """value as an int (integer) or a float: the one type check of the numeric fields.
+
+    A JSON integer (an integral float counts) or a finite JSON number is
+    accepted; booleans, null, strings, containers, NaN and numbers beyond
+    the float range are not.
+    """
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and integer and isinstance(value, float):
+        ok = value.is_integer()
+    if ok and not integer:
+        ok = abs(value) <= sys.float_info.max  # also false for NaN
+    if not ok:
+        raise SchemaError(f"field {name!r} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _number(obj: dict, key, default, integer: bool = False):
+    """obj[key] through _numeric, or default when the key is absent."""
+    return _numeric(obj[key], key, integer) if key in obj else default
+
+
+def _tolerance(model: dict, key, default) -> float:
+    tols = model.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise SchemaError("field 'tolerances' must be an object")
+    return _number(tols, key, default)
+
+
 def _statistics(model) -> str:
     stat = _require(model, "statistics", str).lower()
     if stat not in ("bose", "fermi"):
@@ -65,14 +96,14 @@ def _statistics(model) -> str:
 
 
 def task_verify_ccr(model, rng):
-    d = int(model.get("d", 1))
-    cutoff = int(model.get("cutoff", 12))
-    amplitude = float(model.get("amplitude", 0.25))
-    tol_comm = float(model.get("tolerances", {}).get("commutator", 1e-12))
-    tol_weyl = float(model.get("tolerances", {}).get("weyl", 1e-8))
+    d = _number(model, "d", 1, integer=True)
+    cutoff = _number(model, "cutoff", 12, integer=True)
+    amplitude = _number(model, "amplitude", 0.25)
+    tol_comm = _tolerance(model, "commutator", 1e-12)
+    tol_weyl = _tolerance(model, "weyl", 1e-8)
     space = FockSpace("bose", d, cutoff)
     worst = acceptance.ccr_defect(space, rng, 5)
-    window = space.sector_projector(cutoff // 2)
+    window = space.sector_mask(cutoff // 2)
     z1 = amplitude * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     z1 *= amplitude / max(np.linalg.norm(np.concatenate([z1, z1.conj()])), 1e-12)
     z2 = amplitude * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
@@ -81,15 +112,15 @@ def task_verify_ccr(model, rng):
     phase = np.exp(-0.5j * symplectic_form(y1, y2))
     y12 = DoubledVector(y1.z1 + y2.z1, y1.z2bar + y2.z2bar)
     defect = weyl(space, y1) @ weyl(space, y2) - phase * weyl(space, y12)
-    weyl_res = np.linalg.norm(window @ defect @ window, 2)
+    weyl_res = window_norm(defect, window)
     return [_report("ccr-commutator-subcutoff", worst, tol_comm),
             _report("weyl-relation-window", weyl_res, tol_weyl)]
 
 
 def task_verify_car(model, rng):
-    d = int(model.get("d", 3))
-    trials = int(model.get("trials", 25))
-    tol = float(model.get("tolerances", {}).get("car", 1e-12))
+    d = _number(model, "d", 3, integer=True)
+    trials = _number(model, "trials", 25, integer=True)
+    tol = _tolerance(model, "car", 1e-12)
     worst = acceptance.car_defect(FockSpace("fermi", d), rng, trials)
     return [_report("car-anticommutator", worst, tol)]
 
@@ -100,13 +131,12 @@ def task_bogolubov(model, rng):
     q = decode_matrix(_require(model, "q", list))
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise SchemaError("p and q must be square matrices of equal shape")
-    cutoff = int(model.get("cutoff", 12 if stat == "bose" else 0))
-    tols = model.get("tolerances", {})
+    cutoff = _number(model, "cutoff", 12 if stat == "bose" else 0, integer=True)
     blocks = BogolubovBlocks(p, q, stat)
     diag = validate_blocks(blocks)
     block_res = max(v for k, v in diag.items()
                     if not k.endswith("min_eig") and not k.startswith("hs_"))
-    checks = [_report("block-relations", block_res, float(tols.get("blocks", 1e-9)))]
+    checks = [_report("block-relations", block_res, _tolerance(model, "blocks", 1e-9))]
     space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -114,32 +144,31 @@ def task_bogolubov(model, rng):
     z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
     y = DoubledVector.real_point(z / np.linalg.norm(z))
     defect = acceptance.intertwining_defect(space, blocks, u, y)
+    keep = np.ones(space.dim, dtype=bool)
     if stat == "fermi":
         unit = np.linalg.norm(u.conj().T @ u - np.eye(space.dim), 2)
         checks.append(_report("implementer-unitarity", unit,
-                              float(tols.get("unitarity", 1e-10))))
-        tol_int = float(tols.get("intertwining", 1e-10))
+                              _tolerance(model, "unitarity", 1e-10)))
+        tol_int = _tolerance(model, "intertwining", 1e-10)
     else:
-        sub = space.sector_projector(max(2, space.n_max // 5))
-        defect = sub @ defect @ sub
-        tol_int = float(tols.get("intertwining", 1e-7))
-    checks.append(_report("intertwining", np.linalg.norm(defect, 2), tol_int))
+        keep = space.sector_mask(max(2, space.n_max // 5))
+        tol_int = _tolerance(model, "intertwining", 1e-7)
+    checks.append(_report("intertwining", window_norm(defect, keep), tol_int))
     return checks
 
 
 def task_gaussian(model, rng):
     stat = _statistics(model)
     c = decode_matrix(_require(model, "c", list))
-    cutoff = int(model.get("cutoff", 20 if stat == "bose" else 0))
-    tols = model.get("tolerances", {})
+    cutoff = _number(model, "cutoff", 20 if stat == "bose" else 0, integer=True)
     space = FockSpace(stat, c.shape[0], cutoff if stat == "bose" else None)
     om = gaussian_vector(space, c)
     z = rng.standard_normal(c.shape[0]) + 1j * rng.standard_normal(c.shape[0])
-    tol_k = float(tols.get("kernel", 1e-12 if stat == "fermi" else 1e-8))
+    tol_k = _tolerance(model, "kernel", 1e-12 if stat == "fermi" else 1e-8)
     checks = [_report("kernel-condition",
                       np.linalg.norm(acceptance.kernel_defect(space, c, om, z)), tol_k)]
     res = np.linalg.norm(squeezer(space, c) @ om - space.vacuum())
-    tol_r = float(tols.get("squeezer", 1e-12 if stat == "fermi" else 1e-6))
+    tol_r = _tolerance(model, "squeezer", 1e-12 if stat == "fermi" else 1e-6)
     checks.append(_report("squeezer-vacuum", res, tol_r))
     return checks
 
@@ -148,21 +177,20 @@ def task_thermal(model, rng):
     stat = _statistics(model)
     g = decode_matrix(_require(model, "gamma", list))
     h = decode_matrix(model["h"]) if "h" in model else None
-    cutoff = model.get("single_cutoff")
+    cutoff = _number(model, "single_cutoff", None, integer=True)
     params = ThermalParams(stat, g, h=h)
-    rep = DoubledRep(params, single_cutoff=int(cutoff) if cutoff else None)
-    tols = model.get("tolerances", {})
+    rep = DoubledRep(params, single_cutoff=cutoff or None)
     d = params.d
     worst = 0.0
     for _ in range(5):
         z1 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         z2 = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         worst = max(worst, acceptance.two_point_defect(rep, z1, z2))
-    tol_tp = float(tols.get("two_point", 1e-10 if stat == "fermi" else 1e-6))
+    tol_tp = _tolerance(model, "two_point", 1e-10 if stat == "fermi" else 1e-6)
     checks = [_report("two-point", worst, tol_tp)]
     if np.linalg.eigvalsh(g).min() > 1e-12:
         res = acceptance.conjugation_defect(rep, rep.modular_conjugation(), rng, 3)
-        checks.append(_report("modular-conjugation", res, float(tols.get("conjugation", 1e-10))))
+        checks.append(_report("modular-conjugation", res, _tolerance(model, "conjugation", 1e-10)))
     return checks
 
 
@@ -170,20 +198,20 @@ def task_kms(model, rng):
     stat = _statistics(model)
     g = decode_matrix(_require(model, "gamma", list))
     h = decode_matrix(_require(model, "h", list))
-    beta = float(_require(model, "beta", (int, float)))
-    t = float(model.get("t", 0.0))
-    cutoff = model.get("single_cutoff")
-    rep = DoubledRep(ThermalParams(stat, g, h=h), single_cutoff=int(cutoff) if cutoff else None)
+    beta = _numeric(_require(model, "beta", (int, float)), "beta")
+    t = _number(model, "t", 0.0)
+    cutoff = _number(model, "single_cutoff", None, integer=True)
+    rep = DoubledRep(ThermalParams(stat, g, h=h), single_cutoff=cutoff or None)
     a_op, b_op = acceptance.kms_operators(rep, rng)
     defect = kms_check(rep, h, beta, a_op, b_op, t=t)
-    tol = float(model.get("tolerances", {}).get("kms", 1e-8))
+    tol = _tolerance(model, "kms", 1e-8)
     return [_report("kms-defect", defect, tol)]
 
 
 def task_lattice(model, rng):
-    d = int(model.get("d", 2))
-    n_sub = int(model.get("subspaces", 5))
-    tol = float(model.get("tolerances", {}).get("duality", 1e-8))
+    d = _number(model, "d", 2, integer=True)
+    n_sub = _number(model, "subspaces", 5, integer=True)
+    tol = _tolerance(model, "duality", 1e-8)
     space = FockSpace("fermi", d)
     return [_report(f"duality-{i}", acceptance.duality_defect(space, rng), tol)
             for i in range(n_sub)]
@@ -194,17 +222,19 @@ def task_pauli_fierz(model, rng):
     h = decode_matrix(_require(model, "h", list))
     v = decode_matrix(_require(model, "v", list))
     g = decode_matrix(model["gamma"]) if "gamma" in model else None
-    cutoff = int(model.get("cutoff", 10))
+    cutoff = _number(model, "cutoff", 10, integer=True)
     pf = PauliFierzModel(k, h, v, g, cutoff)
-    tols = model.get("tolerances", {})
     if g is None:
         ham, _ = hamiltonian(pf)
         herm = np.linalg.norm(ham - ham.conj().T, 2)
-        return [_report("hamiltonian-hermiticity", herm, float(tols.get("hermitian", 1e-12)))]
-    cutoffs = tuple(model.get("cutoff_grid", (max(4, cutoff - 4), cutoff)))
+        return [_report("hamiltonian-hermiticity", herm, _tolerance(model, "hermitian", 1e-12))]
+    cutoffs = (max(4, cutoff - 4), cutoff)
+    if "cutoff_grid" in model:
+        cutoffs = tuple(_numeric(n, "cutoff_grid", integer=True)
+                        for n in _require(model, "cutoff_grid", list))
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])
-    tol = float(tols.get("spectra", 1e-5))
+    tol = _tolerance(model, "spectra", 1e-5)
     checks = [_report("confined-spectra", dev, tol)]
     improving = rep["semi"][-1] <= rep["semi"][0] and rep["standard"][-1] <= rep["standard"][0]
     checks.append(_report("cutoff-improvement", 0.0 if improving else 1.0, 0.5))

@@ -58,6 +58,15 @@ def is_antisymmetric(a, tol: float = ALG_TOL) -> bool:
     return bool(np.max(np.abs(m + m.T), initial=0.0) <= tol)
 
 
+def window_norm(a, keep) -> float:
+    """Spectral norm of P a P for the coordinate projector P onto a boolean mask keep.
+
+    It is the norm of the kept block alone: the same singular values as the
+    projected full-size matrix, without its SVD.
+    """
+    return np.linalg.norm(a[np.ix_(keep, keep)], 2)
+
+
 def fredholm_det(a) -> complex:
     """det(1 + a); in finite dimension the ordinary determinant of 1 + a."""
     m = require_square(a)

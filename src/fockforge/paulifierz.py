@@ -88,8 +88,17 @@ def apply_boson_leg(mat: np.ndarray, q: np.ndarray, dim_k: int, d: int) -> np.nd
     return np.einsum("mn,inj->imj", mat, q4).reshape(dim_k * mat.shape[0], q.shape[1])
 
 
-def coupled_create(dim_k: int, space: FockSpace, q: np.ndarray) -> np.ndarray:
-    """a*(q) on C^k (x) Fock for a coupling q : K -> K (x) Z.
+def _kron(a, b) -> scipy.sparse.csr_array:
+    """The Kronecker product of two dense or sparse matrices, as a sparse array."""
+    return scipy.sparse.kron(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b), format="csr")
+
+
+def _eye(n: int) -> scipy.sparse.csr_array:
+    return scipy.sparse.eye_array(n, dtype=complex, format="csr")
+
+
+def coupled_create(dim_k: int, space: FockSpace, q: np.ndarray) -> scipy.sparse.csr_array:
+    """a*(q) on C^k (x) Fock for a coupling q : K -> K (x) Z, as a sparse array.
 
     Decomposing q along the boson modes as sum_m B_m (x) |e_m) gives
     a*(q) = sum_m B_m (x) a*_m; for q = B (x) |w) this is B (x) a*(w).
@@ -98,17 +107,17 @@ def coupled_create(dim_k: int, space: FockSpace, q: np.ndarray) -> np.ndarray:
     d = space.d
     if q.shape != (dim_k * d, dim_k):
         raise ValueError(f"coupling must be {(dim_k * d, dim_k)}, got {q.shape}")
-    out = np.zeros((dim_k * space.dim, dim_k * space.dim), dtype=complex)
+    out = scipy.sparse.csr_array((dim_k * space.dim, dim_k * space.dim), dtype=complex)
     q4 = q.reshape(dim_k, d, dim_k)
     for m in range(d):
         b_m = q4[:, m, :]
         if np.any(b_m):
-            out += np.kron(b_m, space.creation(m))
+            out = out + _kron(b_m, space.creation(m))
     return out
 
 
-def coupled_annihilate(dim_k: int, space: FockSpace, q: np.ndarray) -> np.ndarray:
-    return coupled_create(dim_k, space, q).conj().T
+def coupled_annihilate(dim_k: int, space: FockSpace, q: np.ndarray) -> scipy.sparse.csr_array:
+    return coupled_create(dim_k, space, q).conj().T.tocsr()
 
 
 def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
@@ -121,22 +130,27 @@ def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
     return out.reshape(dim_k * d, dim_k)
 
 
-def check_middle(bbar: np.ndarray, a: np.ndarray, dim_k: int, dim_h_out: int,
-                 dim_h_in: int | None = None) -> np.ndarray:
+def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h_out: int,
+                 dim_h_in: int | None = None) -> scipy.sparse.csr_array:
     """Tensor bbar into the middle leg: K (x) H -> K (x) Kbar (x) H.
 
-    For a = C (x) A0 the result is C (x) bbar (x) A0.
+    For a = C (x) A0 the result is C (x) bbar (x) A0.  a may be dense or
+    sparse; the result is sparse, one entry per pair of nonzeros of a and bbar.
     """
-    bbar = require_square(np.asarray(bbar, dtype=complex))
-    a = np.asarray(a, dtype=complex)
+    bbar = scipy.sparse.coo_array(require_square(np.asarray(bbar, dtype=complex)))
+    a = scipy.sparse.coo_array(a)
     if dim_h_in is None:
         dim_h_in = dim_h_out
     if a.shape != (dim_k * dim_h_out, dim_k * dim_h_in):
         raise ValueError("operator shape does not match the stated legs")
-    a4 = a.reshape(dim_k, dim_h_out, dim_k, dim_h_in)
-    r6 = np.einsum("iajc,bd->ibajdc", a4, bbar)
     kb = bbar.shape[0]
-    return r6.reshape(dim_k * kb * dim_h_out, dim_k * kb * dim_h_in)
+    i, x = np.divmod(a.row, dim_h_out)
+    j, y = np.divmod(a.col, dim_h_in)
+    rows = (i[:, None] * kb + bbar.row) * dim_h_out + x[:, None]
+    cols = (j[:, None] * kb + bbar.col) * dim_h_in + y[:, None]
+    data = a.data[:, None] * bbar.data
+    shape = (dim_k * kb * dim_h_out, dim_k * kb * dim_h_in)
+    return scipy.sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int | None = None):
@@ -145,7 +159,7 @@ def hamiltonian(model: PauliFierzModel, cutoff: int | None = None):
     space = FockSpace(BOSE, model.d, n)
     eye_k = np.eye(model.dim_k)
     h_free = np.kron(model.K, np.eye(space.dim)) + np.kron(eye_k, dgamma(space, model.h))
-    inter = coupled_create(model.dim_k, space, model.v)
+    inter = coupled_create(model.dim_k, space, model.v).toarray()
     ham = h_free + inter + inter.conj().T
     return ham, space
 
@@ -187,7 +201,7 @@ def mirrored_coupling(model: PauliFierzModel) -> np.ndarray:
 
 
 def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
-    """L_fr + V on K (x) Gamma(Z (+) Zbar); returns (L, doubled space).
+    """L_fr + V on K (x) Gamma(Z (+) Zbar); returns (L, doubled space), L sparse.
 
     The doubled space is truncated at twice the stated single-sided
     cutoff, since the density dressing populates pairs.
@@ -196,46 +210,53 @@ def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
         raise ValueError("semi-Liouvillean needs a density gamma")
     n = model.cutoff if cutoff is None else cutoff
     space = FockSpace(BOSE, 2 * model.d, 2 * n)
-    eye_k = np.eye(model.dim_k)
-    free = np.kron(model.K, np.eye(space.dim)) + np.kron(eye_k, dgamma(space, _doubled_energy(model)))
+    free = (_kron(model.K, _eye(space.dim))
+            + _kron(_eye(model.dim_k), dgamma(space, _doubled_energy(model))))
     inter = coupled_create(model.dim_k, space, dressed_coupling(model))
     return free + inter + inter.conj().T, space
+
+
+def _basis_index(space: FockSpace, occ: np.ndarray) -> np.ndarray:
+    """Basis indices of the occupation rows of occ, through mixed-radix keys."""
+    weights = (space.n_max + 1) ** np.arange(space.d, dtype=np.int64)
+    keys = np.asarray(space.basis, dtype=np.int64) @ weights
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys[order], occ @ weights)]
 
 
 def _doubled_swap_index(space: FockSpace) -> np.ndarray:
     """The occupation permutation (n, m) -> (m, n) of the leg swap on Z (+) Zbar."""
     d = space.d // 2
-    return np.array([space.index[occ[d:] + occ[:d]] for occ in space.basis])
+    occ = np.asarray(space.basis, dtype=np.int64)
+    return _basis_index(space, np.hstack([occ[:, d:], occ[:, :d]]))
 
 
 def standard_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
-    """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar)."""
+    """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar), L sparse."""
     if model.gamma is None:
         raise ValueError("standard Liouvillean needs a density gamma")
     n = model.cutoff if cutoff is None else cutoff
     space = FockSpace(BOSE, 2 * model.d, 2 * n)
     k = model.dim_k
-    eye_k = np.eye(k)
-    eye_f = np.eye(space.dim)
-    free = (np.kron(model.K, np.kron(eye_k, eye_f))
-            - np.kron(eye_k, np.kron(np.conj(model.K), eye_f))
-            + np.kron(np.eye(k * k), dgamma(space, _doubled_energy(model))))
+    free = (_kron(model.K, _eye(k * space.dim))
+            - _kron(_eye(k), _kron(np.conj(model.K), _eye(space.dim)))
+            + _kron(_eye(k * k), dgamma(space, _doubled_energy(model))))
     inter = coupled_create(k, space, dressed_coupling(model))
-    v_full = inter + inter.conj().T
-    pi_v = check_middle(eye_k, v_full, k, space.dim)
+    v_full = (inter + inter.conj().T).tocoo()
+    pi_v = check_middle(np.eye(k), v_full, k, space.dim)
     # Gamma(swap) is a permutation and an involution, so the sandwich
-    # (1 (x) Gamma) conj(V) (1 (x) Gamma) only reorders rows and columns
+    # (1 (x) Gamma) conj(V) (1 (x) Gamma) only relabels rows and columns
     swap = (np.arange(k)[:, None] * space.dim + _doubled_swap_index(space)).ravel()
-    mirrored = np.conj(v_full)[np.ix_(swap, swap)]
-    j_pi_v_j = np.kron(eye_k, mirrored)
-    return free + pi_v - j_pi_v_j, space
+    mirrored = scipy.sparse.csr_array((np.conj(v_full.data), (swap[v_full.row], swap[v_full.col])),
+                                      shape=v_full.shape)
+    return free + pi_v - _kron(_eye(k), mirrored), space
 
 
-def jpvj_closed_form(model: PauliFierzModel, space: FockSpace) -> np.ndarray:
+def jpvj_closed_form(model: PauliFierzModel, space: FockSpace) -> scipy.sparse.csr_array:
     """1_K (x) (a*(mirrored coupling) + h.c.) acting on the Kbar and boson legs."""
     k = model.dim_k
     inter = coupled_create(k, space, mirrored_coupling(model))
-    return np.kron(np.eye(k), inter + inter.conj().T)
+    return _kron(_eye(k), inter + inter.conj().T)
 
 
 def _doubled_chart(model: PauliFierzModel, cutoff: int):
@@ -250,50 +271,39 @@ def _doubled_chart(model: PauliFierzModel, cutoff: int):
     ham, space_z = hamiltonian(model, n_tot)
     space_w = FockSpace(BOSE, 2 * model.d, n_tot)
     d = model.d
-    n_idx = np.empty(space_w.dim, dtype=int)
-    m_idx = np.empty(space_w.dim, dtype=int)
-    for t, occ in enumerate(space_w.basis):
-        n_idx[t] = space_z.index[occ[:d]]
-        m_idx[t] = space_z.index[occ[d:]]
-    return ham, space_z, space_w, n_idx, m_idx
+    occ = np.asarray(space_w.basis, dtype=np.int64)
+    return ham, space_z, space_w, _basis_index(space_z, occ[:, :d]), _basis_index(space_z, occ[:, d:])
+
+
+def _compress(a: scipy.sparse.csr_array, rows: np.ndarray) -> scipy.sparse.csr_array:
+    """The compression of a to the coordinates rows, in their order."""
+    return a[rows][:, rows]
 
 
 def semi_comparison_operator(model: PauliFierzModel, cutoff: int):
-    """Compression of H (x) 1 - 1 (x) dGamma(h-bar) to the doubled truncation.
+    """Compression of H (x) 1 - 1 (x) dGamma(h-bar) to the doubled truncation, sparse.
 
     Rows are pairs (kappa, doubled occupation); the doubled occupation
     splits into a left occupation n and a right occupation m through the
-    exponential-law chart, where the matrix is assembled entrywise.
+    exponential-law chart, so the rows are the coordinates (kappa, n, m)
+    of K (x) Gamma(Z) (x) Gamma(Zbar) that the truncation keeps.
     """
     ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
-    k = model.dim_k
-    f_bar = dgamma(space_z, np.conj(model.h))
-    kap = np.repeat(np.arange(k), space_w.dim)
-    nn = np.tile(n_idx, k)
-    mm = np.tile(m_idx, k)
-    h_rows = kap * space_z.dim + nn
-    ham_part = ham[np.ix_(h_rows, h_rows)] * (mm[:, None] == mm[None, :])
-    f_part = f_bar[np.ix_(mm, mm)] * ((kap[:, None] == kap[None, :]) & (nn[:, None] == nn[None, :]))
-    return ham_part - f_part, space_w
+    k, dz = model.dim_k, space_z.dim
+    full = _kron(ham, _eye(dz)) - _kron(_eye(k * dz), dgamma(space_z, np.conj(model.h)))
+    rows = (np.arange(k)[:, None] * dz + n_idx) * dz + m_idx
+    return _compress(full, rows.ravel()), space_w
 
 
 def standard_comparison_operator(model: PauliFierzModel, cutoff: int):
-    """Compression of H (x) 1 - 1 (x) conj(H) to K (x) Kbar (x) doubled truncation."""
+    """Compression of H (x) 1 - 1 (x) conj(H) to K (x) Kbar (x) doubled truncation, sparse."""
     ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
-    k = model.dim_k
-    dw = space_w.dim
-    kap = np.repeat(np.arange(k), k * dw)
-    kbar = np.tile(np.repeat(np.arange(k), dw), k)
-    nn = np.tile(n_idx, k * k)
-    mm = np.tile(m_idx, k * k)
-    left_rows = kap * space_z.dim + nn
-    right_rows = kbar * space_z.dim + mm
-    hbar = np.conj(ham)
-    left = ham[np.ix_(left_rows, left_rows)] * (
-        (kbar[:, None] == kbar[None, :]) & (mm[:, None] == mm[None, :]))
-    right = hbar[np.ix_(right_rows, right_rows)] * (
-        (kap[:, None] == kap[None, :]) & (nn[:, None] == nn[None, :]))
-    return left - right, space_w
+    k, dz = model.dim_k, space_z.dim
+    full = _kron(ham, _eye(k * dz)) - _kron(_eye(k * dz), np.conj(ham))
+    kap = np.arange(k)[:, None, None]
+    kbar = np.arange(k)[None, :, None]
+    rows = (kap * dz + n_idx) * (k * dz) + kbar * dz + m_idx
+    return _compress(full, rows.ravel()), space_w
 
 
 def pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray) -> np.ndarray:
@@ -418,9 +428,36 @@ def _cluster(vals: np.ndarray, i: int, cluster_tol: float) -> np.ndarray:
     return np.abs(vals - vals[i]) <= cluster_tol * max(1.0, abs(vals[i]))
 
 
-def matched_spectral_deviation(liouvillean: np.ndarray, comparison: np.ndarray,
-                               dressing, targets, overlap_min: float = 0.9,
-                               cluster_tol: float = 1e-4) -> dict:
+def exact_blocks(a) -> list:
+    """The exact blocks of a square operator, dense or sparse.
+
+    The blocks are the connected components of the nonzero pattern of a;
+    each is returned as its ascending array of coordinates.  An operator
+    with no such structure is one block.
+    """
+    # scipy.sparse loads csgraph on this first use, so importing the package does not
+    n, labels = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_array(a) != 0,
+                                                          directed=False)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n + 1))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _block_spectra(a):
+    """One eigh per exact block of a Hermitian operator, one block at a time.
+
+    Yields (coordinates, eigenvalues, eigenvectors) per block; each block is
+    densified alone and taken in real arithmetic when its imaginary part is
+    exactly zero.
+    """
+    a = scipy.sparse.csr_array(a)
+    for idx in exact_blocks(a):
+        block = _real_if_exact(_compress(a, idx).toarray())
+        yield (idx, *np.linalg.eigh(block))
+
+
+def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
+                               overlap_min: float = 0.9, cluster_tol: float = 1e-4) -> dict:
     """Deviation of overlap-identified eigenvalue pairs.
 
     Each target (name, value) or (name, value, state) is located at the
@@ -432,45 +469,56 @@ def matched_spectral_deviation(liouvillean: np.ndarray, comparison: np.ndarray,
     eigenvector up to phase.  The comparison vectors are pushed through the
     dressing chart as one block: dressing is a matrix or a callable on
     blocks of column vectors, such as apply_pair_squeezer.  The Liouvillean
-    partner is the eigenvalue of maximal overlap, found against all
-    Liouvillean eigenvectors in one product; the deviation is the gap
-    between the overlap-weighted partner cluster and the target.  Targets
-    whose labelled state or dressed vector falls below overlap_min are
-    reported but not counted.
+    partner is the eigenvalue of maximal overlap among all Liouvillean
+    eigenvectors; the deviation is the gap between the overlap-weighted
+    partner cluster and the target.  Targets whose labelled state or
+    dressed vector falls below overlap_min are reported but not counted.
 
-    Each operator gets one full-spectrum eigh, in real arithmetic when its
-    imaginary part is exactly zero.
+    Both operators may be dense or sparse.  Each gets one eigh per exact
+    block (see exact_blocks), in real arithmetic when the block's imaginary
+    part is exactly zero, and the overlaps are taken block by block.  The
+    clusters and the projections run over the merged spectrum, since a
+    degenerate eigenvalue may span blocks.
     """
     apply_dressing = dressing if callable(dressing) else dressing.__matmul__
     entries = []  # per target: an unmatched reason, or the index of its chosen vector
     located, chosen = [], []
-    vals_d, vecs_d = np.linalg.eigh(_real_if_exact(comparison))
+    blocks = list(_block_spectra(comparison))
+    vals_d = np.concatenate([vals for _, vals, _ in blocks])
+    owner = np.repeat(np.arange(len(blocks)), [len(vals) for _, vals, _ in blocks])
+    column = np.concatenate([np.arange(len(vals)) for _, vals, _ in blocks])
     for name, tgt, *state in targets:
         i = int(np.argmin(np.abs(vals_d - tgt)))
         if abs(vals_d[i] - tgt) > 1e-6 + 1e-3 * abs(tgt):
             entries.append((name, "target missing from comparison spectrum"))
             continue
+        vec = np.zeros(comparison.shape[0], dtype=complex)
         if state:
-            sub = vecs_d[:, _cluster(vals_d, i, cluster_tol)]
+            members = _cluster(vals_d, i, cluster_tol)
             size = np.linalg.norm(state[0])  # zero when the truncation drops the state
-            vec = sub @ _adjoint_product(sub, state[0]) / (size or 1.0)
+            for b in np.unique(owner[members]):
+                idx, _, vecs = blocks[b]
+                sub = vecs[:, column[members & (owner == b)]]
+                vec[idx] = sub @ _adjoint_product(sub, state[0][idx]) / (size or 1.0)
             captured = float(np.vdot(vec, vec).real)
             if captured < overlap_min:
                 entries.append((name, f"labelled state captured {captured:.3f}"))
                 continue
         else:
-            vec = vecs_d[:, i]
+            idx, _, vecs = blocks[owner[i]]
+            vec[idx] = vecs[:, column[i]]
         entries.append((name, len(chosen)))
         located.append(tgt)
         chosen.append(vec / np.linalg.norm(vec))
-    del vecs_d
+    del blocks
     results = []
     if chosen:
         psi = apply_dressing(np.stack(chosen, axis=1))
         psi = psi / np.linalg.norm(psi, axis=0)
-        vals_l, vecs_l = np.linalg.eigh(_real_if_exact(liouvillean))
-        overlaps = np.abs(_adjoint_product(vecs_l, psi)) ** 2
-        del vecs_l
+        spectra = [(vals, np.abs(_adjoint_product(vecs, psi[idx])) ** 2)
+                   for idx, vals, vecs in _block_spectra(liouvillean)]
+        vals_l = np.concatenate([vals for vals, _ in spectra])
+        overlaps = np.concatenate([ov for _, ov in spectra])
         for tgt, col in zip(located, overlaps.T):
             j = int(np.argmax(col))
             # near-degenerate eigenvalues act as one cluster for the overlap count
@@ -497,8 +545,7 @@ def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparis
                       targets) -> dict:
     """One family at one cutoff; its operators are freed when the call returns."""
     ell, space_w = liouvillean(model, cutoff)
-    ell = _real_if_exact(ell)
-    comp = _real_if_exact(comparison(model, cutoff)[0])
+    comp, _ = comparison(model, cutoff)
     dressing = partial(apply_pair_squeezer, space_w, model.gamma)
     return matched_spectral_deviation(ell, comp, dressing, targets)
 
@@ -520,9 +567,10 @@ def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14),
     psi_i (x) conj(psi_j), with psi_i from H at the comparison cutoff) whose
     projection onto the nearest comparison eigenspace is the comparison
     vector; see matched_spectral_deviation.  The thermal dressing acts on
-    those vectors only (apply_pair_squeezer), and every operator whose
-    imaginary part is exactly zero, as for any real model, is diagonalised
-    in real arithmetic.
+    those vectors only (apply_pair_squeezer).  The four operators are built
+    sparse and get one eigh per exact block (the Z2 parity sectors of the
+    sigma_x-coupled spin-boson model, for instance), each block in real
+    arithmetic when its imaginary part is exactly zero, as for any real model.
     """
     levels = _reference_levels(model, n_levels)
     targets_semi = _semi_targets(model, levels, n_right)
@@ -548,10 +596,10 @@ def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14),
 
 @dataclass(frozen=True)
 class LiouvilleanBundle:
-    semi: np.ndarray
-    standard: np.ndarray
-    semi_free: np.ndarray
-    standard_free: np.ndarray
+    semi: scipy.sparse.csr_array
+    standard: scipy.sparse.csr_array
+    semi_free: scipy.sparse.csr_array
+    standard_free: scipy.sparse.csr_array
     space_semi: FockSpace = dc_field(repr=False, default=None)
     space_standard: FockSpace = dc_field(repr=False, default=None)
 

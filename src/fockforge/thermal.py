@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import BOSE, FERMI, FockSpace, dgamma, exp_law, gamma
-from .linalg import expi_herm, require_square, sqrtm_psd
+from .linalg import expi_herm, require_square, sqrtm_psd, window_norm
 
 DEFAULT_SINGLE_CUTOFF = 8
 
@@ -391,11 +391,9 @@ class DoubledRep:
         rdag = r.conj().T
         d = self.d
         if self.kind == BOSE:
-            if window is None:
-                window = 2
-            sub = self.space.sector_projector(window)
+            keep = self.space.sector_mask(2 if window is None else window)
         else:
-            sub = np.eye(self.space.dim)
+            keep = np.ones(self.space.dim, dtype=bool)
         out = {}
         worst_l = 0.0
         worst_r = 0.0
@@ -403,9 +401,9 @@ class DoubledRep:
             z = np.zeros(d)
             z[k] = 1.0
             lhs = r @ self.theta_left_field(z) @ rdag
-            worst_l = max(worst_l, np.linalg.norm(sub @ (lhs - self.field_left(z)) @ sub, 2))
+            worst_l = max(worst_l, window_norm(lhs - self.field_left(z), keep))
             lhs_r = r @ self.theta_right_field(z) @ rdag
-            worst_r = max(worst_r, np.linalg.norm(sub @ (lhs_r - self.field_right(z)) @ sub, 2))
+            worst_r = max(worst_r, window_norm(lhs_r - self.field_right(z), keep))
         out["left_field_residual"] = float(worst_l)
         out["right_field_residual"] = float(worst_r)
         vac = self.space.vacuum()

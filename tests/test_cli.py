@@ -85,6 +85,9 @@ def test_not_json_exits_2(tmp_path):
     {"task": "verify-ccr", "d": 0},
     {"task": "verify-ccr", "cutoff": -3},
     {"task": "lattice", "d": "abc"},
+    {"task": "lattice", "d": None},
+    {"task": "verify-car", "d": 2, "trials": None},
+    {"task": "verify-ccr", "d": [1], "cutoff": 4},
 ])
 def test_domain_errors_exit_2(tmp_path, capsys, model):
     path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})

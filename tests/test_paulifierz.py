@@ -4,9 +4,10 @@ import scipy.linalg
 
 from fockforge.fock import FockSpace, gamma
 from fockforge.ops import pair_exponential_vacuum
-from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, apply_pair_squeezer,
-                                  check_middle, confined_pf_check, coupled_annihilate,
-                                  coupled_create, difference_targets, dressed_coupling, hamiltonian,
+from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, _labelled_states,
+                                  apply_pair_squeezer, check_middle, confined_pf_check,
+                                  coupled_annihilate, coupled_create, difference_targets,
+                                  dressed_coupling, exact_blocks, hamiltonian,
                                   jpvj_closed_form, liouvillean_bundle,
                                   matched_spectral_deviation, pair_squeezer,
                                   semi_comparison_operator, semi_liouvillean, spin_boson,
@@ -37,10 +38,10 @@ def test_coupled_create_factored(rng):
     b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     q = np.einsum("ij,m->imj", b, w).reshape(k * d, k)
-    got = coupled_create(k, sp, q)
+    got = coupled_create(k, sp, q).toarray()
     assert np.linalg.norm(got - np.kron(b, sp.create(w)), 2) <= 1e-12
-    assert np.linalg.norm(coupled_annihilate(k, sp, q) - got.conj().T, 2) == 0.0
-    assert not np.any(coupled_create(k, sp, np.zeros((k * d, k))))
+    assert np.linalg.norm(coupled_annihilate(k, sp, q).toarray() - got.conj().T, 2) == 0.0
+    assert not np.any(coupled_create(k, sp, np.zeros((k * d, k))).toarray())
 
 
 def test_coupled_create_linearity(rng):
@@ -48,8 +49,8 @@ def test_coupled_create_linearity(rng):
     sp = FockSpace("bose", d, 3)
     q1 = rng.standard_normal((k * d, k)) + 1j * rng.standard_normal((k * d, k))
     q2 = rng.standard_normal((k * d, k)) + 1j * rng.standard_normal((k * d, k))
-    lhs = coupled_create(k, sp, q1 + q2)
-    rhs = coupled_create(k, sp, q1) + coupled_create(k, sp, q2)
+    lhs = coupled_create(k, sp, q1 + q2).toarray()
+    rhs = (coupled_create(k, sp, q1) + coupled_create(k, sp, q2)).toarray()
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 
@@ -81,9 +82,9 @@ def test_check_middle(rng):
     a0 = rng.standard_normal((h1, h1))
     c = rng.standard_normal((k, k))
     bbar = rng.standard_normal((k, k))
-    lhs = check_middle(bbar, np.kron(c, a0), k, h1)
+    lhs = check_middle(bbar, np.kron(c, a0), k, h1).toarray()
     assert np.linalg.norm(lhs - np.kron(c, np.kron(bbar, a0))) <= 1e-12
-    eye_mid = check_middle(np.eye(k), np.kron(c, a0), k, h1)
+    eye_mid = check_middle(np.eye(k), np.kron(c, a0), k, h1).toarray()
     assert np.linalg.norm(eye_mid - np.kron(c, np.kron(np.eye(k), a0))) <= 1e-12
     a = rng.standard_normal((k * h1, k * h1))
     with pytest.raises(ValueError):
@@ -98,7 +99,7 @@ def test_check_middle_iterated(rng):
     b1 = rng.standard_normal((k, k))
     b2 = rng.standard_normal((k, k))
     once = check_middle(b1, np.kron(c, a0), k, h)
-    twice = check_middle(b2, once, k, k * h)
+    twice = check_middle(b2, once, k, k * h).toarray()
     want = np.kron(c, np.kron(b2, np.kron(b1, a0)))
     assert np.linalg.norm(twice - want) <= 1e-12
 
@@ -131,6 +132,7 @@ def test_semi_liouvillean_structure():
         semi_liouvillean(spin_boson(gamma_value=None, cutoff=4))
     model = spin_boson(coupling=0.2, gamma_value=0.25, cutoff=4)
     ell, space = semi_liouvillean(model)
+    ell = ell.toarray()
     assert space.n_max == 8
     assert np.linalg.norm(ell - ell.conj().T, 2) <= 1e-12
 
@@ -138,7 +140,7 @@ def test_semi_liouvillean_structure():
 def test_semi_liouvillean_free_difference_spectrum():
     model = spin_boson(coupling=0.0, gamma_value=0.0, cutoff=3)
     ell, space = semi_liouvillean(model)
-    got = np.sort(np.linalg.eigvalsh(ell))
+    got = np.sort(np.linalg.eigvalsh(ell.toarray()))
     expect = []
     for s in (-0.5, 0.5):
         for occ in space.basis:
@@ -148,12 +150,12 @@ def test_semi_liouvillean_free_difference_spectrum():
 
 def test_standard_liouvillean_structure():
     model = spin_boson(coupling=0.2, gamma_value=0.25, cutoff=4)
-    ell, _ = standard_liouvillean(model)
+    ell = standard_liouvillean(model)[0].toarray()
     assert np.linalg.norm(ell - ell.conj().T, 2) <= 1e-12
     assert abs(np.trace(ell)) <= 1e-9
     free = spin_boson(coupling=0.0, gamma_value=0.25, cutoff=4)
     ell0, _ = standard_liouvillean(free)
-    ev = np.sort(np.linalg.eigvalsh(ell0))
+    ev = np.sort(np.linalg.eigvalsh(ell0.toarray()))
     assert np.max(np.abs(ev + ev[::-1])) <= 1e-10
 
 
@@ -167,12 +169,12 @@ def _leg_swap(d):
 def test_jpvj_closed_form(rng):
     model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=4)
     _, space = semi_liouvillean(model)
-    inter = coupled_create(2, space, dressed_coupling(model))
+    inter = coupled_create(2, space, dressed_coupling(model)).toarray()
     v_full = inter + inter.conj().T
     jw = gamma(space, _leg_swap(model.d))
     mirrored = np.kron(np.eye(2), jw) @ np.conj(v_full) @ np.kron(np.eye(2), jw)
     sandwich = np.kron(np.eye(2), mirrored)
-    closed = jpvj_closed_form(model, space)
+    closed = jpvj_closed_form(model, space).toarray()
     assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
 
 
@@ -197,8 +199,8 @@ def test_left_right_interactions_commute_subcutoff():
     _, space = semi_liouvillean(model)
     inter = coupled_create(2, space, dressed_coupling(model))
     v_full = inter + inter.conj().T
-    pi_v = check_middle(np.eye(2), v_full, 2, space.dim)
-    jvj = jpvj_closed_form(model, space)
+    pi_v = check_middle(np.eye(2), v_full, 2, space.dim).toarray()
+    jvj = jpvj_closed_form(model, space).toarray()
     comm = pi_v @ jvj - jvj @ pi_v
     sub = np.kron(np.eye(4), space.sector_projector(space.n_max - 2))
     assert np.linalg.norm(sub @ comm @ sub, 2) <= 1e-9
@@ -225,12 +227,12 @@ def test_comparison_operators_v0_exact():
     model = spin_boson(coupling=0.0, gamma_value=0.25, cutoff=4)
     l_semi, _ = semi_liouvillean(model)
     d_semi, _ = semi_comparison_operator(model, 4)
-    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_semi))
-                         - np.sort(np.linalg.eigvalsh(d_semi)))) <= 1e-10
+    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_semi.toarray()))
+                         - np.sort(np.linalg.eigvalsh(d_semi.toarray())))) <= 1e-10
     l_std, _ = standard_liouvillean(model)
     d_std, _ = standard_comparison_operator(model, 4)
-    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_std))
-                         - np.sort(np.linalg.eigvalsh(d_std)))) <= 1e-10
+    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_std.toarray()))
+                         - np.sort(np.linalg.eigvalsh(d_std.toarray())))) <= 1e-10
 
 
 def test_pair_squeezer_is_thermal_dressing():
@@ -253,6 +255,7 @@ def test_liouvillean_bundle():
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=3)
     bundle = liouvillean_bundle(model)
     for op in (bundle.semi, bundle.standard, bundle.semi_free, bundle.standard_free):
+        op = op.toarray()
         assert np.linalg.norm(op - op.conj().T, 2) <= 1e-12
     assert bundle.semi.shape == bundle.semi_free.shape
 
@@ -273,15 +276,16 @@ def _oracle_family(model, cutoff, family, cluster_tol=1e-4, overlap_min=0.9):
     k = model.dim_k
     if family == "semi":
         ell, space = semi_liouvillean(model, cutoff)
-        comp, _ = semi_comparison_operator(model, cutoff)
+        comp = semi_comparison_operator(model, cutoff)[0].toarray()
         targets = difference_targets(model)
         legs = k
     else:
         ell, space = standard_liouvillean(model, cutoff)
-        comp, _ = standard_comparison_operator(model, cutoff)
+        comp = standard_comparison_operator(model, cutoff)[0].toarray()
         e = np.sort(np.linalg.eigvalsh(hamiltonian(model, 30)[0]))[:3]
         targets = [(f"E{i}-E{j}", float(e[i] - e[j])) for i in range(3) for j in range(3)]
         legs = k * k
+    ell = ell.toarray()
     assert np.iscomplexobj(ell) and np.iscomplexobj(comp)
     dress = np.kron(np.eye(legs), pair_squeezer(space, model.gamma))
     vals_d, vecs_d = np.linalg.eigh(comp)
@@ -310,10 +314,11 @@ def _by_name(detail):
     return found
 
 
-@pytest.mark.parametrize("coupling", [0.1, 0.3])
-def test_confined_check_matches_dense_complex_oracle(coupling):
-    model = spin_boson(coupling=coupling, gamma_value=0.25, cutoff=6)
-    cutoffs = (4, 5, 6)
+def _oracle_agreement(model, cutoffs) -> int:
+    """Assert that the check and a plain matrix-dressing call agree with the oracle.
+
+    Returns the number of (family, cutoff, target) triples compared.
+    """
     rep = confined_pf_check(model, cutoffs=cutoffs)
     checked = 0
     for family in ("semi", "standard"):
@@ -328,7 +333,90 @@ def test_confined_check_matches_dense_complex_oracle(coupling):
                         assert abs(found[0] - want[0]) <= 1e-12
                         assert abs(found[1] - want[1]) <= 1e-12
                 checked += 1
-    assert checked >= 40
+    return checked
+
+
+@pytest.mark.parametrize("coupling", [0.1, 0.3])
+def test_confined_check_matches_dense_complex_oracle(coupling):
+    model = spin_boson(coupling=coupling, gamma_value=0.25, cutoff=6)
+    assert _oracle_agreement(model, (4, 5, 6)) >= 40
+
+
+def test_model_without_parity_is_one_block():
+    # sigma_x + sigma_z coupling breaks the spin-boson parity
+    base = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=6)
+    model = PauliFierzModel(base.K, base.h, 0.1 * np.array([[1, 1], [1, -1]]), base.gamma, 6)
+    for n in (4, 5, 6):
+        for build in (semi_liouvillean, standard_liouvillean, standard_comparison_operator):
+            assert len(exact_blocks(build(model, n)[0])) == 1
+        # both terms of the semi comparison operator keep the right occupation
+        # m, for any model, so its blocks never mix two values of m
+        comp, space = semi_comparison_operator(model, n)
+        m = np.tile([occ[1] for occ in space.basis], model.dim_k)
+        assert all(len(set(m[idx])) == 1 for idx in exact_blocks(comp))
+    assert _oracle_agreement(model, (4, 5, 6)) >= 40
+
+
+def _parity_labels(model, cutoff):
+    """Operator builders with the Z2 label of each basis state of the spin-boson model."""
+    space = FockSpace("bose", 2, 2 * cutoff)
+    left, right = (np.array([occ[i] for occ in space.basis]) for i in (0, 1))
+    spin = np.arange(model.dim_k)[:, None]
+    return (
+        # the coupling flips the spin and moves one boson: spin + N is kept
+        (semi_liouvillean, (spin + left + right) % 2),
+        # pi(V) flips the left spin, J pi(V) J the right one, each moving one boson
+        (standard_liouvillean, (spin[:, None] + spin + left + right) % 2),
+        # H (x) 1 - 1 (x) conj(H) keeps the parity of each leg apart
+        (standard_comparison_operator, 2 * ((spin[:, None] + left) % 2) + (spin + right) % 2),
+    )
+
+
+def test_spin_boson_blocks_are_parity_sectors():
+    model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=5)
+    for build, labels in _parity_labels(model, 5):
+        labels = labels.ravel()
+        blocks = exact_blocks(build(model, 5)[0])
+        assert sorted(set(labels[idx]) for idx in blocks) == [{v} for v in sorted(set(labels))]
+
+
+def test_zero_cluster_rotated_across_blocks():
+    # E_i - E_i = 0 is 18-fold in the standard comparison operator at cutoff
+    # 8, split 9 + 9 over two of its exact blocks; a unitary that mixes the
+    # two halves must leave the identification alone
+    model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
+    want = _by_name(confined_pf_check(model, cutoffs=(8,))["standard_detail"][0])
+    comp, space = standard_comparison_operator(model, 8)
+    cluster, holders = [], []
+    for idx in exact_blocks(comp):
+        vals, vecs = np.linalg.eigh(comp[idx][:, idx].toarray())
+        zero = np.abs(vals) <= 1e-4
+        if zero.any():
+            embedded = np.zeros((comp.shape[0], zero.sum()), dtype=complex)
+            embedded[idx] = vecs[:, zero]
+            cluster.append(embedded)
+            holders.append(idx)
+    assert [c.shape[1] for c in cluster] == [9, 9]
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18)))
+    cluster = np.hstack(cluster) @ q
+    for idx in holders:  # every rotated vector has weight on both blocks
+        assert np.linalg.norm(cluster[idx], axis=0).min() > 0.01
+    _, states = _labelled_states(model, 8, 3, 2)
+    ell, _ = standard_liouvillean(model, 8)
+    vals_l, vecs_l = np.linalg.eigh(ell.toarray())
+    dress = np.kron(np.eye(4), pair_squeezer(space, model.gamma))
+    for i in range(3):
+        state = states[:, 4 * i]  # E{i}-E{i} in target order
+        vec = cluster @ (cluster.conj().T @ state) / np.linalg.norm(state)
+        psi = dress @ (vec / np.linalg.norm(vec))
+        overlaps = np.abs(vecs_l.conj().T @ (psi / np.linalg.norm(psi))) ** 2
+        j = int(np.argmax(overlaps))
+        near = np.abs(vals_l - vals_l[j]) <= 1e-4 * max(1.0, abs(vals_l[j]))
+        weight = float(overlaps[near].sum())
+        dev = abs(float((overlaps[near] * vals_l[near]).sum() / weight))
+        assert abs(dev - want[f"E{i}-E{i}"][0]) <= 1e-12
+        assert abs(weight - want[f"E{i}-E{i}"][1]) <= 1e-10
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 6), (2, 3)])
@@ -393,7 +481,7 @@ def test_complex_coupling_matches_real_model():
     model_x = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
     model_y = _sigma_y_model(8)
     ell, _ = standard_liouvillean(model_y, 6)
-    assert np.any(ell.imag)  # the sigma_y model takes the complex route
+    assert np.any(ell.toarray().imag)  # the sigma_y model takes the complex route
     rep_x = confined_pf_check(model_x, cutoffs=(6, 8))
     rep_y = confined_pf_check(model_y, cutoffs=(6, 8))
     for family in ("semi", "standard"):

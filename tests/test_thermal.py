@@ -72,6 +72,26 @@ def test_aw_left_right_commute_subcutoff(rng):
         assert np.linalg.norm(sub @ comm @ sub, 2) <= 1e-12
 
 
+@pytest.mark.parametrize("kind, g, cutoff, scale", [
+    ("bose", np.array([[0.4]]), 6, np.sqrt(2)),
+    ("fermi", np.diag([0.7, 0.2]), None, 1.0),
+])
+def test_create_right_fields_and_left_commutation(rng, kind, g, cutoff, scale):
+    rep = DoubledRep(ThermalParams(kind, g), single_cutoff=cutoff)
+    # bosonic products are exact only below the top sector; fermionic ones everywhere
+    keep = rep.space.sector_mask(rep.space.n_max - 1 if kind == "bose" else rep.space.n_max)
+    window = np.ix_(keep, keep)
+    for _ in range(3):
+        z1 = rng.standard_normal(rep.d) + 1j * rng.standard_normal(rep.d)
+        z2 = rng.standard_normal(rep.d) + 1j * rng.standard_normal(rep.d)
+        up = rep.create_right(z2)
+        assert np.linalg.norm(up + up.conj().T - scale * rep.field_right(z2), 2) <= 1e-12
+        # the Lambda twist puts the fermionic right fields in the commutant
+        # of the left ones, so both statistics commute here
+        left = rep.create_left(z1)
+        assert np.linalg.norm((left @ up - up @ left)[window], 2) <= 1e-12
+
+
 def test_aw_weyl_conjugation(rng):
     # the antiunitary flips the exponent: J e^{i phi_l} J = e^{-i phi_r}
     rep = DoubledRep(ThermalParams("bose", np.array([[0.3]])), single_cutoff=6)
