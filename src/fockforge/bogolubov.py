@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .fock import BOSE, FERMI, FockSpace, gamma
 from .linalg import require_square, sqrtm_psd
-from .ops import bogolubov_matrix_on_doubled, multi_annihilate, multi_create
+from .ops import _exp_series, _pair_creator, bogolubov_matrix_on_doubled
 
 
 class FermiDegenerateError(ValueError):
@@ -143,15 +142,13 @@ def factorized_matrix(blocks: BogolubovBlocks) -> np.ndarray:
 
 
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, prefactor: complex) -> np.ndarray:
+    """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
     cd = blocks_to_cd(blocks)
     mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
-    if blocks.statistics == FERMI:
-        left = scipy.linalg.expm(0.5 * multi_create(space, cd.d_kernel))
-        right = scipy.linalg.expm(-0.5 * multi_annihilate(space, cd.c))
-    else:
-        left = scipy.linalg.expm(-0.5 * multi_create(space, cd.d_kernel))
-        right = scipy.linalg.expm(0.5 * multi_annihilate(space, cd.c))
-    return prefactor * (left @ mid @ right)
+    t = 0.5 * blocks.sign
+    right = _exp_series(space, _pair_creator(space, cd.c).conj().T,
+                        np.eye(space.dim, dtype=complex), -t)
+    return prefactor * _exp_series(space, _pair_creator(space, cd.d_kernel), mid @ right, t)
 
 
 def _expected_pair_excitation(blocks: BogolubovBlocks) -> float:

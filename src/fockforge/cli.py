@@ -28,6 +28,8 @@ from .paulifierz import PauliFierzModel, confined_pf_check, hamiltonian
 from .thermal import DoubledRep, ThermalParams, kms_check
 
 SCHEMA_VERSION = 1
+# the "minimum" of each integer field in docs/schema.json
+MINIMUM = {"d": 1, "cutoff": 0, "single_cutoff": 1, "trials": 1, "subspaces": 1}
 
 
 class SchemaError(ValueError):
@@ -59,11 +61,11 @@ def _require(model: dict, key, types):
 
 
 def _numeric(value, name, integer: bool = False):
-    """value as an int (integer) or a float: the one type check of the numeric fields.
+    """value as an int (integer) or a float: the one check of the numeric fields.
 
     A JSON integer (an integral float counts) or a finite JSON number is
     accepted; booleans, null, strings, containers, NaN and numbers beyond
-    the float range are not.
+    the float range are not, nor is a value below the field's MINIMUM.
     """
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if ok and integer and isinstance(value, float):
@@ -73,6 +75,8 @@ def _numeric(value, name, integer: bool = False):
     if not ok:
         raise SchemaError(f"field {name!r} must be {'an integer' if integer else 'a number'}, "
                           f"got {value!r}")
+    if value < MINIMUM.get(name, value):
+        raise SchemaError(f"field {name!r} must be at least {MINIMUM[name]}, got {value!r}")
     return int(value) if integer else float(value)
 
 
@@ -179,7 +183,7 @@ def task_thermal(model, rng):
     h = decode_matrix(model["h"]) if "h" in model else None
     cutoff = _number(model, "single_cutoff", None, integer=True)
     params = ThermalParams(stat, g, h=h)
-    rep = DoubledRep(params, single_cutoff=cutoff or None)
+    rep = DoubledRep(params, single_cutoff=cutoff)
     d = params.d
     worst = 0.0
     for _ in range(5):
@@ -201,7 +205,7 @@ def task_kms(model, rng):
     beta = _numeric(_require(model, "beta", (int, float)), "beta")
     t = _number(model, "t", 0.0)
     cutoff = _number(model, "single_cutoff", None, integer=True)
-    rep = DoubledRep(ThermalParams(stat, g, h=h), single_cutoff=cutoff or None)
+    rep = DoubledRep(ThermalParams(stat, g, h=h), single_cutoff=cutoff)
     a_op, b_op = acceptance.kms_operators(rep, rng)
     defect = kms_check(rep, h, beta, a_op, b_op, t=t)
     tol = _tolerance(model, "kms", 1e-8)

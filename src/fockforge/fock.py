@@ -67,7 +67,8 @@ class FockSpace:
         self.index = {occ: i for i, occ in enumerate(basis)}
         self.dim = len(basis)
         assert self.dim == dim
-        self.total_numbers = np.array([sum(occ) for occ in basis])
+        self.occupations = np.array(basis, dtype=np.int64)
+        self.total_numbers = self.occupations.sum(axis=1)
         self._creation = {}
 
     def __repr__(self):
@@ -88,22 +89,34 @@ class FockSpace:
     def creation(self, k: int) -> np.ndarray:
         """Matrix of a*_k in the occupation basis (truncation drops the top)."""
         if k not in self._creation:
+            target, weight = self.raising(k)
             a = np.zeros((self.dim, self.dim), dtype=complex)
-            for j, occ in enumerate(self.basis):
-                if self.is_fermi:
-                    if occ[k] == 1:
-                        continue
-                    target = occ[:k] + (1,) + occ[k + 1:]
-                    sign = -1.0 if sum(occ[:k]) % 2 else 1.0
-                    a[self.index[target], j] = sign
-                else:
-                    if sum(occ) >= self.n_max:
-                        continue
-                    target = occ[:k] + (occ[k] + 1,) + occ[k + 1:]
-                    a[self.index[target], j] = math.sqrt(occ[k] + 1)
+            a[target, np.arange(self.dim)] = weight
             a.flags.writeable = False
             self._creation[k] = a
         return self._creation[k]
+
+    def indices(self, occ) -> np.ndarray:
+        """Basis indices of the occupation rows of occ."""
+        rows = np.asarray(occ).tolist()
+        return np.array([self.index[tuple(row)] for row in rows], dtype=np.int64)
+
+    def raising(self, k: int):
+        """a*_k by index arithmetic: it sends basis vector i to weight[i] e_target[i].
+
+        A basis vector that a*_k takes out of the space (top sector, or
+        an occupied fermionic mode) has weight 0 and target 0.
+        """
+        occ = self.occupations
+        if self.is_fermi:
+            ok = occ[:, k] == 0
+            weight = (-1.0) ** occ[:, :k].sum(axis=1)
+        else:
+            ok = self.total_numbers < self.n_max
+            weight = np.sqrt(occ[:, k] + 1.0)
+        target = np.zeros(self.dim, dtype=np.int64)
+        target[ok] = self.indices(occ[ok] + np.eye(self.d, dtype=np.int64)[k])
+        return target, np.where(ok, weight, 0.0)
 
     def annihilation(self, k: int) -> np.ndarray:
         return self.creation(k).conj().T

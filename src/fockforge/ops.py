@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .fock import FockSpace, gamma
 from .linalg import expi_herm, require_square, sqrtm_psd
@@ -78,13 +78,12 @@ def weyl(space: FockSpace, y) -> np.ndarray:
     return expi_herm(field(space, y))
 
 
-def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray:
-    """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k.
+def _pair_creator(space: FockSpace, c, symmetry_tol: float = 1e-12) -> scipy.sparse.csr_array:
+    """a*(c) = sum_{jk} c_jk a*_j a*_k as a sparse array.
 
-    c is the kernel of a Hilbert-Schmidt map from the conjugate space,
-    symmetric for bosons and antisymmetric for fermions.  Raises the
-    particle number by two; for c the (anti)symmetrized product of w1, w2
-    it reduces to a*(w1) a*(w2).
+    Each a*_k has at most one nonzero per column (FockSpace.raising), so
+    every a*_j a*_k is a gather of two such tables and no operator
+    product is formed.
     """
     c = require_square(np.asarray(c, dtype=complex))
     if c.shape[0] != space.d:
@@ -96,42 +95,61 @@ def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray
     else:
         if np.max(np.abs(c - c.T)) > symmetry_tol * scale:
             raise ValueError("bosonic pair kernel must be symmetric")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(space.d):
-        if np.any(c[j, :]):
-            out += space.creation(j) @ space.create(c[j, :])
+    target, weight = map(np.array, zip(*(space.raising(k) for k in range(space.d))))
+    # a*_j a*_k sends basis vector i to row target[j, target[k, i]]; axes (j, k, i)
+    rows = target[:, target]
+    vals = c[:, :, None] * weight[:, target] * weight[None, :, :]
+    cols = np.broadcast_to(np.arange(space.dim), rows.shape)
+    keep = vals != 0
+    return scipy.sparse.csr_array((vals[keep], (rows[keep], cols[keep])),
+                                  shape=(space.dim, space.dim))
+
+
+def _exp_series(space: FockSpace, a, x: np.ndarray, t: float) -> np.ndarray:
+    """exp(t a) x for a pair creator or annihilator a, as a finite sum.
+
+    a changes the particle number by two and the space ends at n_max
+    (n_max = d for fermions), so a^(n_max//2 + 1) = 0 and the Taylor
+    series of n_max//2 terms is exact.
+    """
+    out = np.array(x, dtype=complex)
+    term = out
+    for k in range(1, space.n_max // 2 + 1):
+        term = (a @ term) * (t / k)
+        out += term
     return out
 
 
-def multi_annihilate(space: FockSpace, c) -> np.ndarray:
-    return multi_create(space, c).conj().T
+def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray:
+    """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k.
+
+    c is the kernel of a Hilbert-Schmidt map from the conjugate space,
+    symmetric for bosons and antisymmetric for fermions.  Raises the
+    particle number by two; for c the (anti)symmetrized product of w1, w2
+    it reduces to a*(w1) a*(w2).
+    """
+    return _pair_creator(space, c, symmetry_tol).toarray()
 
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
     """exp(a*(c)/2) applied to the vacuum; the series is finite."""
-    ac = multi_create(space, c)
-    vec = space.vacuum()
-    term = vec
-    k = 0
-    while True:
-        k += 1
-        term = (ac @ term) / (2.0 * k)
-        if not np.any(term):
-            break
-        vec = vec + term
-        if 2 * k > space.n_max:
-            break
-    return vec
+    return _exp_series(space, _pair_creator(space, c), space.vacuum(), 0.5)
 
 
 def gaussian_normalization(space: FockSpace, c) -> float:
-    """det(1 -+ c c*)^{+-1/4}: + for bosons, - for fermions."""
+    """det(1 -+ c c*)^{+-1/4}: + for bosons, - for fermions.
+
+    The bosonic kernel must be a strict contraction.
+    """
     c = np.asarray(c, dtype=complex)
     g = c @ c.conj().T
     eye = np.eye(space.d)
     if space.is_fermi:
         val = np.linalg.det(eye + g).real ** (-0.25)
     else:
+        norm = np.linalg.norm(c, 2)
+        if norm >= 1.0:
+            raise ValueError(f"bosonic pair kernel needs ||c|| < 1, got {norm}")
         val = np.linalg.det(eye - g).real ** 0.25
     return float(val)
 
@@ -142,39 +160,31 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     Annihilated by a(z) - a*(c zbar) for bosons and a(z) + a*(c zbar)
     for fermions; the bosonic kernel must be a strict contraction.
     """
-    c = np.asarray(c, dtype=complex)
-    if not space.is_fermi:
-        norm = np.linalg.norm(c, 2)
-        if norm >= 1.0:
-            raise ValueError(f"bosonic Gaussian kernel needs ||c|| < 1, got {norm}")
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
 def squeezer(space: FockSpace, c) -> np.ndarray:
-    """The unitary mapping the Gaussian vector of c back to the vacuum.
+    """The unitary R mapping the Gaussian vector of c back to the vacuum.
 
-    Both statistics share the shape det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2)
-    Gamma((1 -+ cc*)^{+-1/2})^{-1}-free form exp(a(c)/2); the fermionic
-    middle factor is Gamma((1+cc*)^{1/2}), the exponent that makes the
-    operator unitary and consistent with the thermal dressing
-    identities.  Conjugation acts as a*(z) -> a*((1 -+ cc*)^{-1/2} z)
-    +- a((1 -+ cc*)^{-1/2} c conj z), plus for bosons, minus for
-    fermions.
+    R = det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2) Gamma((1 -+ cc*)^{1/2}) exp(a(c)/2),
+    upper signs for bosons, lower for fermions; the fermionic middle
+    factor Gamma((1+cc*)^{1/2}) is the one that makes R unitary and
+    consistent with the thermal dressing identities.  Both exponentials
+    are finite Taylor sums of n_max//2 terms.  Conjugation acts as
+    a*(z) -> a*((1 -+ cc*)^{-1/2} z) +- a((1 -+ cc*)^{-1/2} c conj z).
     """
+    return _apply_squeezer(space, c, np.eye(space.dim, dtype=complex))
+
+
+def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
+    """squeezer(space, c) @ x without forming the squeezer."""
     c = require_square(np.asarray(c, dtype=complex))
-    g = c @ c.conj().T
-    eye = np.eye(space.d)
-    ac = multi_create(space, c)
-    aa = ac.conj().T
-    if space.is_fermi:
-        mid = gamma(space, sqrtm_psd(eye + g))
-        pref = np.linalg.det(eye + g).real ** (-0.25)
-    else:
-        if np.linalg.norm(c, 2) >= 1.0:
-            raise ValueError("bosonic squeezer needs ||c|| < 1")
-        mid = gamma(space, sqrtm_psd(eye - g))
-        pref = np.linalg.det(eye - g).real ** 0.25
-    return pref * (scipy.linalg.expm(-0.5 * ac) @ mid @ scipy.linalg.expm(0.5 * aa))
+    pref = gaussian_normalization(space, c)
+    sign = 1.0 if space.is_fermi else -1.0
+    mid = gamma(space, sqrtm_psd(np.eye(space.d) + sign * (c @ c.conj().T)))
+    ac = _pair_creator(space, c)
+    x = _exp_series(space, ac.conj().T, x, 0.5)
+    return pref * _exp_series(space, ac, mid @ x, -0.5)
 
 
 def jordan_wigner(n: int, include_tail: bool = False, tail_sign: int = 1):

@@ -12,8 +12,9 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 
-from .fock import BOSE, FockSpace, dgamma, gamma as second_quantize
+from .fock import BOSE, FockSpace, dgamma
 from .linalg import require_square, sqrtm_psd
+from .ops import _apply_squeezer
 from .thermal import ThermalParams, pair_kernel
 
 DEFAULT_CUTOFF = 10
@@ -216,19 +217,11 @@ def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
     return free + inter + inter.conj().T, space
 
 
-def _basis_index(space: FockSpace, occ: np.ndarray) -> np.ndarray:
-    """Basis indices of the occupation rows of occ, through mixed-radix keys."""
-    weights = (space.n_max + 1) ** np.arange(space.d, dtype=np.int64)
-    keys = np.asarray(space.basis, dtype=np.int64) @ weights
-    order = np.argsort(keys)
-    return order[np.searchsorted(keys[order], occ @ weights)]
-
-
 def _doubled_swap_index(space: FockSpace) -> np.ndarray:
     """The occupation permutation (n, m) -> (m, n) of the leg swap on Z (+) Zbar."""
     d = space.d // 2
-    occ = np.asarray(space.basis, dtype=np.int64)
-    return _basis_index(space, np.hstack([occ[:, d:], occ[:, :d]]))
+    occ = space.occupations
+    return space.indices(np.hstack([occ[:, d:], occ[:, :d]]))
 
 
 def standard_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
@@ -271,8 +264,8 @@ def _doubled_chart(model: PauliFierzModel, cutoff: int):
     ham, space_z = hamiltonian(model, n_tot)
     space_w = FockSpace(BOSE, 2 * model.d, n_tot)
     d = model.d
-    occ = np.asarray(space_w.basis, dtype=np.int64)
-    return ham, space_z, space_w, _basis_index(space_z, occ[:, :d]), _basis_index(space_z, occ[:, d:])
+    occ = space_w.occupations
+    return ham, space_z, space_w, space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
 
 
 def _compress(a: scipy.sparse.csr_array, rows: np.ndarray) -> scipy.sparse.csr_array:
@@ -306,47 +299,14 @@ def standard_comparison_operator(model: PauliFierzModel, cutoff: int):
     return _compress(full, rows.ravel()), space_w
 
 
-def pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray) -> np.ndarray:
-    """The thermal dressing unitary on a doubled bosonic Fock space."""
-    from .ops import squeezer
-
-    return squeezer(space_w, pair_kernel(gamma_one, BOSE))
-
-
-def _nilpotent_exp_apply(a, x: np.ndarray, t: float, steps: int) -> np.ndarray:
-    """exp(t a) x for a with a^(steps+1) = 0, as the finite Taylor sum."""
-    out = x.copy()
-    term = x
-    for k in range(1, steps + 1):
-        term = (a @ term) * (t / k)
-        out += term
-    return out
-
-
 def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(1 (x) R) x for the thermal dressing unitary R = pair_squeezer(space_w, gamma_one).
+    """(1 (x) R) x for the thermal dressing R = squeezer(space_w, pair_kernel(gamma_one, BOSE)).
 
     R acts on the last tensor leg, so x has r * space_w.dim rows for some
-    system dimension r (a vector or a block of columns).  R is the squeezer
-    det(1-cc*)^{1/4} exp(-a*(c)/2) Gamma((1-cc*)^{1/2}) exp(a(c)/2) of the
-    pair kernel c; a*(c) raises the particle number by two, so on the
-    truncated space both exponentials are nilpotent and act on x as finite
-    sums over the sparse a*(c).  No dim_W x dim_W exponential is formed.
+    system dimension r (a vector or a block of columns).  Both pair
+    exponentials of R act on x as finite sums over the sparse a*(c), so
+    no dim_W x dim_W exponential is formed.
     """
-    c = pair_kernel(gamma_one, BOSE)
-    if np.linalg.norm(c, 2) >= 1.0:
-        raise ValueError("bosonic squeezer needs ||c|| < 1")
-    modes = range(space_w.d)
-    cr = [scipy.sparse.csr_array(space_w.creation(j)) for j in modes]
-    ac = scipy.sparse.csr_array((space_w.dim, space_w.dim), dtype=complex)
-    for j in modes:
-        for k in modes:
-            if c[j, k] != 0:
-                ac = ac + c[j, k] * (cr[j] @ cr[k])
-    eye = np.eye(space_w.d)
-    g = c @ c.conj().T
-    mid = second_quantize(space_w, sqrtm_psd(eye - g))
-    pref = np.linalg.det(eye - g).real ** 0.25
     dw = space_w.dim
     x = np.asarray(x, dtype=complex)
     shape = x.shape
@@ -355,10 +315,8 @@ def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray
         raise ValueError(f"{shape[0]} rows are not a multiple of the Fock dimension {dw}")
     # the boson leg to the front, system legs and columns behind it
     y = x.reshape(r, dw, -1).transpose(1, 0, 2).reshape(dw, -1)
-    steps = space_w.n_max // 2
-    y = _nilpotent_exp_apply(ac.conj().T, y, 0.5, steps)
-    y = _nilpotent_exp_apply(ac, mid @ y, -0.5, steps)
-    return pref * y.reshape(dw, r, -1).transpose(1, 0, 2).reshape(shape)
+    y = _apply_squeezer(space_w, pair_kernel(gamma_one, BOSE), y)
+    return y.reshape(dw, r, -1).transpose(1, 0, 2).reshape(shape)
 
 
 def _reference_levels(model: PauliFierzModel, n_levels: int, reference_cutoff: int = 30):

@@ -88,6 +88,11 @@ def test_not_json_exits_2(tmp_path):
     {"task": "lattice", "d": None},
     {"task": "verify-car", "d": 2, "trials": None},
     {"task": "verify-ccr", "d": [1], "cutoff": 4},
+    {"task": "verify-car", "d": 2, "trials": 0},
+    {"task": "verify-car", "d": 2, "trials": -3},
+    {"task": "lattice", "d": 2, "subspaces": 0},
+    {"task": "thermal", "statistics": "bose", "gamma": cli.encode_matrix(np.diag([0.25])),
+     "single_cutoff": 0},
 ])
 def test_domain_errors_exit_2(tmp_path, capsys, model):
     path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})
@@ -136,8 +141,10 @@ def test_lattice_task_is_criterion_09():
 
 
 def test_tasks_match_the_schema():
-    enum = json.loads(SCHEMA.read_text())["properties"]["task"]["enum"]
-    assert list(cli.TASKS) == enum
+    properties = json.loads(SCHEMA.read_text())["properties"]
+    assert list(cli.TASKS) == properties["task"]["enum"]
+    minimum = {k: v["minimum"] for k, v in properties.items() if "minimum" in v}
+    assert cli.MINIMUM == minimum
 
 
 def test_gaussian_task(tmp_path):

@@ -164,6 +164,8 @@ def test_gaussian_kernel_conditions(rng):
 def test_gaussian_contraction_guard():
     with pytest.raises(ValueError):
         gaussian_vector(FockSpace("bose", 1, 5), np.array([[1.2]]))
+    with pytest.raises(ValueError):
+        squeezer(FockSpace("bose", 1, 5), np.array([[1.0]]))
 
 
 def test_gaussian_two_routes(rng):

@@ -3,20 +3,39 @@ import pytest
 import scipy.linalg
 
 from fockforge.fock import FockSpace, gamma
+from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
 from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, _labelled_states,
                                   apply_pair_squeezer, check_middle, confined_pf_check,
                                   coupled_annihilate, coupled_create, difference_targets,
                                   dressed_coupling, exact_blocks, hamiltonian,
                                   jpvj_closed_form, liouvillean_bundle,
-                                  matched_spectral_deviation, pair_squeezer,
+                                  matched_spectral_deviation,
                                   semi_comparison_operator, semi_liouvillean, spin_boson,
                                   standard_comparison_operator, standard_liouvillean, v_star)
+from fockforge.thermal import pair_kernel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(17)
+
+
+def _expm_squeezer(space, gamma_one):
+    """The thermal dressing unitary through dense Pade exponentials.
+
+    The library builds it from finite series over a sparse a*(c); this
+    oracle forms a*(c) from products of creation matrices and takes
+    scipy.linalg.expm of it, so the two routes share no code.
+    """
+    c = pair_kernel(gamma_one, "bose")
+    modes = range(space.d)
+    ac = sum(c[j, k] * (space.creation(j) @ space.creation(k)) for j in modes for k in modes)
+    eye = np.eye(space.d)
+    g = c @ c.conj().T
+    mid = gamma(space, sqrtm_psd(eye - g))
+    pref = np.linalg.det(eye - g).real ** 0.25
+    return pref * (scipy.linalg.expm(-0.5 * ac) @ mid @ scipy.linalg.expm(0.5 * ac.conj().T))
 
 
 def test_model_validation():
@@ -239,7 +258,7 @@ def test_pair_squeezer_is_thermal_dressing():
     from fockforge.thermal import DoubledRep, ThermalParams
 
     rep = DoubledRep(ThermalParams("bose", np.array([[0.25]])), single_cutoff=4)
-    assert np.linalg.norm(pair_squeezer(rep.space, np.array([[0.25]])) - rep.r_gamma(), 2) <= 1e-12
+    assert np.linalg.norm(_expm_squeezer(rep.space, np.array([[0.25]])) - rep.r_gamma(), 2) <= 1e-12
 
 
 @pytest.mark.slow
@@ -287,7 +306,7 @@ def _oracle_family(model, cutoff, family, cluster_tol=1e-4, overlap_min=0.9):
         legs = k * k
     ell = ell.toarray()
     assert np.iscomplexobj(ell) and np.iscomplexobj(comp)
-    dress = np.kron(np.eye(legs), pair_squeezer(space, model.gamma))
+    dress = np.kron(np.eye(legs), _expm_squeezer(space, model.gamma))
     vals_d, vecs_d = np.linalg.eigh(comp)
     vals_l, vecs_l = np.linalg.eigh(ell)
     out = {}
@@ -405,7 +424,7 @@ def test_zero_cluster_rotated_across_blocks():
     _, states = _labelled_states(model, 8, 3, 2)
     ell, _ = standard_liouvillean(model, 8)
     vals_l, vecs_l = np.linalg.eigh(ell.toarray())
-    dress = np.kron(np.eye(4), pair_squeezer(space, model.gamma))
+    dress = np.kron(np.eye(4), _expm_squeezer(space, model.gamma))
     for i in range(3):
         state = states[:, 4 * i]  # E{i}-E{i} in target order
         vec = cluster @ (cluster.conj().T @ state) / np.linalg.norm(state)
@@ -425,7 +444,7 @@ def test_apply_pair_squeezer_matches_dense(rng, d, n_max):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     _, u = np.linalg.eigh(a + a.conj().T)
     gamma_one = (u * np.linspace(0.1, 0.4, d)) @ u.conj().T  # non-diagonal for d = 2
-    dense = pair_squeezer(space, gamma_one)
+    dense = _expm_squeezer(space, gamma_one)
     for legs in (1, 3):
         shape = (legs * space.dim, 4)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
