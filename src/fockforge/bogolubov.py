@@ -243,9 +243,10 @@ def mode_pair_swap(d: int, k: int, l: int) -> BogolubovBlocks:
 
 
 def mode_pair_swap_implementer(space: FockSpace, k: int, l: int) -> np.ndarray:
+    """The field monomial phi_k phi_l implementing mode_pair_swap, as a dense unitary."""
     phi_k = space.creation(k) + space.annihilation(k)
     phi_l = space.creation(l) + space.annihilation(l)
-    return phi_k @ phi_l
+    return (phi_k @ phi_l).toarray()
 
 
 def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:

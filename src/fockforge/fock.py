@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import require_square
 
@@ -36,7 +37,7 @@ def _occupations(d, total, cap):
 
 
 class FockSpace:
-    """Basis bookkeeping plus cached creation/annihilation matrices."""
+    """Basis bookkeeping plus cached sparse creation matrices."""
 
     def __init__(self, statistics: str, d: int, n_max: int | None = None):
         statistics = statistics.lower()
@@ -86,13 +87,23 @@ class FockSpace:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def creation(self, k: int) -> np.ndarray:
-        """Matrix of a*_k in the occupation basis (truncation drops the top)."""
+    def creation(self, k: int) -> scipy.sparse.csr_array:
+        """a*_k in the occupation basis as a CSR array (truncation drops the top).
+
+        One nonzero per column that a*_k keeps in the space, built from
+        raising(k) and cached; its data is read-only, so callers never
+        change the cached array in place.  Adding a quantum preserves the
+        graded lexicographic order, so the targets ascend with the columns
+        and each row holds at most one entry.
+        """
         if k not in self._creation:
             target, weight = self.raising(k)
-            a = np.zeros((self.dim, self.dim), dtype=complex)
-            a[target, np.arange(self.dim)] = weight
-            a.flags.writeable = False
+            cols = np.flatnonzero(weight)
+            indptr = np.zeros(self.dim + 1, dtype=np.int64)
+            indptr[target[cols] + 1] = 1
+            a = scipy.sparse.csr_array((weight[cols].astype(complex), cols, np.cumsum(indptr)),
+                                       shape=(self.dim, self.dim))
+            a.data.flags.writeable = False
             self._creation[k] = a
         return self._creation[k]
 
@@ -118,23 +129,51 @@ class FockSpace:
         target[ok] = self.indices(occ[ok] + np.eye(self.d, dtype=np.int64)[k])
         return target, np.where(ok, weight, 0.0)
 
-    def annihilation(self, k: int) -> np.ndarray:
-        return self.creation(k).conj().T
+    def annihilation(self, k: int) -> scipy.sparse.csr_array:
+        """a_k = (a*_k)*, as a CSR array."""
+        return self.creation(k).conj().T.tocsr()
 
-    def create(self, w) -> np.ndarray:
-        """a*(w) = sum_k w_k a*_k for a one-particle vector w."""
-        w = np.asarray(w, dtype=complex).reshape(-1)
-        if w.shape[0] != self.d:
-            raise ValueError(f"vector length {w.shape[0]} != d = {self.d}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in range(self.d):
-            if w[k] != 0:
-                out += w[k] * self.creation(k)
-        return out
+    def create(self, w) -> scipy.sparse.csr_array:
+        """a*(w) = sum_k w_k a*_k for a one-particle vector w, as a CSR array
+        with at most d stored entries per column."""
+        return self.ladder(w, np.zeros(self.d))
 
-    def annihilate(self, w) -> np.ndarray:
-        """a(w) = a*(w)*; antilinear in w."""
-        return self.create(w).conj().T
+    def annihilate(self, w) -> scipy.sparse.csr_array:
+        """a(w) = a*(w)*, as a CSR array; antilinear in w."""
+        return self.ladder(np.zeros(self.d), w)
+
+    def ladder(self, u, v) -> scipy.sparse.csr_array:
+        """a*(u) + a(v) for one-particle vectors u and v, as a CSR array.
+
+        Built by index arithmetic on the cached a*_k, which store at most one
+        entry per row and per column: row m takes one entry from each a*_k
+        with u_k != 0, at the column of m - e_k, and one from each a_k with
+        v_k != 0, at the column of m + e_k.  In the graded lexicographic
+        basis m - e_k ascends with k, m + e_k descends, and sector n - 1
+        precedes sector n + 1, so every row comes out with sorted columns.
+        """
+        u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
+        for x in (u, v):
+            if x.shape[0] != self.d:
+                raise ValueError(f"vector length {x.shape[0]} != d = {self.d}")
+        terms = ([(k, u[k], False) for k in np.flatnonzero(u)]
+                 + [(k, np.conj(v[k]), True) for k in np.flatnonzero(v)[::-1]])
+        cols = np.zeros((self.dim, len(terms)), dtype=np.int64)
+        vals = np.zeros((self.dim, len(terms)), dtype=complex)
+        for j, (k, coeff, lowers) in enumerate(terms):
+            a = self.creation(k)
+            filled = a.indptr[1:] != a.indptr[:-1]
+            if lowers:
+                cols[a.indices, j] = np.flatnonzero(filled)
+                vals[a.indices, j] = coeff * a.data
+            else:
+                cols[filled, j] = a.indices
+                vals[filled, j] = coeff * a.data
+        stored = vals != 0
+        indptr = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        return scipy.sparse.csr_array((vals[stored], cols[stored], indptr),
+                                      shape=(self.dim, self.dim))
 
     def number_op(self) -> np.ndarray:
         return np.diag(self.total_numbers.astype(complex))
@@ -159,17 +198,17 @@ def build_space(statistics: str, d: int, n_max: int | None = None) -> FockSpace:
     return FockSpace(statistics, d, n_max)
 
 
-def dgamma(space: FockSpace, h) -> np.ndarray:
-    """Additive second quantization, sum_{jk} h_jk a*_j a_k."""
+def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
+    """Additive second quantization, sum_{jk} h_jk a*_j a_k, as a CSR array."""
     h = require_square(np.asarray(h, dtype=complex))
     if h.shape[0] != space.d:
         raise ValueError(f"h is {h.shape}, expected {space.d}x{space.d}")
-    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out = scipy.sparse.csr_array((space.dim, space.dim), dtype=complex)
     for j in range(space.d):
         # sum_k h_jk a_k = a(conj h_j), a is antilinear
         row = space.annihilate(np.conj(h[j]))
-        if row.any():
-            out += space.creation(j) @ row
+        if row.nnz:
+            out = out + space.creation(j) @ row
     return out
 
 
@@ -183,7 +222,8 @@ def gamma(space: FockSpace, p) -> np.ndarray:
     has one quantum fewer in mode k (no occupied mode precedes k, so the
     fermionic sign is +1).  Its column is therefore the sector n-1 -> n
     block of a*(p e_k) applied to the parent's column, divided by
-    sqrt(n_k), one matrix product per (sector, k) batch.
+    sqrt(n_k), one matrix product per (sector, k) batch.  The dense block
+    sum_m p_mk a*_m is gathered from the sector's rows of the cached a*_m.
     """
     p = require_square(np.asarray(p, dtype=complex))
     if p.shape[0] != space.d:
@@ -205,18 +245,26 @@ def gamma(space: FockSpace, p) -> np.ndarray:
         cols.append(j)
         parents.append(parent)
         norms.append(math.sqrt(occ[k]))
+    # a*_m holds at most one entry per row: rows[m] lists the rows that have one
+    creators = [space.creation(m) for m in range(space.d)]
+    rows = [np.flatnonzero(np.diff(a.indptr)) for a in creators]
     out = np.zeros((space.dim, space.dim), dtype=complex)
     out[0, 0] = 1.0
     # a parent's lowest occupied mode is k or above and its sector is
     # n - 1, so descending k and ascending n fill every parent first
     for k in reversed(range(space.d)):
-        creator = space.create(p[:, k])
         for n in range(1, space.n_max + 1):
             if (k, n) not in batches:
                 continue
             cols, parents, norms = batches[(k, n)]
-            rows, prev = slice(start[n], start[n + 1]), slice(start[n - 1], start[n])
-            out[rows, cols] = (creator[rows, prev] @ out[prev, parents]) / norms
+            block = np.zeros((start[n + 1] - start[n], start[n] - start[n - 1]), dtype=complex)
+            for m in np.flatnonzero(p[:, k]):
+                a = creators[m]
+                lo, hi = a.indptr[start[n]], a.indptr[start[n + 1]]
+                block[rows[m][lo:hi] - start[n], a.indices[lo:hi] - start[n - 1]] = \
+                    p[m, k] * a.data[lo:hi]
+            prev = slice(start[n - 1], start[n])
+            out[start[n]:start[n + 1], cols] = (block @ out[prev, parents]) / norms
     return out
 
 

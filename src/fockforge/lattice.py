@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .linalg import polar_decompose
+from .linalg import dense, polar_decompose
 
 RANK_RTOL = 1e-10
 GRAY_LOW = 1e-12
@@ -230,9 +230,10 @@ def commutant(generators, hermitian_close: bool = True) -> list:
     """Hilbert-Schmidt-orthonormal basis of {X : [X, A_i] = 0 for all i}.
 
     The adjoint of every generator is appended so the result is a
-    *-algebra.  Solved as the nullspace of the stacked commutator maps.
+    *-algebra.  Solved as the nullspace of the stacked commutator maps,
+    by a dense SVD; sparse generators are densified for it.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
+    gens = [np.asarray(dense(g), dtype=complex) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
@@ -276,11 +277,11 @@ def _containment_defect(basis_a, basis_b) -> float:
 
 
 def field_generators(space: FockSpace, v: RealSubspace) -> list:
-    """Fermionic fields phi(z) for a real basis of V (self-adjoint set)."""
+    """Fermionic fields phi(z) for a real basis of V (self-adjoint set), as CSR arrays."""
     ops = []
     for i in range(v.dim):
         z = to_complex(v.basis[:, i])
-        ops.append(space.create(z) + space.annihilate(z))
+        ops.append(space.ladder(z, z))
     return ops
 
 

@@ -1,8 +1,10 @@
 """Dense complex linear-algebra primitives shared by the whole package.
 
 Everything here works on plain ``numpy`` arrays (complex128 unless the
-input is real).  Tolerances follow the package-wide defaults: 1e-10 for
-identities that hold algebraically, 1e-8 for spectral comparisons.
+input is real); ``dense`` turns the package's sparse operators into such
+arrays at the dense kernels.  Tolerances follow the package-wide
+defaults: 1e-10 for identities that hold algebraically, 1e-8 for
+spectral comparisons.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 ALG_TOL = 1e-10
 SPECTRAL_TOL = 1e-8
@@ -28,6 +31,11 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
+
+
+def dense(a) -> np.ndarray:
+    """a as a numpy array; a sparse operator is densified here, at a dense kernel."""
+    return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
 
 
 def require_square(a) -> np.ndarray:
@@ -90,8 +98,8 @@ def sqrtm_psd(a, tol: float = 1e-11) -> np.ndarray:
 
 
 def expi_herm(a) -> np.ndarray:
-    """exp(i a) for a Hermitian matrix a through eigh."""
-    w, v = np.linalg.eigh(a)
+    """exp(i a) for a Hermitian matrix a, dense or sparse, through eigh."""
+    w, v = np.linalg.eigh(dense(a))
     return (v * np.exp(1j * w)) @ v.conj().T
 
 

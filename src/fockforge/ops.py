@@ -59,14 +59,14 @@ def euclidean_form(y1: DoubledVector, y2: DoubledVector) -> complex:
     return complex(0.5 * (np.dot(y1.z2bar, y2.z1) + np.dot(y2.z2bar, y1.z1)))
 
 
-def field(space: FockSpace, y) -> np.ndarray:
-    """phi(y) = a*(z1) + a(z2) for a doubled vector y = (z1, z2bar)."""
+def field(space: FockSpace, y) -> scipy.sparse.csr_array:
+    """phi(y) = a*(z1) + a(z2) for a doubled vector y = (z1, z2bar), as a CSR array."""
     y = as_doubled(y, space.d)
-    return space.create(y.z1) + space.annihilate(y.conj_pair())
+    return space.ladder(y.z1, y.conj_pair())
 
 
 def weyl(space: FockSpace, y) -> np.ndarray:
-    """W(y) = exp(i phi(y)) through Hermitian eigendecomposition.
+    """W(y) = exp(i phi(y)) through Hermitian eigendecomposition, dense.
 
     Bosonic only; y must be a real point so the field is Hermitian.
     """

@@ -155,11 +155,12 @@ def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h_out: int,
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int | None = None):
-    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v); returns (H, space)."""
+    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v); returns (H, space), H dense."""
     n = model.cutoff if cutoff is None else cutoff
     space = FockSpace(BOSE, model.d, n)
     eye_k = np.eye(model.dim_k)
-    h_free = np.kron(model.K, np.eye(space.dim)) + np.kron(eye_k, dgamma(space, model.h))
+    h_free = (np.kron(model.K, np.eye(space.dim))
+              + np.kron(eye_k, dgamma(space, model.h).toarray()))
     inter = coupled_create(model.dim_k, space, model.v).toarray()
     ham = h_free + inter + inter.conj().T
     return ham, space

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .fock import BOSE, FERMI, FockSpace, dgamma, exp_law, gamma
-from .linalg import expi_herm, require_square, sqrtm_psd, window_norm
+from .linalg import dense, expi_herm, require_square, sqrtm_psd, window_norm
+from .ops import gaussian_vector, squeezer
 
 DEFAULT_SINGLE_CUTOFF = 8
 
@@ -36,11 +38,17 @@ def pair_kernel(gamma_one, kind: str) -> np.ndarray:
     return c
 
 
+def _lambda_sandwich(space: FockSpace, op) -> scipy.sparse.csr_array:
+    """Lambda op Lambda for a sparse op; Lambda is diagonal with entries +-1."""
+    lam = scipy.sparse.diags_array(space.lambda_op().diagonal())
+    return (lam @ op @ lam).tocsr()
+
+
 class Antiunitary:
     """An antiunitary operator stored as (unitary matrix, conjugation).
 
-    Acts as psi -> u conj(psi); the sandwich J M J of a linear map M is
-    u conj(M) conj(u), linear again.
+    Acts as psi -> u conj(psi); the sandwich J M J of a linear map M,
+    dense or sparse, is the dense u conj(M) conj(u), linear again.
     """
 
     def __init__(self, unitary: np.ndarray):
@@ -109,7 +117,11 @@ class ThermalParams:
 
 
 class DoubledRep:
-    """Thermal representation on the Fock space over C^{2d}."""
+    """Thermal representation on the Fock space over C^{2d}.
+
+    The creation, annihilation and field operators of both legs are CSR
+    arrays; the Weyl operators, built from them by eigh, are dense.
+    """
 
     def __init__(self, params: ThermalParams, single_cutoff: int | None = None):
         self.params = params
@@ -150,36 +162,39 @@ class DoubledRep:
 
     # -- left and right representations ---------------------------------
 
-    def create_left(self, z) -> np.ndarray:
+    def _left_legs(self, z):
+        """The one-particle vectors (u, v) with a*_l(z) = a*(u) + a(v)."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        op = self.space.create(self._doubled(self._amp_left @ z, 0))
-        return op + self.space.annihilate(self._doubled(0, np.conj(self._amp_right @ z)))
+        return self._doubled(self._amp_left @ z, 0), self._doubled(0, np.conj(self._amp_right @ z))
 
-    def annihilate_left(self, z) -> np.ndarray:
-        return self.create_left(z).conj().T
+    def create_left(self, z) -> scipy.sparse.csr_array:
+        return self.space.ladder(*self._left_legs(z))
 
-    def field_left(self, z) -> np.ndarray:
+    def annihilate_left(self, z) -> scipy.sparse.csr_array:
+        """(a*(u) + a(v))* = a(u) + a*(v) for the legs (u, v) of create_left(z)."""
+        u, v = self._left_legs(z)
+        return self.space.ladder(v, u)
+
+    def field_left(self, z) -> scipy.sparse.csr_array:
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(self._amp_left @ z, np.conj(self._amp_right @ z))
-        phi = self.space.create(w) + self.space.annihilate(w)
+        phi = self.space.ladder(w, w)
         return phi / math.sqrt(2) if self.kind == BOSE else phi
 
-    def field_right(self, z) -> np.ndarray:
+    def field_right(self, z) -> scipy.sparse.csr_array:
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(self._amp_right @ z, np.conj(self._amp_left @ z))
-        phi = self.space.create(w) + self.space.annihilate(w)
+        phi = self.space.ladder(w, w)
         if self.kind == BOSE:
             return phi / math.sqrt(2)
-        lam = self.space.lambda_op()
-        return lam @ phi @ lam
+        return _lambda_sandwich(self.space, phi)
 
-    def create_right(self, z) -> np.ndarray:
+    def create_right(self, z) -> scipy.sparse.csr_array:
         z = np.asarray(z, dtype=complex).reshape(-1)
-        op = self.space.annihilate(self._doubled(self._amp_right @ z, 0))
-        op = op + self.space.create(self._doubled(0, np.conj(self._amp_left @ z)))
+        op = self.space.ladder(self._doubled(0, np.conj(self._amp_left @ z)),
+                               self._doubled(self._amp_right @ z, 0))
         if self.kind == FERMI:
-            lam = self.space.lambda_op()
-            return lam @ op @ lam
+            return _lambda_sandwich(self.space, op)
         return op
 
     def weyl_left(self, z) -> np.ndarray:
@@ -223,7 +238,7 @@ class DoubledRep:
         return self.modular_conjugation(), self.modular_operator()
 
     def left_monomials(self, max_degree: int | None = None):
-        """Products of left creation/annihilation generators, vacuum-cyclic."""
+        """Products of left creation/annihilation generators, vacuum-cyclic, as CSR arrays."""
         d = self.d
         gens = []
         for k in range(d):
@@ -231,7 +246,7 @@ class DoubledRep:
             e[k] = 1.0
             gens.append(self.create_left(e))
             gens.append(self.annihilate_left(e))
-        eye = np.eye(self.space.dim, dtype=complex)
+        eye = scipy.sparse.eye_array(self.space.dim, dtype=complex, format="csr")
         if self.kind == FERMI:
             words = [eye]
             frontier = [eye]
@@ -289,8 +304,8 @@ class DoubledRep:
         j_lin = uu @ vh
         return j_lin, delta
 
-    def standard_liouvillean(self, h=None) -> np.ndarray:
-        """dGamma(h (+) -conj h); generates the dressed dynamics, kills Omega."""
+    def standard_liouvillean(self, h=None) -> scipy.sparse.csr_array:
+        """dGamma(h (+) -conj h), sparse; generates the dressed dynamics, kills Omega."""
         if h is None:
             h = self.params.h
         h = require_square(np.asarray(h, dtype=complex))
@@ -305,21 +320,12 @@ class DoubledRep:
         return pair_kernel(self.params.gamma, self.kind)
 
     def omega_vector(self) -> np.ndarray:
-        """Standard vector representative of the Gibbs state."""
-        g = self.params.gamma
-        eye = np.eye(self.d)
-        if self.kind == BOSE:
-            pref = np.linalg.det(eye - g).real ** 0.5
-        else:
-            pref = np.linalg.det(eye + g).real ** (-0.5)
-        from .ops import pair_exponential_vacuum
-
-        return pref * pair_exponential_vacuum(self.space, self.pair_kernel())
+        """Standard vector representative of the Gibbs state: the Gaussian
+        vector of the pair kernel."""
+        return gaussian_vector(self.space, self.pair_kernel())
 
     def r_gamma(self) -> np.ndarray:
         """The dressing unitary mapping omega_vector back to the vacuum."""
-        from .ops import squeezer
-
         return squeezer(self.space, self.pair_kernel())
 
     def pair_embedding(self):
@@ -342,36 +348,37 @@ class DoubledRep:
             b = b @ lam.conj()  # column index lives on the conjugate leg
         return u @ b.reshape(-1)
 
-    def theta_left(self, a: np.ndarray) -> np.ndarray:
+    def theta_left(self, a) -> np.ndarray:
+        """Left multiplication by a, dense or sparse, on the doubled space; dense."""
         u = self.pair_embedding()
         eye = np.eye(self.space_single_bar.dim)
-        return u @ np.kron(np.asarray(a, dtype=complex), eye) @ u.conj().T
+        return u @ np.kron(np.asarray(dense(a), dtype=complex), eye) @ u.conj().T
 
-    def theta_right(self, a: np.ndarray) -> np.ndarray:
-        """Right multiplication by a*, i.e. the image of conj(a)."""
+    def theta_right(self, a) -> np.ndarray:
+        """Right multiplication by a*, i.e. the image of conj(a), for a dense or
+        sparse a; dense."""
         u = self.pair_embedding()
         eye = np.eye(self.space_single.dim)
-        abar = np.conj(np.asarray(a, dtype=complex))
+        abar = np.conj(np.asarray(dense(a), dtype=complex))
         if self.kind == FERMI:
             lam = self.space_single_bar.lambda_op()
             abar = lam @ abar @ lam
         return u @ np.kron(eye, abar) @ u.conj().T
 
-    def theta_left_field(self, z) -> np.ndarray:
+    def theta_left_field(self, z) -> scipy.sparse.csr_array:
         """theta_l of the single-space field, written directly on the doubled space."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(z, 0)
-        phi = self.space.create(w) + self.space.annihilate(w)
+        phi = self.space.ladder(w, w)
         return phi / math.sqrt(2) if self.kind == BOSE else phi
 
-    def theta_right_field(self, z) -> np.ndarray:
+    def theta_right_field(self, z) -> scipy.sparse.csr_array:
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(0, np.conj(z))
-        phi = self.space.create(w) + self.space.annihilate(w)
+        phi = self.space.ladder(w, w)
         if self.kind == BOSE:
             return phi / math.sqrt(2)
-        lam = self.space.lambda_op()
-        return lam @ phi @ lam
+        return _lambda_sandwich(self.space, phi)
 
     def gibbs_expectation(self, a: np.ndarray) -> complex:
         """Tr(Gamma(gamma) a) / Tr Gamma(gamma) on the single space."""
@@ -438,34 +445,43 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     return big / trace, trace, reference, tail
 
 
-def _complex_time_conjugation(ell: np.ndarray, b: np.ndarray, z: complex) -> np.ndarray:
-    """exp(izL) b exp(-izL) for Hermitian L via eigendecomposition."""
-    w, v = np.linalg.eigh(ell)
+def _complex_time_conjugation(ell, b, z: complex) -> np.ndarray:
+    """exp(izL) b exp(-izL) for a sparse Hermitian L via the eigendecomposition
+    of its dense form."""
+    w, v = np.linalg.eigh(ell.toarray())
     left = (v * np.exp(1j * z * w)) @ v.conj().T
     right = (v * np.exp(-1j * z * w)) @ v.conj().T
     return left @ b @ right
 
 
-def kms_check(rep: DoubledRep, h, beta: float, a: np.ndarray, b: np.ndarray,
-              t: float = 0.0) -> float:
-    """KMS boundary defect |omega(A tau^{t+i beta}(B)) - omega(tau^t(B) A)|.
+def _relative_defect(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| over the larger of |lhs| and |rhs|; 0 when both vanish."""
+    scale = max(abs(lhs), abs(rhs))
+    return float(abs(lhs - rhs) / scale) if scale > 0 else 0.0
+
+
+def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float = 0.0) -> float:
+    """Relative KMS boundary defect of omega(A tau^{t+i beta}(B)) and omega(tau^t(B) A).
 
     The state is the doubled vacuum, the dynamics is generated by the
     standard Liouvillean of h; the defect vanishes when the
-    representation density is the Gibbs density exp(-beta h).
+    representation density is the Gibbs density exp(-beta h).  It is the
+    gap between the two sides over the larger of them, so a wrong density
+    at large beta, where both sides are small, still shows; A and B may be
+    dense or sparse.
     """
     ell = rep.standard_liouvillean(h)
     vac = rep.space.vacuum()
     bz = _complex_time_conjugation(ell, b, t + 1j * beta)
     bt = _complex_time_conjugation(ell, b, t)
-    lhs = np.vdot(vac, a @ bz @ vac)
-    rhs = np.vdot(vac, bt @ a @ vac)
-    return float(abs(lhs - rhs))
+    lhs = np.vdot(vac, a @ (bz @ vac))
+    rhs = np.vdot(vac, bt @ (a @ vac))
+    return _relative_defect(lhs, rhs)
 
 
 def kms_check_density(space: FockSpace, gamma_one: np.ndarray, h, beta: float,
                       a: np.ndarray, b: np.ndarray, t: float = 0.0) -> float:
-    """Trace-cyclicity KMS defect in the irreducible single-space picture."""
+    """Relative trace-cyclicity KMS defect in the irreducible single-space picture."""
     dens = gamma(space, np.asarray(gamma_one, dtype=complex))
     z = np.trace(dens)
     ham = dgamma(space, np.asarray(h, dtype=complex))
@@ -473,20 +489,19 @@ def kms_check_density(space: FockSpace, gamma_one: np.ndarray, h, beta: float,
     bt = _complex_time_conjugation(ham, b, t)
     lhs = np.trace(dens @ a @ bz) / z
     rhs = np.trace(dens @ bt @ a) / z
-    return float(abs(lhs - rhs))
+    return _relative_defect(lhs, rhs)
 
 
-def tracial_field(space: FockSpace, v, side: str = "left") -> np.ndarray:
+def tracial_field(space: FockSpace, v, side: str = "left") -> scipy.sparse.csr_array:
     """Tracial CAR fields over a real vector v: left phi(v), right Lambda phi(v) Lambda."""
     if not space.is_fermi:
         raise ValueError("tracial fields are fermionic")
     v = np.asarray(v, dtype=float).reshape(-1)
-    phi = space.create(v) + space.annihilate(v)
+    phi = space.ladder(v, v)
     if side == "left":
         return phi
     if side == "right":
-        lam = space.lambda_op()
-        return lam @ phi @ lam
+        return _lambda_sandwich(space, phi)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

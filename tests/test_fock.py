@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from fockforge.fock import CutoffError, FockSpace, build_space, dgamma, exp_law, gamma
 
@@ -28,13 +32,13 @@ def test_dimension_guard():
 def test_bose_ladder_matrix():
     sp = FockSpace("bose", 1, 4)
     a_dag = sp.creation(0)
-    assert np.allclose(np.diagonal(a_dag, -1), [1, np.sqrt(2), np.sqrt(3), 2.0])
+    assert np.allclose(np.diagonal(a_dag.toarray(), -1), [1, np.sqrt(2), np.sqrt(3), 2.0])
     assert np.allclose(a_dag @ sp.vacuum(), np.eye(5)[1])
 
 
 def test_fermi_creation_d1():
     sp = FockSpace("fermi", 1)
-    assert np.allclose(sp.creation(0), [[0, 0], [1, 0]])
+    assert np.allclose(sp.creation(0).toarray(), [[0, 0], [1, 0]])
 
 
 def test_fermi_car_exact():
@@ -47,7 +51,7 @@ def test_fermi_car_exact():
     scale = np.linalg.norm(w1) * np.linalg.norm(w2)
     assert np.linalg.norm(anti - np.vdot(w1, w2) * np.eye(sp.dim), 2) <= 1e-13 * scale
     both = sp.create(w1) @ sp.create(w2) + sp.create(w2) @ sp.create(w1)
-    assert np.linalg.norm(both, 2) <= 1e-13 * scale
+    assert np.linalg.norm(both.toarray(), 2) <= 1e-13 * scale
 
 
 def test_annihilate_kills_vacuum():
@@ -59,11 +63,11 @@ def test_annihilate_kills_vacuum():
 def test_dgamma_examples():
     sp = FockSpace("bose", 2, 3)
     n_op = dgamma(sp, np.eye(2))
-    assert np.allclose(n_op, sp.number_op())
-    assert not np.any(dgamma(sp, np.zeros((2, 2))))
+    assert np.allclose(n_op.toarray(), sp.number_op())
+    assert not np.any(dgamma(sp, np.zeros((2, 2))).toarray())
     spf = FockSpace("fermi", 2)
     h = np.diag([1.5, 2.5])
-    diag = np.diagonal(dgamma(spf, h)).real
+    diag = np.diagonal(dgamma(spf, h).toarray()).real
     expect = [n1 * 1.5 + n2 * 2.5 for (n1, n2) in spf.basis]
     assert np.allclose(diag, expect)
 
@@ -76,7 +80,7 @@ def test_dgamma_lie_morphism():
     d1, d2 = dgamma(sp, h1), dgamma(sp, h2)
     lhs = d1 @ d2 - d2 @ d1
     rhs = dgamma(sp, h1 @ h2 - h2 @ h1)
-    assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
+    assert np.linalg.norm((lhs - rhs).toarray(), 2) <= 1e-9
 
 
 def test_gamma_diagonal_and_parity():
@@ -104,7 +108,7 @@ def test_gamma_morphism_and_two_routes():
         lhs = gamma(sp, p2) @ gamma(sp, p1)
         assert np.linalg.norm(lhs - gamma(sp, p2 @ p1), 2) <= 1e-9
         # oracle: Gamma(p) = exp(dGamma(log p)) for invertible p
-        oracle = scipy.linalg.expm(dgamma(sp, scipy.linalg.logm(p1)))
+        oracle = scipy.linalg.expm(dgamma(sp, scipy.linalg.logm(p1)).toarray())
         assert np.linalg.norm(gamma(sp, p1) - oracle, 2) <= 1e-10
     assert np.allclose(gamma(FockSpace("bose", 2, 3), np.eye(2)), np.eye(10))
 
@@ -115,7 +119,7 @@ def test_gamma_exp_identity():
     h = rng.standard_normal((3, 3))
     h = h + h.T
     lhs = gamma(sp, scipy.linalg.expm(1j * h))
-    rhs = scipy.linalg.expm(1j * dgamma(sp, h))
+    rhs = scipy.linalg.expm(1j * dgamma(sp, h).toarray())
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-8
 
 
@@ -180,7 +184,8 @@ def test_exp_law_intertwines_dgamma_and_gamma():
     h2 = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
     hsum = scipy.linalg.block_diag(h1, h2)
     lhs = dgamma(tgt, hsum) @ u
-    rhs = u @ (np.kron(dgamma(s1, h1), np.eye(s2.dim)) + np.kron(np.eye(s1.dim), dgamma(s2, h2)))
+    rhs = u @ (np.kron(dgamma(s1, h1).toarray(), np.eye(s2.dim))
+               + np.kron(np.eye(s1.dim), dgamma(s2, h2).toarray()))
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
     p1 = 0.5 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
     p2 = 0.5 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
@@ -206,7 +211,7 @@ def test_exp_law_parity_string_for_fermions():
     u, tgt = exp_law(f1, f2)
     w = np.array([0.3 + 1j])
     lhs = tgt.create(np.concatenate([np.zeros(2), w])) @ u
-    rhs = u @ np.kron(f1.parity(), f2.create(w))
+    rhs = u @ np.kron(f1.parity(), f2.create(w).toarray())
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 
@@ -219,3 +224,63 @@ def test_lambda_exp_law_identity():
     lhs = tgt.lambda_op() @ u
     rhs = u @ np.kron(f1.lambda_op(), f2.lambda_op()) @ cross
     assert np.linalg.norm(lhs - rhs, 2) == 0.0
+
+
+def _creation_oracle(space, k):
+    """a*_k read off the occupation basis: |n> -> sqrt(n_k + 1) |n + e_k> for
+    bosons below the cutoff, (-1)^(n_0 + ... + n_{k-1}) |n + e_k> for fermions
+    with mode k empty."""
+    index = {occ: i for i, occ in enumerate(space.basis)}
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, occ in enumerate(space.basis):
+        up = occ[:k] + (occ[k] + 1,) + occ[k + 1:]
+        if up not in index:
+            continue
+        a[index[up], i] = (-1.0) ** sum(occ[:k]) if space.is_fermi else math.sqrt(occ[k] + 1)
+    return a
+
+
+SPARSE_CORE_SPACES = [("bose", 1, 6), ("bose", 2, 4), ("bose", 3, 3),
+                      ("fermi", 1, None), ("fermi", 3, None), ("fermi", 5, None)]
+
+
+@pytest.mark.parametrize("spec", SPARSE_CORE_SPACES)
+def test_sparse_core_matches_basis_oracle(spec):
+    sp = FockSpace(*spec)
+    rng = np.random.default_rng(sp.dim)
+    oracle = [_creation_oracle(sp, k) for k in range(sp.d)]
+    for k in range(sp.d):
+        assert scipy.sparse.issparse(sp.creation(k))
+        assert np.array_equal(sp.creation(k).toarray(), oracle[k])
+    u, v = (rng.standard_normal(sp.d) + 1j * rng.standard_normal(sp.d) for _ in range(2))
+    u[0] = 0.0  # a zero coefficient drops its mode
+    h = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
+    want_up = sum(u[k] * oracle[k] for k in range(sp.d))
+    want_down = sum(v[k] * oracle[k] for k in range(sp.d)).conj().T
+    want_dg = sum(h[j, k] * oracle[j] @ oracle[k].conj().T
+                  for j in range(sp.d) for k in range(sp.d))
+    for got, want in ((sp.create(u), want_up), (sp.annihilate(v), want_down),
+                      (sp.ladder(u, v), want_up + want_down), (dgamma(sp, h), want_dg)):
+        assert isinstance(got, scipy.sparse.csr_array)
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+    for op in (sp.create(v), sp.annihilate(v)):
+        assert op.nnz <= sp.d * sp.dim
+
+
+def test_sparse_core_allocates_no_dense_matrix():
+    # a dense dim x dim complex matrix at dim 1771 is 50 MB
+    sp = FockSpace("bose", 3, 20)
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    tracemalloc.start()
+    try:
+        sp.create(w)
+        _, peak_create = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dgamma(sp, h)
+        _, peak_dgamma = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.dim == 1771
+    assert peak_create < 2e6 and peak_dgamma < 2e6

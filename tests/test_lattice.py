@@ -209,7 +209,7 @@ def test_odd_dimensional_center_contains_q(rng):
     alg = double_commutant(gens)
     comm = commutant(gens)
     center = [x for x in comm]
-    q = (1j) ** 3 * gens[0] @ gens[1] @ gens[2]
+    q = ((1j) ** 3 * gens[0] @ gens[1] @ gens[2]).toarray()
     # Q commutes with the generators and lies in the algebra
     for g in gens:
         assert np.linalg.norm(q @ g - g @ q, 2) <= 1e-12

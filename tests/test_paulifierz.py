@@ -30,7 +30,8 @@ def _expm_squeezer(space, gamma_one):
     """
     c = pair_kernel(gamma_one, "bose")
     modes = range(space.d)
-    ac = sum(c[j, k] * (space.creation(j) @ space.creation(k)) for j in modes for k in modes)
+    ac = sum(c[j, k] * (space.creation(j) @ space.creation(k))
+             for j in modes for k in modes).toarray()
     eye = np.eye(space.d)
     g = c @ c.conj().T
     mid = gamma(space, sqrtm_psd(eye - g))
@@ -58,7 +59,7 @@ def test_coupled_create_factored(rng):
     w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     q = np.einsum("ij,m->imj", b, w).reshape(k * d, k)
     got = coupled_create(k, sp, q).toarray()
-    assert np.linalg.norm(got - np.kron(b, sp.create(w)), 2) <= 1e-12
+    assert np.linalg.norm(got - np.kron(b, sp.create(w).toarray()), 2) <= 1e-12
     assert np.linalg.norm(coupled_annihilate(k, sp, q).toarray() - got.conj().T, 2) == 0.0
     assert not np.any(coupled_create(k, sp, np.zeros((k * d, k))).toarray())
 

@@ -47,7 +47,7 @@ def test_aw_rho_zero_is_fock():
     phi = rep.field_left(z)
     w = np.concatenate([z, np.zeros(1)])
     expect = (rep.space.create(w) + rep.space.annihilate(w)) / np.sqrt(2)
-    assert np.linalg.norm(phi - expect, 2) <= 1e-13
+    assert np.linalg.norm((phi - expect).toarray(), 2) <= 1e-13
 
 
 def test_aw_weyl_relation(rng):
@@ -85,11 +85,12 @@ def test_create_right_fields_and_left_commutation(rng, kind, g, cutoff, scale):
         z1 = rng.standard_normal(rep.d) + 1j * rng.standard_normal(rep.d)
         z2 = rng.standard_normal(rep.d) + 1j * rng.standard_normal(rep.d)
         up = rep.create_right(z2)
-        assert np.linalg.norm(up + up.conj().T - scale * rep.field_right(z2), 2) <= 1e-12
+        assert np.linalg.norm((up + up.conj().T - scale * rep.field_right(z2)).toarray(), 2) \
+            <= 1e-12
         # the Lambda twist puts the fermionic right fields in the commutant
         # of the left ones, so both statistics commute here
         left = rep.create_left(z1)
-        assert np.linalg.norm((left @ up - up @ left)[window], 2) <= 1e-12
+        assert np.linalg.norm((left @ up - up @ left)[window].toarray(), 2) <= 1e-12
 
 
 def test_aw_weyl_conjugation(rng):
@@ -121,7 +122,7 @@ def test_awy_car_and_left_right(rng):
         want = 2 * np.real(np.vdot(z1, z2)) * np.eye(rep.space.dim)
         assert np.linalg.norm(f1 @ f2 + f2 @ f1 - want, 2) <= 1e-12
         fr = rep.field_right(z2)
-        assert np.linalg.norm(f1 @ fr - fr @ f1, 2) <= 1e-12
+        assert np.linalg.norm((f1 @ fr - fr @ f1).toarray(), 2) <= 1e-12
 
 
 def test_awy_half_density_two_point():
@@ -138,7 +139,7 @@ def test_awy_chi_zero_is_fock():
     z = np.array([0.2, -0.7j])
     w = np.concatenate([z, np.zeros(2)])
     expect = rep.space.create(w) + rep.space.annihilate(w)
-    assert np.linalg.norm(rep.field_left(z) - expect, 2) <= 1e-13
+    assert np.linalg.norm((rep.field_left(z) - expect).toarray(), 2) <= 1e-13
 
 
 def test_modular_data_fermi(rng):
@@ -155,7 +156,8 @@ def test_modular_data_fermi(rng):
         lhs = j_op.sandwich(rep.field_left(z))
         assert np.linalg.norm(lhs - rep.field_right(z), 2) <= 1e-10
     ell = rep.standard_liouvillean()
-    assert np.linalg.norm(delta - scipy.linalg.expm(-ell), 2) <= 1e-9 * np.linalg.norm(delta, 2)
+    assert np.linalg.norm(delta - scipy.linalg.expm(-ell.toarray()), 2) \
+        <= 1e-9 * np.linalg.norm(delta, 2)
 
 
 def test_modular_oracle_both_statistics():
@@ -202,12 +204,12 @@ def test_modular_kernel_violation():
 def test_standard_liouvillean(rng):
     h = np.array([[0.9]])
     rep = DoubledRep(ThermalParams.gibbs("bose", h, 1.0), single_cutoff=6)
-    ell = rep.standard_liouvillean()
+    ell = rep.standard_liouvillean().toarray()
     vac = rep.space.vacuum()
     assert np.linalg.norm(ell @ vac) == 0.0
     ev = np.linalg.eigvalsh(ell)
     assert np.max(np.abs(np.sort(ev) + np.sort(-ev)[::-1])) <= 1e-9
-    assert not np.any(rep.standard_liouvillean(np.zeros((1, 1))))
+    assert not np.any(rep.standard_liouvillean(np.zeros((1, 1))).toarray())
     # dynamics moves the left field by the one-particle phase
     t = 0.37
     w, v = np.linalg.eigh(ell)
@@ -246,6 +248,18 @@ def test_kms_mismatch_witness(rng):
         assert kms_check(good, h, beta, good.annihilate_left(np.eye(1)[0]),
                          good.create_left(np.eye(1)[0]), t=0.1) <= 1e-8
 
+
+def test_kms_mismatch_fails_at_large_beta():
+    # at beta = 30 both sides are of order 1e-8 and their gap 3e-9, so only a
+    # defect relative to their scale tells exp(-2 beta h) from exp(-beta h)
+    h = np.array([[1.0, 0.2], [0.2, 0.7]], dtype=complex)
+    beta = 30.0
+    e0 = np.eye(2)[0]
+    bad = DoubledRep(ThermalParams("fermi", scipy.linalg.expm(-2 * beta * h)))
+    assert kms_check(bad, h, beta, bad.annihilate_left(e0), bad.create_left(e0), t=0.3) > 1e-8
+    good = DoubledRep(ThermalParams.gibbs("fermi", h, beta))
+    assert kms_check(good, h, beta, good.annihilate_left(e0), good.create_left(e0),
+                     t=0.3) <= 1e-8
 
 def test_kms_density_oracle(rng):
     h = np.array([[1.0]])
@@ -389,7 +403,7 @@ def test_tracial_fields(rng):
     r2 = tracial_field(sp, v2, side="right")
     want = 2 * np.dot(v1, v2) * np.eye(sp.dim)
     assert np.linalg.norm(l1 @ l2 + l2 @ l1 - want, 2) <= 1e-12
-    assert np.linalg.norm(l1 @ r2 - r2 @ l1, 2) <= 1e-12
+    assert np.linalg.norm((l1 @ r2 - r2 @ l1).toarray(), 2) <= 1e-12
     vac = sp.vacuum()
     assert np.vdot(vac, l1 @ l2 @ vac) == pytest.approx(np.dot(v1, v2))
     j_op = tracial_conjugation(sp)
