@@ -168,6 +168,8 @@ class DoubledRep:
         return self._doubled(self._amp_left @ z, 0), self._doubled(0, np.conj(self._amp_right @ z))
 
     def create_left(self, z) -> scipy.sparse.csr_array:
+        """a*_l(z) = a*((1 +- rho)^{1/2} z (+) 0) + a(0 (+) conj(rho^{1/2} z)), as a CSR
+        array; + for bosons, - for fermions, rho the one-particle density."""
         return self.space.ladder(*self._left_legs(z))
 
     def annihilate_left(self, z) -> scipy.sparse.csr_array:
@@ -176,12 +178,14 @@ class DoubledRep:
         return self.space.ladder(v, u)
 
     def field_left(self, z) -> scipy.sparse.csr_array:
+        """phi_l(z) = a*_l(z) + a_l(z), over sqrt(2) for bosons, as a CSR array."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(self._amp_left @ z, np.conj(self._amp_right @ z))
         phi = self.space.ladder(w, w)
         return phi / math.sqrt(2) if self.kind == BOSE else phi
 
     def field_right(self, z) -> scipy.sparse.csr_array:
+        """The right field, legs swapped and Lambda-dressed for fermions, as a CSR array."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         w = self._doubled(self._amp_right @ z, np.conj(self._amp_left @ z))
         phi = self.space.ladder(w, w)
@@ -190,6 +194,7 @@ class DoubledRep:
         return _lambda_sandwich(self.space, phi)
 
     def create_right(self, z) -> scipy.sparse.csr_array:
+        """The right creation operator, Lambda-dressed for fermions, as a CSR array."""
         z = np.asarray(z, dtype=complex).reshape(-1)
         op = self.space.ladder(self._doubled(0, np.conj(self._amp_left @ z)),
                                self._doubled(self._amp_right @ z, 0))
