@@ -174,16 +174,17 @@ def shale_implementer(space: FockSpace, blocks: BogolubovBlocks,
             if allow_degenerate:
                 return degenerate_implementer(space, blocks)
             raise FermiDegenerateError("Ker p is nontrivial; use degenerate_implementer")
-    det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
-    expo = 0.25 if blocks.statistics == FERMI else -0.25
-    pref = float(abs(det)) ** expo
     if blocks.statistics == BOSE:
+        # raises LinAlgError for a singular p before det(p p*) ** -1/4 divides by zero
         exc = _expected_pair_excitation(blocks)
         if space.n_max < 2.0 * exc:
             warnings.warn(
                 f"cutoff {space.n_max} may be too small for expected pair excitation {exc:.2f}",
                 RuntimeWarning,
             )
+    det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
+    expo = 0.25 if blocks.statistics == FERMI else -0.25
+    pref = float(abs(det)) ** expo
     return _implementer_from_cd(space, blocks, pref)
 
 

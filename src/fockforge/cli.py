@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +142,7 @@ def task_bogolubov(model, rng):
                     if not k.endswith("min_eig") and not k.startswith("hs_"))
     checks = [_report("block-relations", block_res, _tolerance(model, "blocks", 1e-9))]
     space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u = shale_implementer(space, blocks)
+    u = shale_implementer(space, blocks)
     z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
     y = DoubledVector.real_point(z / np.linalg.norm(z))
     defect = acceptance.intertwining_defect(space, blocks, u, y)
@@ -261,11 +259,7 @@ TASKS = (*TASK_RUNNERS, "suite")
 
 def load_model(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"cannot read model file: {exc}") from None
-    try:
-        model = json.loads(text)
+        model = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model file is not valid JSON: {exc}") from None
     if not isinstance(model, dict):
@@ -279,23 +273,21 @@ def load_model(path: str) -> dict:
     return model
 
 
+def _envelope(seed: int, fields: dict) -> dict:
+    """The one report shape: fields plus the schema version, the seed and a null timing."""
+    return {"schema_version": SCHEMA_VERSION, "seed": seed, "timing": None, **fields}
+
+
 def build_report(model: dict, seed: int) -> dict:
     task = model["task"]
-    rng = np.random.default_rng(seed)
-    checks = TASK_RUNNERS[task](model, rng)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "task": task,
-        "seed": seed,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-        "timing": None,
-    }
+    checks = TASK_RUNNERS[task](model, np.random.default_rng(seed))
+    return _envelope(seed, {"task": task, "checks": checks,
+                            "pass": all(c["pass"] for c in checks)})
 
 
 def serialize_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "residual", "tolerance", "pass"])
@@ -305,20 +297,31 @@ def serialize_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _exit_codes(command):
+    """The one mapping of a command's failures to exit codes, shared by run and
+    suite: 3 for a numerical failure; 2 for a schema or domain error (any other
+    ValueError) and for a file that cannot be read or written."""
+    @functools.wraps(command)
+    def guarded(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        # LinAlgError subclasses ValueError, so it is caught first
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OSError) as exc:
+            print(f"schema error: {exc}", file=sys.stderr)
+            return 2
+    return guarded
+
+
+@_exit_codes
 def run(model_path: str, out_path: str | None, fmt: str, seed: int) -> int:
     t0 = time.time()
-    try:
-        model = load_model(model_path)
-        if model["task"] == "suite":
-            return suite(model.get("name", "smoke"), out_path or ".", seed)
-        report = build_report(model, seed)
-    # LinAlgError subclasses ValueError, so it is caught first
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # SchemaError and domain errors of the model's values
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+    model = load_model(model_path)
+    if model["task"] == "suite":
+        return suite(model.get("name", "smoke"), out_path or ".", seed)
+    report = build_report(model, seed)
     text = serialize_report(report, fmt)
     if out_path:
         Path(out_path).write_text(text)
@@ -329,36 +332,24 @@ def run(model_path: str, out_path: str | None, fmt: str, seed: int) -> int:
     return 0 if report["pass"] else 1
 
 
+@_exit_codes
 def suite(name: str, out_dir: str, seed: int = 42) -> int:
     if name not in ("smoke", "full"):
-        print(f"schema error: unknown suite {name!r}", file=sys.stderr)
-        return 2
+        raise SchemaError(f"unknown suite {name!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = acceptance.run_battery(name, seed)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    all_pass = True
-    summary = []
+    results = acceptance.run_battery(name, seed)
     for check_name, rep in results:
-        payload = {"schema_version": SCHEMA_VERSION, "suite": name, "seed": seed,
-                   "timing": None, **rep}
         (out / f"{check_name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
-        summary.append({"name": check_name, "pass": rep["pass"],
-                        "residual": rep["residual"], "tolerance": rep["tolerance"]})
-        all_pass = all_pass and rep["pass"]
+            serialize_report(_envelope(seed, {"suite": name, **rep}), "json"))
         print(f"{check_name}: {'pass' if rep['pass'] else 'FAIL'} "
               f"(residual {rep['residual']:.3e} <= {rep['tolerance']:.1e})", file=sys.stderr)
-    (out / "summary.json").write_text(
-        json.dumps({"schema_version": SCHEMA_VERSION, "suite": name, "seed": seed,
-                    "checks": summary, "pass": all_pass, "timing": None},
-                   indent=2, sort_keys=True) + "\n")
+    summary = [{"name": check_name, "pass": rep["pass"], "residual": rep["residual"],
+                "tolerance": rep["tolerance"]} for check_name, rep in results]
+    all_pass = all(rep["pass"] for _, rep in results)
+    (out / "summary.json").write_text(serialize_report(
+        _envelope(seed, {"suite": name, "checks": summary, "pass": all_pass}), "json"))
     print(f"suite {name}: {'pass' if all_pass else 'FAIL'} ({time.time() - t0:.1f}s)",
           file=sys.stderr)
     return 0 if all_pass else 1

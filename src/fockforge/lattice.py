@@ -44,12 +44,13 @@ def to_complex(y) -> np.ndarray:
     return y[:d] + 1j * y[d:]
 
 
-def _orthonormalize(cols: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
+def _orthonormalize(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n x rank) of the span of the real or complex columns."""
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     smax = s.max(initial=0.0)
-    keep = s > rtol * max(smax, 1e-300)
+    keep = s > RANK_RTOL * max(smax, 1e-300)
     return u[:, keep]
 
 
@@ -326,16 +327,8 @@ def _orthonormalize_hs(mats) -> list:
         return []
     n = mats[0].shape[0]
     cols = np.column_stack([m.reshape(-1) for m in mats])
-    q = _orthonormalize_complex(cols)
+    q = _orthonormalize(cols)
     return [q[:, i].reshape(n, n) for i in range(q.shape[1])]
-
-
-def _orthonormalize_complex(cols: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    if cols.size == 0:
-        return cols
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = s > rtol * max(s.max(initial=0.0), 1e-300)
-    return u[:, keep]
 
 
 def _intersect_spans(mats_a, mats_b) -> list:
@@ -343,8 +336,8 @@ def _intersect_spans(mats_a, mats_b) -> list:
     if not mats_a or not mats_b:
         return []
     n = mats_a[0].shape[0]
-    a = _orthonormalize_complex(np.column_stack([m.reshape(-1) for m in mats_a]))
-    b = _orthonormalize_complex(np.column_stack([m.reshape(-1) for m in mats_b]))
+    a = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_a]))
+    b = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_b]))
     pa = a @ a.conj().T
     pb = b @ b.conj().T
     stack = np.vstack([np.eye(n * n) - pa, np.eye(n * n) - pb])

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +10,8 @@ import pytest
 
 from fockforge import acceptance, cli
 
-SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schema.json"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = ROOT / "docs" / "schema.json"
 
 
 def write_model(tmp_path, name, payload):
@@ -178,8 +183,59 @@ def test_pauli_fierz_task(tmp_path):
     assert cli.run(path, str(tmp_path / "pf_rep.json"), "json", seed=5) == 0
 
 
-def test_suite_unknown_name(tmp_path):
+def one_stderr_line(capsys, prefix):
+    err = capsys.readouterr().err
+    return err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+def test_suite_unknown_name(tmp_path, capsys):
     assert cli.suite("nope", str(tmp_path)) == 2
+    assert one_stderr_line(capsys, "schema error: unknown suite 'nope'")
+
+
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    path = write_model(tmp_path, "model.json", identity_bogolubov_model())
+    assert cli.run(path, str(tmp_path / "missing" / "r.json"), "json", seed=42) == 2
+    assert one_stderr_line(capsys, "schema error: ")
+
+
+def test_suite_out_dir_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.suite("smoke", str(taken)) == 2
+    assert one_stderr_line(capsys, "schema error: ")
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (ValueError, 2, "schema error: "),
+    (np.linalg.LinAlgError, 3, "numerical failure: "),
+])
+def test_suite_maps_criterion_errors(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def broken(seed):
+        raise error("broken criterion")
+
+    battery = [(name, broken if name == "criterion-01" else fn)
+               for name, fn in acceptance.FULL_BATTERY]
+    monkeypatch.setattr(acceptance, "FULL_BATTERY", battery)
+    assert cli.suite("smoke", str(tmp_path)) == code
+    assert one_stderr_line(capsys, prefix + "broken criterion")
+
+
+def test_shale_cutoff_warning_reaches_stderr(tmp_path):
+    model = {"schema_version": 1, "task": "bogolubov", "statistics": "bose",
+             "p": cli.encode_matrix(np.array([[np.cosh(1.0)]])),
+             "q": cli.encode_matrix(np.array([[np.sinh(1.0)]])), "cutoff": 2}
+    path = write_model(tmp_path, "shale.json", model)
+    out = tmp_path / "r.json"
+    proc = subprocess.run([sys.executable, "-m", "fockforge.cli", "run", path, "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 1
+    assert "cutoff 2 may be too small for expected pair excitation 1.16" in proc.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.run(path, str(tmp_path / "quiet.json"), "json", seed=42) == 1
+    assert out.read_bytes() == (tmp_path / "quiet.json").read_bytes()
 
 
 def test_suite_smoke(tmp_path):

@@ -218,3 +218,12 @@ def test_odd_dimensional_center_contains_q(rng):
     assert np.linalg.norm(vec - basis_alg @ (basis_alg.conj().T @ vec)) <= 1e-8
     basis_comm = np.column_stack([m.reshape(-1) for m in comm])
     assert np.linalg.norm(vec - basis_comm @ (basis_comm.conj().T @ vec)) <= 1e-8
+
+
+def test_orthonormalize_real_and_complex_columns(rng):
+    from fockforge.lattice import _orthonormalize
+    assert _orthonormalize(np.zeros((4, 0))).shape == (4, 0)
+    a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    q = _orthonormalize(np.column_stack([a, a @ [1.0, 2.0j]]))
+    assert q.shape == (6, 2)
+    assert np.allclose(q.conj().T @ q, np.eye(2))
