@@ -13,7 +13,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from . import bogolubov, fock, lattice, linalg, ops, paulifierz, quasifree, thermal  # noqa: E402
-from .fock import BOSE, FERMI, FockSpace, build_space, dgamma, exp_law, gamma  # noqa: E402
+from .fock import BOSE, FERMI, FockSpace, dgamma, exp_law, gamma  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "FERMI",
     "FockSpace",
     "bogolubov",
-    "build_space",
     "dgamma",
     "exp_law",
     "fock",

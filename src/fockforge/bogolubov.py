@@ -103,17 +103,17 @@ class CDPair:
     d_kernel: np.ndarray
 
 
-def blocks_to_cd(blocks: BogolubovBlocks, tol: float = 1e-9) -> CDPair:
+def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
     """The pair kernels c = p^{-1} q and d = q pbar^{-1}.
 
-    Both defining expressions are evaluated and must agree within tol;
+    Both defining expressions are evaluated and must agree within 1e-9;
     fermionic blocks with Ker p != 0 raise FermiDegenerateError.
     """
     p, q = blocks.p, blocks.q
     svals = np.linalg.svd(p, compute_uv=False)
     if svals.min() <= 1e-10 * max(svals.max(), 1.0):
         if blocks.statistics == FERMI:
-            raise FermiDegenerateError("Ker p is nontrivial")
+            raise FermiDegenerateError("Ker p is nontrivial; use degenerate_implementer")
         raise np.linalg.LinAlgError("bosonic p unexpectedly singular")
     c1 = np.linalg.solve(p, q)
     d1 = q @ np.linalg.inv(p.conj())
@@ -124,7 +124,7 @@ def blocks_to_cd(blocks: BogolubovBlocks, tol: float = 1e-9) -> CDPair:
         c2 = q.T @ np.linalg.inv(p.T)
         d2 = np.linalg.inv(p.conj().T) @ q.T
     scale = max(1.0, float(np.abs(c1).max()), float(np.abs(d1).max()))
-    if np.max(np.abs(c1 - c2)) > tol * scale or np.max(np.abs(d1 - d2)) > tol * scale:
+    if np.max(np.abs(c1 - c2)) > 1e-9 * scale or np.max(np.abs(d1 - d2)) > 1e-9 * scale:
         raise np.linalg.LinAlgError("the two defining expressions for c or d disagree")
     return CDPair((c1 + c2) / 2, (d1 + d2) / 2)
 
@@ -141,9 +141,9 @@ def factorized_matrix(blocks: BogolubovBlocks) -> np.ndarray:
     return upper @ mid @ lower
 
 
-def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, prefactor: complex) -> np.ndarray:
+def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
+                         prefactor: complex) -> np.ndarray:
     """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
-    cd = blocks_to_cd(blocks)
     mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
     t = 0.5 * blocks.sign
     right = _exp_series(space, _pair_creator(space, cd.c).conj().T,
@@ -151,32 +151,21 @@ def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, prefactor: c
     return prefactor * _exp_series(space, _pair_creator(space, cd.d_kernel), mid @ right, t)
 
 
-def _expected_pair_excitation(blocks: BogolubovBlocks) -> float:
-    cd = blocks_to_cd(blocks)
-    return 2.0 * float(np.trace(cd.d_kernel @ cd.d_kernel.conj().T).real)
-
-
-def shale_implementer(space: FockSpace, blocks: BogolubovBlocks,
-                      allow_degenerate: bool = False) -> np.ndarray:
+def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:
     """The unitary with positive vacuum expectation implementing r.
 
     Conjugation sends phi(y) to phi(r y).  Bosonic implementers live on
     the truncated space and are unitary only up to the truncation tail;
     a warning fires when the cutoff looks too small for the squeezing
-    content.  For fermionic r with Ker p != 0 the closed form fails; see
-    degenerate_implementer for the opt-in composed path.
+    content.  For fermionic r with Ker p != 0 the closed form fails with
+    FermiDegenerateError; degenerate_implementer is the composed path.
     """
     if space.statistics != blocks.statistics:
         raise ValueError("space and blocks disagree on statistics")
-    if blocks.statistics == FERMI:
-        svals = np.linalg.svd(blocks.p, compute_uv=False)
-        if svals.min() <= 1e-10 * max(svals.max(), 1.0):
-            if allow_degenerate:
-                return degenerate_implementer(space, blocks)
-            raise FermiDegenerateError("Ker p is nontrivial; use degenerate_implementer")
+    # raises for a singular p, so a bosonic det(p p*) ** -1/4 never divides by zero
+    cd = blocks_to_cd(blocks)
     if blocks.statistics == BOSE:
-        # raises LinAlgError for a singular p before det(p p*) ** -1/4 divides by zero
-        exc = _expected_pair_excitation(blocks)
+        exc = 2.0 * float(np.trace(cd.d_kernel @ cd.d_kernel.conj().T).real)
         if space.n_max < 2.0 * exc:
             warnings.warn(
                 f"cutoff {space.n_max} may be too small for expected pair excitation {exc:.2f}",
@@ -185,7 +174,7 @@ def shale_implementer(space: FockSpace, blocks: BogolubovBlocks,
     det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
     expo = 0.25 if blocks.statistics == FERMI else -0.25
     pref = float(abs(det)) ** expo
-    return _implementer_from_cd(space, blocks, pref)
+    return _implementer_from_cd(space, blocks, cd, pref)
 
 
 def metaplectic_pair(space: FockSpace, blocks: BogolubovBlocks):
@@ -200,7 +189,7 @@ def metaplectic_pair(space: FockSpace, blocks: BogolubovBlocks):
         pref = np.sqrt(det)
     else:
         pref = 1.0 / np.sqrt(det)
-    u = _implementer_from_cd(space, blocks, pref)
+    u = _implementer_from_cd(space, blocks, blocks_to_cd(blocks), pref)
     return u, -u
 
 
@@ -281,14 +270,13 @@ def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndar
     raise FermiDegenerateError("no mode-pair completion made p invertible")
 
 
-def random_orthogonal_blocks(d: int, rng: np.random.Generator,
-                             amplitude: float = 0.6) -> BogolubovBlocks:
+def random_orthogonal_blocks(d: int, rng: np.random.Generator) -> BogolubovBlocks:
     """Generic j-nondegenerate fermionic Bogolubov map, u . r_c . v."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     c = (a - a.T) / 2
     nrm = np.linalg.norm(c, 2)
     if nrm > 0:
-        c = amplitude * c / nrm
+        c = 0.6 * c / nrm
     core = positive_orthogonal_from_c(c)
 
     def unitary_blocks():
@@ -299,14 +287,13 @@ def random_orthogonal_blocks(d: int, rng: np.random.Generator,
     return unitary_blocks().compose(core).compose(unitary_blocks())
 
 
-def random_symplectic_blocks(d: int, rng: np.random.Generator,
-                             amplitude: float = 0.3) -> BogolubovBlocks:
+def random_symplectic_blocks(d: int, rng: np.random.Generator) -> BogolubovBlocks:
     """Generic bosonic Bogolubov map with a bounded squeezing kernel."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     c = (a + a.T) / 2
     nrm = np.linalg.norm(c, 2)
     if nrm > 0:
-        c = amplitude * c / nrm
+        c = 0.3 * c / nrm
     core = positive_symplectic_from_c(c)
 
     def unitary_blocks():

@@ -141,6 +141,9 @@ def task_bogolubov(model, rng):
     block_res = max(v for k, v in diag.items()
                     if not k.endswith("min_eig") and not k.startswith("hs_"))
     checks = [_report("block-relations", block_res, _tolerance(model, "blocks", 1e-9))]
+    if not checks[0]["pass"]:
+        # blocks that break the relations define no Bogolubov map to implement
+        return checks
     space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
     u = shale_implementer(space, blocks)
     z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
@@ -234,6 +237,10 @@ def task_pauli_fierz(model, rng):
     if "cutoff_grid" in model:
         cutoffs = tuple(_numeric(n, "cutoff_grid", integer=True)
                         for n in _require(model, "cutoff_grid", list))
+    # cutoff-improvement compares the first and the last cutoff of the grid
+    if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
+        raise SchemaError(f"cutoff grid {list(cutoffs)} must increase strictly "
+                          "through at least two cutoffs")
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])
     tol = _tolerance(model, "spectra", 1e-5)

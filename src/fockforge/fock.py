@@ -194,10 +194,6 @@ class FockSpace:
         return np.diag(self.sector_mask(max_total).astype(complex))
 
 
-def build_space(statistics: str, d: int, n_max: int | None = None) -> FockSpace:
-    return FockSpace(statistics, d, n_max)
-
-
 def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     """Additive second quantization, sum_{jk} h_jk a*_j a_k, as a CSR array."""
     h = require_square(np.asarray(h, dtype=complex))
@@ -268,16 +264,14 @@ def gamma(space: FockSpace, p) -> np.ndarray:
     return out
 
 
-def exp_law(space1: FockSpace, space2: FockSpace, target: FockSpace | None = None,
-            allow_partial: bool = False):
+def exp_law(space1: FockSpace, space2: FockSpace, target: FockSpace | None = None):
     """The exponential-law map Gamma(Z1) (x) Gamma(Z2) -> Gamma(Z1 + Z2).
 
     Returns (u, target) where u is dim(target) x (dim1*dim2).  In the
     graded occupation bases the map sends |n> (x) |m> to the combined
     occupation state |n,m| with coefficient exactly 1 (the Z1 modes come
-    first, so no fermionic reordering sign appears).  With the default
-    target cutoff the map is an isometry, u* u = 1; allow_partial skips
-    the cutoff check and zeroes the unrepresentable columns.
+    first, so no fermionic reordering sign appears).  The target cutoff
+    must hold every combined state, so the map is an isometry, u* u = 1.
     """
     if space1.statistics != space2.statistics:
         raise ValueError("statistics mismatch between the factors")
@@ -286,14 +280,11 @@ def exp_law(space1: FockSpace, space2: FockSpace, target: FockSpace | None = Non
         target = FockSpace(stat, space1.d + space2.d, space1.n_max + space2.n_max)
     if target.statistics != stat or target.d != space1.d + space2.d:
         raise ValueError("target space has wrong statistics or dimension")
-    if not allow_partial and target.n_max < space1.n_max + space2.n_max:
+    if target.n_max < space1.n_max + space2.n_max:
         raise CutoffError(
             f"target cutoff {target.n_max} < {space1.n_max} + {space2.n_max}")
     u = np.zeros((target.dim, space1.dim * space2.dim), dtype=complex)
     for i1, occ1 in enumerate(space1.basis):
         for i2, occ2 in enumerate(space2.basis):
-            combined = occ1 + occ2
-            if sum(combined) > target.n_max:
-                continue
-            u[target.index[combined], i1 * space2.dim + i2] = 1.0
+            u[target.index[occ1 + occ2], i1 * space2.dim + i2] = 1.0
     return u, target

@@ -189,7 +189,7 @@ class HalmosData:
     n: np.ndarray
 
 
-def halmos_angles(v: RealSubspace, tol: float = 1e-9) -> HalmosData:
+def halmos_angles(v: RealSubspace) -> HalmosData:
     """Angle data of a real subspace in general position.
 
     m = p + q - 1 and n = p - q for the projections p onto V and q onto
@@ -227,7 +227,7 @@ def halmos_isometry_range(data: HalmosData) -> np.ndarray:
     return data.z_basis @ sq_one + data.eps @ data.z_basis @ sq_chi
 
 
-def commutant(generators, hermitian_close: bool = True) -> list:
+def commutant(generators) -> list:
     """Hilbert-Schmidt-orthonormal basis of {X : [X, A_i] = 0 for all i}.
 
     The adjoint of every generator is appended so the result is a
@@ -240,9 +240,7 @@ def commutant(generators, hermitian_close: bool = True) -> list:
     n = gens[0].shape[0]
     if n > COMMUTANT_DIM_GUARD:
         raise ValueError(f"space dimension {n} exceeds guard {COMMUTANT_DIM_GUARD}")
-    full = list(gens)
-    if hermitian_close:
-        full += [g.conj().T for g in gens]
+    full = gens + [g.conj().T for g in gens]
     eye = np.eye(n)
     blocks = [np.kron(g, eye) - np.kron(eye, g.T) for g in full]
     stack = np.vstack(blocks)
@@ -286,16 +284,13 @@ def field_generators(space: FockSpace, v: RealSubspace) -> list:
     return ops
 
 
-def fermionic_duality_check(v: RealSubspace, space: FockSpace | None = None) -> dict:
+def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda.
 
     Both algebras are computed as Hilbert-Schmidt-orthonormal bases; the
     report carries their dimensions and the two containment defects.
     """
-    d = v.ambient_d
-    if space is None:
-        space = FockSpace("fermi", d)
-    if space.d != d or not space.is_fermi:
+    if space.d != v.ambient_d or not space.is_fermi:
         raise ValueError("need the fermionic Fock space over the ambient space")
     gens = field_generators(space, v)
     if not gens:
@@ -315,7 +310,7 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace | None = None) -> 
         "defect_comm_in_dual": _containment_defect(comm, dressed_on),
         "defect_dual_in_comm": _containment_defect(dressed_on, comm),
     }
-    alg = double_commutant(gens)
+    alg = commutant(comm)
     center = _intersect_spans(alg, comm)
     report["dim_algebra"] = len(alg)
     report["center_dim"] = len(center)

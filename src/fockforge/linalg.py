@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-ALG_TOL = 1e-10
-SPECTRAL_TOL = 1e-8
 KERNEL_RTOL = 1e-12  # singular values below this (relative) count as zero
 
 
@@ -54,18 +52,6 @@ def transpose_sharp(a) -> np.ndarray:
     return as_matrix(a).T.copy()
 
 
-def is_symmetric(a, tol: float = ALG_TOL) -> bool:
-    """True iff the transpose equals ``a`` entrywise within ``tol``."""
-    m = require_square(a)
-    return bool(np.max(np.abs(m - m.T), initial=0.0) <= tol)
-
-
-def is_antisymmetric(a, tol: float = ALG_TOL) -> bool:
-    """True iff the transpose equals ``-a`` entrywise within ``tol``."""
-    m = require_square(a)
-    return bool(np.max(np.abs(m + m.T), initial=0.0) <= tol)
-
-
 def window_norm(a, keep) -> float:
     """Spectral norm of P a P for the coordinate projector P onto a boolean mask keep.
 
@@ -81,15 +67,16 @@ def fredholm_det(a) -> complex:
     return complex(np.linalg.det(np.eye(m.shape[0]) + m))
 
 
-def sqrtm_psd(a, tol: float = 1e-11) -> np.ndarray:
+def sqrtm_psd(a) -> np.ndarray:
     """Square root of a Hermitian positive-semidefinite matrix via eigh.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; anything more negative
-    raises, since the callers all rely on positivity.
+    Eigenvalues in [-1e-11, 0) (relative to the largest) are clipped to
+    zero; anything more negative raises, since the callers all rely on
+    positivity.
     """
     m = require_square(a)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    if w.min(initial=0.0) < -tol * max(1.0, abs(w).max(initial=1.0)):
+    if w.min(initial=0.0) < -1e-11 * max(1.0, abs(w).max(initial=1.0)):
         raise ValueError(f"matrix is not positive semidefinite (min eig {w.min()})")
     s = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)).astype(complex)) @ v.conj().T
     if np.isrealobj(m):
@@ -103,17 +90,17 @@ def expi_herm(a) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def polar_decompose(a, kernel_rtol: float = KERNEL_RTOL):
+def polar_decompose(a):
     """Return (u, pos) with a = u @ pos, pos = (a* a)^{1/2} >= 0.
 
     ``u`` is a partial isometry whose initial space is the orthogonal
-    complement of Ker a; singular values below kernel_rtol * s_max are
+    complement of Ker a; singular values below KERNEL_RTOL * s_max are
     treated as zero.  Real input gives real factors.
     """
     m = require_square(a)
     uu, s, vh = np.linalg.svd(m)
     smax = s.max(initial=0.0)
-    keep = s > kernel_rtol * max(smax, 1e-300)
+    keep = s > KERNEL_RTOL * max(smax, 1e-300)
     pos = (vh.conj().T * s) @ vh
     iso = uu[:, keep] @ vh[keep, :]
     if np.isrealobj(m):

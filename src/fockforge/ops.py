@@ -78,7 +78,7 @@ def weyl(space: FockSpace, y) -> np.ndarray:
     return expi_herm(field(space, y))
 
 
-def _pair_creator(space: FockSpace, c, symmetry_tol: float = 1e-12) -> scipy.sparse.csr_array:
+def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
     """a*(c) = sum_{jk} c_jk a*_j a*_k as a sparse array.
 
     Each a*_k has at most one nonzero per column (FockSpace.raising), so
@@ -90,10 +90,10 @@ def _pair_creator(space: FockSpace, c, symmetry_tol: float = 1e-12) -> scipy.spa
         raise ValueError(f"kernel is {c.shape}, expected {space.d}x{space.d}")
     scale = max(1.0, float(np.max(np.abs(c))))
     if space.is_fermi:
-        if np.max(np.abs(c + c.T)) > symmetry_tol * scale:
+        if np.max(np.abs(c + c.T)) > 1e-12 * scale:
             raise ValueError("fermionic pair kernel must be antisymmetric")
     else:
-        if np.max(np.abs(c - c.T)) > symmetry_tol * scale:
+        if np.max(np.abs(c - c.T)) > 1e-12 * scale:
             raise ValueError("bosonic pair kernel must be symmetric")
     target, weight = map(np.array, zip(*(space.raising(k) for k in range(space.d))))
     # a*_j a*_k sends basis vector i to row target[j, target[k, i]]; axes (j, k, i)
@@ -120,7 +120,7 @@ def _exp_series(space: FockSpace, a, x: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray:
+def multi_create(space: FockSpace, c) -> np.ndarray:
     """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k.
 
     c is the kernel of a Hilbert-Schmidt map from the conjugate space,
@@ -128,7 +128,7 @@ def multi_create(space: FockSpace, c, symmetry_tol: float = 1e-12) -> np.ndarray
     particle number by two; for c the (anti)symmetrized product of w1, w2
     it reduces to a*(w1) a*(w2).
     """
-    return _pair_creator(space, c, symmetry_tol).toarray()
+    return _pair_creator(space, c).toarray()
 
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
@@ -187,12 +187,12 @@ def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
     return pref * _exp_series(space, ac, mid @ x, -0.5)
 
 
-def jordan_wigner(n: int, include_tail: bool = False, tail_sign: int = 1):
+def jordan_wigner(n: int, include_tail: bool = False):
     """CAR generators on (C^2)^(x n) from Pauli strings.
 
     Returns the 2n operators (sigma1^(1), sigma2^(1), I_1 sigma1^(2), ...)
     where I_j is the product of the first j sigma3 factors; with
-    include_tail a (2n+1)-th element tail_sign * I_n is appended.  All
+    include_tail a (2n+1)-th element I_n is appended.  All
     pairwise anticommutators equal 2 delta_ij exactly.
     """
     if n < 1:
@@ -214,11 +214,11 @@ def jordan_wigner(n: int, include_tail: bool = False, tail_sign: int = 1):
         tail = np.eye(1, dtype=complex)
         for _ in range(n):
             tail = np.kron(tail, PAULI_3)
-        ops.append(tail_sign * tail)
+        ops.append(tail)
     return ops
 
 
-def q_operator(space: FockSpace, basis, tol: float = 1e-10) -> np.ndarray:
+def q_operator(space: FockSpace, basis) -> np.ndarray:
     """Q = i^{n(n-1)/2} phi(y_1) ... phi(y_n) for an orthonormal family.
 
     Orthonormality is with respect to the Euclidean form Re(z|w); Q is
@@ -233,7 +233,7 @@ def q_operator(space: FockSpace, basis, tol: float = 1e-10) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             expect = 1.0 if i == j else 0.0
-            if abs(euclidean_form(ys[i], ys[j]) - expect) > tol:
+            if abs(euclidean_form(ys[i], ys[j]) - expect) > 1e-10:
                 raise ValueError("basis is not orthonormal for the Euclidean form")
     q = np.eye(space.dim, dtype=complex) * (1j) ** (n * (n - 1) // 2)
     for y in ys:

@@ -6,7 +6,7 @@ density, and the confined-case spectral equivalences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -18,6 +18,12 @@ from .ops import _apply_squeezer
 from .thermal import ThermalParams, pair_kernel
 
 DEFAULT_CUTOFF = 10
+# the lowest system levels and the boson quanta below them that the confined check follows
+N_LEVELS = 3
+N_RIGHT = 2
+# eigenvalues this close (relative) form one cluster; a match needs this much overlap
+CLUSTER_TOL = 1e-4
+OVERLAP_MIN = 0.9
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,7 @@ def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
     return out.reshape(dim_k * d, dim_k)
 
 
-def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h_out: int,
-                 dim_h_in: int | None = None) -> scipy.sparse.csr_array:
+def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h: int) -> scipy.sparse.csr_array:
     """Tensor bbar into the middle leg: K (x) H -> K (x) Kbar (x) H.
 
     For a = C (x) A0 the result is C (x) bbar (x) A0.  a may be dense or
@@ -140,17 +145,15 @@ def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h_out: int,
     """
     bbar = scipy.sparse.coo_array(require_square(np.asarray(bbar, dtype=complex)))
     a = scipy.sparse.coo_array(a)
-    if dim_h_in is None:
-        dim_h_in = dim_h_out
-    if a.shape != (dim_k * dim_h_out, dim_k * dim_h_in):
+    if a.shape != (dim_k * dim_h, dim_k * dim_h):
         raise ValueError("operator shape does not match the stated legs")
     kb = bbar.shape[0]
-    i, x = np.divmod(a.row, dim_h_out)
-    j, y = np.divmod(a.col, dim_h_in)
-    rows = (i[:, None] * kb + bbar.row) * dim_h_out + x[:, None]
-    cols = (j[:, None] * kb + bbar.col) * dim_h_in + y[:, None]
+    i, x = np.divmod(a.row, dim_h)
+    j, y = np.divmod(a.col, dim_h)
+    rows = (i[:, None] * kb + bbar.row) * dim_h + x[:, None]
+    cols = (j[:, None] * kb + bbar.col) * dim_h + y[:, None]
     data = a.data[:, None] * bbar.data
-    shape = (dim_k * kb * dim_h_out, dim_k * kb * dim_h_in)
+    shape = (dim_k * kb * dim_h, dim_k * kb * dim_h)
     return scipy.sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
@@ -320,21 +323,20 @@ def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray
     return y.reshape(dw, r, -1).transpose(1, 0, 2).reshape(shape)
 
 
-def _reference_levels(model: PauliFierzModel, n_levels: int, reference_cutoff: int = 30):
-    ham, _ = hamiltonian(model, reference_cutoff)
-    return np.sort(np.linalg.eigvalsh(ham))[:n_levels]
+def _reference_levels(model: PauliFierzModel):
+    ham, _ = hamiltonian(model, 30)
+    return np.sort(np.linalg.eigvalsh(ham))[:N_LEVELS]
 
 
-def _semi_targets(model: PauliFierzModel, levels, n_right: int) -> list:
+def _semi_targets(model: PauliFierzModel, levels) -> list:
     h0 = float(np.linalg.eigvalsh(model.h).min())
     return [(f"E{i}-{j}", float(levels[i] - j * h0))
-            for i in range(len(levels)) for j in range(n_right + 1)]
+            for i in range(len(levels)) for j in range(N_RIGHT + 1)]
 
 
-def difference_targets(model: PauliFierzModel, n_levels: int = 3, n_right: int = 2,
-                       reference_cutoff: int = 30) -> list:
+def difference_targets(model: PauliFierzModel) -> list:
     """Well-converged difference eigenvalues E_i - j h for the check families."""
-    return _semi_targets(model, _reference_levels(model, n_levels, reference_cutoff), n_right)
+    return _semi_targets(model, _reference_levels(model))
 
 
 def _labelled_states(model: PauliFierzModel, cutoff: int, n_levels: int, n_right: int):
@@ -383,8 +385,8 @@ def _adjoint_product(vecs: np.ndarray, block: np.ndarray) -> np.ndarray:
     return prod.reshape(vecs.shape[1:] + block.shape[1:])
 
 
-def _cluster(vals: np.ndarray, i: int, cluster_tol: float) -> np.ndarray:
-    return np.abs(vals - vals[i]) <= cluster_tol * max(1.0, abs(vals[i]))
+def _cluster(vals: np.ndarray, i: int) -> np.ndarray:
+    return np.abs(vals - vals[i]) <= CLUSTER_TOL * max(1.0, abs(vals[i]))
 
 
 def exact_blocks(a) -> list:
@@ -415,23 +417,22 @@ def _block_spectra(a):
         yield (idx, *np.linalg.eigh(block))
 
 
-def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
-                               overlap_min: float = 0.9, cluster_tol: float = 1e-4) -> dict:
+def matched_spectral_deviation(liouvillean, comparison, dressing, targets) -> dict:
     """Deviation of overlap-identified eigenvalue pairs.
 
     Each target (name, value) or (name, value, state) is located at the
     nearest comparison eigenvalue.  Its comparison vector is the projection
     of the labelled product state onto the comparison eigenvectors within
-    cluster_tol of that eigenvalue (without a state: the nearest
+    CLUSTER_TOL of that eigenvalue (without a state: the nearest
     eigenvector), so a degenerate eigenspace is read independently of the
     basis the eigensolver returns; for an isolated eigenvalue it is the
     eigenvector up to phase.  The comparison vectors are pushed through the
-    dressing chart as one block: dressing is a matrix or a callable on
-    blocks of column vectors, such as apply_pair_squeezer.  The Liouvillean
+    dressing chart as one block: dressing is a callable on blocks of
+    column vectors, such as apply_pair_squeezer.  The Liouvillean
     partner is the eigenvalue of maximal overlap among all Liouvillean
     eigenvectors; the deviation is the gap between the overlap-weighted
     partner cluster and the target.  Targets whose labelled state or
-    dressed vector falls below overlap_min are reported but not counted.
+    dressed vector falls below OVERLAP_MIN are reported but not counted.
 
     Both operators may be dense or sparse.  Each gets one eigh per exact
     block (see exact_blocks), in real arithmetic when the block's imaginary
@@ -439,7 +440,6 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
     clusters and the projections run over the merged spectrum, since a
     degenerate eigenvalue may span blocks.
     """
-    apply_dressing = dressing if callable(dressing) else dressing.__matmul__
     entries = []  # per target: an unmatched reason, or the index of its chosen vector
     located, chosen = [], []
     blocks = list(_block_spectra(comparison))
@@ -453,14 +453,14 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
             continue
         vec = np.zeros(comparison.shape[0], dtype=complex)
         if state:
-            members = _cluster(vals_d, i, cluster_tol)
+            members = _cluster(vals_d, i)
             size = np.linalg.norm(state[0])  # zero when the truncation drops the state
             for b in np.unique(owner[members]):
                 idx, _, vecs = blocks[b]
                 sub = vecs[:, column[members & (owner == b)]]
                 vec[idx] = sub @ _adjoint_product(sub, state[0][idx]) / (size or 1.0)
             captured = float(np.vdot(vec, vec).real)
-            if captured < overlap_min:
+            if captured < OVERLAP_MIN:
                 entries.append((name, f"labelled state captured {captured:.3f}"))
                 continue
         else:
@@ -472,7 +472,7 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
     del blocks
     results = []
     if chosen:
-        psi = apply_dressing(np.stack(chosen, axis=1))
+        psi = dressing(np.stack(chosen, axis=1))
         psi = psi / np.linalg.norm(psi, axis=0)
         spectra = [(vals, np.abs(_adjoint_product(vecs, psi[idx])) ** 2)
                    for idx, vals, vecs in _block_spectra(liouvillean)]
@@ -481,9 +481,9 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets,
         for tgt, col in zip(located, overlaps.T):
             j = int(np.argmax(col))
             # near-degenerate eigenvalues act as one cluster for the overlap count
-            cluster = _cluster(vals_l, j, cluster_tol)
+            cluster = _cluster(vals_l, j)
             weight = float(col[cluster].sum())
-            if weight < overlap_min:
+            if weight < OVERLAP_MIN:
                 results.append(f"best overlap {weight:.3f}")
                 continue
             matched_val = float((col[cluster] * vals_l[cluster]).sum() / weight)
@@ -509,8 +509,7 @@ def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparis
     return matched_spectral_deviation(ell, comp, dressing, targets)
 
 
-def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14),
-                      n_levels: int = 3, n_right: int = 2) -> dict:
+def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14)) -> dict:
     """Spectral comparison of both Liouvilleans with the difference spectra of H.
 
     For each single-sided cutoff the semi-Liouvillean is compared with
@@ -531,14 +530,14 @@ def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14),
     sigma_x-coupled spin-boson model, for instance), each block in real
     arithmetic when its imaginary part is exactly zero, as for any real model.
     """
-    levels = _reference_levels(model, n_levels)
-    targets_semi = _semi_targets(model, levels, n_right)
+    levels = _reference_levels(model)
+    targets_semi = _semi_targets(model, levels)
     targets_std = [(f"E{i}-E{j}", float(levels[i] - levels[j]))
-                   for i in range(n_levels) for j in range(n_levels)]
+                   for i in range(N_LEVELS) for j in range(N_LEVELS)]
     report = {"cutoffs": list(cutoffs), "semi": [], "standard": [],
               "semi_detail": [], "standard_detail": []}
     for n in cutoffs:
-        states_semi, states_std = _labelled_states(model, n, n_levels, n_right)
+        states_semi, states_std = _labelled_states(model, n, N_LEVELS, N_RIGHT)
         families = (
             ("semi", semi_liouvillean, semi_comparison_operator, targets_semi, states_semi),
             ("standard", standard_liouvillean, standard_comparison_operator, targets_std,
@@ -551,26 +550,6 @@ def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14),
     report["tail_estimate"] = float(
         np.linalg.norm(model.gamma, 2) ** max(1, min(cutoffs)))
     return report
-
-
-@dataclass(frozen=True)
-class LiouvilleanBundle:
-    semi: scipy.sparse.csr_array
-    standard: scipy.sparse.csr_array
-    semi_free: scipy.sparse.csr_array
-    standard_free: scipy.sparse.csr_array
-    space_semi: FockSpace = dc_field(repr=False, default=None)
-    space_standard: FockSpace = dc_field(repr=False, default=None)
-
-
-def liouvillean_bundle(model: PauliFierzModel, cutoff: int | None = None) -> LiouvilleanBundle:
-    n = model.cutoff if cutoff is None else cutoff
-    semi, space_semi = semi_liouvillean(model, n)
-    zero_v = PauliFierzModel(model.K, model.h, np.zeros_like(model.v), model.gamma, n)
-    semi_free, _ = semi_liouvillean(zero_v, n)
-    std, space_std = standard_liouvillean(model, n)
-    std_free, _ = standard_liouvillean(zero_v, n)
-    return LiouvilleanBundle(semi, std, semi_free, std_free, space_semi, space_std)
 
 
 def spin_boson(coupling: float = 0.1, splitting: float = 1.0, omega: float = 1.0,

@@ -98,16 +98,15 @@ def npoint_function(space: FockSpace, vector: np.ndarray, ys) -> complex:
     return complex(np.vdot(vector, out))
 
 
-def verify_quasifree(space: FockSpace, vector, ys_family, kind: str | None = None,
-                     max_order: int = 6, rng=None) -> dict:
+def verify_quasifree(space: FockSpace, vector, ys_family) -> dict:
     """Compare operator n-point functions against Wick sums (n <= 6).
 
     The two-point function is measured from the vector itself, so the
     report quantifies quasi-freeness rather than assuming it.  Returns
-    per-order maximal defects and their overall maximum.
+    per-order maximal defects and their overall maximum: the odd orders
+    1 and 3, all order-4 words over the first four labels, and 60
+    order-6 words drawn with a fixed seed.
     """
-    if kind is None:
-        kind = space.statistics
     vector = np.asarray(vector, dtype=complex)
     ys = [as_doubled(y, space.d) for y in ys_family]
     k = len(ys)
@@ -127,31 +126,25 @@ def verify_quasifree(space: FockSpace, vector, ys_family, kind: str | None = Non
     odd_max = 0.0
     for i in range(k):
         odd_max = max(odd_max, abs(npoint_function(space, vector, [ys[i]])))
-    if max_order >= 3:
-        for i in range(min(k, 3)):
-            for j in range(min(k, 3)):
-                for l in range(min(k, 3)):
-                    odd_max = max(odd_max, abs(npoint_function(space, vector, [ys[i], ys[j], ys[l]])))
+    for i in range(min(k, 3)):
+        for j in range(min(k, 3)):
+            for l in range(min(k, 3)):
+                odd_max = max(odd_max, abs(npoint_function(space, vector, [ys[i], ys[j], ys[l]])))
     defects["odd"] = odd_max
 
-    if rng is None:
-        rng = np.random.default_rng(0)
-
-    def check_order(n, tuples):
+    def check_order(tuples):
         worst = 0.0
         for idx in tuples:
             actual = npoint_function(space, vector, [ys[i] for i in idx])
-            expected = wick_npoint(measured_two_point, list(idx), kind)
+            expected = wick_npoint(measured_two_point, list(idx), space.statistics)
             worst = max(worst, abs(actual - expected))
         return worst
 
-    if max_order >= 4:
-        pool = range(min(k, 4))
-        tuples4 = [(a, b, c, e) for a in pool for b in pool for c in pool for e in pool]
-        defects["4"] = check_order(4, tuples4)
-    if max_order >= 6:
-        tuples6 = [tuple(rng.integers(0, k, size=6)) for _ in range(60)]
-        defects["6"] = check_order(6, tuples6)
+    pool = range(min(k, 4))
+    defects["4"] = check_order([(a, b, c, e)
+                                for a in pool for b in pool for c in pool for e in pool])
+    rng = np.random.default_rng(0)
+    defects["6"] = check_order([tuple(rng.integers(0, k, size=6)) for _ in range(60)])
     defects["max"] = max(defects.values())
     return defects
 
@@ -312,14 +305,10 @@ def reduce_fermi(cov: CovarianceData) -> ReducedRepData:
     return ReducedRepData(FERMI, cov.dim // 2, j, chi_c, chart, abs_mu, metric)
 
 
-def reconstruction_defect(cov: CovarianceData, red: ReducedRepData, rng=None,
-                          trials: int = 25) -> float:
-    """Max defect of the two-point reconstruction identity on random pairs."""
-    if rng is None:
-        rng = np.random.default_rng(7)
+def reconstruction_defect(cov: CovarianceData, red: ReducedRepData, rng) -> float:
+    """Max defect of the two-point reconstruction identity on 25 random pairs."""
     worst = 0.0
-    sign = -2.0 if cov.kind == FERMI else 1.0
-    for _ in range(trials):
+    for _ in range(25):
         y1 = rng.standard_normal(cov.dim)
         y2 = rng.standard_normal(cov.dim)
         lhs = y1 @ cov.symmetric_form @ y2 + 0.5j * (y1 @ cov.omega @ y2)

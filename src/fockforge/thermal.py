@@ -242,7 +242,7 @@ class DoubledRep:
     def modular_data(self):
         return self.modular_conjugation(), self.modular_operator()
 
-    def left_monomials(self, max_degree: int | None = None):
+    def left_monomials(self):
         """Products of left creation/annihilation generators, vacuum-cyclic, as CSR arrays."""
         d = self.d
         gens = []
@@ -265,8 +265,7 @@ class DoubledRep:
                 if len(words) > 4 ** (2 * d):
                     break
             return words
-        if max_degree is None:
-            max_degree = self.space.n_max
+        max_degree = self.space.n_max
         words = []
         powers_up = [eye]
         for _ in range(max_degree):
@@ -285,15 +284,14 @@ class DoubledRep:
             words = [w @ x for w in words for x in extra]
         return words
 
-    def modular_oracle(self, monomials=None):
+    def modular_oracle(self):
         """(J, Delta) recovered from the polar decomposition of S: A Omega -> A* Omega.
 
         Returns (j_linear, delta); j_linear is the linear part of the
         antiunitary J.  Independent of modular_data up to the shared
         field definitions.
         """
-        if monomials is None:
-            monomials = self.left_monomials()
+        monomials = self.left_monomials()
         vac = self.space.vacuum()
         xs = np.column_stack([m @ vac for m in monomials])
         ys = np.column_stack([m.conj().T @ vac for m in monomials])
@@ -390,11 +388,11 @@ class DoubledRep:
         dens = gamma(self.space_single, self.params.gamma)
         return complex(np.trace(dens @ a) / np.trace(dens))
 
-    def confined_equivalence_report(self, h=None, window: int | None = None) -> dict:
+    def confined_equivalence_report(self) -> dict:
         """Residuals of the dressing identities relating theta and the thermal fields.
 
-        Bosonic field identities are compared on the sectors below
-        ``window`` (double-sided compression), since the dressing
+        Bosonic field identities are compared on the sectors up to two
+        particles (double-sided compression), since the dressing
         unitary loses unitarity near the cutoff; the Liouvillean
         invariance is a commutator, exact on the truncation, and is
         reported at full norm.
@@ -403,7 +401,7 @@ class DoubledRep:
         rdag = r.conj().T
         d = self.d
         if self.kind == BOSE:
-            keep = self.space.sector_mask(2 if window is None else window)
+            keep = self.space.sector_mask(2)
         else:
             keep = np.ones(self.space.dim, dtype=bool)
         out = {}
@@ -420,10 +418,8 @@ class DoubledRep:
         out["right_field_residual"] = float(worst_r)
         vac = self.space.vacuum()
         out["vacuum_residual"] = float(np.linalg.norm(r @ self.omega_vector() - vac))
-        if h is None:
-            h = self.params.h
-        if h is not None:
-            ell = self.standard_liouvillean(h)
+        if self.params.h is not None:
+            ell = self.standard_liouvillean()
             out["liouvillean_residual"] = float(np.linalg.norm(r @ ell - ell @ r, 2))
         return out
 
@@ -450,13 +446,16 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     return big / trace, trace, reference, tail
 
 
-def _complex_time_conjugation(ell, b, z: complex) -> np.ndarray:
-    """exp(izL) b exp(-izL) for a sparse Hermitian L via the eigendecomposition
-    of its dense form."""
+def _complex_time_conjugations(ell, b, *zs: complex) -> list:
+    """exp(izL) b exp(-izL) at each z, for a sparse Hermitian L, through one
+    eigendecomposition of its dense form."""
     w, v = np.linalg.eigh(ell.toarray())
-    left = (v * np.exp(1j * z * w)) @ v.conj().T
-    right = (v * np.exp(-1j * z * w)) @ v.conj().T
-    return left @ b @ right
+    out = []
+    for z in zs:
+        left = (v * np.exp(1j * z * w)) @ v.conj().T
+        right = (v * np.exp(-1j * z * w)) @ v.conj().T
+        out.append(left @ b @ right)
+    return out
 
 
 def _relative_defect(lhs: complex, rhs: complex) -> float:
@@ -477,8 +476,7 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float = 0.0) -> float:
     """
     ell = rep.standard_liouvillean(h)
     vac = rep.space.vacuum()
-    bz = _complex_time_conjugation(ell, b, t + 1j * beta)
-    bt = _complex_time_conjugation(ell, b, t)
+    bz, bt = _complex_time_conjugations(ell, b, t + 1j * beta, t)
     lhs = np.vdot(vac, a @ (bz @ vac))
     rhs = np.vdot(vac, bt @ (a @ vac))
     return _relative_defect(lhs, rhs)
@@ -490,8 +488,7 @@ def kms_check_density(space: FockSpace, gamma_one: np.ndarray, h, beta: float,
     dens = gamma(space, np.asarray(gamma_one, dtype=complex))
     z = np.trace(dens)
     ham = dgamma(space, np.asarray(h, dtype=complex))
-    bz = _complex_time_conjugation(ham, b, t + 1j * beta)
-    bt = _complex_time_conjugation(ham, b, t)
+    bz, bt = _complex_time_conjugations(ham, b, t + 1j * beta, t)
     lhs = np.trace(dens @ a @ bz) / z
     rhs = np.trace(dens @ bt @ a) / z
     return _relative_defect(lhs, rhs)

@@ -188,6 +188,34 @@ def one_stderr_line(capsys, prefix):
     return err.startswith(prefix) and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("p,q", [
+    ([[1.0, 0.2], [0.0, 1.0]], [[0.3, 0.1], [0.0, 0.2]]),
+    ([[1.0]], [[0.5]]),
+])
+def test_invalid_bose_blocks_fail_block_relations(tmp_path, p, q):
+    model = {"schema_version": 1, "task": "bogolubov", "statistics": "bose",
+             "p": cli.encode_matrix(np.array(p)), "q": cli.encode_matrix(np.array(q))}
+    path = write_model(tmp_path, "blocks.json", model)
+    out = tmp_path / "r.json"
+    assert cli.run(path, str(out), "json", seed=42) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["block-relations"]
+    assert checks[0]["pass"] is False
+
+
+@pytest.mark.parametrize("grid", [{"cutoff": 4}, {"cutoff": 2}, {"cutoff_grid": [6]},
+                                  {"cutoff_grid": [8, 6]}])
+def test_pauli_fierz_grid_must_increase(tmp_path, capsys, grid):
+    model = {"schema_version": 1, "task": "pauli-fierz",
+             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
+             "h": cli.encode_matrix(np.eye(1)),
+             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "gamma": cli.encode_matrix(np.array([[0.25]])), **grid}
+    path = write_model(tmp_path, "pf.json", model)
+    assert cli.run(path, None, "json", seed=42) == 2
+    assert one_stderr_line(capsys, "schema error: cutoff grid ")
+
+
 def test_suite_unknown_name(tmp_path, capsys):
     assert cli.suite("nope", str(tmp_path)) == 2
     assert one_stderr_line(capsys, "schema error: unknown suite 'nope'")

@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fockforge.fock import CutoffError, FockSpace, build_space, dgamma, exp_law, gamma
+from fockforge.fock import CutoffError, FockSpace, dgamma, exp_law, gamma
 
 
 def test_dimensions():
-    assert build_space("fermi", 2).dim == 4
-    assert build_space("bose", 1, 5).dim == 6
-    assert build_space("bose", 2, 3).dim == 10  # C(5,2)
+    assert FockSpace("fermi", 2).dim == 4
+    assert FockSpace("bose", 1, 5).dim == 6
+    assert FockSpace("bose", 2, 3).dim == 10  # C(5,2)
 
 
 def test_basis_is_graded_then_lexicographic():

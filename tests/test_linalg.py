@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fockforge.linalg import (NonSquareError, double_factorial, enumerate_pairings,
-                              fredholm_det, is_antisymmetric, is_symmetric,
-                              polar_decompose, sqrtm_psd, transpose_sharp)
+                              fredholm_det, polar_decompose, require_square, sqrtm_psd,
+                              transpose_sharp)
 
 
 def test_transpose_sharp_examples():
@@ -20,12 +20,9 @@ def test_transpose_sharp_involution_and_product():
     assert np.allclose(transpose_sharp(a @ b), transpose_sharp(b) @ transpose_sharp(a))
 
 
-def test_symmetry_predicates():
-    assert is_symmetric([[0, 1], [1, 0]])
-    assert is_antisymmetric([[0, 1], [-1, 0]])
-    assert not is_symmetric([[0, 1], [2, 0]])
+def test_require_square_rejects_non_square():
     with pytest.raises(NonSquareError):
-        is_symmetric(np.zeros((2, 3)))
+        require_square(np.zeros((2, 3)))
 
 
 def test_fredholm_det_examples():

@@ -261,6 +261,27 @@ def test_kms_mismatch_fails_at_large_beta():
     assert kms_check(good, h, beta, good.annihilate_left(e0), good.create_left(e0),
                      t=0.3) <= 1e-8
 
+def test_kms_checks_diagonalize_once(rng, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    h = np.array([[1.0]])
+    rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
+    a_op = rep.annihilate_left(np.eye(1)[0])
+    b_op = rep.create_left(np.eye(1)[0])
+    sp = FockSpace("fermi", 1)
+    a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    kms_check(rep, h, 1.0, a_op, b_op, t=0.3)
+    assert len(calls) == 1
+    kms_check_density(sp, scipy.linalg.expm(-h), h, 1.0, a, b, t=0.3)
+    assert len(calls) == 2
+
+
 def test_kms_density_oracle(rng):
     h = np.array([[1.0]])
     sp = FockSpace("fermi", 1)
