@@ -15,9 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import BOSE, FERMI, FockSpace, gamma
+from .fock import BOSE, FERMI, FockSpace
 from .linalg import require_square, sqrtm_psd
-from .ops import _exp_series, _pair_creator, bogolubov_matrix_on_doubled
+from .ops import _implementer_matrix, _pair_creator, bogolubov_matrix_on_doubled
 
 
 class FermiDegenerateError(ValueError):
@@ -144,11 +144,9 @@ def factorized_matrix(blocks: BogolubovBlocks) -> np.ndarray:
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
                          prefactor: complex) -> np.ndarray:
     """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
-    mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
-    t = 0.5 * blocks.sign
-    right = _exp_series(space, _pair_creator(space, cd.c).conj().T,
-                        np.eye(space.dim, dtype=complex), -t)
-    return prefactor * _exp_series(space, _pair_creator(space, cd.d_kernel), mid @ right, t)
+    return _implementer_matrix(space, prefactor, _pair_creator(space, cd.d_kernel),
+                               np.linalg.inv(blocks.p.conj().T), _pair_creator(space, cd.c),
+                               0.5 * blocks.sign)
 
 
 def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:

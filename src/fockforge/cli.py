@@ -20,7 +20,8 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import _report
-from .bogolubov import BogolubovBlocks, shale_implementer, validate_blocks
+from .bogolubov import (BogolubovBlocks, FermiDegenerateError, degenerate_implementer,
+                        shale_implementer, validate_blocks)
 from .fock import FockSpace
 from .linalg import window_norm
 from .ops import DoubledVector, gaussian_vector, squeezer, symplectic_form, weyl
@@ -145,7 +146,11 @@ def task_bogolubov(model, rng):
         # blocks that break the relations define no Bogolubov map to implement
         return checks
     space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
-    u = shale_implementer(space, blocks)
+    try:
+        u = shale_implementer(space, blocks)
+    except FermiDegenerateError:
+        # Ker p != 0: the closed form fails, the composed route does not
+        u = degenerate_implementer(space, blocks)
     z = rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0])
     y = DoubledVector.real_point(z / np.linalg.norm(z))
     defect = acceptance.intertwining_defect(space, blocks, u, y)
@@ -229,18 +234,20 @@ def task_pauli_fierz(model, rng):
     g = decode_matrix(model["gamma"]) if "gamma" in model else None
     cutoff = _number(model, "cutoff", 10, integer=True)
     pf = PauliFierzModel(k, h, v, g, cutoff)
+    given = "cutoff_grid" in model
+    cutoffs = (tuple(_numeric(n, "cutoff_grid", integer=True)
+                     for n in _require(model, "cutoff_grid", list))
+               if given else (max(4, cutoff - 4), cutoff))
+    # cutoff-improvement compares the first and the last cutoff of the grid;
+    # a given grid is checked even where no gamma uses it
+    if (given or g is not None) and (
+            len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:]))):
+        raise SchemaError(f"cutoff grid {list(cutoffs)} must increase strictly "
+                          "through at least two cutoffs")
     if g is None:
         ham, _ = hamiltonian(pf)
         herm = np.linalg.norm(ham - ham.conj().T, 2)
         return [_report("hamiltonian-hermiticity", herm, _tolerance(model, "hermitian", 1e-12))]
-    cutoffs = (max(4, cutoff - 4), cutoff)
-    if "cutoff_grid" in model:
-        cutoffs = tuple(_numeric(n, "cutoff_grid", integer=True)
-                        for n in _require(model, "cutoff_grid", list))
-    # cutoff-improvement compares the first and the last cutoff of the grid
-    if len(cutoffs) < 2 or any(a >= b for a, b in zip(cutoffs, cutoffs[1:])):
-        raise SchemaError(f"cutoff grid {list(cutoffs)} must increase strictly "
-                          "through at least two cutoffs")
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])
     tol = _tolerance(model, "spectra", 1e-5)

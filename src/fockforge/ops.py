@@ -79,11 +79,14 @@ def weyl(space: FockSpace, y) -> np.ndarray:
 
 
 def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
-    """a*(c) = sum_{jk} c_jk a*_j a*_k as a sparse array.
+    """a*(c) = sum_{jk} c_jk a*_j a*_k as a CSR array, by index arithmetic.
 
-    Each a*_k has at most one nonzero per column (FockSpace.raising), so
-    every a*_j a*_k is a gather of two such tables and no operator
-    product is formed.
+    Each a*_k has at most one nonzero per row (FockSpace.creation), so the
+    row of an occupation m is a gather of two lowering tables: for every
+    pair j <= k it holds c_jk a*_j a*_k + c_kj a*_k a*_j at the column of
+    m - e_j - e_k, and no operator product is formed.  In the graded
+    lexicographic basis those columns ascend with (j, k) in lexicographic
+    order, so the rows come out sorted and the array is built directly.
     """
     c = require_square(np.asarray(c, dtype=complex))
     if c.shape[0] != space.d:
@@ -95,13 +98,25 @@ def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
     else:
         if np.max(np.abs(c - c.T)) > 1e-12 * scale:
             raise ValueError("bosonic pair kernel must be symmetric")
-    target, weight = map(np.array, zip(*(space.raising(k) for k in range(space.d))))
-    # a*_j a*_k sends basis vector i to row target[j, target[k, i]]; axes (j, k, i)
-    rows = target[:, target]
-    vals = c[:, :, None] * weight[:, target] * weight[None, :, :]
-    cols = np.broadcast_to(np.arange(space.dim), rows.shape)
-    keep = vals != 0
-    return scipy.sparse.csr_array((vals[keep], (rows[keep], cols[keep])),
+    # a*_k sends basis vector low[k, r] to weight[k, r] e_r; rows it never reaches hold 0
+    low = np.zeros((space.d, space.dim), dtype=np.int64)
+    weight = np.zeros((space.d, space.dim))
+    for k in range(space.d):
+        a = space.creation(k)
+        filled = np.flatnonzero(np.diff(a.indptr))
+        low[k, filled] = a.indices
+        weight[k, filled] = a.data.real
+    # a*_j a*_k reaches row r from column low[k, low[j, r]]; axes (j, k, r)
+    vals = c[:, :, None] * weight[:, None, :] * weight[:, low].swapaxes(0, 1)
+    j, k = np.triu_indices(space.d)
+    pair = vals[j, k]
+    off = j != k
+    pair[off] += vals[k[off], j[off]]
+    cols = low[:, low].swapaxes(0, 1)[j, k]
+    stored = pair.T != 0
+    indptr = np.zeros(space.dim + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return scipy.sparse.csr_array((pair.T[stored], cols.T[stored], indptr),
                                   shape=(space.dim, space.dim))
 
 
@@ -163,6 +178,54 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
+def _apply_implementer(space: FockSpace, pref, a_left, m, a_right, t: float,
+                       x: np.ndarray) -> np.ndarray:
+    """pref exp(t a_left) Gamma(m) exp(-t a_right*) x for pair creators a_left, a_right.
+
+    The one factorized route of squeezers and Shale implementers.  Both
+    exponentials are finite series over the sparse pair creators.  Gamma(m)
+    keeps every particle-number sector, so it acts one diagonal sector block
+    at a time and no dim x dim product is formed.
+    """
+    # the arrays of a CSR a_right, read as CSC with conjugated data, are a_right*
+    adjoint = scipy.sparse.csc_array((a_right.data.conj(), a_right.indices, a_right.indptr),
+                                     shape=a_right.shape)
+    y = _exp_series(space, adjoint, x, -t)
+    g = gamma(space, m)
+    start = np.searchsorted(space.total_numbers, np.arange(space.n_max + 2))
+    for lo, hi in zip(start[:-1], start[1:]):
+        y[lo:hi] = g[lo:hi, lo:hi] @ y[lo:hi]
+    return pref * _exp_series(space, a_left, y, t)
+
+
+def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) -> np.ndarray:
+    """_apply_implementer on the identity, formed one parity class at a time, dense.
+
+    Every factor changes N by an even number, so the result is the direct
+    sum of its even and odd class blocks.  Row i of the start holds the unit
+    vector of i's position within its class, an identity of half the size:
+    the pair creators never mix the classes, so one pass of the series forms
+    both class blocks side by side, and each block is then put in place.
+    """
+    classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
+    y = np.zeros((space.dim, max(map(len, classes))), dtype=complex)
+    for cls in classes:
+        y[cls, np.arange(len(cls))] = 1.0
+    y = _apply_implementer(space, pref, a_left, m, a_right, t, y)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for cls in classes:
+        out[np.ix_(cls, cls)] = y[cls, :len(cls)]
+    return out
+
+
+def _squeezer_factors(space: FockSpace, c):
+    """The prefactor, the pair creator a*(c) and the one-particle middle factor of R."""
+    c = require_square(np.asarray(c, dtype=complex))
+    sign = 1.0 if space.is_fermi else -1.0
+    return (gaussian_normalization(space, c), _pair_creator(space, c),
+            sqrtm_psd(np.eye(space.d) + sign * (c @ c.conj().T)))
+
+
 def squeezer(space: FockSpace, c) -> np.ndarray:
     """The unitary R mapping the Gaussian vector of c back to the vacuum.
 
@@ -173,18 +236,14 @@ def squeezer(space: FockSpace, c) -> np.ndarray:
     are finite Taylor sums of n_max//2 terms.  Conjugation acts as
     a*(z) -> a*((1 -+ cc*)^{-1/2} z) +- a((1 -+ cc*)^{-1/2} c conj z).
     """
-    return _apply_squeezer(space, c, np.eye(space.dim, dtype=complex))
+    pref, ac, m = _squeezer_factors(space, c)
+    return _implementer_matrix(space, pref, ac, m, ac, -0.5)
 
 
 def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
     """squeezer(space, c) @ x without forming the squeezer."""
-    c = require_square(np.asarray(c, dtype=complex))
-    pref = gaussian_normalization(space, c)
-    sign = 1.0 if space.is_fermi else -1.0
-    mid = gamma(space, sqrtm_psd(np.eye(space.d) + sign * (c @ c.conj().T)))
-    ac = _pair_creator(space, c)
-    x = _exp_series(space, ac.conj().T, x, 0.5)
-    return pref * _exp_series(space, ac, mid @ x, -0.5)
+    pref, ac, m = _squeezer_factors(space, c)
+    return _apply_implementer(space, pref, ac, m, ac, -0.5, x)
 
 
 def jordan_wigner(n: int, include_tail: bool = False):

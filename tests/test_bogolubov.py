@@ -7,8 +7,9 @@ from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
                                  positive_orthogonal_from_c, positive_symplectic_from_c,
                                  random_orthogonal_blocks, random_symplectic_blocks,
                                  shale_implementer, validate_blocks)
-from fockforge.fock import FockSpace
-from fockforge.ops import DoubledVector, apply_doubled_matrix, field, squeezer
+from fockforge.fock import FockSpace, gamma
+from fockforge.ops import (DoubledVector, _exp_series, _pair_creator, apply_doubled_matrix, field,
+                           squeezer)
 
 
 @pytest.fixture
@@ -189,6 +190,29 @@ def test_positive_blocks_match_squeezer(rng):
     uf = shale_implementer(spf, positive_orthogonal_from_c(cf))
     assert np.linalg.norm(uf - squeezer(spf, cf).conj().T, 2) <= 1e-10
     assert np.linalg.norm(uf - squeezer(spf, -cf), 2) <= 1e-10
+
+
+def _dense_implementer(space, blocks):
+    """The Shale implementer formed on the whole identity with one dense Gamma product."""
+    cd = blocks_to_cd(blocks)
+    det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
+    pref = abs(det) ** (0.25 if space.is_fermi else -0.25)
+    t = 0.5 * blocks.sign
+    right = _exp_series(space, _pair_creator(space, cd.c).conj().T,
+                        np.eye(space.dim, dtype=complex), -t)
+    mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
+    return pref * _exp_series(space, _pair_creator(space, cd.d_kernel), mid @ right, t)
+
+
+@pytest.mark.parametrize("statistics, d, n_max", [("bose", 2, 8), ("fermi", 4, None)])
+def test_shale_implementer_by_parity_class(rng, statistics, d, n_max):
+    random_blocks = random_symplectic_blocks if statistics == "bose" else random_orthogonal_blocks
+    blocks = random_blocks(d, rng)
+    space = FockSpace(statistics, d, n_max)
+    u = shale_implementer(space, blocks)
+    odd = space.total_numbers % 2
+    assert not np.any(u[odd[:, None] != odd[None, :]])
+    assert np.max(np.abs(u - _dense_implementer(space, blocks))) <= 1e-13
 
 
 def test_inverse_blocks_and_adjoint_phase(rng):

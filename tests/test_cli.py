@@ -216,6 +216,31 @@ def test_pauli_fierz_grid_must_increase(tmp_path, capsys, grid):
     assert one_stderr_line(capsys, "schema error: cutoff grid ")
 
 
+def test_pauli_fierz_grid_checked_without_gamma(tmp_path, capsys):
+    model = {"schema_version": 1, "task": "pauli-fierz",
+             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
+             "h": cli.encode_matrix(np.eye(1)),
+             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "cutoff_grid": [8, 6]}
+    path = write_model(tmp_path, "pf.json", model)
+    assert cli.run(path, None, "json", seed=42) == 2
+    assert one_stderr_line(capsys, "schema error: cutoff grid [8, 6] ")
+
+
+def test_degenerate_bogolubov_blocks_run(tmp_path):
+    # p = 0: the mode-pair swap that phi_0 phi_1 implements, Ker p is everything
+    model = {"schema_version": 1, "task": "bogolubov", "statistics": "fermi",
+             "p": cli.encode_matrix(np.zeros((2, 2))),
+             "q": cli.encode_matrix(np.array([[0, -1], [1, 0]]))}
+    path = write_model(tmp_path, "swap.json", model)
+    out = tmp_path / "r.json"
+    assert cli.run(path, str(out), "json", seed=42) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["block-relations", "implementer-unitarity",
+                                           "intertwining"]
+    assert all(c["residual"] <= 1e-14 for c in checks)
+
+
 def test_suite_unknown_name(tmp_path, capsys):
     assert cli.suite("nope", str(tmp_path)) == 2
     assert one_stderr_line(capsys, "schema error: unknown suite 'nope'")
@@ -277,3 +302,13 @@ def test_suite_smoke(tmp_path):
 def test_main_entry(tmp_path):
     path = write_model(tmp_path, "model.json", identity_bogolubov_model())
     assert cli.main(["run", path, "--out", str(tmp_path / "o.json")]) == 0
+
+
+def test_python_dash_m_runs_a_model(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "fockforge", "run",
+                           str(ROOT / "docs" / "models" / "fermi_rotation.json"),
+                           "--out", str(tmp_path / "r.json")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["pass"] is True

@@ -7,6 +7,8 @@ from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, canonical_d
                            euclidean_form, field, gaussian_normalization, gaussian_vector,
                            jordan_wigner, multi_create, pair_exponential_vacuum, q_operator,
                            squeezer, symplectic_form, weyl)
+from fockforge.paulifierz import apply_pair_squeezer
+from fockforge.thermal import pair_kernel
 
 
 @pytest.fixture
@@ -216,6 +218,28 @@ def test_squeezer_conjugation_signs(rng):
     lhs_f = rf @ spf.create(zf) @ rf.conj().T
     rhs_f = spf.create(pf @ zf) - spf.annihilate(pf @ cf @ np.conj(zf))
     assert np.linalg.norm(lhs_f - rhs_f, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("statistics, d, n_max", [("bose", 1, 9), ("bose", 3, 5),
+                                                  ("fermi", 4, None)])
+def test_squeezer_keeps_parity(rng, statistics, d, n_max):
+    # every factor of R changes N by an even number
+    space = FockSpace(statistics, d, n_max)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    c = a + a.T if statistics == "bose" else a - a.T
+    r = squeezer(space, 0.4 * c / np.linalg.norm(c, 2))
+    odd = space.total_numbers % 2
+    assert not np.any(r[odd[:, None] != odd[None, :]])
+    assert np.all(np.abs(np.diag(r)) > 0)
+
+
+@pytest.mark.parametrize("legs", [1, 3])
+def test_apply_pair_squeezer_is_squeezer_product(rng, legs):
+    space = FockSpace("bose", 2, 7)
+    gamma_one = np.array([[0.3]])
+    x = rng.standard_normal((legs * space.dim, 4)) + 1j * rng.standard_normal((legs * space.dim, 4))
+    want = np.kron(np.eye(legs), squeezer(space, pair_kernel(gamma_one, "bose"))) @ x
+    assert np.max(np.abs(apply_pair_squeezer(space, gamma_one, x) - want)) <= 1e-13
 
 
 def test_jordan_wigner():
