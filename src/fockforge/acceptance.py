@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .bogolubov import (metaplectic_pair, positive_symplectic_from_c,
-                        random_orthogonal_blocks, shale_implementer)
-from .fock import BOSE, FockSpace
+from .bogolubov import metaplectic_pair, positive_blocks_from_c, random_blocks, shale_implementer
+from .fock import BOSE, FERMI, FockSpace
 from .lattice import RealSubspace, fermionic_duality_check
 from .linalg import window_norm
 from .ops import DoubledVector, apply_doubled_matrix, euclidean_form, field, gaussian_vector
 from .paulifierz import confined_pf_check, spin_boson
-from .quasifree import aw_covariance, reduce_bose, reconstruction_defect
+from .quasifree import aw_covariance, reconstruction_defect, reduce_covariance
 from .thermal import DoubledRep, ThermalParams, confined_gibbs, kms_check
 
 
@@ -74,21 +73,18 @@ def intertwining_defect(space, blocks, u, y):
 
 
 def kernel_defect(space, c, om, z):
-    """The vector (a(z) -+ a*(c zbar)) om, + for fermions and - for bosons; it
-    vanishes when om is the Gaussian vector of kernel c."""
-    up = c @ np.conj(z)
-    return space.ladder(up if space.is_fermi else -up, z) @ om
+    """The vector (a(z) + s a*(c zbar)) om for the statistics sign s; it vanishes
+    when om is the Gaussian vector of kernel c."""
+    return space.ladder(space.sign * (c @ np.conj(z)), z) @ om
 
 
 def two_point_defect(rep, z1, z2):
-    """|<a(z1) a*(z2)> - (z1|(1 +- rho) z2)| in the vacuum of rep, rho its density;
-    + for bosons, - for fermions."""
+    """|<a(z1) a*(z2)> - (z1|(1 - s rho) z2)| in the vacuum of rep, rho its density
+    and s the statistics sign."""
     dens = rep.params.density
     vac = rep.space.vacuum()
     got = np.vdot(vac, rep.annihilate_left(z1) @ (rep.create_left(z2) @ vac))
-    if rep.kind == BOSE:
-        return abs(got - (np.vdot(z1, z2) + np.vdot(z1, dens @ z2)))
-    return abs(got - (np.vdot(z1, z2) - np.vdot(z1, dens @ z2)))
+    return abs(got - (np.vdot(z1, z2) - rep.space.sign * np.vdot(z1, dens @ z2)))
 
 
 def conjugation_defect(rep, j, rng, trials):
@@ -126,14 +122,14 @@ def duality_defect(space, rng):
 # -- the criteria ------------------------------------------------------------
 
 
-def criterion_car_exactness(seed=42):
+def criterion_car_exactness(seed):
     """CAR anticommutators are exact for random dimensions and vectors."""
     rng = _rng(seed)
     worst = max(car_defect(FockSpace("fermi", d), rng, 34) for d in (2, 4, 6))
     return _report("car-exactness", worst, 1e-12)
 
 
-def criterion_ccr_truncation(seed=42):
+def criterion_ccr_truncation(seed):
     """[a(w1), a*(w2)] - (w1|w2) vanishes exactly below the top sector."""
     rng = _rng(seed)
     worst = max(ccr_defect(FockSpace("bose", d, cutoff), rng, 10)
@@ -141,7 +137,7 @@ def criterion_ccr_truncation(seed=42):
     return _report("ccr-truncation", worst, 1e-12)
 
 
-def criterion_trace_identities(seed=42):
+def criterion_trace_identities(seed):
     """Tr Gamma(gamma) against the closed determinant formulas."""
     rng = _rng(seed)
     worst_fermi = 0.0
@@ -171,14 +167,14 @@ def criterion_trace_identities(seed=42):
                    {"fermi_rel": worst_fermi, "bose_tail_violation": worst_bose})
 
 
-def criterion_implementers(seed=42):
+def criterion_implementers(seed):
     """Shale/Pin intertwining and the metaplectic composition sign."""
     rng = _rng(seed)
     worst_fermi = 0.0
     for d in (2, 3):
         space = FockSpace("fermi", d)
         for _ in range(10):
-            blocks = random_orthogonal_blocks(d, rng)
+            blocks = random_blocks(d, FERMI, rng)
             u = shale_implementer(space, blocks)
             y = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
             worst_fermi = max(worst_fermi,
@@ -187,7 +183,7 @@ def criterion_implementers(seed=42):
     keep = space_b.sector_mask(2)
     worst_bose = 0.0
     for t in (0.1, 0.2, 0.3):
-        blocks = positive_symplectic_from_c(np.array([[np.tanh(t)]], dtype=complex))
+        blocks = positive_blocks_from_c(np.array([[np.tanh(t)]], dtype=complex), BOSE)
         u = shale_implementer(space_b, blocks)
         y = DoubledVector.real_point(np.array([1.0 + 0.3j]))
         defect = intertwining_defect(space_b, blocks, u, y)
@@ -196,8 +192,8 @@ def criterion_implementers(seed=42):
     space_f = FockSpace("fermi", 3)
     worst_comp_f = 0.0
     for _ in range(5):
-        r1 = random_orthogonal_blocks(3, rng)
-        r2 = random_orthogonal_blocks(3, rng)
+        r1 = random_blocks(3, FERMI, rng)
+        r2 = random_blocks(3, FERMI, rng)
         u1, _ = metaplectic_pair(space_f, r1)
         u2, _ = metaplectic_pair(space_f, r2)
         u12, _ = metaplectic_pair(space_f, r1.compose(r2))
@@ -206,8 +202,8 @@ def criterion_implementers(seed=42):
                                              np.linalg.norm(prod + u12, 2)))
     space_big = FockSpace("bose", 1, 32)
     keep_big = space_big.sector_mask(2)
-    r1 = positive_symplectic_from_c(np.array([[np.tanh(0.25)]], dtype=complex))
-    r2 = positive_symplectic_from_c(np.array([[-np.tanh(0.2)]], dtype=complex))
+    r1 = positive_blocks_from_c(np.array([[np.tanh(0.25)]], dtype=complex), BOSE)
+    r2 = positive_blocks_from_c(np.array([[-np.tanh(0.2)]], dtype=complex), BOSE)
     u1, _ = metaplectic_pair(space_big, r1)
     u2, _ = metaplectic_pair(space_big, r2)
     u12, _ = metaplectic_pair(space_big, r1.compose(r2))
@@ -221,8 +217,8 @@ def criterion_implementers(seed=42):
     return _report("bogolubov-implementers", max(extras.values()), 1e-7, extras, passed)
 
 
-def criterion_gaussian_kernels(seed=42):
-    """(a(z) -+ a*(c zbar)) Omega_c residuals for random kernels."""
+def criterion_gaussian_kernels(seed):
+    """(a(z) + s a*(c zbar)) Omega_c residuals for random kernels, s the statistics sign."""
     rng = _rng(seed)
     worst_fermi = 0.0
     for _ in range(20):
@@ -246,7 +242,7 @@ def criterion_gaussian_kernels(seed=42):
                    {"fermi": worst_fermi, "bose": worst_bose}, passed)
 
 
-def criterion_two_point(seed=42):
+def criterion_two_point(seed):
     """Thermal two-point functions against the closed forms."""
     rng = _rng(seed)
     worst = {"fermi": 0.0, "bose": 0.0}
@@ -267,31 +263,31 @@ def criterion_two_point(seed=42):
     return _report("thermal-two-point", max(worst.values()), 1e-6, worst, passed)
 
 
-def criterion_modular(seed=42):
+def criterion_modular(seed):
     """Modular operator and conjugation against the polar-of-S oracle."""
-    h = np.array([[1.0, 0.3], [0.3, 0.6]], dtype=complex)
-    rep_f = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
-    j_f, delta_f = rep_f.modular_data()
-    j_lin, delta_oracle = rep_f.modular_oracle()
-    res_delta_f = np.linalg.norm(delta_oracle - delta_f, 2) / np.linalg.norm(delta_f, 2)
-    res_j = np.linalg.norm(j_lin - j_f.unitary, 2)
+    oracle, reps = [], {}
+    for kind, h, cutoff in ((FERMI, [[1.0, 0.3], [0.3, 0.6]], None), (BOSE, [[1.0]], 7)):
+        rep = DoubledRep(ThermalParams.gibbs(kind, np.array(h, dtype=complex), 1.0),
+                         single_cutoff=cutoff)
+        j, delta = rep.modular_data()
+        j_lin, delta_oracle = rep.modular_oracle()
+        oracle += [np.linalg.norm(delta_oracle - delta, 2) / np.linalg.norm(delta, 2),
+                   np.linalg.norm(j_lin - j.unitary, 2)]
+        reps[kind] = rep, j, delta
+    rep_f, j_f, _ = reps[FERMI]
     res_conj = conjugation_defect(rep_f, j_f, _rng(seed), 5)
-    rep_b = DoubledRep(ThermalParams.gibbs("bose", np.array([[1.0]]), 1.0), single_cutoff=7)
-    j_b, delta_b = rep_b.modular_data()
-    jb_lin, delta_b_oracle = rep_b.modular_oracle()
-    res_delta_b = np.linalg.norm(delta_b_oracle - delta_b, 2) / np.linalg.norm(delta_b, 2)
-    res_jb = np.linalg.norm(jb_lin - j_b.unitary, 2)
+    rep_b, _, delta_b = reps[BOSE]
     ell = rep_b.standard_liouvillean()
     res_exp = (np.linalg.norm(delta_b - scipy.linalg.expm(-ell.toarray()), 2)
                / np.linalg.norm(delta_b, 2))
-    worst_oracle = max(res_delta_f, res_j, res_delta_b, res_jb)
+    worst_oracle = max(oracle)
     passed = worst_oracle <= 1e-7 and res_conj <= 1e-10 and res_exp <= 1e-9
     return _report("modular-data", max(worst_oracle, res_conj, res_exp), 1e-7,
                    {"oracle": worst_oracle, "conjugation": res_conj, "exp_liouvillean": res_exp},
                    passed)
 
 
-def criterion_kms(seed=42):
+def criterion_kms(seed):
     """KMS boundary defect, matched and deliberately mismatched."""
     rng = _rng(seed)
     results = {}
@@ -317,7 +313,7 @@ def criterion_kms(seed=42):
     return _report("kms-boundary", match_res, 1e-8, results, passed)
 
 
-def criterion_lattice_duality(seed=42):
+def criterion_lattice_duality(seed):
     """Fermionic duality between the commutant and the dressed complement."""
     rng = _rng(seed)
     space = FockSpace("fermi", 2)
@@ -325,7 +321,7 @@ def criterion_lattice_duality(seed=42):
     return _report("fermionic-duality", worst, 1e-8)
 
 
-def criterion_confined_pf(seed=42):
+def criterion_confined_pf(seed):
     """Confined Liouvillean spectra against the difference spectra of H."""
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=14)
     rep = confined_pf_check(model, cutoffs=(8, 10, 12, 14))
@@ -340,13 +336,13 @@ def criterion_confined_pf(seed=42):
                     "all_matched": bool(complete), "tail_estimate": rep["tail_estimate"]}, passed)
 
 
-def criterion_quasifree_reduction(seed=42):
+def criterion_quasifree_reduction(seed):
     """Covariance reduction reproduces the density and the two-point form."""
     rng = _rng(seed)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = a @ a.conj().T / 2
     cov = aw_covariance(rho)
-    red = reduce_bose(cov)
+    red = reduce_covariance(cov)
     spec_in = np.sort(np.linalg.eigvalsh(rho))
     spec_out = np.sort(np.linalg.eigvals(red.density).real)
     res = float(np.max(np.abs(spec_in - spec_out)))
@@ -371,7 +367,7 @@ FULL_BATTERY = [
 SMOKE_BATTERY = ("criterion-01", "criterion-02", "criterion-03", "criterion-05", "criterion-08")
 
 
-def run_battery(which="full", seed=42):
+def run_battery(which, seed):
     """(name, report) for every criterion of the full battery, or of its smoke subset."""
     return [(name, fn(seed)) for name, fn in FULL_BATTERY
             if which == "full" or name in SMOKE_BATTERY]

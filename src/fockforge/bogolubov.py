@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fock import BOSE, FERMI, FockSpace
+from .fock import BOSE, FERMI, SIGN, FockSpace
 from .linalg import require_square, sqrtm_psd
 from .ops import _implementer_matrix, _pair_creator, bogolubov_matrix_on_doubled
 
@@ -50,8 +50,7 @@ class BogolubovBlocks:
 
     @property
     def sign(self) -> float:
-        # sign in p*p + s q# qbar = 1 and friends
-        return 1.0 if self.statistics == FERMI else -1.0
+        return SIGN[self.statistics]
 
     def matrix(self) -> np.ndarray:
         return bogolubov_matrix_on_doubled(self.p, self.q)
@@ -64,9 +63,7 @@ class BogolubovBlocks:
         return BogolubovBlocks(p, q, self.statistics)
 
     def inverse(self) -> "BogolubovBlocks":
-        # bose: (p*, -q^T); fermi: (p*, q^T)
-        qt = self.q.T if self.statistics == FERMI else -self.q.T
-        return BogolubovBlocks(self.p.conj().T, qt, self.statistics)
+        return BogolubovBlocks(self.p.conj().T, self.sign * self.q.T, self.statistics)
 
     @classmethod
     def identity(cls, d: int, statistics: str) -> "BogolubovBlocks":
@@ -117,12 +114,8 @@ def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
         raise np.linalg.LinAlgError("bosonic p unexpectedly singular")
     c1 = np.linalg.solve(p, q)
     d1 = q @ np.linalg.inv(p.conj())
-    if blocks.statistics == FERMI:
-        c2 = -q.T @ np.linalg.inv(p.T)
-        d2 = -np.linalg.inv(p.conj().T) @ q.T
-    else:
-        c2 = q.T @ np.linalg.inv(p.T)
-        d2 = np.linalg.inv(p.conj().T) @ q.T
+    c2 = -blocks.sign * q.T @ np.linalg.inv(p.T)
+    d2 = -blocks.sign * np.linalg.inv(p.conj().T) @ q.T
     scale = max(1.0, float(np.abs(c1).max()), float(np.abs(d1).max()))
     if np.max(np.abs(c1 - c2)) > 1e-9 * scale or np.max(np.abs(d1 - d2)) > 1e-9 * scale:
         raise np.linalg.LinAlgError("the two defining expressions for c or d disagree")
@@ -170,8 +163,7 @@ def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:
                 RuntimeWarning,
             )
     det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
-    expo = 0.25 if blocks.statistics == FERMI else -0.25
-    pref = float(abs(det)) ** expo
+    pref = float(abs(det)) ** (0.25 * blocks.sign)
     return _implementer_from_cd(space, blocks, cd, pref)
 
 
@@ -191,26 +183,21 @@ def metaplectic_pair(space: FockSpace, blocks: BogolubovBlocks):
     return u, -u
 
 
-def positive_symplectic_from_c(c) -> BogolubovBlocks:
-    """The positive symplectic map whose implementer is the squeezer of c."""
+def positive_blocks_from_c(c, statistics: str) -> BogolubovBlocks:
+    """The positive map p = (1 + s cc*)^{-1/2}, q = p c whose implementer is the squeezer of c.
+
+    c is symmetric for bosons, where it must be a strict contraction, and
+    antisymmetric for fermions; s is the statistics sign.
+    """
     c = require_square(np.asarray(c, dtype=complex))
-    if np.linalg.norm(c, 2) >= 1.0:
+    s = SIGN[statistics]
+    if s < 0 and np.linalg.norm(c, 2) >= 1.0:
         raise ValueError("need ||c|| < 1")
-    if np.max(np.abs(c - c.T)) > 1e-12 * max(1.0, np.abs(c).max()):
-        raise ValueError("bosonic kernel must be symmetric")
-    g = c @ c.conj().T
-    p = np.linalg.inv(sqrtm_psd(np.eye(c.shape[0]) - g))
-    return BogolubovBlocks(p, p @ c, BOSE)
-
-
-def positive_orthogonal_from_c(c) -> BogolubovBlocks:
-    """The j-self-adjoint orthogonal map whose implementer is the squeezer of c."""
-    c = require_square(np.asarray(c, dtype=complex))
-    if np.max(np.abs(c + c.T)) > 1e-12 * max(1.0, np.abs(c).max()):
-        raise ValueError("fermionic kernel must be antisymmetric")
-    g = c @ c.conj().T
-    p = np.linalg.inv(sqrtm_psd(np.eye(c.shape[0]) + g))
-    return BogolubovBlocks(p, p @ c, FERMI)
+    if np.max(np.abs(c + s * c.T)) > 1e-12 * max(1.0, np.abs(c).max()):
+        raise ValueError("bosonic kernel must be symmetric" if s < 0
+                         else "fermionic kernel must be antisymmetric")
+    p = np.linalg.inv(sqrtm_psd(np.eye(c.shape[0]) + s * (c @ c.conj().T)))
+    return BogolubovBlocks(p, p @ c, statistics)
 
 
 def mode_pair_swap(d: int, k: int, l: int) -> BogolubovBlocks:
@@ -268,35 +255,23 @@ def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndar
     raise FermiDegenerateError("no mode-pair completion made p invertible")
 
 
-def random_orthogonal_blocks(d: int, rng: np.random.Generator) -> BogolubovBlocks:
-    """Generic j-nondegenerate fermionic Bogolubov map, u . r_c . v."""
+# spectral norm of the squeezing kernel of random_blocks
+RANDOM_KERNEL_NORM = {BOSE: 0.3, FERMI: 0.6}
+
+
+def random_blocks(d: int, statistics: str, rng: np.random.Generator) -> BogolubovBlocks:
+    """Generic Bogolubov map u . r_c . v: u, v unitary, r_c positive with kernel norm
+    RANDOM_KERNEL_NORM; fermionic maps are j-nondegenerate."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    c = (a - a.T) / 2
+    c = (a - SIGN[statistics] * a.T) / 2
     nrm = np.linalg.norm(c, 2)
     if nrm > 0:
-        c = 0.6 * c / nrm
-    core = positive_orthogonal_from_c(c)
+        c = RANDOM_KERNEL_NORM[statistics] * c / nrm
+    core = positive_blocks_from_c(c, statistics)
 
     def unitary_blocks():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u, _ = np.linalg.qr(g)
-        return BogolubovBlocks(u, np.zeros((d, d), dtype=complex), FERMI)
-
-    return unitary_blocks().compose(core).compose(unitary_blocks())
-
-
-def random_symplectic_blocks(d: int, rng: np.random.Generator) -> BogolubovBlocks:
-    """Generic bosonic Bogolubov map with a bounded squeezing kernel."""
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    c = (a + a.T) / 2
-    nrm = np.linalg.norm(c, 2)
-    if nrm > 0:
-        c = 0.3 * c / nrm
-    core = positive_symplectic_from_c(c)
-
-    def unitary_blocks():
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u, _ = np.linalg.qr(g)
-        return BogolubovBlocks(u, np.zeros((d, d), dtype=complex), BOSE)
+        return BogolubovBlocks(u, np.zeros((d, d), dtype=complex), statistics)
 
     return unitary_blocks().compose(core).compose(unitary_blocks())

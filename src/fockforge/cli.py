@@ -145,7 +145,7 @@ def task_bogolubov(model, rng):
     if not checks[0]["pass"]:
         # blocks that break the relations define no Bogolubov map to implement
         return checks
-    space = FockSpace(stat, p.shape[0], cutoff if stat == "bose" else None)
+    space = FockSpace(stat, p.shape[0], cutoff)  # a fermionic space ignores the cutoff
     try:
         u = shale_implementer(space, blocks)
     except FermiDegenerateError:
@@ -171,7 +171,7 @@ def task_gaussian(model, rng):
     stat = _statistics(model)
     c = decode_matrix(_require(model, "c", list))
     cutoff = _number(model, "cutoff", 20 if stat == "bose" else 0, integer=True)
-    space = FockSpace(stat, c.shape[0], cutoff if stat == "bose" else None)
+    space = FockSpace(stat, c.shape[0], cutoff)
     om = gaussian_vector(space, c)
     z = rng.standard_normal(c.shape[0]) + 1j * rng.standard_normal(c.shape[0])
     tol_k = _tolerance(model, "kernel", 1e-12 if stat == "fermi" else 1e-8)

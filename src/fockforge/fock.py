@@ -19,6 +19,9 @@ DIM_GUARD = 10**6
 
 BOSE = "bose"
 FERMI = "fermi"
+# the statistics sign s of p*p + s q#qbar = 1, det(1 + s cc*), gamma (1 + s gamma)^{-1}
+# and their kin: every bose/fermi construction is written once in terms of it
+SIGN = {BOSE: -1.0, FERMI: 1.0}
 
 
 class CutoffError(ValueError):
@@ -78,6 +81,10 @@ class FockSpace:
     @property
     def is_fermi(self) -> bool:
         return self.statistics == FERMI
+
+    @property
+    def sign(self) -> float:
+        return SIGN[self.statistics]
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)

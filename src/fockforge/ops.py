@@ -91,13 +91,9 @@ def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
     c = require_square(np.asarray(c, dtype=complex))
     if c.shape[0] != space.d:
         raise ValueError(f"kernel is {c.shape}, expected {space.d}x{space.d}")
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if space.is_fermi:
-        if np.max(np.abs(c + c.T)) > 1e-12 * scale:
-            raise ValueError("fermionic pair kernel must be antisymmetric")
-    else:
-        if np.max(np.abs(c - c.T)) > 1e-12 * scale:
-            raise ValueError("bosonic pair kernel must be symmetric")
+    if np.max(np.abs(c + space.sign * c.T)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+        raise ValueError("fermionic pair kernel must be antisymmetric" if space.is_fermi
+                         else "bosonic pair kernel must be symmetric")
     # a*_k sends basis vector low[k, r] to weight[k, r] e_r; rows it never reaches hold 0
     low = np.zeros((space.d, space.dim), dtype=np.int64)
     weight = np.zeros((space.d, space.dim))
@@ -152,21 +148,17 @@ def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
 
 
 def gaussian_normalization(space: FockSpace, c) -> float:
-    """det(1 -+ c c*)^{+-1/4}: + for bosons, - for fermions.
+    """det(1 + s c c*)^{-s/4} for the statistics sign s.
 
     The bosonic kernel must be a strict contraction.
     """
     c = np.asarray(c, dtype=complex)
-    g = c @ c.conj().T
-    eye = np.eye(space.d)
-    if space.is_fermi:
-        val = np.linalg.det(eye + g).real ** (-0.25)
-    else:
+    s = space.sign
+    if s < 0:
         norm = np.linalg.norm(c, 2)
         if norm >= 1.0:
             raise ValueError(f"bosonic pair kernel needs ||c|| < 1, got {norm}")
-        val = np.linalg.det(eye - g).real ** 0.25
-    return float(val)
+    return float(np.linalg.det(np.eye(space.d) + s * (c @ c.conj().T)).real ** (-0.25 * s))
 
 
 def gaussian_vector(space: FockSpace, c) -> np.ndarray:
@@ -221,9 +213,8 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
 def _squeezer_factors(space: FockSpace, c):
     """The prefactor, the pair creator a*(c) and the one-particle middle factor of R."""
     c = require_square(np.asarray(c, dtype=complex))
-    sign = 1.0 if space.is_fermi else -1.0
     return (gaussian_normalization(space, c), _pair_creator(space, c),
-            sqrtm_psd(np.eye(space.d) + sign * (c @ c.conj().T)))
+            sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T)))
 
 
 def squeezer(space: FockSpace, c) -> np.ndarray:

@@ -157,16 +157,18 @@ def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h: int) -> scipy.sparse.cs
     return scipy.sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
+def _coupled(model: PauliFierzModel, space: FockSpace, energy, coupling) -> scipy.sparse.csr_array:
+    """K (x) 1 + 1 (x) dGamma(energy) + a*(coupling) + a(coupling) on C^k (x) space, sparse."""
+    inter = coupled_create(model.dim_k, space, coupling)
+    return (_kron(model.K, _eye(space.dim)) + _kron(_eye(model.dim_k), dgamma(space, energy))
+            + inter + inter.conj().T)
+
+
 def hamiltonian(model: PauliFierzModel, cutoff: int | None = None):
     """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v); returns (H, space), H dense."""
     n = model.cutoff if cutoff is None else cutoff
     space = FockSpace(BOSE, model.d, n)
-    eye_k = np.eye(model.dim_k)
-    h_free = (np.kron(model.K, np.eye(space.dim))
-              + np.kron(eye_k, dgamma(space, model.h).toarray()))
-    inter = coupled_create(model.dim_k, space, model.v).toarray()
-    ham = h_free + inter + inter.conj().T
-    return ham, space
+    return _coupled(model, space, model.h, model.v).toarray(), space
 
 
 def _doubled_energy(model: PauliFierzModel) -> np.ndarray:
@@ -215,10 +217,7 @@ def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
         raise ValueError("semi-Liouvillean needs a density gamma")
     n = model.cutoff if cutoff is None else cutoff
     space = FockSpace(BOSE, 2 * model.d, 2 * n)
-    free = (_kron(model.K, _eye(space.dim))
-            + _kron(_eye(model.dim_k), dgamma(space, _doubled_energy(model))))
-    inter = coupled_create(model.dim_k, space, dressed_coupling(model))
-    return free + inter + inter.conj().T, space
+    return _coupled(model, space, _doubled_energy(model), dressed_coupling(model)), space
 
 
 def _doubled_swap_index(space: FockSpace) -> np.ndarray:
@@ -509,7 +508,7 @@ def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparis
     return matched_spectral_deviation(ell, comp, dressing, targets)
 
 
-def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14)) -> dict:
+def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     """Spectral comparison of both Liouvilleans with the difference spectra of H.
 
     For each single-sided cutoff the semi-Liouvillean is compared with
@@ -552,11 +551,11 @@ def confined_pf_check(model: PauliFierzModel, cutoffs=(8, 10, 12, 14)) -> dict:
     return report
 
 
-def spin_boson(coupling: float = 0.1, splitting: float = 1.0, omega: float = 1.0,
+def spin_boson(coupling: float = 0.1, splitting: float = 1.0,
                gamma_value: float | None = 0.25, cutoff: int = DEFAULT_CUTOFF) -> PauliFierzModel:
-    """Two-level system coupled to one boson mode through sigma_x."""
+    """Two-level system coupled through sigma_x to one boson mode of energy 1."""
     k = np.array([[splitting / 2, 0], [0, -splitting / 2]], dtype=complex)
-    h = np.array([[omega]], dtype=complex)
+    h = np.array([[1.0]], dtype=complex)
     v = coupling * np.array([[0, 1], [1, 0]], dtype=complex)
     g = None if gamma_value is None else np.array([[gamma_value]], dtype=complex)
     return PauliFierzModel(k, h, v, g, cutoff)

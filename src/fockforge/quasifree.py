@@ -170,9 +170,6 @@ class ReducedRepData:
     def to_complex(self, y) -> np.ndarray:
         return self.chart @ np.asarray(y, dtype=float)
 
-    def inner(self, y1, y2) -> complex:
-        return complex(np.vdot(self.to_complex(y1), self.to_complex(y2)))
-
 
 def _complex_chart(g: np.ndarray, jc: np.ndarray):
     """Deterministic g-orthonormal basis (f_a, jc f_a) and the chart T.
@@ -218,8 +215,33 @@ def _complex_chart(g: np.ndarray, jc: np.ndarray):
     return t, fs
 
 
-def _reduce_common(cov: CovarianceData, allow_kernel: bool):
-    """The complex structure j and the modulus |mu| of omega = 2 eta mu, as (j, |mu|)."""
+def _in_chart(metric: np.ndarray, jc: np.ndarray, real_op: np.ndarray):
+    """The complex chart T of (metric, jc) and real_op written in it."""
+    chart, _ = _complex_chart(metric, jc)
+    half = metric.shape[0] // 2
+    op_c = np.zeros((half, half), dtype=complex)
+    # columns via T(op f_b); T f_b is the unit vector e_b
+    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
+    for b in range(half):
+        e = np.zeros(2 * half)
+        e[b] = 1.0
+        f_b = pinv @ e
+        op_c[:, b] = chart @ (real_op @ f_b)
+    return chart, op_c
+
+
+def reduce_covariance(cov: CovarianceData) -> ReducedRepData:
+    """Map a covariance pair to doubled-representation data.
+
+    Solves omega = 2 eta mu, takes the polar part mu = |mu| j, treats -j
+    as the imaginary unit and writes the density in a deterministic
+    complex chart.  Bosonic: omega must be nondegenerate, the density is
+    rho = |mu|^{-1} - 1 and the chart metric eta |mu|, so that
+    y1 (eta + i/2 omega) y2 = <y1|y2> + Re <y1| rho y2>.  Fermionic: the
+    density is chi = (1 - |mu|)/2 and the chart metric eta itself; j is
+    extended over Ker mu by pairing kernel vectors in a deterministic
+    order, which requires the kernel to be even dimensional.
+    """
     eta = cov.symmetric_form
     om = cov.omega
     dim = cov.dim
@@ -232,11 +254,11 @@ def _reduce_common(cov: CovarianceData, allow_kernel: bool):
     ginv = np.linalg.inv(g)
     mu_t = 0.5 * (ginv @ om @ ginv)
     mu_t = (mu_t - mu_t.T) / 2
-    uu, s, vh = np.linalg.svd(mu_t)
+    _, s, vh = np.linalg.svd(mu_t)
     smax = max(s.max(initial=0.0), 1e-300)
     null = s <= 1e-10 * smax
     n_null = int(null.sum())
-    if n_null and not allow_kernel:
+    if n_null and cov.kind == BOSE:
         raise DegenerateOmegaError("omega is degenerate relative to eta")
     if n_null % 2 == 1:
         raise OddKernelError(f"kernel of the commutator form has odd dimension {n_null}")
@@ -254,55 +276,16 @@ def _reduce_common(cov: CovarianceData, allow_kernel: bool):
             v2 = kernel_basis[:, i + 1]
             j_t = j_t + np.outer(v2, v1) - np.outer(v1, v2)
     j_t = (j_t - j_t.T) / 2
-    return ginv @ j_t @ g, ginv @ abs_mu_t @ g
-
-
-def _in_chart(metric: np.ndarray, jc: np.ndarray, real_op: np.ndarray):
-    """The complex chart T of (metric, jc) and real_op written in it."""
-    chart, _ = _complex_chart(metric, jc)
-    half = metric.shape[0] // 2
-    op_c = np.zeros((half, half), dtype=complex)
-    # columns via T(op f_b); T f_b is the unit vector e_b
-    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
-    for b in range(half):
-        e = np.zeros(2 * half)
-        e[b] = 1.0
-        f_b = pinv @ e
-        op_c[:, b] = chart @ (real_op @ f_b)
-    return chart, op_c
-
-
-def reduce_bose(cov: CovarianceData) -> ReducedRepData:
-    """Map a bosonic covariance pair to doubled-representation data.
-
-    Solves omega = 2 eta mu, takes the polar part mu = |mu| j, treats -j
-    as the imaginary unit and returns rho = |mu|^{-1} - 1 in a
-    deterministic complex chart.  The chart inner product satisfies
-    y1 (eta + i/2 omega) y2 = <y1|y2> + Re <y1| rho y2>.
-    """
-    if cov.kind != BOSE:
-        raise ValueError("expected bosonic covariance data")
-    j, abs_mu = _reduce_common(cov, allow_kernel=False)
-    metric = cov.symmetric_form @ abs_mu
-    metric = (metric + metric.T) / 2
-    chart, rho_c = _in_chart(metric, -j, np.linalg.inv(abs_mu) - np.eye(cov.dim))
-    return ReducedRepData(BOSE, cov.dim // 2, j, rho_c, chart, abs_mu, metric)
-
-
-def reduce_fermi(cov: CovarianceData) -> ReducedRepData:
-    """Map a fermionic covariance pair to doubled-representation data.
-
-    chi = (1 - |mu|)/2 in the chart whose metric is the symmetric form
-    itself; the complex structure is extended over Ker mu by pairing
-    kernel vectors in a deterministic order, which requires the kernel
-    to be even dimensional.
-    """
-    if cov.kind != FERMI:
-        raise ValueError("expected fermionic covariance data")
-    j, abs_mu = _reduce_common(cov, allow_kernel=True)
-    metric = cov.symmetric_form.copy()
-    chart, chi_c = _in_chart(metric, -j, 0.5 * (np.eye(cov.dim) - abs_mu))
-    return ReducedRepData(FERMI, cov.dim // 2, j, chi_c, chart, abs_mu, metric)
+    j, abs_mu = ginv @ j_t @ g, ginv @ abs_mu_t @ g
+    if cov.kind == BOSE:
+        metric = eta @ abs_mu
+        metric = (metric + metric.T) / 2
+        density = np.linalg.inv(abs_mu) - np.eye(dim)
+    else:
+        metric = eta.copy()
+        density = 0.5 * (np.eye(dim) - abs_mu)
+    chart, density_c = _in_chart(metric, -j, density)
+    return ReducedRepData(cov.kind, dim // 2, j, density_c, chart, abs_mu, metric)
 
 
 def reconstruction_defect(cov: CovarianceData, red: ReducedRepData, rng) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .fock import BOSE, FERMI, FockSpace, dgamma, exp_law, gamma
+from .fock import BOSE, FERMI, SIGN, FockSpace, dgamma, exp_law, gamma
 from .linalg import dense, expi_herm, require_square, sqrtm_psd, window_norm
 from .ops import gaussian_vector, squeezer
 
@@ -34,7 +34,7 @@ def pair_kernel(gamma_one, kind: str) -> np.ndarray:
     d = g.shape[0]
     c = np.zeros((2 * d, 2 * d), dtype=complex)
     c[:d, d:] = g
-    c[d:, :d] = g.T if kind == BOSE else -g.T
+    c[d:, :d] = -SIGN[kind] * g.T
     return c
 
 
@@ -42,6 +42,23 @@ def _lambda_sandwich(space: FockSpace, op) -> scipy.sparse.csr_array:
     """Lambda op Lambda for a sparse op; Lambda is diagonal with entries +-1."""
     lam = scipy.sparse.diags_array(space.lambda_op().diagonal())
     return (lam @ op @ lam).tocsr()
+
+
+def _field(space: FockSpace, w, right: bool) -> scipy.sparse.csr_array:
+    """a*(w) + a(w) as a CSR array: over sqrt(2) for bosons, and for fermions
+    Lambda-sandwiched when it is a field of the right leg."""
+    phi = space.ladder(w, w)
+    if not space.is_fermi:
+        return phi / math.sqrt(2)
+    return _lambda_sandwich(space, phi) if right else phi
+
+
+def _self_adjoint(m, name: str) -> np.ndarray:
+    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||)."""
+    m = require_square(np.asarray(m, dtype=complex))
+    if np.linalg.norm(m - m.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
+        raise ValueError(f"{name} must be self-adjoint")
+    return m
 
 
 class Antiunitary:
@@ -78,7 +95,7 @@ class ThermalParams:
     beta: float | None = None
 
     def __post_init__(self):
-        g = require_square(np.asarray(self.gamma, dtype=complex))
+        g = _self_adjoint(self.gamma, "gamma")
         g = (g + g.conj().T) / 2
         w = np.linalg.eigvalsh(g)
         if self.kind == BOSE:
@@ -91,7 +108,7 @@ class ThermalParams:
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "gamma", g)
         if self.h is not None:
-            h = require_square(np.asarray(self.h, dtype=complex))
+            h = _self_adjoint(self.h, "h")
             if np.linalg.norm(h @ g - g @ h, 2) > 1e-10 * max(1.0, np.linalg.norm(h, 2)):
                 raise ValueError("h must commute with gamma")
             object.__setattr__(self, "h", h)
@@ -102,12 +119,8 @@ class ThermalParams:
 
     @property
     def density(self) -> np.ndarray:
-        """rho = gamma (1-gamma)^{-1} (bosons), chi = gamma (1+gamma)^{-1} (fermions)."""
-        eye = np.eye(self.d)
-        if self.kind == BOSE:
-            out = self.gamma @ np.linalg.inv(eye - self.gamma)
-        else:
-            out = self.gamma @ np.linalg.inv(eye + self.gamma)
+        """gamma (1 + s gamma)^{-1}: rho for bosons (s = -1), chi for fermions (s = +1)."""
+        out = self.gamma @ np.linalg.inv(np.eye(self.d) + SIGN[self.kind] * self.gamma)
         return (out + out.conj().T) / 2
 
     @classmethod
@@ -134,16 +147,11 @@ class DoubledRep:
         self.single_cutoff = single_cutoff
         # doubled cutoff is twice the single-sided one: pair excitations
         self.space = FockSpace(params.kind, 2 * d, 2 * single_cutoff)
+        # the single space serves both legs, Gamma(Z) and Gamma(Zbar)
         self.space_single = FockSpace(params.kind, d, single_cutoff)
-        self.space_single_bar = FockSpace(params.kind, d, single_cutoff)
         dens = params.density
-        eye = np.eye(d)
-        if params.kind == BOSE:
-            self._amp_left = sqrtm_psd(eye + dens)   # creation side
-            self._amp_right = sqrtm_psd(dens)
-        else:
-            self._amp_left = sqrtm_psd(eye - dens)
-            self._amp_right = sqrtm_psd(dens)
+        self._amp_left = sqrtm_psd(np.eye(d) - SIGN[params.kind] * dens)   # creation side
+        self._amp_right = sqrtm_psd(dens)
         self._u_pair = None
 
     @property
@@ -180,18 +188,14 @@ class DoubledRep:
     def field_left(self, z) -> scipy.sparse.csr_array:
         """phi_l(z) = a*_l(z) + a_l(z), over sqrt(2) for bosons, as a CSR array."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        w = self._doubled(self._amp_left @ z, np.conj(self._amp_right @ z))
-        phi = self.space.ladder(w, w)
-        return phi / math.sqrt(2) if self.kind == BOSE else phi
+        return _field(self.space, self._doubled(self._amp_left @ z, np.conj(self._amp_right @ z)),
+                      right=False)
 
     def field_right(self, z) -> scipy.sparse.csr_array:
         """The right field, legs swapped and Lambda-dressed for fermions, as a CSR array."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        w = self._doubled(self._amp_right @ z, np.conj(self._amp_left @ z))
-        phi = self.space.ladder(w, w)
-        if self.kind == BOSE:
-            return phi / math.sqrt(2)
-        return _lambda_sandwich(self.space, phi)
+        return _field(self.space, self._doubled(self._amp_right @ z, np.conj(self._amp_left @ z)),
+                      right=True)
 
     def create_right(self, z) -> scipy.sparse.csr_array:
         """The right creation operator, Lambda-dressed for fermions, as a CSR array."""
@@ -334,8 +338,7 @@ class DoubledRep:
     def pair_embedding(self):
         """Isometry from Gamma(Z) (x) Gamma(Zbar) box into the doubled space."""
         if self._u_pair is None:
-            self._u_pair, _ = exp_law(self.space_single, self.space_single_bar,
-                                      target=self.space)
+            self._u_pair, _ = exp_law(self.space_single, self.space_single, target=self.space)
         return self._u_pair
 
     def iota(self, b: np.ndarray) -> np.ndarray:
@@ -347,14 +350,14 @@ class DoubledRep:
         u = self.pair_embedding()
         b = np.asarray(b, dtype=complex)
         if self.kind == FERMI:
-            lam = self.space_single_bar.lambda_op()
+            lam = self.space_single.lambda_op()
             b = b @ lam.conj()  # column index lives on the conjugate leg
         return u @ b.reshape(-1)
 
     def theta_left(self, a) -> np.ndarray:
         """Left multiplication by a, dense or sparse, on the doubled space; dense."""
         u = self.pair_embedding()
-        eye = np.eye(self.space_single_bar.dim)
+        eye = np.eye(self.space_single.dim)
         return u @ np.kron(np.asarray(dense(a), dtype=complex), eye) @ u.conj().T
 
     def theta_right(self, a) -> np.ndarray:
@@ -364,24 +367,18 @@ class DoubledRep:
         eye = np.eye(self.space_single.dim)
         abar = np.conj(np.asarray(dense(a), dtype=complex))
         if self.kind == FERMI:
-            lam = self.space_single_bar.lambda_op()
+            lam = self.space_single.lambda_op()
             abar = lam @ abar @ lam
         return u @ np.kron(eye, abar) @ u.conj().T
 
     def theta_left_field(self, z) -> scipy.sparse.csr_array:
         """theta_l of the single-space field, written directly on the doubled space."""
         z = np.asarray(z, dtype=complex).reshape(-1)
-        w = self._doubled(z, 0)
-        phi = self.space.ladder(w, w)
-        return phi / math.sqrt(2) if self.kind == BOSE else phi
+        return _field(self.space, self._doubled(z, 0), right=False)
 
     def theta_right_field(self, z) -> scipy.sparse.csr_array:
         z = np.asarray(z, dtype=complex).reshape(-1)
-        w = self._doubled(0, np.conj(z))
-        phi = self.space.ladder(w, w)
-        if self.kind == BOSE:
-            return phi / math.sqrt(2)
-        return _lambda_sandwich(self.space, phi)
+        return _field(self.space, self._doubled(0, np.conj(z)), right=True)
 
     def gibbs_expectation(self, a: np.ndarray) -> complex:
         """Tr(Gamma(gamma) a) / Tr Gamma(gamma) on the single space."""
@@ -432,14 +429,9 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     (nonnegative) part of the reference missed by the truncation.
     """
     g = require_square(np.asarray(gamma_one, dtype=complex))
-    w = np.linalg.eigvalsh(g)
-    eye = np.eye(space.d)
-    if space.is_fermi:
-        reference = float(np.linalg.det(eye + g).real)
-    else:
-        if w.max() >= 1.0:
-            raise ValueError("bosonic gamma needs spectrum inside [0,1)")
-        reference = float(np.linalg.det(eye - g).real ** (-1.0))
+    if not space.is_fermi and np.linalg.eigvalsh(g).max() >= 1.0:
+        raise ValueError("bosonic gamma needs spectrum inside [0,1)")
+    reference = float(np.linalg.det(np.eye(space.d) + space.sign * g).real ** space.sign)
     big = gamma(space, g)
     trace = float(np.trace(big).real)
     tail = reference - trace
@@ -464,7 +456,7 @@ def _relative_defect(lhs: complex, rhs: complex) -> float:
     return float(abs(lhs - rhs) / scale) if scale > 0 else 0.0
 
 
-def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float = 0.0) -> float:
+def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float) -> float:
     """Relative KMS boundary defect of omega(A tau^{t+i beta}(B)) and omega(tau^t(B) A).
 
     The state is the doubled vacuum, the dynamics is generated by the
@@ -483,7 +475,7 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float = 0.0) -> float:
 
 
 def kms_check_density(space: FockSpace, gamma_one: np.ndarray, h, beta: float,
-                      a: np.ndarray, b: np.ndarray, t: float = 0.0) -> float:
+                      a: np.ndarray, b: np.ndarray, t: float) -> float:
     """Relative trace-cyclicity KMS defect in the irreducible single-space picture."""
     dens = gamma(space, np.asarray(gamma_one, dtype=complex))
     z = np.trace(dens)
@@ -498,13 +490,9 @@ def tracial_field(space: FockSpace, v, side: str = "left") -> scipy.sparse.csr_a
     """Tracial CAR fields over a real vector v: left phi(v), right Lambda phi(v) Lambda."""
     if not space.is_fermi:
         raise ValueError("tracial fields are fermionic")
-    v = np.asarray(v, dtype=float).reshape(-1)
-    phi = space.ladder(v, v)
-    if side == "left":
-        return phi
-    if side == "right":
-        return _lambda_sandwich(space, phi)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _field(space, np.asarray(v, dtype=float).reshape(-1), side == "right")
 
 
 def tracial_conjugation(space: FockSpace) -> Antiunitary:

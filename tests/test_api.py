@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fockforge"
-MAX_DEFAULTED = 36
+MAX_DEFAULTED = 19
 
 
 def defaulted_parameters():

@@ -4,10 +4,9 @@ import pytest
 from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
                                  blocks_to_cd, degenerate_implementer, factorized_matrix,
                                  metaplectic_pair, mode_pair_swap, mode_pair_swap_implementer,
-                                 positive_orthogonal_from_c, positive_symplectic_from_c,
-                                 random_orthogonal_blocks, random_symplectic_blocks,
-                                 shale_implementer, validate_blocks)
-from fockforge.fock import FockSpace, gamma
+                                 positive_blocks_from_c, random_blocks, shale_implementer,
+                                 validate_blocks)
+from fockforge.fock import SIGN, FockSpace, gamma
 from fockforge.ops import (DoubledVector, _exp_series, _pair_creator, apply_doubled_matrix, field,
                            squeezer)
 
@@ -58,18 +57,18 @@ def test_blocks_to_cd_degenerate():
 
 
 def test_factorization_reconstructs(rng):
-    for make, stat in ((random_symplectic_blocks, "bose"), (random_orthogonal_blocks, "fermi")):
-        blocks = make(3, rng)
+    for stat in ("bose", "fermi"):
+        blocks = random_blocks(3, stat, rng)
         assert np.linalg.norm(factorized_matrix(blocks) - blocks.matrix(), 2) <= 1e-8
 
 
 def test_one_minus_cc_identity(rng):
-    blocks = random_symplectic_blocks(3, rng)
+    blocks = random_blocks(3, "bose", rng)
     cd = blocks_to_cd(blocks)
     lhs = np.eye(3) - cd.c @ cd.c.conj().T
     rhs = np.linalg.inv(blocks.p.conj().T @ blocks.p)
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
-    blocks_f = random_orthogonal_blocks(3, rng)
+    blocks_f = random_blocks(3, "fermi", rng)
     cd_f = blocks_to_cd(blocks_f)
     lhs_f = np.eye(3) + cd_f.c @ cd_f.c.conj().T
     rhs_f = np.linalg.inv(blocks_f.p.conj().T @ blocks_f.p)
@@ -85,7 +84,7 @@ def test_shale_identity_blocks():
 def test_fermi_implementer_unitary_and_intertwining(rng):
     sp = FockSpace("fermi", 3)
     for _ in range(6):
-        blocks = random_orthogonal_blocks(3, rng)
+        blocks = random_blocks(3, "fermi", rng)
         u = shale_implementer(sp, blocks)
         assert np.linalg.norm(u.conj().T @ u - np.eye(sp.dim), 2) <= 1e-11
         assert u[0, 0].real > 0 and abs(u[0, 0].imag) <= 1e-12
@@ -105,7 +104,7 @@ def test_fermi_implementer_unitary_and_intertwining(rng):
 def test_bose_intertwining_subcutoff():
     sp = FockSpace("bose", 1, 20)
     sub = sp.sector_projector(4)
-    blocks = positive_symplectic_from_c(np.array([[np.tanh(0.2)]], dtype=complex))
+    blocks = positive_blocks_from_c(np.array([[np.tanh(0.2)]], dtype=complex), "bose")
     u = shale_implementer(sp, blocks)
     y = DoubledVector.real_point(np.array([0.8 - 0.4j]))
     lhs = u @ field(sp, y) @ u.conj().T
@@ -115,7 +114,7 @@ def test_bose_intertwining_subcutoff():
 
 def test_bose_truncation_warning():
     sp = FockSpace("bose", 1, 2)
-    blocks = positive_symplectic_from_c(np.array([[0.9]], dtype=complex))
+    blocks = positive_blocks_from_c(np.array([[0.9]], dtype=complex), "bose")
     with pytest.warns(RuntimeWarning):
         shale_implementer(sp, blocks)
 
@@ -129,15 +128,15 @@ def test_metaplectic_identity_pair():
 
 def test_metaplectic_phase_and_composition(rng):
     sp = FockSpace("fermi", 3)
-    blocks = random_orthogonal_blocks(3, rng)
+    blocks = random_blocks(3, "fermi", rng)
     u_shale = shale_implementer(sp, blocks)
     u_plus, _ = metaplectic_pair(sp, blocks)
     ratio = np.vdot(u_shale.reshape(-1), u_plus.reshape(-1)) / np.vdot(
         u_shale.reshape(-1), u_shale.reshape(-1))
     assert abs(abs(ratio) - 1.0) <= 1e-9
     assert np.linalg.norm(u_plus - ratio * u_shale, 2) <= 1e-9
-    r1 = random_orthogonal_blocks(3, rng)
-    r2 = random_orthogonal_blocks(3, rng)
+    r1 = random_blocks(3, "fermi", rng)
+    r2 = random_blocks(3, "fermi", rng)
     u1, _ = metaplectic_pair(sp, r1)
     u2, _ = metaplectic_pair(sp, r2)
     u12, _ = metaplectic_pair(sp, r1.compose(r2))
@@ -148,8 +147,8 @@ def test_metaplectic_phase_and_composition(rng):
 def test_metaplectic_composition_bose():
     sp = FockSpace("bose", 1, 32)
     sub = sp.sector_projector(2)
-    r1 = positive_symplectic_from_c(np.array([[np.tanh(0.25)]], dtype=complex))
-    r2 = positive_symplectic_from_c(np.array([[-np.tanh(0.2)]], dtype=complex))
+    r1 = positive_blocks_from_c(np.array([[np.tanh(0.25)]], dtype=complex), "bose")
+    r2 = positive_blocks_from_c(np.array([[-np.tanh(0.2)]], dtype=complex), "bose")
     u1, _ = metaplectic_pair(sp, r1)
     u2, _ = metaplectic_pair(sp, r2)
     u12, _ = metaplectic_pair(sp, r1.compose(r2))
@@ -164,30 +163,47 @@ def test_metaplectic_composition_bose():
 
 
 def test_positive_blocks(rng):
-    ident = positive_symplectic_from_c(np.zeros((2, 2)))
+    ident = positive_blocks_from_c(np.zeros((2, 2)), "bose")
     assert np.allclose(ident.p, np.eye(2)) and not np.any(ident.q)
     c = 0.6
-    blocks = positive_symplectic_from_c(np.array([[c]], dtype=complex))
+    blocks = positive_blocks_from_c(np.array([[c]], dtype=complex), "bose")
     assert blocks.p[0, 0] == pytest.approx((1 - c * c) ** -0.5)
     assert _max_relation_residual(blocks) <= 1e-12
     cf = np.array([[0, 0.5], [-0.5, 0]], dtype=complex)
-    blocks_f = positive_orthogonal_from_c(cf)
+    blocks_f = positive_blocks_from_c(cf, "fermi")
     expect_p = np.linalg.inv(np.sqrt(1 + 0.25) * np.eye(2))
     assert np.linalg.norm(blocks_f.p - expect_p, 2) <= 1e-12
     assert _max_relation_residual(blocks_f) <= 1e-12
+
+
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_merged_constructors(rng, statistics):
+    s = SIGN[statistics]
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = (a - s * a.T) / 2
+    c = 0.5 * c / np.linalg.norm(c, 2)
+    for blocks in (positive_blocks_from_c(c, statistics), random_blocks(3, statistics, rng)):
+        assert blocks.statistics == statistics
+        assert _max_relation_residual(blocks) <= 1e-10
+    # a kernel of the other symmetry is rejected
+    with pytest.raises(ValueError, match="symmetric"):
+        positive_blocks_from_c((a + s * a.T) / 2 / np.linalg.norm(a, 2), statistics)
+    if statistics == "bose":
+        with pytest.raises(ValueError, match=r"\|\|c\|\| < 1"):
+            positive_blocks_from_c(np.array([[1.0]], dtype=complex), statistics)
 
 
 def test_positive_blocks_match_squeezer(rng):
     # bosonic: implementer of the positive map is the squeezer itself
     spb = FockSpace("bose", 1, 20)
     cb = np.array([[0.3]], dtype=complex)
-    u = shale_implementer(spb, positive_symplectic_from_c(cb))
+    u = shale_implementer(spb, positive_blocks_from_c(cb, "bose"))
     assert np.linalg.norm(u - squeezer(spb, cb), 2) <= 1e-10
     # fermionic: the implementer with positive vacuum overlap is the
     # adjoint of the squeezer (equivalently the squeezer of -c)
     spf = FockSpace("fermi", 2)
     cf = np.array([[0, 0.7], [-0.7, 0]], dtype=complex)
-    uf = shale_implementer(spf, positive_orthogonal_from_c(cf))
+    uf = shale_implementer(spf, positive_blocks_from_c(cf, "fermi"))
     assert np.linalg.norm(uf - squeezer(spf, cf).conj().T, 2) <= 1e-10
     assert np.linalg.norm(uf - squeezer(spf, -cf), 2) <= 1e-10
 
@@ -206,8 +222,7 @@ def _dense_implementer(space, blocks):
 
 @pytest.mark.parametrize("statistics, d, n_max", [("bose", 2, 8), ("fermi", 4, None)])
 def test_shale_implementer_by_parity_class(rng, statistics, d, n_max):
-    random_blocks = random_symplectic_blocks if statistics == "bose" else random_orthogonal_blocks
-    blocks = random_blocks(d, rng)
+    blocks = random_blocks(d, statistics, rng)
     space = FockSpace(statistics, d, n_max)
     u = shale_implementer(space, blocks)
     odd = space.total_numbers % 2
@@ -216,7 +231,7 @@ def test_shale_implementer_by_parity_class(rng, statistics, d, n_max):
 
 
 def test_inverse_blocks_and_adjoint_phase(rng):
-    blocks = random_orthogonal_blocks(3, rng)
+    blocks = random_blocks(3, "fermi", rng)
     inv = blocks.inverse()
     assert np.linalg.norm(blocks.matrix() @ inv.matrix() - np.eye(6), 2) <= 1e-10
     sp = FockSpace("fermi", 3)
@@ -259,6 +274,6 @@ def test_degenerate_implementer(rng):
 
 
 def test_compose_consistency(rng):
-    b1 = random_orthogonal_blocks(2, rng)
-    b2 = random_orthogonal_blocks(2, rng)
+    b1 = random_blocks(2, "fermi", rng)
+    b2 = random_blocks(2, "fermi", rng)
     assert np.linalg.norm(b1.compose(b2).matrix() - b1.matrix() @ b2.matrix(), 2) <= 1e-12

@@ -98,6 +98,11 @@ def test_not_json_exits_2(tmp_path):
     {"task": "lattice", "d": 2, "subspaces": 0},
     {"task": "thermal", "statistics": "bose", "gamma": cli.encode_matrix(np.diag([0.25])),
      "single_cutoff": 0},
+    # a gamma or an h that is not self-adjoint is no density or energy
+    {"task": "thermal", "statistics": "fermi",
+     "gamma": cli.encode_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))},
+    {"task": "kms", "statistics": "fermi", "gamma": cli.encode_matrix(np.exp(-1.0) * np.eye(2)),
+     "h": cli.encode_matrix(np.array([[1.0, 0.7], [0.0, 1.0]])), "beta": 1.0},
 ])
 def test_domain_errors_exit_2(tmp_path, capsys, model):
     path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})

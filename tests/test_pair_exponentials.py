@@ -9,8 +9,7 @@ import pytest
 import scipy.linalg
 
 from fockforge.bogolubov import (degenerate_implementer, metaplectic_pair, mode_pair_swap,
-                                 random_orthogonal_blocks, random_symplectic_blocks,
-                                 shale_implementer)
+                                 random_blocks, shale_implementer)
 from fockforge.fock import FockSpace
 from fockforge.ops import gaussian_vector, squeezer
 from fockforge.paulifierz import apply_pair_squeezer
@@ -151,8 +150,7 @@ def test_squeezer_matches_exact_series(mp40, statistics, d, n_max):
 @pytest.mark.parametrize("statistics, d, n_max", [("bose", 2, 6), ("fermi", 4, None)])
 def test_shale_implementer_matches_exact_series(mp40, statistics, d, n_max):
     rng = np.random.default_rng(4)
-    random_blocks = random_symplectic_blocks if statistics == "bose" else random_orthogonal_blocks
-    blocks = random_blocks(d, rng)
+    blocks = random_blocks(d, statistics, rng)
     space = FockSpace(statistics, d, n_max)
     # largest error measured 5.4e-16 (bose)
     assert _error(shale_implementer(space, blocks), _exact_implementer(space, blocks)) <= 1e-14
@@ -166,8 +164,8 @@ def test_pair_exponentials_need_no_expm(monkeypatch):
     rng = np.random.default_rng(5)
     built = []
     for statistics, space, blocks in (
-            ("bose", FockSpace("bose", 2, 6), random_symplectic_blocks(2, rng)),
-            ("fermi", FockSpace("fermi", 3), random_orthogonal_blocks(3, rng))):
+            ("bose", FockSpace("bose", 2, 6), random_blocks(2, "bose", rng)),
+            ("fermi", FockSpace("fermi", 3), random_blocks(3, "fermi", rng))):
         c = _kernel(rng, space.d, statistics)
         built += [squeezer(space, c), gaussian_vector(space, c), shale_implementer(space, blocks),
                   *metaplectic_pair(space, blocks)]

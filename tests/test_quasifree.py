@@ -5,8 +5,8 @@ from fockforge.fock import FockSpace
 from fockforge.ops import DoubledVector, gaussian_vector
 from fockforge.quasifree import (CovarianceData, DegenerateOmegaError, NonPositiveEtaError,
                                  OddKernelError, aw_covariance, npoint_function,
-                                 reconstruction_defect, reduce_bose, reduce_fermi,
-                                 verify_quasifree, wick_npoint)
+                                 reconstruction_defect, reduce_covariance, verify_quasifree,
+                                 wick_npoint)
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -111,7 +111,7 @@ def test_covariance_validation():
 
 
 def test_reduce_bose_fock():
-    red = reduce_bose(CovarianceData("bose", 0.5 * np.eye(2), J2))
+    red = reduce_covariance(CovarianceData("bose", 0.5 * np.eye(2), J2))
     assert np.linalg.norm(red.density) <= 1e-12
     assert np.linalg.norm(red.j @ red.j + np.eye(2 * red.complex_dim)) <= 1e-12
 
@@ -121,21 +121,21 @@ def test_reduce_bose_thermal_scalar_oracle():
     # gives |mu| = tanh(beta/2), so the recovered density is 2/(e^beta - 1)
     beta = 1.3
     cov = CovarianceData("bose", 0.5 / np.tanh(beta / 2) * np.eye(2), J2)
-    red = reduce_bose(cov)
+    red = reduce_covariance(cov)
     vals = np.linalg.eigvals(red.density).real
     assert np.allclose(vals, 2.0 / (np.exp(beta) - 1.0), atol=1e-10)
 
 
 def test_reduce_bose_degenerate_omega():
     with pytest.raises(DegenerateOmegaError):
-        reduce_bose(CovarianceData("bose", np.eye(2), np.zeros((2, 2))))
+        reduce_covariance(CovarianceData("bose", np.eye(2), np.zeros((2, 2))))
 
 
 def test_reduce_bose_reconstruction(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = a @ a.conj().T / 2
     cov = aw_covariance(rho)
-    red = reduce_bose(cov)
+    red = reduce_covariance(cov)
     assert reconstruction_defect(cov, red, rng) <= 1e-9
     spec_in = np.sort(np.linalg.eigvalsh(rho))
     spec_out = np.sort(np.linalg.eigvals(red.density).real)
@@ -143,9 +143,9 @@ def test_reduce_bose_reconstruction(rng):
 
 
 def test_reduce_fermi_fock_and_tracial():
-    red = reduce_fermi(CovarianceData("fermi", np.eye(2), 2 * J2))
+    red = reduce_covariance(CovarianceData("fermi", np.eye(2), 2 * J2))
     assert np.linalg.norm(red.density) <= 1e-12
-    red_tr = reduce_fermi(CovarianceData("fermi", np.eye(2), np.zeros((2, 2))))
+    red_tr = reduce_covariance(CovarianceData("fermi", np.eye(2), np.zeros((2, 2))))
     assert np.allclose(np.linalg.eigvals(red_tr.density).real, 0.5)
 
 
@@ -153,7 +153,7 @@ def test_reduce_fermi_mixed_kernel(rng):
     om = np.zeros((4, 4))
     om[:2, :2] = 0.9 * J2
     cov = CovarianceData("fermi", np.eye(4), om)
-    red = reduce_fermi(cov)
+    red = reduce_covariance(cov)
     vals = np.sort(np.linalg.eigvals(red.density).real)
     assert np.allclose(vals, [0.5 * (1 - 0.45 / 0.5) if False else (1 - 0.45) / 2, 0.5], atol=1e-10)
     assert reconstruction_defect(cov, red, rng) <= 1e-9
@@ -165,7 +165,7 @@ def test_reduce_fermi_odd_kernel():
     om = np.zeros((7, 7))
     om[:4, :4] = np.kron(np.eye(2), J2)
     with pytest.raises(OddKernelError):
-        reduce_fermi(CovarianceData("fermi", np.eye(7), om))
+        reduce_covariance(CovarianceData("fermi", np.eye(7), om))
 
 
 def test_measured_two_point_matches_wick_input(rng):
