@@ -41,10 +41,6 @@ class BogolubovBlocks:
         object.__setattr__(self, "q", q)
 
     @property
-    def kind(self) -> str:
-        return "orthogonal" if self.statistics == FERMI else "symplectic"
-
-    @property
     def d(self) -> int:
         return self.p.shape[0]
 
@@ -120,18 +116,6 @@ def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
     if np.max(np.abs(c1 - c2)) > 1e-9 * scale or np.max(np.abs(d1 - d2)) > 1e-9 * scale:
         raise np.linalg.LinAlgError("the two defining expressions for c or d disagree")
     return CDPair((c1 + c2) / 2, (d1 + d2) / 2)
-
-
-def factorized_matrix(blocks: BogolubovBlocks) -> np.ndarray:
-    """Rebuild the doubled matrix from the (c, d) triangular factorization."""
-    cd = blocks_to_cd(blocks)
-    d = blocks.d
-    eye = np.eye(d)
-    zero = np.zeros((d, d))
-    upper = np.block([[eye, cd.d_kernel], [zero, eye]])
-    mid = np.block([[np.linalg.inv(blocks.p.conj().T), zero], [zero, blocks.p.conj()]])
-    lower = np.block([[eye, zero], [cd.c.conj(), eye]])
-    return upper @ mid @ lower
 
 
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,

@@ -245,13 +245,13 @@ def task_pauli_fierz(model, rng):
         raise SchemaError(f"cutoff grid {list(cutoffs)} must increase strictly "
                           "through at least two cutoffs")
     if g is None:
-        ham, _ = hamiltonian(pf)
+        ham, _ = hamiltonian(pf, cutoff)
         herm = np.linalg.norm(ham - ham.conj().T, 2)
         return [_report("hamiltonian-hermiticity", herm, _tolerance(model, "hermitian", 1e-12))]
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])
     tol = _tolerance(model, "spectra", 1e-5)
-    checks = [_report("confined-spectra", dev, tol)]
+    checks = [_report("confined-spectra", dev, tol, passed=dev <= tol and rep["all_matched"])]
     improving = rep["semi"][-1] <= rep["semi"][0] and rep["standard"][-1] <= rep["standard"][0]
     checks.append(_report("cutoff-improvement", 0.0 if improving else 1.0, 0.5))
     return checks
@@ -347,7 +347,7 @@ def run(model_path: str, out_path: str | None, fmt: str, seed: int) -> int:
 
 
 @_exit_codes
-def suite(name: str, out_dir: str, seed: int = 42) -> int:
+def suite(name: str, out_dir: str, seed: int) -> int:
     if name not in ("smoke", "full"):
         raise SchemaError(f"unknown suite {name!r}")
     out = Path(out_dir)

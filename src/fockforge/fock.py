@@ -182,9 +182,6 @@ class FockSpace:
         return scipy.sparse.csr_array((vals[stored], cols[stored], indptr),
                                       shape=(self.dim, self.dim))
 
-    def number_op(self) -> np.ndarray:
-        return np.diag(self.total_numbers.astype(complex))
-
     def parity(self) -> np.ndarray:
         """(-1)^N, exactly."""
         return np.diag(((-1.0) ** self.total_numbers).astype(complex))

@@ -79,25 +79,6 @@ class RealSubspace:
             cols = cols.reshape(-1, 1)
         return cls(d, cols)
 
-    @classmethod
-    def from_complex_spans(cls, d: int, zs) -> "RealSubspace":
-        """Real span of complex vectors together with their i-multiples."""
-        j = mult_i_matrix(d)
-        cols = []
-        for z in zs:
-            y = to_real(np.asarray(z, dtype=complex))
-            cols.append(y)
-            cols.append(j @ y)
-        return cls(d, np.column_stack(cols))
-
-    @classmethod
-    def whole(cls, d: int) -> "RealSubspace":
-        return cls(d, np.eye(2 * d))
-
-    @classmethod
-    def zero(cls, d: int) -> "RealSubspace":
-        return cls(d, np.zeros((2 * d, 0)))
-
 
 def perp(v: RealSubspace) -> RealSubspace:
     """Orthogonal complement for the real part of the inner product."""
@@ -288,7 +269,8 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda.
 
     Both algebras are computed as Hilbert-Schmidt-orthonormal bases; the
-    report carries their dimensions and the two containment defects.
+    report carries their dimensions, the dimension of the algebra M(V) as
+    the commutant of the commutant, and the two containment defects.
     """
     if space.d != v.ambient_d or not space.is_fermi:
         raise ValueError("need the fermionic Fock space over the ambient space")
@@ -304,17 +286,13 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     lam = space.lambda_op()
     dressed = [lam @ x @ lam for x in dual_alg]
     dressed_on = _orthonormalize_hs(dressed)
-    report = {
+    return {
         "dim_commutant": len(comm),
         "dim_dressed_dual": len(dressed_on),
+        "dim_algebra": len(commutant(comm)),
         "defect_comm_in_dual": _containment_defect(comm, dressed_on),
         "defect_dual_in_comm": _containment_defect(dressed_on, comm),
     }
-    alg = commutant(comm)
-    center = _intersect_spans(alg, comm)
-    report["dim_algebra"] = len(alg)
-    report["center_dim"] = len(center)
-    return report
 
 
 def _orthonormalize_hs(mats) -> list:
@@ -325,18 +303,3 @@ def _orthonormalize_hs(mats) -> list:
     q = _orthonormalize(cols)
     return [q[:, i].reshape(n, n) for i in range(q.shape[1])]
 
-
-def _intersect_spans(mats_a, mats_b) -> list:
-    """Basis of the intersection of two spans of matrices (HS geometry)."""
-    if not mats_a or not mats_b:
-        return []
-    n = mats_a[0].shape[0]
-    a = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_a]))
-    b = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_b]))
-    pa = a @ a.conj().T
-    pb = b @ b.conj().T
-    stack = np.vstack([np.eye(n * n) - pa, np.eye(n * n) - pb])
-    _, s, vh = np.linalg.svd(stack)
-    null = np.ones(n * n, dtype=bool)
-    null[: s.shape[0]] = s <= 1e-8
-    return [vh.conj().T[:, i].reshape(n, n) for i in np.nonzero(null)[0]]

@@ -9,7 +9,6 @@ spectral comparisons.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +42,12 @@ def require_square(a) -> np.ndarray:
     return m
 
 
-def transpose_sharp(a) -> np.ndarray:
-    """Transpose of ``a`` seen as a map between conjugate spaces.
-
-    The two entrywise conjugations cancel, so numerically this is the
-    plain transpose.  It is an involution and reverses products.
-    """
-    return as_matrix(a).T.copy()
+def _self_adjoint(m, name: str) -> np.ndarray:
+    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||)."""
+    m = require_square(np.asarray(m, dtype=complex))
+    if np.linalg.norm(m - m.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
+        raise ValueError(f"{name} must be self-adjoint")
+    return m
 
 
 def window_norm(a, keep) -> float:
@@ -59,12 +57,6 @@ def window_norm(a, keep) -> float:
     projected full-size matrix, without its SVD.
     """
     return np.linalg.norm(a[np.ix_(keep, keep)], 2)
-
-
-def fredholm_det(a) -> complex:
-    """det(1 + a); in finite dimension the ordinary determinant of 1 + a."""
-    m = require_square(a)
-    return complex(np.linalg.det(np.eye(m.shape[0]) + m))
 
 
 def sqrtm_psd(a) -> np.ndarray:
@@ -158,26 +150,3 @@ def enumerate_pairings(m: int):
 
     recurse(list(range(2 * m)), [])
     return results
-
-
-def double_factorial(n: int) -> int:
-    if n <= 0:
-        return 1
-    return math.prod(range(n, 0, -2))
-
-
-def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Max distance of a unit vector of span(a) from span(b) and back.
-
-    Both arguments are matrices whose columns span the subspaces; they
-    need not be orthonormal.
-    """
-    qa, _ = np.linalg.qr(basis_a) if basis_a.shape[1] else (basis_a, None)
-    qb, _ = np.linalg.qr(basis_b) if basis_b.shape[1] else (basis_b, None)
-    if basis_a.shape[1] == 0 and basis_b.shape[1] == 0:
-        return 0.0
-    if basis_a.shape[1] != basis_b.shape[1]:
-        return 1.0
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))

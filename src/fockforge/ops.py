@@ -38,17 +38,6 @@ class DoubledVector:
         return np.asarray(self.z2bar, dtype=complex).conj()
 
 
-def as_doubled(y, d: int) -> DoubledVector:
-    if isinstance(y, DoubledVector):
-        return y
-    arr = np.asarray(y, dtype=complex).reshape(-1)
-    if arr.shape[0] == d:
-        return DoubledVector.real_point(arr)
-    if arr.shape[0] == 2 * d:
-        return DoubledVector(arr[:d], arr[d:])
-    raise ValueError(f"cannot interpret length-{arr.shape[0]} vector on d={d}")
-
-
 def symplectic_form(y1: DoubledVector, y2: DoubledVector) -> complex:
     """Bilinear extension of 2 Im(z|w) to the doubled space."""
     return complex(-1j * (np.dot(y1.z2bar, y2.z1) - np.dot(y2.z2bar, y1.z1)))
@@ -59,20 +48,18 @@ def euclidean_form(y1: DoubledVector, y2: DoubledVector) -> complex:
     return complex(0.5 * (np.dot(y1.z2bar, y2.z1) + np.dot(y2.z2bar, y1.z1)))
 
 
-def field(space: FockSpace, y) -> scipy.sparse.csr_array:
+def field(space: FockSpace, y: DoubledVector) -> scipy.sparse.csr_array:
     """phi(y) = a*(z1) + a(z2) for a doubled vector y = (z1, z2bar), as a CSR array."""
-    y = as_doubled(y, space.d)
     return space.ladder(y.z1, y.conj_pair())
 
 
-def weyl(space: FockSpace, y) -> np.ndarray:
+def weyl(space: FockSpace, y: DoubledVector) -> np.ndarray:
     """W(y) = exp(i phi(y)) through Hermitian eigendecomposition, dense.
 
     Bosonic only; y must be a real point so the field is Hermitian.
     """
     if space.is_fermi:
         raise ValueError("Weyl operators are defined on bosonic spaces")
-    y = as_doubled(y, space.d)
     if np.max(np.abs(y.z1 - y.conj_pair())) > 1e-12:
         raise ValueError("Weyl operator needs a real doubled vector")
     return expi_herm(field(space, y))
@@ -237,13 +224,12 @@ def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
     return _apply_implementer(space, pref, ac, m, ac, -0.5, x)
 
 
-def jordan_wigner(n: int, include_tail: bool = False):
+def jordan_wigner(n: int):
     """CAR generators on (C^2)^(x n) from Pauli strings.
 
     Returns the 2n operators (sigma1^(1), sigma2^(1), I_1 sigma1^(2), ...)
-    where I_j is the product of the first j sigma3 factors; with
-    include_tail a (2n+1)-th element I_n is appended.  All
-    pairwise anticommutators equal 2 delta_ij exactly.
+    where I_j is the product of the first j sigma3 factors.  All pairwise
+    anticommutators equal 2 delta_ij exactly.
     """
     if n < 1:
         raise ValueError("need at least one site")
@@ -260,15 +246,10 @@ def jordan_wigner(n: int, include_tail: bool = False):
     for j in range(n):
         ops.append(site_op(PAULI_1, j))
         ops.append(site_op(PAULI_2, j))
-    if include_tail:
-        tail = np.eye(1, dtype=complex)
-        for _ in range(n):
-            tail = np.kron(tail, PAULI_3)
-        ops.append(tail)
     return ops
 
 
-def q_operator(space: FockSpace, basis) -> np.ndarray:
+def q_operator(space: FockSpace, ys) -> np.ndarray:
     """Q = i^{n(n-1)/2} phi(y_1) ... phi(y_n) for an orthonormal family.
 
     Orthonormality is with respect to the Euclidean form Re(z|w); Q is
@@ -278,7 +259,6 @@ def q_operator(space: FockSpace, basis) -> np.ndarray:
     """
     if not space.is_fermi:
         raise ValueError("Q is a fermionic construction")
-    ys = [as_doubled(y, space.d) for y in basis]
     n = len(ys)
     for i in range(n):
         for j in range(n):
@@ -289,17 +269,6 @@ def q_operator(space: FockSpace, basis) -> np.ndarray:
     for y in ys:
         q = q @ field(space, y)
     return q
-
-
-def canonical_doubled_basis(d: int):
-    """The oriented doubled basis (w_j, conj w_j), (-i w_j, conj(-i w_j))."""
-    out = []
-    for j in range(d):
-        w = np.zeros(d, dtype=complex)
-        w[j] = 1.0
-        out.append(DoubledVector.real_point(w))
-        out.append(DoubledVector.real_point(-1j * w))
-    return out
 
 
 def bogolubov_matrix_on_doubled(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import BOSE, FockSpace, dgamma
-from .linalg import require_square, sqrtm_psd
+from .linalg import _self_adjoint, require_square, sqrtm_psd
 from .ops import _apply_squeezer
 from .thermal import ThermalParams, pair_kernel
 
@@ -28,7 +28,7 @@ OVERLAP_MIN = 0.9
 
 @dataclass(frozen=True)
 class PauliFierzModel:
-    """System Hamiltonian K, boson energy h > 0, coupling v : K -> K (x) Z."""
+    """System Hamiltonian K, self-adjoint boson energy h > 0, coupling v : K -> K (x) Z."""
 
     K: np.ndarray
     h: np.ndarray
@@ -38,10 +38,10 @@ class PauliFierzModel:
 
     def __post_init__(self):
         k = require_square(np.asarray(self.K, dtype=complex))
-        h = require_square(np.asarray(self.h, dtype=complex))
         v = np.asarray(self.v, dtype=complex)
         if np.linalg.norm(k - k.conj().T, 2) > 1e-12 * max(1.0, np.linalg.norm(k, 2)):
             raise ValueError("K must be Hermitian")
+        h = _self_adjoint(self.h, "h")
         if np.linalg.eigvalsh(h).min() <= 0:
             raise ValueError("boson one-particle energy must be positive")
         if v.shape != (k.shape[0] * h.shape[0], k.shape[0]):
@@ -123,10 +123,6 @@ def coupled_create(dim_k: int, space: FockSpace, q: np.ndarray) -> scipy.sparse.
     return out
 
 
-def coupled_annihilate(dim_k: int, space: FockSpace, q: np.ndarray) -> scipy.sparse.csr_array:
-    return coupled_create(dim_k, space, q).conj().T.tocsr()
-
-
 def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
     """The conjugate-leg coupling: sum B_m (x) |e_m) -> sum B_m* (x) |conj e_m)."""
     v = np.asarray(v, dtype=complex)
@@ -164,10 +160,9 @@ def _coupled(model: PauliFierzModel, space: FockSpace, energy, coupling) -> scip
             + inter + inter.conj().T)
 
 
-def hamiltonian(model: PauliFierzModel, cutoff: int | None = None):
-    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v); returns (H, space), H dense."""
-    n = model.cutoff if cutoff is None else cutoff
-    space = FockSpace(BOSE, model.d, n)
+def hamiltonian(model: PauliFierzModel, cutoff: int):
+    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H dense."""
+    space = FockSpace(BOSE, model.d, cutoff)
     return _coupled(model, space, model.h, model.v).toarray(), space
 
 
@@ -197,17 +192,7 @@ def dressed_coupling(model: PauliFierzModel) -> np.ndarray:
     return _stack_legs(top, bottom, k, d)
 
 
-def mirrored_coupling(model: PauliFierzModel) -> np.ndarray:
-    """The right-leg coupling (rho^{1/2} conj(v-star), (1+rho-bar)^{1/2} conj(v))."""
-    d, k = model.d, model.dim_k
-    rho = model.rho
-    vst_bar = np.conj(v_star(model.v, k, d))
-    top = apply_boson_leg(sqrtm_psd(rho), vst_bar, k, d)
-    bottom = apply_boson_leg(np.conj(sqrtm_psd(np.eye(d) + rho)), np.conj(model.v), k, d)
-    return _stack_legs(top, bottom, k, d)
-
-
-def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
+def semi_liouvillean(model: PauliFierzModel, cutoff: int):
     """L_fr + V on K (x) Gamma(Z (+) Zbar); returns (L, doubled space), L sparse.
 
     The doubled space is truncated at twice the stated single-sided
@@ -215,8 +200,7 @@ def semi_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
     """
     if model.gamma is None:
         raise ValueError("semi-Liouvillean needs a density gamma")
-    n = model.cutoff if cutoff is None else cutoff
-    space = FockSpace(BOSE, 2 * model.d, 2 * n)
+    space = FockSpace(BOSE, 2 * model.d, 2 * cutoff)
     return _coupled(model, space, _doubled_energy(model), dressed_coupling(model)), space
 
 
@@ -227,12 +211,11 @@ def _doubled_swap_index(space: FockSpace) -> np.ndarray:
     return space.indices(np.hstack([occ[:, d:], occ[:, :d]]))
 
 
-def standard_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
+def standard_liouvillean(model: PauliFierzModel, cutoff: int):
     """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar), L sparse."""
     if model.gamma is None:
         raise ValueError("standard Liouvillean needs a density gamma")
-    n = model.cutoff if cutoff is None else cutoff
-    space = FockSpace(BOSE, 2 * model.d, 2 * n)
+    space = FockSpace(BOSE, 2 * model.d, 2 * cutoff)
     k = model.dim_k
     free = (_kron(model.K, _eye(k * space.dim))
             - _kron(_eye(k), _kron(np.conj(model.K), _eye(space.dim)))
@@ -246,13 +229,6 @@ def standard_liouvillean(model: PauliFierzModel, cutoff: int | None = None):
     mirrored = scipy.sparse.csr_array((np.conj(v_full.data), (swap[v_full.row], swap[v_full.col])),
                                       shape=v_full.shape)
     return free + pi_v - _kron(_eye(k), mirrored), space
-
-
-def jpvj_closed_form(model: PauliFierzModel, space: FockSpace) -> scipy.sparse.csr_array:
-    """1_K (x) (a*(mirrored coupling) + h.c.) acting on the Kbar and boson legs."""
-    k = model.dim_k
-    inter = coupled_create(k, space, mirrored_coupling(model))
-    return _kron(_eye(k), inter + inter.conj().T)
 
 
 def _doubled_chart(model: PauliFierzModel, cutoff: int):
@@ -518,7 +494,8 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     quanta), taken from H at cutoff 30 once per check, is followed across
     cutoffs; the reported deviation is the worst matched gap, and it
     shrinks as the cutoff grows because the dressing tail of the density
-    dies off.
+    dies off.  all_matched says whether both families matched every
+    target at the last cutoff; a deviation counts only when they did.
 
     Each target is labelled by a product state (psi_i (x) chi_j or
     psi_i (x) conj(psi_j), with psi_i from H at the comparison cutoff) whose
@@ -546,6 +523,8 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
             res = _family_deviation(model, n, liouvillean, comparison, labelled)
             report[family].append(res["deviation"])
             report[f"{family}_detail"].append(res)
+    report["all_matched"] = not (report["semi_detail"][-1]["unmatched"]
+                                 or report["standard_detail"][-1]["unmatched"])
     report["tail_estimate"] = float(
         np.linalg.norm(model.gamma, 2) ** max(1, min(cutoffs)))
     return report

@@ -11,7 +11,7 @@ import numpy as np
 
 from .fock import BOSE, FERMI, FockSpace
 from .linalg import enumerate_pairings, require_square, sqrtm_psd
-from .ops import as_doubled, field
+from .ops import field
 
 
 class NonPositiveEtaError(ValueError):
@@ -98,8 +98,8 @@ def npoint_function(space: FockSpace, vector: np.ndarray, ys) -> complex:
     return complex(np.vdot(vector, out))
 
 
-def verify_quasifree(space: FockSpace, vector, ys_family) -> dict:
-    """Compare operator n-point functions against Wick sums (n <= 6).
+def verify_quasifree(space: FockSpace, vector, ys) -> dict:
+    """Compare the n-point functions of the doubled vectors ys against Wick sums (n <= 6).
 
     The two-point function is measured from the vector itself, so the
     report quantifies quasi-freeness rather than assuming it.  Returns
@@ -108,7 +108,6 @@ def verify_quasifree(space: FockSpace, vector, ys_family) -> dict:
     order-6 words drawn with a fixed seed.
     """
     vector = np.asarray(vector, dtype=complex)
-    ys = [as_doubled(y, space.d) for y in ys_family]
     k = len(ys)
     fields = [field(space, y) for y in ys]
     applied = [f @ vector for f in fields]

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .fock import BOSE, FERMI, SIGN, FockSpace, dgamma, exp_law, gamma
-from .linalg import dense, expi_herm, require_square, sqrtm_psd, window_norm
+from .linalg import _self_adjoint, dense, expi_herm, require_square, sqrtm_psd, window_norm
 from .ops import gaussian_vector, squeezer
 
 DEFAULT_SINGLE_CUTOFF = 8
@@ -53,14 +53,6 @@ def _field(space: FockSpace, w, right: bool) -> scipy.sparse.csr_array:
     return _lambda_sandwich(space, phi) if right else phi
 
 
-def _self_adjoint(m, name: str) -> np.ndarray:
-    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||)."""
-    m = require_square(np.asarray(m, dtype=complex))
-    if np.linalg.norm(m - m.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
-        raise ValueError(f"{name} must be self-adjoint")
-    return m
-
-
 class Antiunitary:
     """An antiunitary operator stored as (unitary matrix, conjugation).
 
@@ -76,13 +68,6 @@ class Antiunitary:
 
     def sandwich(self, m: np.ndarray) -> np.ndarray:
         return self.unitary @ np.conj(m) @ np.conj(self.unitary)
-
-    def squared(self) -> np.ndarray:
-        return self.unitary @ np.conj(self.unitary)
-
-    def compose_linear(self, m: np.ndarray) -> np.ndarray:
-        """Linear part of J following m, i.e. (J m) psi = u conj(m) conj(psi)."""
-        return self.unitary @ np.conj(m)
 
 
 @dataclass(frozen=True)
@@ -247,8 +232,13 @@ class DoubledRep:
         return self.modular_conjugation(), self.modular_operator()
 
     def left_monomials(self):
-        """Products of left creation/annihilation generators, vacuum-cyclic, as CSR arrays."""
+        """Products of left creation/annihilation generators, vacuum-cyclic, as CSR arrays.
+
+        Bosonic monomials are built for one mode only: a*^m a^n up to the cutoff.
+        """
         d = self.d
+        if self.kind == BOSE and d > 1:
+            raise ValueError("the bosonic polar-of-S oracle is built for d = 1 only")
         gens = []
         for k in range(d):
             e = np.zeros(d)
@@ -280,12 +270,6 @@ class DoubledRep:
         for m in range(max_degree + 1):
             for n in range(max_degree + 1 - m):
                 words.append(powers_up[m] @ powers_dn[n])
-        if d > 1:
-            extra = [eye]
-            for k in range(1, d):
-                extra = [w @ p for w in extra for p in
-                         (eye, gens[2 * k], gens[2 * k + 1], gens[2 * k] @ gens[2 * k])]
-            words = [w @ x for w in words for x in extra]
         return words
 
     def modular_oracle(self):
@@ -311,10 +295,8 @@ class DoubledRep:
         j_lin = uu @ vh
         return j_lin, delta
 
-    def standard_liouvillean(self, h=None) -> scipy.sparse.csr_array:
+    def standard_liouvillean(self, h) -> scipy.sparse.csr_array:
         """dGamma(h (+) -conj h), sparse; generates the dressed dynamics, kills Omega."""
-        if h is None:
-            h = self.params.h
         h = require_square(np.asarray(h, dtype=complex))
         block = np.zeros((2 * self.d, 2 * self.d), dtype=complex)
         block[: self.d, : self.d] = h
@@ -380,11 +362,6 @@ class DoubledRep:
         z = np.asarray(z, dtype=complex).reshape(-1)
         return _field(self.space, self._doubled(0, np.conj(z)), right=True)
 
-    def gibbs_expectation(self, a: np.ndarray) -> complex:
-        """Tr(Gamma(gamma) a) / Tr Gamma(gamma) on the single space."""
-        dens = gamma(self.space_single, self.params.gamma)
-        return complex(np.trace(dens @ a) / np.trace(dens))
-
     def confined_equivalence_report(self) -> dict:
         """Residuals of the dressing identities relating theta and the thermal fields.
 
@@ -416,7 +393,7 @@ class DoubledRep:
         vac = self.space.vacuum()
         out["vacuum_residual"] = float(np.linalg.norm(r @ self.omega_vector() - vac))
         if self.params.h is not None:
-            ell = self.standard_liouvillean()
+            ell = self.standard_liouvillean(self.params.h)
             out["liouvillean_residual"] = float(np.linalg.norm(r @ ell - ell @ r, 2))
         return out
 
@@ -471,18 +448,6 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float) -> float:
     bz, bt = _complex_time_conjugations(ell, b, t + 1j * beta, t)
     lhs = np.vdot(vac, a @ (bz @ vac))
     rhs = np.vdot(vac, bt @ (a @ vac))
-    return _relative_defect(lhs, rhs)
-
-
-def kms_check_density(space: FockSpace, gamma_one: np.ndarray, h, beta: float,
-                      a: np.ndarray, b: np.ndarray, t: float) -> float:
-    """Relative trace-cyclicity KMS defect in the irreducible single-space picture."""
-    dens = gamma(space, np.asarray(gamma_one, dtype=complex))
-    z = np.trace(dens)
-    ham = dgamma(space, np.asarray(h, dtype=complex))
-    bz, bt = _complex_time_conjugations(ham, b, t + 1j * beta, t)
-    lhs = np.trace(dens @ a @ bz) / z
-    rhs = np.trace(dens @ bt @ a) / z
     return _relative_defect(lhs, rhs)
 
 

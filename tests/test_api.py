@@ -1,11 +1,21 @@
 """The public surface stays small: every defaulted parameter in the package
-is a knob that some caller must need, so a new one shows up here."""
+is a knob that some caller must need, and every public name is one that a
+check runs or a test pins, so a new one shows up here.  docs/coverage.md
+maps each paper statement to its gate and must name only what exists."""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fockforge"
-MAX_DEFAULTED = 19
+from fockforge import acceptance, cli
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fockforge"
+COVERAGE = ROOT / "docs" / "coverage.md"
+MAX_DEFAULTED = 13
+MAX_PUBLIC = 195
 
 
 def defaulted_parameters():
@@ -23,6 +33,49 @@ def defaulted_parameters():
     return names
 
 
+def public_names():
+    """module.name for every public top-level def and class, and module.Class.method
+    for every public method of a public class."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            names.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                names += [f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return names
+
+
 def test_defaulted_parameter_census():
     names = defaulted_parameters()
     assert len(names) <= MAX_DEFAULTED, "\n".join(names)
+
+
+def test_public_name_census():
+    names = public_names()
+    assert len(names) <= MAX_PUBLIC, "\n".join(names)
+
+
+def test_coverage_map_names_what_exists():
+    text = COVERAGE.read_text()
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    for dotted in re.findall(r"`(\w+(?:\.\w+)+)`", text):
+        module, *attrs = dotted.split(".")
+        assert module in modules, dotted
+        obj = importlib.import_module(f"fockforge.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), dotted
+            obj = getattr(obj, attr)
+    criteria = [name for name, _ in acceptance.FULL_BATTERY]
+    for name in re.findall(r"criterion-[\w-]*\w", text):
+        assert name in criteria, name
+    for task, check in re.findall(r"task ([\w-]+): ([\w{}-]+)", text):
+        assert task in cli.TASK_RUNNERS, task
+        assert f'"{check}"' in inspect.getsource(cli.TASK_RUNNERS[task]), (task, check)
+    for test_file in re.findall(r"tier-1 only: (tests/\w+\.py)", text):
+        assert (ROOT / test_file).is_file(), test_file
+    # every criterion and every task has its row
+    assert all(name in text for name in criteria)
+    assert all(f"task {task}:" in text for task in cli.TASK_RUNNERS)

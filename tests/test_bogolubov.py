@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
-                                 blocks_to_cd, degenerate_implementer, factorized_matrix,
+                                 blocks_to_cd, degenerate_implementer,
                                  metaplectic_pair, mode_pair_swap, mode_pair_swap_implementer,
                                  positive_blocks_from_c, random_blocks, shale_implementer,
                                  validate_blocks)
@@ -54,6 +54,17 @@ def test_blocks_to_cd_degenerate():
     swap = mode_pair_swap(2, 0, 1)
     with pytest.raises(FermiDegenerateError):
         blocks_to_cd(swap)
+
+
+def factorized_matrix(blocks):
+    """Rebuild the doubled matrix from the (c, d) triangular factorization."""
+    cd = blocks_to_cd(blocks)
+    eye = np.eye(blocks.d)
+    zero = np.zeros((blocks.d, blocks.d))
+    upper = np.block([[eye, cd.d_kernel], [zero, eye]])
+    mid = np.block([[np.linalg.inv(blocks.p.conj().T), zero], [zero, blocks.p.conj()]])
+    lower = np.block([[eye, zero], [cd.c.conj(), eye]])
+    return upper @ mid @ lower
 
 
 def test_factorization_reconstructs(rng):

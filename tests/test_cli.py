@@ -103,6 +103,9 @@ def test_not_json_exits_2(tmp_path):
      "gamma": cli.encode_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))},
     {"task": "kms", "statistics": "fermi", "gamma": cli.encode_matrix(np.exp(-1.0) * np.eye(2)),
      "h": cli.encode_matrix(np.array([[1.0, 0.7], [0.0, 1.0]])), "beta": 1.0},
+    {"task": "pauli-fierz", "K": cli.encode_matrix(np.diag([0.5, -0.5])),
+     "h": cli.encode_matrix(np.array([[1.0, 0.5], [0.0, 1.2]])),
+     "v": cli.encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4},
 ])
 def test_domain_errors_exit_2(tmp_path, capsys, model):
     path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})
@@ -221,6 +224,30 @@ def test_pauli_fierz_grid_must_increase(tmp_path, capsys, grid):
     assert one_stderr_line(capsys, "schema error: cutoff grid ")
 
 
+def test_pauli_fierz_sample_model_with_gamma(tmp_path):
+    out = tmp_path / "pf.json"
+    assert cli.main(["run", str(ROOT / "docs" / "models" / "spin_boson.json"),
+                     "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["confined-spectra", "cutoff-improvement"]
+
+
+def test_pauli_fierz_unmatched_targets_fail(tmp_path):
+    # at cutoff 4 the semi targets E0-1, E1-2 and E2-2 find no comparison partner
+    model = {"schema_version": 1, "task": "pauli-fierz",
+             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
+             "h": cli.encode_matrix(np.eye(1)),
+             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "gamma": cli.encode_matrix(np.array([[0.25]])),
+             "cutoff_grid": [3, 4], "tolerances": {"spectra": 1e-2}}
+    path = write_model(tmp_path, "pf.json", model)
+    out = tmp_path / "r.json"
+    assert cli.run(path, str(out), "json", seed=42) == 1
+    spectra = json.loads(out.read_text())["checks"][0]
+    assert spectra["name"] == "confined-spectra"
+    assert spectra["residual"] <= spectra["tolerance"] and spectra["pass"] is False
+
+
 def test_pauli_fierz_grid_checked_without_gamma(tmp_path, capsys):
     model = {"schema_version": 1, "task": "pauli-fierz",
              "K": cli.encode_matrix(np.diag([0.5, -0.5])),
@@ -247,7 +274,7 @@ def test_degenerate_bogolubov_blocks_run(tmp_path):
 
 
 def test_suite_unknown_name(tmp_path, capsys):
-    assert cli.suite("nope", str(tmp_path)) == 2
+    assert cli.suite("nope", str(tmp_path), seed=42) == 2
     assert one_stderr_line(capsys, "schema error: unknown suite 'nope'")
 
 
@@ -260,7 +287,7 @@ def test_unwritable_report_exits_2(tmp_path, capsys):
 def test_suite_out_dir_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert cli.suite("smoke", str(taken)) == 2
+    assert cli.suite("smoke", str(taken), seed=42) == 2
     assert one_stderr_line(capsys, "schema error: ")
 
 
@@ -275,7 +302,7 @@ def test_suite_maps_criterion_errors(tmp_path, capsys, monkeypatch, error, code,
     battery = [(name, broken if name == "criterion-01" else fn)
                for name, fn in acceptance.FULL_BATTERY]
     monkeypatch.setattr(acceptance, "FULL_BATTERY", battery)
-    assert cli.suite("smoke", str(tmp_path)) == code
+    assert cli.suite("smoke", str(tmp_path), seed=42) == code
     assert one_stderr_line(capsys, prefix + "broken criterion")
 
 
@@ -297,11 +324,26 @@ def test_shale_cutoff_warning_reaches_stderr(tmp_path):
 
 
 def test_suite_smoke(tmp_path):
-    code = cli.suite("smoke", str(tmp_path / "reports"))
+    code = cli.suite("smoke", str(tmp_path / "reports"), seed=42)
     assert code == 0
     summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
     assert summary["pass"] is True
     assert len(summary["checks"]) >= 4
+
+
+def test_run_suite_model_file(tmp_path):
+    path = write_model(tmp_path, "suite.json",
+                       {"schema_version": 1, "task": "suite", "name": "smoke"})
+    assert cli.run(path, str(tmp_path / "reports"), "json", seed=42) == 0
+    summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+    assert summary["suite"] == "smoke" and summary["pass"] is True
+
+
+def test_main_suite(tmp_path):
+    out = tmp_path / "reports"
+    assert cli.main(["suite", "smoke", "--out-dir", str(out), "--seed", "42"]) == 0
+    names = [c["name"] for c in json.loads((out / "summary.json").read_text())["checks"]]
+    assert names == list(acceptance.SMOKE_BATTERY)
 
 
 def test_main_entry(tmp_path):

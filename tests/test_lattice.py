@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from fockforge.fock import FockSpace
-from fockforge.lattice import (GeneralPositionError, RealSubspace, commutant,
+from fockforge.lattice import (GeneralPositionError, RealSubspace, _orthonormalize, commutant,
                                double_commutant, fermionic_duality_check,
                                general_position_split, halmos_angles,
                                halmos_isometry_range, join, meet, mult_i_matrix,
                                perp, symplectic_complement, to_real)
-from fockforge.linalg import subspace_distance
 from fockforge.thermal import tracial_field
 
 
@@ -16,13 +15,49 @@ def rng():
     return np.random.default_rng(21)
 
 
+def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
+    """Max distance of a unit vector of span(a) from span(b) and back.
+
+    Both arguments are matrices whose columns span the subspaces; they
+    need not be orthonormal.
+    """
+    if basis_a.shape[1] == 0 and basis_b.shape[1] == 0:
+        return 0.0
+    if basis_a.shape[1] != basis_b.shape[1]:
+        return 1.0
+    qa, _ = np.linalg.qr(basis_a)
+    qb, _ = np.linalg.qr(basis_b)
+    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+
+
+def intersect_spans(mats_a, mats_b) -> list:
+    """Basis of the intersection of two spans of matrices (HS geometry)."""
+    if not mats_a or not mats_b:
+        return []
+    n = mats_a[0].shape[0]
+    a = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_a]))
+    b = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats_b]))
+    stack = np.vstack([np.eye(n * n) - a @ a.conj().T, np.eye(n * n) - b @ b.conj().T])
+    _, s, vh = np.linalg.svd(stack)
+    null = np.ones(n * n, dtype=bool)
+    null[: s.shape[0]] = s <= 1e-8
+    return [vh.conj().T[:, i].reshape(n, n) for i in np.nonzero(null)[0]]
+
+
+def whole(d: int) -> RealSubspace:
+    return RealSubspace(d, np.eye(2 * d))
+
+
+def zero(d: int) -> RealSubspace:
+    return RealSubspace(d, np.zeros((2 * d, 0)))
+
+
 def test_perp_basics(rng):
     v = RealSubspace.from_vectors(2, rng.standard_normal((4, 2)))
     assert perp(v).dim == 2
     assert subspace_distance(perp(perp(v)).basis, v.basis) <= 1e-12
-    whole = RealSubspace.whole(2)
-    assert perp(whole).dim == 0
-    assert perp(RealSubspace.zero(2)).dim == 4
+    assert perp(whole(2)).dim == 0
+    assert perp(zero(2)).dim == 4
 
 
 def test_symplectic_complement_involution(rng):
@@ -51,7 +86,9 @@ def test_meet_join(rng):
 
 
 def test_general_position_split_cases(rng):
-    vc = RealSubspace.from_complex_spans(2, [np.array([1.0, 1j]) / np.sqrt(2)])
+    # the complex line through (1, i)/sqrt(2): a vector and its i-multiple
+    y = to_real(np.array([1.0, 1j]) / np.sqrt(2))
+    vc = RealSubspace(2, np.column_stack([y, mult_i_matrix(2) @ y]))
     s = general_position_split(vc)
     assert s.w_plus.dim == 2 and s.v_zero.dim == 0 and s.w_one.dim == 0
     line = RealSubspace.from_vectors(1, np.array([1.0, 0.0]))
@@ -156,10 +193,10 @@ def test_double_commutant_contains_generators(rng):
 def test_duality_extremes():
     d = 2
     space = FockSpace("fermi", d)
-    rep_whole = fermionic_duality_check(RealSubspace.whole(d), space)
+    rep_whole = fermionic_duality_check(whole(d), space)
     assert rep_whole["dim_commutant"] == 1
     assert rep_whole["dim_algebra"] == space.dim**2
-    rep_zero = fermionic_duality_check(RealSubspace.zero(d), space)
+    rep_zero = fermionic_duality_check(zero(d), space)
     assert rep_zero["dim_algebra"] == 1
     assert rep_zero["dim_commutant"] == space.dim**2
     for rep in (rep_whole, rep_zero):
@@ -194,11 +231,9 @@ def test_algebra_monotone_and_meet(rng):
     v2 = RealSubspace.from_vectors(d, rng.standard_normal((4, 3)))
     inter = meet([v1, v2])
     alg_inter = double_commutant(field_generators(space, inter) or [space.identity()])
-    from fockforge.lattice import _intersect_spans
-
     alg1 = double_commutant(field_generators(space, v1))
     alg2 = double_commutant(field_generators(space, v2))
-    alg_cap = _intersect_spans(alg1, alg2)
+    alg_cap = intersect_spans(alg1, alg2)
     assert len(alg_inter) == len(alg_cap)
 
 
@@ -221,7 +256,6 @@ def test_odd_dimensional_center_contains_q(rng):
 
 
 def test_orthonormalize_real_and_complex_columns(rng):
-    from fockforge.lattice import _orthonormalize
     assert _orthonormalize(np.zeros((4, 0))).shape == (4, 0)
     a = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
     q = _orthonormalize(np.column_stack([a, a @ [1.0, 2.0j]]))

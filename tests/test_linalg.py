@@ -1,44 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from fockforge.linalg import (NonSquareError, double_factorial, enumerate_pairings,
-                              fredholm_det, polar_decompose, require_square, sqrtm_psd,
-                              transpose_sharp)
+from fockforge.linalg import (NonSquareError, enumerate_pairings, polar_decompose,
+                              require_square, sqrtm_psd)
 
 
-def test_transpose_sharp_examples():
-    assert np.array_equal(transpose_sharp([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
-    assert np.array_equal(transpose_sharp(np.eye(3)), np.eye(3))
-    assert transpose_sharp([[1j]])[0, 0] == 1j
-
-
-def test_transpose_sharp_involution_and_product():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    b = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    assert np.allclose(transpose_sharp(transpose_sharp(a)), a)
-    assert np.allclose(transpose_sharp(a @ b), transpose_sharp(b) @ transpose_sharp(a))
+def double_factorial(n: int) -> int:
+    """n!! with the empty-product convention for n <= 0: the number of pairings is (2m-1)!!."""
+    return math.prod(range(n, 0, -2))
 
 
 def test_require_square_rejects_non_square():
     with pytest.raises(NonSquareError):
         require_square(np.zeros((2, 3)))
-
-
-def test_fredholm_det_examples():
-    assert fredholm_det(np.zeros((2, 2))) == pytest.approx(1.0)
-    assert fredholm_det(np.diag([1.0, 2.0])) == pytest.approx(6.0)
-    assert fredholm_det(np.diag([-1.0, 0.0])) == pytest.approx(0.0)
-
-
-def test_fredholm_det_multiplicative_and_eigenvalues():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    lhs = fredholm_det(a + b + a @ b)  # (1+a)(1+b) = 1 + (a + b + ab)
-    assert lhs == pytest.approx(fredholm_det(a) * fredholm_det(b), rel=1e-9)
-    eigprod = np.prod(np.linalg.eigvals(np.eye(6) + a))
-    assert abs(fredholm_det(a) - eigprod) <= 1e-9 * abs(eigprod)
 
 
 def test_polar_examples():

@@ -3,10 +3,9 @@ import pytest
 
 from fockforge.fock import FockSpace
 from fockforge.linalg import sqrtm_psd
-from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, canonical_doubled_basis,
-                           euclidean_form, field, gaussian_normalization, gaussian_vector,
-                           jordan_wigner, multi_create, pair_exponential_vacuum, q_operator,
-                           squeezer, symplectic_form, weyl)
+from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, euclidean_form, field,
+                           gaussian_normalization, gaussian_vector, jordan_wigner, multi_create,
+                           pair_exponential_vacuum, q_operator, squeezer, symplectic_form, weyl)
 from fockforge.paulifierz import apply_pair_squeezer
 from fockforge.thermal import pair_kernel
 
@@ -246,13 +245,23 @@ def test_jordan_wigner():
     ops1 = jordan_wigner(1)
     assert np.allclose(ops1[0], PAULI_1) and np.allclose(ops1[1], PAULI_2)
     assert np.allclose(PAULI_1 @ PAULI_2, 1j * PAULI_3)
-    ops2 = jordan_wigner(2, include_tail=True)
+    # the tail I_2 = sigma3 (x) sigma3 anticommutes with every generator
+    ops2 = jordan_wigner(2) + [np.kron(PAULI_3, PAULI_3)]
     assert np.allclose(ops2[2], np.kron(PAULI_3, PAULI_1))
     assert len(ops2) == 5
     for i, a in enumerate(ops2):
         for j, b in enumerate(ops2):
             target = 2.0 * (i == j) * np.eye(4)
             assert np.linalg.norm(a @ b + b @ a - target, 2) == 0.0
+
+
+def canonical_doubled_basis(d: int):
+    """The oriented doubled basis (w_j, conj w_j), (-i w_j, conj(-i w_j))."""
+    out = []
+    for w in np.eye(d, dtype=complex):
+        out.append(DoubledVector.real_point(w))
+        out.append(DoubledVector.real_point(-1j * w))
+    return out
 
 
 def test_q_operator_parity_and_orientation():

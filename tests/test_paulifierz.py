@@ -6,18 +6,33 @@ from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
 from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, _labelled_states,
-                                  apply_pair_squeezer, check_middle, confined_pf_check,
-                                  coupled_annihilate, coupled_create, difference_targets,
-                                  dressed_coupling, exact_blocks, hamiltonian,
-                                  jpvj_closed_form, matched_spectral_deviation,
-                                  semi_comparison_operator, semi_liouvillean, spin_boson,
-                                  standard_comparison_operator, standard_liouvillean, v_star)
+                                  _stack_legs, apply_boson_leg, apply_pair_squeezer,
+                                  check_middle, confined_pf_check, coupled_create,
+                                  difference_targets, dressed_coupling, exact_blocks, hamiltonian,
+                                  matched_spectral_deviation, semi_comparison_operator,
+                                  semi_liouvillean, spin_boson, standard_comparison_operator,
+                                  standard_liouvillean, v_star)
 from fockforge.thermal import pair_kernel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(17)
+
+
+def mirrored_coupling(model):
+    """The right-leg coupling (rho^{1/2} conj(v-star), (1+rho-bar)^{1/2} conj(v))."""
+    d, k = model.d, model.dim_k
+    vst_bar = np.conj(v_star(model.v, k, d))
+    top = apply_boson_leg(sqrtm_psd(model.rho), vst_bar, k, d)
+    bottom = apply_boson_leg(np.conj(sqrtm_psd(np.eye(d) + model.rho)), np.conj(model.v), k, d)
+    return _stack_legs(top, bottom, k, d)
+
+
+def jpvj_closed_form(model, space) -> np.ndarray:
+    """1_K (x) (a*(mirrored coupling) + h.c.) acting on the Kbar and boson legs, dense."""
+    inter = coupled_create(model.dim_k, space, mirrored_coupling(model))
+    return np.kron(np.eye(model.dim_k), (inter + inter.conj().T).toarray())
 
 
 def _expm_squeezer(space, gamma_one):
@@ -59,7 +74,8 @@ def test_coupled_create_factored(rng):
     q = np.einsum("ij,m->imj", b, w).reshape(k * d, k)
     got = coupled_create(k, sp, q).toarray()
     assert np.linalg.norm(got - np.kron(b, sp.create(w).toarray()), 2) <= 1e-12
-    assert np.linalg.norm(coupled_annihilate(k, sp, q).toarray() - got.conj().T, 2) == 0.0
+    # the adjoint a(q) annihilates every state K (x) vacuum
+    assert not np.any(got.conj().T @ np.kron(np.eye(k), sp.vacuum()[:, None]))
     assert not np.any(coupled_create(k, sp, np.zeros((k * d, k))).toarray())
 
 
@@ -125,7 +141,7 @@ def test_check_middle_iterated(rng):
 
 def test_hamiltonian_free_spectrum():
     model = spin_boson(coupling=0.0, splitting=2.0, gamma_value=None, cutoff=2)
-    ham, _ = hamiltonian(model)
+    ham, _ = hamiltonian(model, model.cutoff)
     got = np.sort(np.linalg.eigvalsh(ham))
     expect = np.sort([s + n for s in (-1.0, 1.0) for n in range(3)])
     assert np.allclose(got, expect)
@@ -135,22 +151,22 @@ def test_hamiltonian_ground_state_lowering():
     e0 = {}
     for lam in (0.0, 0.2):
         model = spin_boson(coupling=lam, gamma_value=None, cutoff=12)
-        ham, _ = hamiltonian(model)
+        ham, _ = hamiltonian(model, model.cutoff)
         e0[lam] = np.linalg.eigvalsh(ham).min()
     assert e0[0.2] < e0[0.0]
 
 
 def test_hamiltonian_hermitian(rng):
     model = spin_boson(coupling=0.3, gamma_value=None, cutoff=6)
-    ham, _ = hamiltonian(model)
+    ham, _ = hamiltonian(model, model.cutoff)
     assert np.linalg.norm(ham - ham.conj().T, 2) <= 1e-12
 
 
 def test_semi_liouvillean_structure():
     with pytest.raises(ValueError):
-        semi_liouvillean(spin_boson(gamma_value=None, cutoff=4))
+        semi_liouvillean(spin_boson(gamma_value=None, cutoff=4), 4)
     model = spin_boson(coupling=0.2, gamma_value=0.25, cutoff=4)
-    ell, space = semi_liouvillean(model)
+    ell, space = semi_liouvillean(model, model.cutoff)
     ell = ell.toarray()
     assert space.n_max == 8
     assert np.linalg.norm(ell - ell.conj().T, 2) <= 1e-12
@@ -158,7 +174,7 @@ def test_semi_liouvillean_structure():
 
 def test_semi_liouvillean_free_difference_spectrum():
     model = spin_boson(coupling=0.0, gamma_value=0.0, cutoff=3)
-    ell, space = semi_liouvillean(model)
+    ell, space = semi_liouvillean(model, model.cutoff)
     got = np.sort(np.linalg.eigvalsh(ell.toarray()))
     expect = []
     for s in (-0.5, 0.5):
@@ -169,11 +185,11 @@ def test_semi_liouvillean_free_difference_spectrum():
 
 def test_standard_liouvillean_structure():
     model = spin_boson(coupling=0.2, gamma_value=0.25, cutoff=4)
-    ell = standard_liouvillean(model)[0].toarray()
+    ell = standard_liouvillean(model, model.cutoff)[0].toarray()
     assert np.linalg.norm(ell - ell.conj().T, 2) <= 1e-12
     assert abs(np.trace(ell)) <= 1e-9
     free = spin_boson(coupling=0.0, gamma_value=0.25, cutoff=4)
-    ell0, _ = standard_liouvillean(free)
+    ell0, _ = standard_liouvillean(free, free.cutoff)
     ev = np.sort(np.linalg.eigvalsh(ell0.toarray()))
     assert np.max(np.abs(ev + ev[::-1])) <= 1e-10
 
@@ -187,13 +203,13 @@ def _leg_swap(d):
 
 def test_jpvj_closed_form(rng):
     model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=4)
-    _, space = semi_liouvillean(model)
+    _, space = semi_liouvillean(model, model.cutoff)
     inter = coupled_create(2, space, dressed_coupling(model)).toarray()
     v_full = inter + inter.conj().T
     jw = gamma(space, _leg_swap(model.d))
     mirrored = np.kron(np.eye(2), jw) @ np.conj(v_full) @ np.kron(np.eye(2), jw)
     sandwich = np.kron(np.eye(2), mirrored)
-    closed = jpvj_closed_form(model, space).toarray()
+    closed = jpvj_closed_form(model, space)
     assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
 
 
@@ -215,11 +231,11 @@ def test_leg_swap_gamma_is_the_swap_permutation():
 
 def test_left_right_interactions_commute_subcutoff():
     model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=5)
-    _, space = semi_liouvillean(model)
+    _, space = semi_liouvillean(model, model.cutoff)
     inter = coupled_create(2, space, dressed_coupling(model))
     v_full = inter + inter.conj().T
     pi_v = check_middle(np.eye(2), v_full, 2, space.dim).toarray()
-    jvj = jpvj_closed_form(model, space).toarray()
+    jvj = jpvj_closed_form(model, space)
     comm = pi_v @ jvj - jvj @ pi_v
     sub = np.kron(np.eye(4), space.sector_projector(space.n_max - 2))
     assert np.linalg.norm(sub @ comm @ sub, 2) <= 1e-9
@@ -231,7 +247,7 @@ def test_free_kms_vector_in_kernel():
     h = np.array([[1.0]])
     g = float(np.exp(-beta))
     model = spin_boson(coupling=0.0, gamma_value=g, cutoff=5)
-    ell, space = standard_liouvillean(model)
+    ell, space = standard_liouvillean(model, model.cutoff)
     pair = np.zeros((2, 2), dtype=complex)
     pair[0, 1] = np.sqrt(g)
     pair[1, 0] = np.sqrt(g)
@@ -244,11 +260,11 @@ def test_free_kms_vector_in_kernel():
 
 def test_comparison_operators_v0_exact():
     model = spin_boson(coupling=0.0, gamma_value=0.25, cutoff=4)
-    l_semi, _ = semi_liouvillean(model)
+    l_semi, _ = semi_liouvillean(model, model.cutoff)
     d_semi, _ = semi_comparison_operator(model, 4)
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_semi.toarray()))
                          - np.sort(np.linalg.eigvalsh(d_semi.toarray())))) <= 1e-10
-    l_std, _ = standard_liouvillean(model)
+    l_std, _ = standard_liouvillean(model, model.cutoff)
     d_std, _ = standard_comparison_operator(model, 4)
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_std.toarray()))
                          - np.sort(np.linalg.eigvalsh(d_std.toarray())))) <= 1e-10
@@ -273,10 +289,10 @@ def test_confined_check_small_grid():
 def test_liouvillean_bundle():
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=3)
     free = PauliFierzModel(model.K, model.h, np.zeros_like(model.v), model.gamma, model.cutoff)
-    semi, _ = semi_liouvillean(model)
-    semi_free, _ = semi_liouvillean(free)
-    std, _ = standard_liouvillean(model)
-    std_free, _ = standard_liouvillean(free)
+    semi, _ = semi_liouvillean(model, model.cutoff)
+    semi_free, _ = semi_liouvillean(free, free.cutoff)
+    std, _ = standard_liouvillean(model, model.cutoff)
+    std_free, _ = standard_liouvillean(free, free.cutoff)
     for op in (semi, std, semi_free, std_free):
         op = op.toarray()
         assert np.linalg.norm(op - op.conj().T, 2) <= 1e-12
