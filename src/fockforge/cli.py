@@ -334,7 +334,9 @@ def run(model_path: str, out_path: str | None, fmt: str, seed: int) -> int:
     t0 = time.time()
     model = load_model(model_path)
     if model["task"] == "suite":
-        return suite(model.get("name", "smoke"), out_path or ".", seed)
+        if fmt != "json":
+            raise SchemaError("a suite writes one JSON report per check; it has no csv format")
+        return suite(model.get("name", "smoke"), out_path or "reports", seed)
     report = build_report(model, seed)
     text = serialize_report(report, fmt)
     if out_path:

@@ -42,6 +42,8 @@ class PauliFierzModel:
         if np.linalg.norm(k - k.conj().T, 2) > 1e-12 * max(1.0, np.linalg.norm(k, 2)):
             raise ValueError("K must be Hermitian")
         h = _self_adjoint(self.h, "h")
+        # the validated inputs are stored Hermitian to the last bit, so H is too
+        k, h = (k + k.conj().T) / 2, (h + h.conj().T) / 2
         if np.linalg.eigvalsh(h).min() <= 0:
             raise ValueError("boson one-particle energy must be positive")
         if v.shape != (k.shape[0] * h.shape[0], k.shape[0]):
@@ -379,20 +381,94 @@ def exact_blocks(a) -> list:
     return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _block_spectra(a):
-    """One eigh per exact block of a Hermitian operator, one block at a time.
+def _modular_mirror(dim_k: int, space: FockSpace) -> np.ndarray:
+    """The linear part S of the modular conjugation J on K (x) Kbar (x) space, as an index map.
 
-    Yields (coordinates, eigenvalues, eigenvectors) per block; each block is
-    densified alone and taken in real arithmetic when its imaginary part is
-    exactly zero.
+    S sends the coordinate (kappa, kappa-bar, n, m) to (kappa-bar, kappa, m, n),
+    where (n, m) are the occupations of the doubled space on Z and Zbar.  J
+    is S after complex conjugation, so for a real model the standard
+    Liouvillean and H (x) 1 - 1 (x) conj(H) both anticommute with S.
+    """
+    kap = np.arange(dim_k)
+    return ((kap[None, :, None] * dim_k + kap[:, None, None]) * space.dim
+            + _doubled_swap_index(space)).ravel()
+
+
+def _anticommutes(a: scipy.sparse.csr_array, mirror) -> bool:
+    """Whether mirror is an involution S of the coordinates with S a S = -a exactly."""
+    if mirror is None or not np.array_equal(mirror[mirror], np.arange(a.shape[0])):
+        return False
+    return not np.any((_compress(a, mirror) + a).data)
+
+
+def _mirrored_eigh(block: scipy.sparse.csr_array, perm: np.ndarray):
+    """eigh of a Hermitian block that the involution perm of its coordinates anticommutes with.
+
+    In the basis of perm-even vectors (the fixed points, then the normalised
+    pair sums, columns of P) and perm-odd ones (the pair differences, columns
+    of M) the block is [[0, B], [B*, 0]] with B = P* block M.  One SVD
+    B = U diag(s) V* gives the eigenpairs (-+s_k, (P u_k -+ M v_k)/sqrt 2)
+    and the null vectors P u_k past the odd dimension; the dense block is
+    never formed.  Returns the eigenvalues ascending, as eigh does.
+    """
+    n = block.shape[0]
+    pos = np.arange(n)
+    fixed = pos[perm == pos]
+    first = pos[perm > pos]
+    nf, m = len(fixed), len(first)
+    half = np.sqrt(0.5)
+    pairs = np.arange(m)
+    even = scipy.sparse.csr_array(
+        (np.r_[np.ones(nf), np.full(2 * m, half)],
+         (np.r_[fixed, first, perm[first]], np.r_[np.arange(nf), nf + pairs, nf + pairs])),
+        shape=(n, nf + m))
+    odd = scipy.sparse.csr_array((np.r_[np.full(m, half), np.full(m, -half)],
+                                  (np.r_[first, perm[first]], np.r_[pairs, pairs])), shape=(n, m))
+    u, s, vh = np.linalg.svd(_real_if_exact((even.T @ (block @ odd)).toarray()))
+    pu = even @ u
+    mv = odd @ vh.conj().T
+    vals = np.concatenate([-s, np.zeros(nf), s[::-1]])
+    vecs = np.hstack([(pu[:, :m] - mv) * half, pu[:, m:], ((pu[:, :m] + mv) * half)[:, ::-1]])
+    return vals, vecs
+
+
+def _block_spectra(a, mirror):
+    """The eigenpairs of a Hermitian operator, one exact block at a time.
+
+    Yields (coordinates, eigenvalues, eigenvectors) per block of exact_blocks,
+    eigenvalues ascending.  Without a mirror, or when the mirror S does not
+    satisfy S a S = -a exactly, each block is densified alone and gets one
+    eigh, in real arithmetic when its imaginary part is exactly zero.  With
+    one, a block that S maps onto an earlier block takes that block's
+    spectrum negated and its eigenvectors permuted by S, and a block that S
+    maps onto itself is split into its S-even and S-odd halves and solved by
+    one SVD (_mirrored_eigh).
     """
     a = scipy.sparse.csr_array(a)
-    for idx in exact_blocks(a):
-        block = _real_if_exact(_compress(a, idx).toarray())
-        yield (idx, *np.linalg.eigh(block))
+    blocks = exact_blocks(a)
+    if not _anticommutes(a, mirror):
+        for idx in blocks:
+            block = _real_if_exact(_compress(a, idx).toarray())
+            yield (idx, *np.linalg.eigh(block))
+        return
+    owner = np.empty(a.shape[0], dtype=int)
+    for b, idx in enumerate(blocks):
+        owner[idx] = b
+    held = {}  # block number -> the spectrum of the earlier block that S maps onto it
+    for b, idx in enumerate(blocks):
+        image = owner[mirror[idx[0]]]
+        if image == b:
+            yield (idx, *_mirrored_eigh(_compress(a, idx), np.searchsorted(idx, mirror[idx])))
+        elif image > b:
+            vals, vecs = np.linalg.eigh(_real_if_exact(_compress(a, idx).toarray()))
+            held[image] = (idx, vals, vecs)
+            yield (idx, vals, vecs)
+        else:
+            src, vals, vecs = held.pop(b)
+            yield (idx, -vals[::-1], vecs[np.searchsorted(src, mirror[idx]), ::-1])
 
 
-def matched_spectral_deviation(liouvillean, comparison, dressing, targets) -> dict:
+def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirror) -> dict:
     """Deviation of overlap-identified eigenvalue pairs.
 
     Each target (name, value) or (name, value, state) is located at the
@@ -409,15 +485,16 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets) -> di
     partner cluster and the target.  Targets whose labelled state or
     dressed vector falls below OVERLAP_MIN are reported but not counted.
 
-    Both operators may be dense or sparse.  Each gets one eigh per exact
-    block (see exact_blocks), in real arithmetic when the block's imaginary
-    part is exactly zero, and the overlaps are taken block by block.  The
-    clusters and the projections run over the merged spectrum, since a
-    degenerate eigenvalue may span blocks.
+    Both operators may be dense or sparse.  Each is diagonalised one exact
+    block at a time (see exact_blocks and _block_spectra), and the overlaps
+    are taken block by block.  mirror is None or an index map S that both
+    operators share; where S a S = -a holds exactly, _block_spectra uses it
+    to halve the work.  The clusters and the projections run over the
+    merged spectrum, since a degenerate eigenvalue may span blocks.
     """
     entries = []  # per target: an unmatched reason, or the index of its chosen vector
     located, chosen = [], []
-    blocks = list(_block_spectra(comparison))
+    blocks = list(_block_spectra(comparison, mirror))
     vals_d = np.concatenate([vals for _, vals, _ in blocks])
     owner = np.repeat(np.arange(len(blocks)), [len(vals) for _, vals, _ in blocks])
     column = np.concatenate([np.arange(len(vals)) for _, vals, _ in blocks])
@@ -450,7 +527,7 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets) -> di
         psi = dressing(np.stack(chosen, axis=1))
         psi = psi / np.linalg.norm(psi, axis=0)
         spectra = [(vals, np.abs(_adjoint_product(vecs, psi[idx])) ** 2)
-                   for idx, vals, vecs in _block_spectra(liouvillean)]
+                   for idx, vals, vecs in _block_spectra(liouvillean, mirror)]
         vals_l = np.concatenate([vals for vals, _ in spectra])
         overlaps = np.concatenate([ov for _, ov in spectra])
         for tgt, col in zip(located, overlaps.T):
@@ -475,13 +552,18 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets) -> di
     return out
 
 
-def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparison,
+def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparison, mirror,
                       targets) -> dict:
-    """One family at one cutoff; its operators are freed when the call returns."""
+    """One family at one cutoff; its operators are freed when the call returns.
+
+    mirror is None or _modular_mirror, which builds the index map S that
+    both operators of the family are tested against.
+    """
     ell, space_w = liouvillean(model, cutoff)
     comp, _ = comparison(model, cutoff)
     dressing = partial(apply_pair_squeezer, space_w, model.gamma)
-    return matched_spectral_deviation(ell, comp, dressing, targets)
+    s = None if mirror is None else mirror(model.dim_k, space_w)
+    return matched_spectral_deviation(ell, comp, dressing, targets, s)
 
 
 def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
@@ -502,9 +584,14 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     projection onto the nearest comparison eigenspace is the comparison
     vector; see matched_spectral_deviation.  The thermal dressing acts on
     those vectors only (apply_pair_squeezer).  The four operators are built
-    sparse and get one eigh per exact block (the Z2 parity sectors of the
-    sigma_x-coupled spin-boson model, for instance), each block in real
-    arithmetic when its imaginary part is exactly zero, as for any real model.
+    sparse and diagonalised one exact block at a time (the Z2 parity sectors
+    of the sigma_x-coupled spin-boson model, for instance), each block in
+    real arithmetic when its imaginary part is exactly zero, as for any real
+    model.  The semi family takes one eigh per block.  The standard family
+    is offered the modular mirror S (_modular_mirror): for a real model both
+    of its operators anticommute with S, so a pair of blocks that S swaps
+    costs one eigh and a block that S maps onto itself one SVD of half its
+    size; otherwise it takes one eigh per block too.
     """
     levels = _reference_levels(model)
     targets_semi = _semi_targets(model, levels)
@@ -515,12 +602,13 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     for n in cutoffs:
         states_semi, states_std = _labelled_states(model, n, N_LEVELS, N_RIGHT)
         families = (
-            ("semi", semi_liouvillean, semi_comparison_operator, targets_semi, states_semi),
-            ("standard", standard_liouvillean, standard_comparison_operator, targets_std,
-             states_std))
-        for family, liouvillean, comparison, targets, states in families:
+            ("semi", semi_liouvillean, semi_comparison_operator, None, targets_semi,
+             states_semi),
+            ("standard", standard_liouvillean, standard_comparison_operator, _modular_mirror,
+             targets_std, states_std))
+        for family, liouvillean, comparison, mirror, targets, states in families:
             labelled = [t + (s,) for t, s in zip(targets, states.T)]
-            res = _family_deviation(model, n, liouvillean, comparison, labelled)
+            res = _family_deviation(model, n, liouvillean, comparison, mirror, labelled)
             report[family].append(res["deviation"])
             report[f"{family}_detail"].append(res)
     report["all_matched"] = not (report["semi_detail"][-1]["unmatched"]

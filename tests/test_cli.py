@@ -191,6 +191,23 @@ def test_pauli_fierz_task(tmp_path):
     assert cli.run(path, str(tmp_path / "pf_rep.json"), "json", seed=5) == 0
 
 
+@pytest.mark.parametrize("K, h", [
+    (np.diag([0.5, -0.5]), [[1.0, 5e-11], [0.0, 1.2]]),
+    ([[2.0, 1.5e-12], [0.0, 2.2]], np.eye(2)),
+])
+def test_pauli_fierz_hermiticity_checks_the_hamiltonian(tmp_path, K, h):
+    # both inputs pass their self-adjointness checks but are not Hermitian to
+    # 1e-12; the model stores them symmetrised, so H is Hermitian to the bit
+    model = {"schema_version": 1, "task": "pauli-fierz",
+             "K": cli.encode_matrix(np.array(K)), "h": cli.encode_matrix(np.array(h)),
+             "v": cli.encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4}
+    path = write_model(tmp_path, "pf.json", model)
+    out = tmp_path / "r.json"
+    assert cli.run(path, str(out), "json", seed=42) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["residual"]) for c in checks] == [("hamiltonian-hermiticity", 0.0)]
+
+
 def one_stderr_line(capsys, prefix):
     err = capsys.readouterr().err
     return err.startswith(prefix) and len(err.splitlines()) == 1
@@ -337,6 +354,19 @@ def test_run_suite_model_file(tmp_path):
     assert cli.run(path, str(tmp_path / "reports"), "json", seed=42) == 0
     summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
     assert summary["suite"] == "smoke" and summary["pass"] is True
+
+
+def test_run_suite_model_file_defaults(tmp_path, capsys, monkeypatch):
+    # a suite model file takes the suite subcommand's output directory and has no csv form
+    monkeypatch.chdir(tmp_path)
+    path = write_model(tmp_path, "suite.json",
+                       {"schema_version": 1, "task": "suite", "name": "smoke"})
+    assert cli.main(["run", path, "--format", "csv"]) == 2
+    assert one_stderr_line(capsys, "schema error: a suite writes one JSON report per check")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["suite.json"]
+    assert cli.main(["run", path]) == 0
+    assert json.loads((tmp_path / "reports" / "summary.json").read_text())["pass"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reports", "suite.json"]
 
 
 def test_main_suite(tmp_path):

@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import fockforge.paulifierz as pf
 from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
@@ -363,7 +366,7 @@ def _oracle_agreement(model, cutoffs) -> int:
     for family in ("semi", "standard"):
         for n, detail in zip(cutoffs, rep[f"{family}_detail"]):
             oracle, (ell, comp, dress, targets) = _oracle_family(model, n, family)
-            plain = _by_name(matched_spectral_deviation(ell, comp, dress.__matmul__, targets))
+            plain = _by_name(matched_spectral_deviation(ell, comp, dress.__matmul__, targets, None))
             got = _by_name(detail)
             for name, want in oracle.items():
                 for found in (got[name], plain[name]):
@@ -381,10 +384,15 @@ def test_confined_check_matches_dense_complex_oracle(coupling):
     assert _oracle_agreement(model, (4, 5, 6)) >= 40
 
 
+def _sigma_xz_model(cutoff):
+    """The acceptance model with sigma_x + sigma_z coupling, which breaks the spin-boson parity."""
+    model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=cutoff)
+    return PauliFierzModel(model.K, model.h, 0.1 * np.array([[1, 1], [1, -1]]), model.gamma,
+                           cutoff)
+
+
 def test_model_without_parity_is_one_block():
-    # sigma_x + sigma_z coupling breaks the spin-boson parity
-    base = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=6)
-    model = PauliFierzModel(base.K, base.h, 0.1 * np.array([[1, 1], [1, -1]]), base.gamma, 6)
+    model = _sigma_xz_model(6)
     for n in (4, 5, 6):
         for build in (semi_liouvillean, standard_liouvillean, standard_comparison_operator):
             assert len(exact_blocks(build(model, n)[0])) == 1
@@ -476,35 +484,53 @@ def test_apply_pair_squeezer_matches_dense(rng, d, n_max):
         apply_pair_squeezer(space, gamma_one, np.ones(space.dim + 1))
 
 
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 def test_degenerate_targets_independent_of_eigenbasis(monkeypatch):
-    # E_i - E_i = 0 is an 18-fold comparison eigenvalue at cutoff 8; any
-    # unitary rotation of that eigenbasis must leave the identification alone
+    # E_i - E_i = 0 is an 18-fold eigenvalue of one exact block of the
+    # standard Liouvillean at cutoff 8 (and 9 + 9 over two comparison
+    # blocks); any unitary rotation of each degenerate eigenspace that
+    # _block_spectra yields, through eigh or through the mirror SVD, must
+    # leave the identification alone
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
     plain = confined_pf_check(model, cutoffs=(8,))
     rng = np.random.default_rng(5)
-    eigh = np.linalg.eigh
+    block_spectra = pf._block_spectra
     rotated_sizes = []
 
-    def rotated_eigh(a):
-        w, v = eigh(a)
-        v = v.astype(complex)
-        start = 0
-        while start < len(w):
-            stop = start + 1
-            while stop < len(w) and w[stop] - w[start] <= 1e-9 * max(1.0, abs(w[start])):
-                stop += 1
-            size = stop - start
-            if size > 1:
-                q, _ = np.linalg.qr(rng.standard_normal((size, size))
-                                    + 1j * rng.standard_normal((size, size)))
-                v[:, start:stop] = v[:, start:stop] @ q
-                rotated_sizes.append(size)
-            start = stop
-        return w, v
+    def rotated_block_spectra(a, mirror):
+        for idx, w, v in block_spectra(a, mirror):
+            v = v.astype(complex)
+            start = 0
+            while start < len(w):
+                stop = start + 1
+                while stop < len(w) and w[stop] - w[start] <= 1e-9 * max(1.0, abs(w[start])):
+                    stop += 1
+                size = stop - start
+                if size > 1:
+                    q, _ = np.linalg.qr(rng.standard_normal((size, size))
+                                        + 1j * rng.standard_normal((size, size)))
+                    v[:, start:stop] = v[:, start:stop] @ q
+                    rotated_sizes.append(size)
+                start = stop
+            yield idx, w, v
 
-    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    monkeypatch.setattr(pf, "_block_spectra", rotated_block_spectra)
+    svd_calls = _count_svd(monkeypatch)
     turned = confined_pf_check(model, cutoffs=(8,))
     assert 18 in rotated_sizes
+    # the two Liouvillean blocks and the two comparison blocks that S maps onto themselves
+    assert len(svd_calls) == 4
     for family in ("semi", "standard"):
         want = _by_name(plain[f"{family}_detail"][0])
         got = _by_name(turned[f"{family}_detail"][0])
@@ -514,6 +540,83 @@ def test_degenerate_targets_independent_of_eigenbasis(monkeypatch):
             assert abs(got[name][1] - weight) <= 1e-10
     for i in range(3):
         assert want[f"E{i}-E{i}"][1] >= 0.9999
+
+
+def _standard_family(model, cutoff):
+    """The standard Liouvillean, the comparison operator H (x) 1 - 1 (x) conj(H), the doubled
+    space and the modular mirror S on their common coordinates."""
+    ell, space = standard_liouvillean(model, cutoff)
+    comp, _ = standard_comparison_operator(model, cutoff)
+    return ell, comp, space, pf._modular_mirror(model.dim_k, space)
+
+
+def _standard_match(model, cutoff, mirror):
+    """matched_spectral_deviation of the standard family with the given mirror."""
+    ell, comp, space, _ = _standard_family(model, cutoff)
+    levels = pf._reference_levels(model)
+    _, states = _labelled_states(model, cutoff, 3, 2)
+    targets = [(f"E{i}-E{j}", float(levels[i] - levels[j]), states[:, 3 * i + j])
+               for i in range(3) for j in range(3)]
+    dressing = partial(apply_pair_squeezer, space, model.gamma)
+    return matched_spectral_deviation(ell, comp, dressing, targets, mirror)
+
+
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model])
+def test_modular_mirror_anticommutes_with_standard_operators(build):
+    # J = S after complex conjugation, so for a real model J L J = -L reads S L S = -L
+    model = build(cutoff=6)
+    for n in (3, 5, 6):
+        ell, comp, _, s = _standard_family(model, n)
+        assert np.array_equal(s[s], np.arange(len(s)))
+        for a in (ell, comp):
+            assert not np.any((a[s][:, s] + a).data)  # exactly, not to a tolerance
+            assert pf._anticommutes(a, s)
+
+
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model])
+def test_mirror_route_eigenpairs(build, monkeypatch):
+    model = build(cutoff=6)
+    ell, comp, _, s = _standard_family(model, 6)
+    svd_calls = _count_svd(monkeypatch)
+    for a in (ell, comp):
+        dense = a.toarray()
+        scale = np.linalg.norm(dense, 2)
+        spectra = list(pf._block_spectra(a, s))
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in spectra])),
+                              np.arange(a.shape[0]))
+        for idx, w, v in spectra:
+            assert np.all(np.diff(w) >= 0)
+            assert np.linalg.norm(v.conj().T @ v - np.eye(len(idx)), 2) <= 1e-12
+            assert np.linalg.norm(dense[np.ix_(idx, idx)] @ v - v * w, 2) <= 1e-12 * scale
+        got = np.sort(np.concatenate([w for _, w, _ in spectra]))
+        want = np.sort(np.concatenate([w for _, w, _ in pf._block_spectra(a, None)]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert svd_calls  # the self-mirrored blocks went through the SVD
+
+
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model])
+def test_mirror_route_matches_plain_route(build):
+    model = build(cutoff=6)
+    s = _standard_family(model, 6)[3]
+    plain, mirrored = _standard_match(model, 6, None), _standard_match(model, 6, s)
+    assert plain["unmatched"] == mirrored["unmatched"]
+    assert [m[0] for m in plain["matched"]] == [m[0] for m in mirrored["matched"]]
+    assert len(plain["matched"]) >= 6
+    for want, got in zip(plain["matched"], mirrored["matched"]):
+        assert abs(got[1] - want[1]) <= 1e-13 and abs(got[2] - want[2]) <= 1e-13
+
+
+def test_mirror_falls_back_when_it_does_not_anticommute(monkeypatch):
+    # the identity is an involution but commutes with L; for the sigma_y model J
+    # is antilinear and S alone does not anticommute with its complex L
+    model, model_y = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=6), _sigma_y_model(6)
+    identity = np.arange(_standard_family(model, 6)[0].shape[0])
+    ell_y, comp_y, _, s_y = _standard_family(model_y, 6)
+    assert not pf._anticommutes(ell_y, s_y) and not pf._anticommutes(comp_y, s_y)
+    svd_calls = _count_svd(monkeypatch)
+    for m, mirror in ((model, identity), (model_y, s_y)):
+        assert _standard_match(m, 6, mirror) == _standard_match(m, 6, None)
+    assert not svd_calls
 
 
 def test_complex_coupling_matches_real_model():
@@ -532,8 +635,6 @@ def test_complex_coupling_matches_real_model():
 
 
 def test_reference_spectrum_built_once(monkeypatch):
-    import fockforge.paulifierz as pf
-
     cutoffs_seen = []
     build = pf.hamiltonian
 
