@@ -15,7 +15,7 @@ import scipy.sparse
 from .fock import BOSE, FockSpace, dgamma
 from .linalg import _self_adjoint, require_square, sqrtm_psd
 from .ops import _apply_squeezer
-from .thermal import ThermalParams, pair_kernel
+from .thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
 DEFAULT_CUTOFF = 10
 # the lowest system levels and the boson quanta below them that the confined check follows
@@ -106,33 +106,25 @@ def _eye(n: int) -> scipy.sparse.csr_array:
     return scipy.sparse.eye_array(n, dtype=complex, format="csr")
 
 
-def coupled_create(dim_k: int, space: FockSpace, q: np.ndarray) -> scipy.sparse.csr_array:
-    """a*(q) on C^k (x) Fock for a coupling q : K -> K (x) Z, as a sparse array.
+def coupled_create(q: np.ndarray, creators) -> scipy.sparse.csr_array:
+    """sum_m B_m (x) creators[m] for a coupling q = sum_m B_m (x) |e_m) : K -> K (x) Z, sparse.
 
-    Decomposing q along the boson modes as sum_m B_m (x) |e_m) gives
-    a*(q) = sum_m B_m (x) a*_m; for q = B (x) |w) this is B (x) a*(w).
+    With creators[m] = a*_m this is a*(q), and B (x) a*(w) for q = B (x) |w);
+    with the left creators a*_l(e_m) of a thermal representation it is
+    pi_l(a*(q)).
     """
     q = np.asarray(q, dtype=complex)
-    d = space.d
+    dim_k, d = q.shape[1], len(creators)
     if q.shape != (dim_k * d, dim_k):
         raise ValueError(f"coupling must be {(dim_k * d, dim_k)}, got {q.shape}")
-    out = scipy.sparse.csr_array((dim_k * space.dim, dim_k * space.dim), dtype=complex)
+    dim = dim_k * creators[0].shape[0]
+    out = scipy.sparse.csr_array((dim, dim), dtype=complex)
     q4 = q.reshape(dim_k, d, dim_k)
-    for m in range(d):
+    for m, a in enumerate(creators):
         b_m = q4[:, m, :]
         if np.any(b_m):
-            out = out + _kron(b_m, space.creation(m))
+            out = out + _kron(b_m, a)
     return out
-
-
-def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
-    """The conjugate-leg coupling: sum B_m (x) |e_m) -> sum B_m* (x) |conj e_m)."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (dim_k * d, dim_k):
-        raise ValueError(f"coupling must be {(dim_k * d, dim_k)}, got {v.shape}")
-    v4 = v.reshape(dim_k, d, dim_k)
-    out = np.conj(np.einsum("imj->jmi", v4))
-    return out.reshape(dim_k * d, dim_k)
 
 
 def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h: int) -> scipy.sparse.csr_array:
@@ -155,82 +147,52 @@ def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h: int) -> scipy.sparse.cs
     return scipy.sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
 
 
-def _coupled(model: PauliFierzModel, space: FockSpace, energy, coupling) -> scipy.sparse.csr_array:
-    """K (x) 1 + 1 (x) dGamma(energy) + a*(coupling) + a(coupling) on C^k (x) space, sparse."""
-    inter = coupled_create(model.dim_k, space, coupling)
-    return (_kron(model.K, _eye(space.dim)) + _kron(_eye(model.dim_k), dgamma(space, energy))
+def _coupled(model: PauliFierzModel, free, creators) -> scipy.sparse.csr_array:
+    """K (x) 1 + 1 (x) free + A + A* on C^k (x) a boson space, A = coupled_create(v, creators)."""
+    inter = coupled_create(model.v, creators)
+    return (_kron(model.K, _eye(free.shape[0])) + _kron(_eye(model.dim_k), free)
             + inter + inter.conj().T)
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int):
     """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H dense."""
     space = FockSpace(BOSE, model.d, cutoff)
-    return _coupled(model, space, model.h, model.v).toarray(), space
+    creators = [space.creation(m) for m in range(model.d)]
+    return _coupled(model, dgamma(space, model.h), creators).toarray(), space
 
 
-def _doubled_energy(model: PauliFierzModel) -> np.ndarray:
-    d = model.d
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = model.h
-    block[d:, d:] = -np.conj(model.h)
-    return block
+def _doubling(model: PauliFierzModel, cutoff: int):
+    """The Araki-Woods representation of the model's density and its left creators a*_l(e_m).
 
-
-def _stack_legs(top: np.ndarray, bottom: np.ndarray, k: int, d: int) -> np.ndarray:
-    """K -> K (x) (Z (+) Zbar) from the legs top: K -> K (x) Z and bottom: K -> K (x) Zbar."""
-    q = np.zeros((k, 2 * d, k), dtype=complex)
-    q[:, :d, :] = top.reshape(k, d, k)
-    q[:, d:, :] = bottom.reshape(k, d, k)
-    return q.reshape(k * 2 * d, k)
-
-
-def dressed_coupling(model: PauliFierzModel) -> np.ndarray:
-    """q_gamma = ((1+rho)^{1/2} v on the Z leg, rho-bar^{1/2} v-star on the Zbar leg)."""
-    d, k = model.d, model.dim_k
-    rho = model.rho
-    top = apply_boson_leg(sqrtm_psd(np.eye(d) + rho), model.v, k, d)
-    vst = v_star(model.v, k, d)
-    bottom = apply_boson_leg(np.conj(sqrtm_psd(rho)), vst, k, d)
-    return _stack_legs(top, bottom, k, d)
+    Its doubled space Gamma(Z (+) Zbar) is truncated at twice the stated
+    single-sided cutoff, since the density dressing populates pairs.
+    """
+    if model.gamma is None:
+        raise ValueError("a Liouvillean needs a density gamma")
+    rep = DoubledRep(ThermalParams(BOSE, model.gamma, h=model.h), cutoff)
+    return rep, [rep.create_left(e) for e in np.eye(model.d)]
 
 
 def semi_liouvillean(model: PauliFierzModel, cutoff: int):
-    """L_fr + V on K (x) Gamma(Z (+) Zbar); returns (L, doubled space), L sparse.
-
-    The doubled space is truncated at twice the stated single-sided
-    cutoff, since the density dressing populates pairs.
-    """
-    if model.gamma is None:
-        raise ValueError("semi-Liouvillean needs a density gamma")
-    space = FockSpace(BOSE, 2 * model.d, 2 * cutoff)
-    return _coupled(model, space, _doubled_energy(model), dressed_coupling(model)), space
-
-
-def _doubled_swap_index(space: FockSpace) -> np.ndarray:
-    """The occupation permutation (n, m) -> (m, n) of the leg swap on Z (+) Zbar."""
-    d = space.d // 2
-    occ = space.occupations
-    return space.indices(np.hstack([occ[:, d:], occ[:, :d]]))
+    """K (x) 1 + 1 (x) dGamma(h (+) -h-bar) + pi_l(V) on K (x) Gamma(Z (+) Zbar); returns
+    (L, doubled space), L sparse."""
+    rep, creators = _doubling(model, cutoff)
+    return _coupled(model, rep.standard_liouvillean(model.h), creators), rep.space
 
 
 def standard_liouvillean(model: PauliFierzModel, cutoff: int):
-    """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar), L sparse."""
-    if model.gamma is None:
-        raise ValueError("standard Liouvillean needs a density gamma")
-    space = FockSpace(BOSE, 2 * model.d, 2 * cutoff)
-    k = model.dim_k
-    free = (_kron(model.K, _eye(k * space.dim))
-            - _kron(_eye(k), _kron(np.conj(model.K), _eye(space.dim)))
-            + _kron(_eye(k * k), dgamma(space, _doubled_energy(model))))
-    inter = coupled_create(k, space, dressed_coupling(model))
-    v_full = (inter + inter.conj().T).tocoo()
-    pi_v = check_middle(np.eye(k), v_full, k, space.dim)
-    # Gamma(swap) is a permutation and an involution, so the sandwich
-    # (1 (x) Gamma) conj(V) (1 (x) Gamma) only relabels rows and columns
-    swap = (np.arange(k)[:, None] * space.dim + _doubled_swap_index(space)).ravel()
-    mirrored = scipy.sparse.csr_array((np.conj(v_full.data), (swap[v_full.row], swap[v_full.col])),
-                                      shape=v_full.shape)
-    return free + pi_v - _kron(_eye(k), mirrored), space
+    """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar), L sparse.
+
+    Built as X - J X J with X = K (x) 1 + dGamma(h (+) 0) + pi_l(V), the
+    identity on the Kbar leg; J X J is conj(X) relabelled by the modular
+    mirror S.  Each entry of L is then a - b where its mirror entry is
+    b - a, so S L S = -L holds exactly for a real model.
+    """
+    rep, creators = _doubling(model, cutoff)
+    k, space = model.dim_k, rep.space
+    left = _coupled(model, dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h)), creators)
+    x = check_middle(np.eye(k), left, k, space.dim)
+    return x - _compress(x.conj(), _modular_mirror(k, space)), space
 
 
 def _doubled_chart(model: PauliFierzModel, cutoff: int):
@@ -391,7 +353,7 @@ def _modular_mirror(dim_k: int, space: FockSpace) -> np.ndarray:
     """
     kap = np.arange(dim_k)
     return ((kap[None, :, None] * dim_k + kap[:, None, None]) * space.dim
-            + _doubled_swap_index(space)).ravel()
+            + _leg_swap_index(space)).ravel()
 
 
 def _anticommutes(a: scipy.sparse.csr_array, mirror) -> bool:
@@ -446,26 +408,24 @@ def _block_spectra(a, mirror):
     """
     a = scipy.sparse.csr_array(a)
     blocks = exact_blocks(a)
-    if not _anticommutes(a, mirror):
-        for idx in blocks:
-            block = _real_if_exact(_compress(a, idx).toarray())
-            yield (idx, *np.linalg.eigh(block))
-        return
+    mirrored = _anticommutes(a, mirror)
     owner = np.empty(a.shape[0], dtype=int)
     for b, idx in enumerate(blocks):
         owner[idx] = b
     held = {}  # block number -> the spectrum of the earlier block that S maps onto it
     for b, idx in enumerate(blocks):
-        image = owner[mirror[idx[0]]]
+        # without an exact mirror no block has an image
+        image = owner[mirror[idx[0]]] if mirrored else None
         if image == b:
             yield (idx, *_mirrored_eigh(_compress(a, idx), np.searchsorted(idx, mirror[idx])))
-        elif image > b:
-            vals, vecs = np.linalg.eigh(_real_if_exact(_compress(a, idx).toarray()))
-            held[image] = (idx, vals, vecs)
-            yield (idx, vals, vecs)
-        else:
+        elif image is not None and image < b:
             src, vals, vecs = held.pop(b)
             yield (idx, -vals[::-1], vecs[np.searchsorted(src, mirror[idx]), ::-1])
+        else:
+            vals, vecs = np.linalg.eigh(_real_if_exact(_compress(a, idx).toarray()))
+            if image is not None:
+                held[image] = (idx, vals, vecs)
+            yield (idx, vals, vecs)
 
 
 def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirror) -> dict:

@@ -38,6 +38,13 @@ def pair_kernel(gamma_one, kind: str) -> np.ndarray:
     return c
 
 
+def _leg_swap_index(space: FockSpace) -> np.ndarray:
+    """The occupation permutation (n, m) -> (m, n) of the leg swap on the doubled space."""
+    d = space.d // 2
+    occ = space.occupations
+    return space.indices(np.hstack([occ[:, d:], occ[:, :d]]))
+
+
 def _lambda_sandwich(space: FockSpace, op) -> scipy.sparse.csr_array:
     """Lambda op Lambda for a sparse op; Lambda is diagonal with entries +-1."""
     lam = scipy.sparse.diags_array(space.lambda_op().diagonal())
@@ -203,19 +210,23 @@ class DoubledRep:
 
     # -- modular structure ----------------------------------------------
 
-    def _leg_swap(self) -> np.ndarray:
-        d = self.d
-        x = np.zeros((2 * d, 2 * d))
-        x[:d, d:] = np.eye(d)
-        x[d:, :d] = np.eye(d)
-        return x
-
     def modular_conjugation(self) -> Antiunitary:
-        """J = Gamma(leg swap) o conj, dressed by Lambda for fermions."""
-        g = gamma(self.space, self._leg_swap()).real
+        """J = Gamma(leg swap) o conj, dressed by Lambda for fermions.
+
+        Gamma(leg swap) permutes the occupations, (n, m) -> (m, n).  For
+        fermions, moving the b second-leg creators past the a first-leg ones
+        gives the sign (-1)^(ab) = Lambda(a + b) Lambda(a) Lambda(b), so the
+        Lambda-dressed J carries the sign Lambda(a) Lambda(b).
+        """
+        space = self.space
+        sign = np.ones(space.dim)
         if self.kind == FERMI:
-            g = self.space.lambda_op().real @ g
-        return Antiunitary(g)
+            a = space.occupations[:, :self.d].sum(axis=1)
+            b = space.total_numbers - a
+            sign = (-1.0) ** ((a * (a - 1) + b * (b - 1)) // 2)
+        u = np.zeros((space.dim, space.dim))
+        u[_leg_swap_index(space), np.arange(space.dim)] = sign
+        return Antiunitary(u)
 
     def modular_operator(self) -> np.ndarray:
         """Delta = Gamma(gamma (+) conj(gamma)^{-1}); needs trivial kernels."""

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 195
+MAX_PUBLIC = 193
 
 
 def defaulted_parameters():

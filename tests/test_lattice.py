@@ -6,7 +6,7 @@ from fockforge.lattice import (GeneralPositionError, RealSubspace, _orthonormali
                                double_commutant, fermionic_duality_check,
                                general_position_split, halmos_angles,
                                halmos_isometry_range, join, meet, mult_i_matrix,
-                               perp, symplectic_complement, to_real)
+                               perp, symplectic_complement, to_complex, to_real)
 from fockforge.thermal import tracial_field
 
 
@@ -58,6 +58,11 @@ def test_perp_basics(rng):
     assert subspace_distance(perp(perp(v)).basis, v.basis) <= 1e-12
     assert perp(whole(2)).dim == 0
     assert perp(zero(2)).dim == 4
+
+
+def test_real_chart_round_trip(rng):
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert np.array_equal(to_complex(to_real(z)), z)
 
 
 def test_symplectic_complement_involution(rng):

@@ -8,19 +8,45 @@ import fockforge.paulifierz as pf
 from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
-from fockforge.paulifierz import (PauliFierzModel, _doubled_swap_index, _labelled_states,
-                                  _stack_legs, apply_boson_leg, apply_pair_squeezer,
-                                  check_middle, confined_pf_check, coupled_create,
-                                  difference_targets, dressed_coupling, exact_blocks, hamiltonian,
+from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_boson_leg,
+                                  apply_pair_squeezer, check_middle, confined_pf_check,
+                                  coupled_create, difference_targets, exact_blocks, hamiltonian,
                                   matched_spectral_deviation, semi_comparison_operator,
                                   semi_liouvillean, spin_boson, standard_comparison_operator,
-                                  standard_liouvillean, v_star)
-from fockforge.thermal import pair_kernel
+                                  standard_liouvillean)
+from fockforge.thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(17)
+
+
+def creators(space):
+    return [space.creation(m) for m in range(space.d)]
+
+
+def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
+    """The conjugate-leg coupling: sum B_m (x) |e_m) -> sum B_m* (x) |conj e_m)."""
+    v4 = np.asarray(v, dtype=complex).reshape(dim_k, d, dim_k)
+    return np.conj(np.einsum("imj->jmi", v4)).reshape(dim_k * d, dim_k)
+
+
+def _stack_legs(top: np.ndarray, bottom: np.ndarray, k: int, d: int) -> np.ndarray:
+    """K -> K (x) (Z (+) Zbar) from the legs top: K -> K (x) Z and bottom: K -> K (x) Zbar."""
+    q = np.zeros((k, 2 * d, k), dtype=complex)
+    q[:, :d, :] = top.reshape(k, d, k)
+    q[:, d:, :] = bottom.reshape(k, d, k)
+    return q.reshape(k * 2 * d, k)
+
+
+def dressed_coupling(model):
+    """q_gamma = ((1+rho)^{1/2} v on the Z leg, rho-bar^{1/2} v-star on the Zbar leg): the
+    oracle of pi_l(V), written on the one-particle space instead of through a*_l(e_m)."""
+    d, k = model.d, model.dim_k
+    top = apply_boson_leg(sqrtm_psd(np.eye(d) + model.rho), model.v, k, d)
+    bottom = apply_boson_leg(np.conj(sqrtm_psd(model.rho)), v_star(model.v, k, d), k, d)
+    return _stack_legs(top, bottom, k, d)
 
 
 def mirrored_coupling(model):
@@ -34,7 +60,7 @@ def mirrored_coupling(model):
 
 def jpvj_closed_form(model, space) -> np.ndarray:
     """1_K (x) (a*(mirrored coupling) + h.c.) acting on the Kbar and boson legs, dense."""
-    inter = coupled_create(model.dim_k, space, mirrored_coupling(model))
+    inter = coupled_create(mirrored_coupling(model), creators(space))
     return np.kron(np.eye(model.dim_k), (inter + inter.conj().T).toarray())
 
 
@@ -75,11 +101,11 @@ def test_coupled_create_factored(rng):
     b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     q = np.einsum("ij,m->imj", b, w).reshape(k * d, k)
-    got = coupled_create(k, sp, q).toarray()
+    got = coupled_create(q, creators(sp)).toarray()
     assert np.linalg.norm(got - np.kron(b, sp.create(w).toarray()), 2) <= 1e-12
     # the adjoint a(q) annihilates every state K (x) vacuum
     assert not np.any(got.conj().T @ np.kron(np.eye(k), sp.vacuum()[:, None]))
-    assert not np.any(coupled_create(k, sp, np.zeros((k * d, k))).toarray())
+    assert not np.any(coupled_create(np.zeros((k * d, k)), creators(sp)).toarray())
 
 
 def test_coupled_create_linearity(rng):
@@ -87,8 +113,8 @@ def test_coupled_create_linearity(rng):
     sp = FockSpace("bose", d, 3)
     q1 = rng.standard_normal((k * d, k)) + 1j * rng.standard_normal((k * d, k))
     q2 = rng.standard_normal((k * d, k)) + 1j * rng.standard_normal((k * d, k))
-    lhs = coupled_create(k, sp, q1 + q2).toarray()
-    rhs = (coupled_create(k, sp, q1) + coupled_create(k, sp, q2)).toarray()
+    lhs = coupled_create(q1 + q2, creators(sp)).toarray()
+    rhs = (coupled_create(q1, creators(sp)) + coupled_create(q2, creators(sp))).toarray()
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 
@@ -204,23 +230,39 @@ def _leg_swap(d):
     return np.block([[zero, eye], [eye, zero]])
 
 
-def test_jpvj_closed_form(rng):
-    model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=4)
-    _, space = semi_liouvillean(model, model.cutoff)
-    inter = coupled_create(2, space, dressed_coupling(model)).toarray()
-    v_full = inter + inter.conj().T
-    jw = gamma(space, _leg_swap(model.d))
-    mirrored = np.kron(np.eye(2), jw) @ np.conj(v_full) @ np.kron(np.eye(2), jw)
-    sandwich = np.kron(np.eye(2), mirrored)
-    closed = jpvj_closed_form(model, space)
-    assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
+def _real_d2_model(h, cutoff):
+    """A real model with two boson modes: sigma_x on the first, sigma_z on the second."""
+    k = np.diag([0.5, -0.5])
+    v = 0.1 * np.stack([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], axis=1).reshape(4, 2)
+    return PauliFierzModel(k, h, v, scipy.linalg.expm(-1.5 * np.asarray(h)), cutoff)
+
+
+REAL_D2 = [partial(_real_d2_model, np.diag([1.0, 1.3])),
+           partial(_real_d2_model, np.array([[1.0, 0.2], [0.2, 1.3]]))]
+
+
+def test_jpvj_closed_form():
+    for model in (spin_boson(coupling=0.15, gamma_value=0.25, cutoff=4),
+                  REAL_D2[0](cutoff=2), REAL_D2[1](cutoff=2)):
+        k, cutoff = model.dim_k, model.cutoff
+        ell, space = semi_liouvillean(model, cutoff)
+        inter = coupled_create(dressed_coupling(model), creators(space)).toarray()
+        v_full = inter + inter.conj().T
+        # pi_l(V), built from the left creators a*_l(e_m), is a*(q_gamma) + a(q_gamma)
+        free = PauliFierzModel(model.K, model.h, np.zeros_like(model.v), model.gamma, cutoff)
+        pi_v = (ell - semi_liouvillean(free, cutoff)[0]).toarray()
+        assert np.max(np.abs(pi_v - v_full)) <= 1e-14
+        jw = np.kron(np.eye(k), gamma(space, _leg_swap(model.d)))
+        sandwich = np.kron(np.eye(k), jw @ np.conj(v_full) @ jw)
+        closed = jpvj_closed_form(model, space)
+        assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
 
 
 def test_leg_swap_gamma_is_the_swap_permutation():
     for space in (FockSpace("bose", 4, 6), FockSpace("fermi", 6)):
         d = space.d // 2
         perm = np.zeros((space.dim, space.dim))
-        perm[_doubled_swap_index(space), np.arange(space.dim)] = 1.0
+        perm[_leg_swap_index(space), np.arange(space.dim)] = 1.0
         g = gamma(space, _leg_swap(d))
         if space.is_fermi:
             # moving b second-leg creators past a first-leg ones gives the
@@ -230,12 +272,25 @@ def test_leg_swap_gamma_is_the_swap_permutation():
             legs = (-1.0) ** (a * (a - 1) // 2 + b * (b - 1) // 2)
             g = (np.diagonal(space.lambda_op()).real * legs)[:, None] * g
         assert np.max(np.abs(g - perm)) <= 1e-15
+    # the linear part of J is a signed permutation, the Lambda-dressed Gamma(leg swap); the
+    # sector route of gamma rounds by 1.1e-16 on the bose d = 1 space at n_max 16
+    for kind, d in (("bose", 1), ("bose", 2), ("fermi", 2), ("fermi", 3)):
+        rep = DoubledRep(ThermalParams(kind, np.diag(np.linspace(0.1, 0.3, d))))
+        g = gamma(rep.space, _leg_swap(d))
+        if kind == "fermi":
+            g = rep.space.lambda_op() @ g
+        u = rep.modular_conjugation().unitary
+        assert np.array_equal(np.abs(u).sum(axis=0), np.ones(rep.space.dim))
+        assert set(np.unique(u)) <= {-1, 0, 1}
+        assert np.max(np.abs(u - g)) <= 1e-15
+        if d > 1:
+            assert np.array_equal(u, g)
 
 
 def test_left_right_interactions_commute_subcutoff():
     model = spin_boson(coupling=0.15, gamma_value=0.25, cutoff=5)
     _, space = semi_liouvillean(model, model.cutoff)
-    inter = coupled_create(2, space, dressed_coupling(model))
+    inter = coupled_create(dressed_coupling(model), creators(space))
     v_full = inter + inter.conj().T
     pi_v = check_middle(np.eye(2), v_full, 2, space.dim).toarray()
     jvj = jpvj_closed_form(model, space)
@@ -274,8 +329,6 @@ def test_comparison_operators_v0_exact():
 
 
 def test_pair_squeezer_is_thermal_dressing():
-    from fockforge.thermal import DoubledRep, ThermalParams
-
     rep = DoubledRep(ThermalParams("bose", np.array([[0.25]])), single_cutoff=4)
     assert np.linalg.norm(_expm_squeezer(rep.space, np.array([[0.25]])) - rep.r_gamma(), 2) <= 1e-12
 
@@ -561,16 +614,23 @@ def _standard_match(model, cutoff, mirror):
     return matched_spectral_deviation(ell, comp, dressing, targets, mirror)
 
 
-@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model])
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model, *REAL_D2])
 def test_modular_mirror_anticommutes_with_standard_operators(build):
-    # J = S after complex conjugation, so for a real model J L J = -L reads S L S = -L
+    # J = S after complex conjugation, so for a real model J L J = -L reads S L S = -L;
+    # L = X - J X J makes it exact for every real model, d > 1 included
     model = build(cutoff=6)
-    for n in (3, 5, 6):
+    for n in (3, 5, 6) if model.d == 1 else (2, 3):
         ell, comp, _, s = _standard_family(model, n)
         assert np.array_equal(s[s], np.arange(len(s)))
         for a in (ell, comp):
             assert not np.any((a[s][:, s] + a).data)  # exactly, not to a tolerance
             assert pf._anticommutes(a, s)
+        if model.d > 1:  # the d = 1 models: test_mirror_route_matches_plain_route
+            plain, mirrored = _standard_match(model, n, None), _standard_match(model, n, s)
+            assert plain["unmatched"] == mirrored["unmatched"]
+            assert [m[0] for m in plain["matched"]] == [m[0] for m in mirrored["matched"]]
+            for want, got in zip(plain["matched"], mirrored["matched"]):
+                assert abs(got[1] - want[1]) <= 1e-13 and abs(got[2] - want[2]) <= 1e-13
 
 
 @pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model])

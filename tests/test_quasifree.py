@@ -105,6 +105,13 @@ def test_covariance_validation():
         CovarianceData("bose", np.array([[1.0, 0.5], [0.0, 1.0]]), J2)
     with pytest.raises(NonPositiveEtaError):
         CovarianceData("bose", -np.eye(2), 0.1 * J2)
+    # a kernel, and a negative eigenvalue within the tolerance 1e-10 * max|eta|, pass;
+    # a clearly negative one does not
+    zero = np.zeros((2, 2))
+    CovarianceData("bose", np.diag([1.0, 0.0]), zero)
+    CovarianceData("bose", np.diag([4.0, -1e-10]), zero)
+    with pytest.raises(NonPositiveEtaError):
+        CovarianceData("bose", np.diag([1.0, -1e-6]), zero)
     with pytest.raises(ValueError):
         # omega too large against eta: Cauchy-Schwarz bound fails
         CovarianceData("bose", 0.1 * np.eye(2), J2)
