@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace
-from .linalg import dense, polar_decompose
+from .linalg import dense, polar_decompose, sqrtm_psd
 
 RANK_RTOL = 1e-10
 GRAY_LOW = 1e-12
@@ -31,11 +31,6 @@ def mult_i_matrix(d: int) -> np.ndarray:
     j[:d, d:] = -np.eye(d)
     j[d:, :d] = np.eye(d)
     return j
-
-
-def to_real(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    return np.concatenate([z.real, z.imag])
 
 
 def to_complex(y) -> np.ndarray:
@@ -202,10 +197,9 @@ def halmos_angles(v: RealSubspace) -> HalmosData:
 
 def halmos_isometry_range(data: HalmosData) -> np.ndarray:
     """Columns (1-chi)^{1/2} z + eps chi^{1/2} z over the Z basis; spans V."""
-    w, vecs = np.linalg.eigh(data.chi)
-    sq_chi = vecs @ np.diag(np.sqrt(np.clip(w, 0, None))) @ vecs.T
-    sq_one = vecs @ np.diag(np.sqrt(np.clip(1 - w, 0, None))) @ vecs.T
-    return data.z_basis @ sq_one + data.eps @ data.z_basis @ sq_chi
+    one = np.eye(data.chi.shape[0])
+    return (data.z_basis @ sqrtm_psd(one - data.chi)
+            + data.eps @ data.z_basis @ sqrtm_psd(data.chi))
 
 
 def commutant(generators) -> list:

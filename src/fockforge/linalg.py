@@ -9,8 +9,6 @@ spectral comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse
 
@@ -99,54 +97,3 @@ def polar_decompose(a):
         pos = pos.real
         iso = iso.real
     return iso, pos
-
-
-def _permutation_sign(perm) -> int:
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """A pairing of {0, ..., 2m-1}: partition into ordered pairs.
-
-    ``perm`` lists the pairs flattened, (i1, j1, i2, j2, ...), with
-    i1 < i2 < ... and ik < jk.  ``sign`` is the parity of that
-    permutation, the one entering fermionic pairing sums.
-    """
-
-    m: int
-    perm: tuple
-    sign: int
-
-    def pairs(self):
-        return [(self.perm[2 * j], self.perm[2 * j + 1]) for j in range(self.m)]
-
-
-def enumerate_pairings(m: int):
-    """All (2m-1)!! pairings of {0,...,2m-1}, each with its sign.
-
-    m = 0 returns the single empty pairing (empty-product convention).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    results = []
-
-    def recurse(remaining, acc):
-        if not remaining:
-            perm = tuple(acc)
-            results.append(Pairing(m, perm, _permutation_sign(perm)))
-            return
-        first = remaining[0]
-        for k in range(1, len(remaining)):
-            partner = remaining[k]
-            rest = remaining[1:k] + remaining[k + 1:]
-            recurse(rest, acc + [first, partner])
-
-    recurse(list(range(2 * m)), [])
-    return results

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import BOSE, FockSpace, dgamma
-from .linalg import _self_adjoint, require_square, sqrtm_psd
+from .linalg import _self_adjoint, require_square
 from .ops import _apply_squeezer
 from .thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
@@ -66,35 +66,6 @@ class PauliFierzModel:
     @property
     def d(self) -> int:
         return self.h.shape[0]
-
-    @property
-    def rho(self) -> np.ndarray:
-        if self.gamma is None:
-            raise ValueError("model carries no density gamma")
-        return ThermalParams(BOSE, self.gamma).density
-
-    def hypothesis_norms(self) -> dict:
-        """Norms of the coupling dressed by the standard hypotheses.
-
-        All finite here by construction; reported so the desk-scale model
-        stays explicit about which assumptions it trivializes.
-        """
-        d = self.d
-        hinv_sq = np.linalg.inv(sqrtm_psd(self.h))
-        out = {"h^-1/2 v": float(np.linalg.norm(apply_boson_leg(hinv_sq, self.v, self.dim_k, d), 2))}
-        if self.gamma is not None:
-            amp = sqrtm_psd(np.eye(d) + self.rho)
-            dressed = apply_boson_leg(amp, self.v, self.dim_k, d)
-            out["(1+rho)^1/2 v"] = float(np.linalg.norm(dressed, 2))
-            out["(1+h)(1+rho)^1/2 v"] = float(
-                np.linalg.norm(apply_boson_leg(np.eye(d) + self.h, dressed, self.dim_k, d), 2))
-        return out
-
-
-def apply_boson_leg(mat: np.ndarray, q: np.ndarray, dim_k: int, d: int) -> np.ndarray:
-    """(1_K (x) mat) q for q : K -> K (x) Z stored with K-major rows."""
-    q4 = q.reshape(dim_k, d, q.shape[1])
-    return np.einsum("mn,inj->imj", mat, q4).reshape(dim_k * mat.shape[0], q.shape[1])
 
 
 def _kron(a, b) -> scipy.sparse.csr_array:

@@ -6,11 +6,12 @@ representation data (a complex structure plus a one-particle density).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 import numpy as np
 
 from .fock import BOSE, FERMI, FockSpace
-from .linalg import enumerate_pairings, require_square, sqrtm_psd
+from .linalg import require_square, sqrtm_psd
 from .ops import field
 
 
@@ -70,24 +71,19 @@ class CovarianceData:
 
 
 def wick_npoint(two_point, ys, kind: str) -> complex:
-    """Pairing sum of a two-point function over an even list of labels.
+    """Pairing sum of a two-point function over a list of labels.
 
-    two_point(y_i, y_j) supplies the entries; fermionic sums carry the
-    pairing signs.  Odd lists return 0 by definition.
+    The hafnian (bosons) or Pfaffian (fermions) of [two_point(y_i, y_j)],
+    expanded along the first label: ys[0] pairs with each later ys[k] and
+    the sum recurses on the labels left, a fermionic term carrying the
+    sign (-1)^(k-1).  The empty list sums to 1 and an odd list to 0.
     """
-    n = len(ys)
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    m = n // 2
-    total = 0.0 + 0.0j
-    for pairing in enumerate_pairings(m):
-        prod = 1.0 + 0.0j
-        for i, j in pairing.pairs():
-            prod *= complex(two_point(ys[i], ys[j]))
-        if kind == FERMI:
-            prod *= pairing.sign
-        total += prod
-    return total
+    if not ys:
+        return 1.0 + 0.0j
+    sign = -1 if kind == FERMI else 1
+    return sum((sign ** (k - 1) * complex(two_point(ys[0], ys[k]))
+                * wick_npoint(two_point, ys[1:k] + ys[k + 1:], kind)
+                for k in range(1, len(ys))), 0.0j)
 
 
 def npoint_function(space: FockSpace, vector: np.ndarray, ys) -> complex:
@@ -117,31 +113,18 @@ def verify_quasifree(space: FockSpace, vector, ys) -> dict:
         for j in range(k):
             tp[i, j] = np.vdot(fi_dag_v, applied[j])
 
-    def measured_two_point(i, j):
-        return tp[i, j]
-
-    defects = {}
-    # odd orders must vanish
-    odd_max = 0.0
-    for i in range(k):
-        odd_max = max(odd_max, abs(npoint_function(space, vector, [ys[i]])))
-    for i in range(min(k, 3)):
-        for j in range(min(k, 3)):
-            for l in range(min(k, 3)):
-                odd_max = max(odd_max, abs(npoint_function(space, vector, [ys[i], ys[j], ys[l]])))
-    defects["odd"] = odd_max
-
-    def check_order(tuples):
+    def check_order(words):
         worst = 0.0
-        for idx in tuples:
+        for idx in words:
             actual = npoint_function(space, vector, [ys[i] for i in idx])
-            expected = wick_npoint(measured_two_point, list(idx), space.statistics)
+            expected = wick_npoint(tp.item, idx, space.statistics)
             worst = max(worst, abs(actual - expected))
         return worst
 
-    pool = range(min(k, 4))
-    defects["4"] = check_order([(a, b, c, e)
-                                for a in pool for b in pool for c in pool for e in pool])
+    # odd orders vanish: their pairing sum is 0
+    defects = {"odd": check_order([(i,) for i in range(k)]
+                                  + list(product(range(min(k, 3)), repeat=3)))}
+    defects["4"] = check_order(product(range(min(k, 4)), repeat=4))
     rng = np.random.default_rng(0)
     defects["6"] = check_order([tuple(rng.integers(0, k, size=6)) for _ in range(60)])
     defects["max"] = max(defects.values())

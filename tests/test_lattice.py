@@ -6,13 +6,19 @@ from fockforge.lattice import (GeneralPositionError, RealSubspace, _orthonormali
                                double_commutant, fermionic_duality_check,
                                general_position_split, halmos_angles,
                                halmos_isometry_range, join, meet, mult_i_matrix,
-                               perp, symplectic_complement, to_complex, to_real)
+                               perp, symplectic_complement, to_complex)
 from fockforge.thermal import tracial_field
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(21)
+
+
+def to_real(z) -> np.ndarray:
+    """The complex vector z as the real vector (Re z; Im z)."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    return np.concatenate([z.real, z.imag])
 
 
 def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:

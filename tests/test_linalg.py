@@ -1,15 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from fockforge.linalg import (NonSquareError, enumerate_pairings, polar_decompose,
-                              require_square, sqrtm_psd)
-
-
-def double_factorial(n: int) -> int:
-    """n!! with the empty-product convention for n <= 0: the number of pairings is (2m-1)!!."""
-    return math.prod(range(n, 0, -2))
+from fockforge.linalg import NonSquareError, polar_decompose, require_square, sqrtm_psd
 
 
 def test_require_square_rejects_non_square():
@@ -43,27 +35,6 @@ def test_polar_kernel_partial_isometry():
     assert np.allclose(u @ u.T @ u, u)
     assert abs(u[1, 1]) <= 1e-12
     assert np.allclose(u @ pos, a)
-
-
-@pytest.mark.parametrize("m", range(7))
-def test_pairing_counts(m):
-    pairings = enumerate_pairings(m)
-    assert len(pairings) == double_factorial(2 * m - 1)
-    for p in pairings:
-        assert p.sign in (-1, 1)
-        firsts = [p.perm[2 * j] for j in range(m)]
-        assert firsts == sorted(firsts)
-        for i, j in p.pairs():
-            assert i < j
-        assert sorted(p.perm) == list(range(2 * m))
-
-
-def test_pairing_m2_signs():
-    # (01)(23) +, (02)(13) -, (03)(12) +
-    signs = {tuple(p.perm): p.sign for p in enumerate_pairings(2)}
-    assert signs[(0, 1, 2, 3)] == 1
-    assert signs[(0, 2, 1, 3)] == -1
-    assert signs[(0, 3, 1, 2)] == 1
 
 
 def test_sqrtm_psd():

@@ -8,9 +8,9 @@ import fockforge.paulifierz as pf
 from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
-from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_boson_leg,
-                                  apply_pair_squeezer, check_middle, confined_pf_check,
-                                  coupled_create, difference_targets, exact_blocks, hamiltonian,
+from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_pair_squeezer,
+                                  check_middle, confined_pf_check, coupled_create,
+                                  difference_targets, exact_blocks, hamiltonian,
                                   matched_spectral_deviation, semi_comparison_operator,
                                   semi_liouvillean, spin_boson, standard_comparison_operator,
                                   standard_liouvillean)
@@ -24,6 +24,12 @@ def rng():
 
 def creators(space):
     return [space.creation(m) for m in range(space.d)]
+
+
+def apply_boson_leg(mat: np.ndarray, q: np.ndarray, dim_k: int, d: int) -> np.ndarray:
+    """(1_K (x) mat) q for q : K -> K (x) Z stored with K-major rows."""
+    q4 = q.reshape(dim_k, d, q.shape[1])
+    return np.einsum("mn,inj->imj", mat, q4).reshape(dim_k * mat.shape[0], q.shape[1])
 
 
 def v_star(v: np.ndarray, dim_k: int, d: int) -> np.ndarray:
@@ -44,17 +50,19 @@ def dressed_coupling(model):
     """q_gamma = ((1+rho)^{1/2} v on the Z leg, rho-bar^{1/2} v-star on the Zbar leg): the
     oracle of pi_l(V), written on the one-particle space instead of through a*_l(e_m)."""
     d, k = model.d, model.dim_k
-    top = apply_boson_leg(sqrtm_psd(np.eye(d) + model.rho), model.v, k, d)
-    bottom = apply_boson_leg(np.conj(sqrtm_psd(model.rho)), v_star(model.v, k, d), k, d)
+    rho = ThermalParams("bose", model.gamma).density
+    top = apply_boson_leg(sqrtm_psd(np.eye(d) + rho), model.v, k, d)
+    bottom = apply_boson_leg(np.conj(sqrtm_psd(rho)), v_star(model.v, k, d), k, d)
     return _stack_legs(top, bottom, k, d)
 
 
 def mirrored_coupling(model):
     """The right-leg coupling (rho^{1/2} conj(v-star), (1+rho-bar)^{1/2} conj(v))."""
     d, k = model.d, model.dim_k
+    rho = ThermalParams("bose", model.gamma).density
     vst_bar = np.conj(v_star(model.v, k, d))
-    top = apply_boson_leg(sqrtm_psd(model.rho), vst_bar, k, d)
-    bottom = apply_boson_leg(np.conj(sqrtm_psd(np.eye(d) + model.rho)), np.conj(model.v), k, d)
+    top = apply_boson_leg(sqrtm_psd(rho), vst_bar, k, d)
+    bottom = apply_boson_leg(np.conj(sqrtm_psd(np.eye(d) + rho)), np.conj(model.v), k, d)
     return _stack_legs(top, bottom, k, d)
 
 
@@ -89,10 +97,6 @@ def test_model_validation():
         PauliFierzModel(np.eye(2), -np.eye(1), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         PauliFierzModel(np.eye(2), np.eye(1), np.zeros((3, 2)))
-    model = spin_boson()
-    norms = model.hypothesis_norms()
-    assert all(np.isfinite(v) for v in norms.values())
-    assert "(1+rho)^1/2 v" in norms
 
 
 def test_coupled_create_factored(rng):
@@ -709,3 +713,19 @@ def test_reference_spectrum_built_once(monkeypatch):
     assert len(rep["semi"]) == len(rep["standard"]) == 2
     targets = difference_targets(model)
     assert [name for name, _ in targets] == [f"E{i}-{j}" for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("family", ["semi", "standard"])
+@pytest.mark.parametrize("unmatched_at, all_matched", [(3, True), (4, False)])
+def test_all_matched_reads_the_last_cutoff(monkeypatch, family, unmatched_at, all_matched):
+    # one family leaves a target unmatched at one cutoff of the grid (2, 3, 4);
+    # only the last cutoff decides all_matched
+    def fake_deviation(model, cutoff, liouvillean, comparison, mirror, targets):
+        this = "semi" if mirror is None else "standard"
+        missed = this == family and cutoff == unmatched_at
+        return {"matched": [], "unmatched": [("E0-0", 0.0)] if missed else [],
+                "deviation": 0.0}
+
+    monkeypatch.setattr(pf, "_family_deviation", fake_deviation)
+    rep = confined_pf_check(spin_boson(cutoff=4), cutoffs=(2, 3, 4))
+    assert rep["all_matched"] is all_matched

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,33 @@ def test_wick_multilinear(rng):
         return vals[i % 5, j % 5] * (0.7 if i == 0 else 1.0) * (0.7 if j == 0 else 1.0)
 
     assert wick_npoint(scaled, [0, 1, 2, 3], "fermi") == pytest.approx(0.7 * base)
+
+
+def double_factorial(n: int) -> int:
+    """n!! with the empty-product convention for n <= 0: the number of pairings is (2m-1)!!."""
+    return math.prod(range(n, 0, -2))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_wick_sum_identities(n):
+    """The bosonic sum of all-ones entries counts the (n-1)!! pairings, the fermionic
+    sum is the Pfaffian (Pf(A)^2 = det A, Pf of the standard symplectic matrix 1),
+    and an odd list sums to exactly 0 for both statistics."""
+    labels = list(range(n))
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a - a.T
+    if n % 2:
+        assert wick_npoint(a.item, labels, "bose") == 0
+        assert wick_npoint(a.item, labels, "fermi") == 0
+        return
+    assert wick_npoint(lambda i, j: 1.0, labels, "bose") == double_factorial(n - 1)
+    if n <= 8:
+        pf = wick_npoint(a.item, labels, "fermi")
+        det = np.linalg.det(a)
+        assert abs(pf**2 - det) <= 1e-12 * abs(det)
+        symplectic = np.kron(np.eye(n // 2), J2)
+        assert wick_npoint(symplectic.item, labels, "fermi") == 1
 
 
 def test_vacuum_is_quasifree():
