@@ -213,9 +213,9 @@ def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndar
 
     Composes r with a mode-pair swap whose implementer is a known field
     monomial, applies the closed form to the nondegenerate product, and
-    undoes the swap.  The phase is normalized deterministically: by a
-    positive vacuum expectation when that is nonzero, otherwise by the
-    largest matrix entry.
+    undoes the swap.  The phase is normalized deterministically, by the
+    largest matrix entry: the vacuum expectation cannot serve, since
+    |<Omega, U Omega>|^2 = |det p| vanishes when Ker p != 0.
     """
     if blocks.statistics != FERMI:
         raise ValueError("only the fermionic case can be p-degenerate")
@@ -228,14 +228,8 @@ def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndar
             u_comp = shale_implementer(space, composed)
             u_swap = mode_pair_swap_implementer(space, k, l)
             u = u_comp @ u_swap.conj().T
-            vac = u[0, 0]
-            if abs(vac) > 1e-8:
-                u = u * (vac.conjugate() / abs(vac))
-            else:
-                flat = np.argmax(np.abs(u))
-                lead = u.flat[flat]
-                u = u * (lead.conjugate() / abs(lead))
-            return u
+            lead = u.flat[np.argmax(np.abs(u))]
+            return u * (lead.conjugate() / abs(lead))
     raise FermiDegenerateError("no mode-pair completion made p invertible")
 
 

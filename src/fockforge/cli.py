@@ -2,7 +2,7 @@
 and emit machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 schema or domain
-error, 3 numerical failure.
+error, 3 numerical failure, 4 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -314,7 +314,8 @@ def serialize_report(report: dict, fmt: str) -> str:
 def _exit_codes(command):
     """The one mapping of a command's failures to exit codes, shared by run and
     suite: 3 for a numerical failure; 2 for a schema or domain error (any other
-    ValueError) and for a file that cannot be read or written."""
+    ValueError) and for a file that cannot be read or written; 4 for any other
+    exception, an internal error.  KeyboardInterrupt is not caught."""
     @functools.wraps(command)
     def guarded(*args, **kwargs) -> int:
         try:
@@ -326,6 +327,9 @@ def _exit_codes(command):
         except (ValueError, OSError) as exc:
             print(f"schema error: {exc}", file=sys.stderr)
             return 2
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 4
     return guarded
 
 

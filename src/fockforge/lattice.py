@@ -234,19 +234,13 @@ def double_commutant(generators) -> list:
 
 
 def _containment_defect(basis_a, basis_b) -> float:
-    """Max HS distance of an element of span(a) from span(b)."""
-    if not basis_a:
-        return 0.0
-    mat_b = np.column_stack([b.reshape(-1) for b in basis_b]) if basis_b else None
+    """Max HS distance of an element of span(a) from span(b); b is orthonormal
+    and neither list is empty (the identity lies in every commutant)."""
+    mat_b = np.column_stack([b.reshape(-1) for b in basis_b])
     worst = 0.0
     for x in basis_a:
         vec = x.reshape(-1)
-        if mat_b is None:
-            resid = vec
-        else:
-            coeff = mat_b.conj().T @ vec
-            resid = vec - mat_b @ coeff
-        worst = max(worst, float(np.linalg.norm(resid)))
+        worst = max(worst, float(np.linalg.norm(vec - mat_b @ (mat_b.conj().T @ vec))))
     return worst
 
 
@@ -290,8 +284,6 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
 
 
 def _orthonormalize_hs(mats) -> list:
-    if not mats:
-        return []
     n = mats[0].shape[0]
     cols = np.column_stack([m.reshape(-1) for m in mats])
     q = _orthonormalize(cols)

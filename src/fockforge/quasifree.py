@@ -86,11 +86,11 @@ def wick_npoint(two_point, ys, kind: str) -> complex:
                 for k in range(1, len(ys))), 0.0j)
 
 
-def npoint_function(space: FockSpace, vector: np.ndarray, ys) -> complex:
-    """<vector | phi(y_1) ... phi(y_n) vector> by matrix-vector chains."""
+def npoint_function(vector: np.ndarray, ops) -> complex:
+    """<vector | ops[0] ... ops[n-1] vector> by matrix-vector chains."""
     out = np.asarray(vector, dtype=complex)
-    for y in reversed(list(ys)):
-        out = field(space, y) @ out
+    for op in reversed(ops):
+        out = op @ out
     return complex(np.vdot(vector, out))
 
 
@@ -116,7 +116,7 @@ def verify_quasifree(space: FockSpace, vector, ys) -> dict:
     def check_order(words):
         worst = 0.0
         for idx in words:
-            actual = npoint_function(space, vector, [ys[i] for i in idx])
+            actual = npoint_function(vector, [fields[i] for i in idx])
             expected = wick_npoint(tp.item, idx, space.statistics)
             worst = max(worst, abs(actual - expected))
         return worst

@@ -121,6 +121,12 @@ class ThermalParams:
         return cls(kind, scipy.linalg.expm(-beta * h), h=h, beta=beta)
 
 
+def _doubled_generator(h) -> np.ndarray:
+    """h (+) -conj h on C^{2d}: the one-particle generator of the standard Liouvillean."""
+    h = require_square(np.asarray(h, dtype=complex))
+    return scipy.linalg.block_diag(h, -np.conj(h))
+
+
 class DoubledRep:
     """Thermal representation on the Fock space over C^{2d}.
 
@@ -234,10 +240,7 @@ class DoubledRep:
         w = np.linalg.eigvalsh(g)
         if w.min() <= 1e-12:
             raise KernelViolationError(f"gamma has (near-)kernel, eigenvalues {w}")
-        block = np.zeros((2 * self.d, 2 * self.d), dtype=complex)
-        block[: self.d, : self.d] = g
-        block[self.d:, self.d:] = np.conj(np.linalg.inv(g))
-        return gamma(self.space, block)
+        return gamma(self.space, scipy.linalg.block_diag(g, np.conj(np.linalg.inv(g))))
 
     def modular_data(self):
         return self.modular_conjugation(), self.modular_operator()
@@ -308,11 +311,7 @@ class DoubledRep:
 
     def standard_liouvillean(self, h) -> scipy.sparse.csr_array:
         """dGamma(h (+) -conj h), sparse; generates the dressed dynamics, kills Omega."""
-        h = require_square(np.asarray(h, dtype=complex))
-        block = np.zeros((2 * self.d, 2 * self.d), dtype=complex)
-        block[: self.d, : self.d] = h
-        block[self.d:, self.d:] = -np.conj(h)
-        return dgamma(self.space, block)
+        return dgamma(self.space, _doubled_generator(h))
 
     # -- confined-gas identifications ------------------------------------
 
@@ -426,18 +425,6 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     return big / trace, trace, reference, tail
 
 
-def _complex_time_conjugations(ell, b, *zs: complex) -> list:
-    """exp(izL) b exp(-izL) at each z, for a sparse Hermitian L, through one
-    eigendecomposition of its dense form."""
-    w, v = np.linalg.eigh(ell.toarray())
-    out = []
-    for z in zs:
-        left = (v * np.exp(1j * z * w)) @ v.conj().T
-        right = (v * np.exp(-1j * z * w)) @ v.conj().T
-        out.append(left @ b @ right)
-    return out
-
-
 def _relative_defect(lhs: complex, rhs: complex) -> float:
     """|lhs - rhs| over the larger of |lhs| and |rhs|; 0 when both vanish."""
     scale = max(abs(lhs), abs(rhs))
@@ -448,17 +435,22 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float) -> float:
     """Relative KMS boundary defect of omega(A tau^{t+i beta}(B)) and omega(tau^t(B) A).
 
     The state is the doubled vacuum, the dynamics is generated by the
-    standard Liouvillean of h; the defect vanishes when the
+    standard Liouvillean L = dGamma(k) of h, k = h (+) -conj h, so
+    tau^z(B) = Gamma(e^{izk}) B Gamma(e^{-izk}).  Gamma(p) fixes Omega, so
+    each side takes one 2d x 2d expm and one Gamma:
+    <Omega, A Gamma(e^{i(t+i beta)k}) B Omega> against
+    <Omega, B Gamma(e^{-itk}) A Omega>.  The defect vanishes when the
     representation density is the Gibbs density exp(-beta h).  It is the
     gap between the two sides over the larger of them, so a wrong density
     at large beta, where both sides are small, still shows; A and B may be
     dense or sparse.
     """
-    ell = rep.standard_liouvillean(h)
+    k = _doubled_generator(h)
     vac = rep.space.vacuum()
-    bz, bt = _complex_time_conjugations(ell, b, t + 1j * beta, t)
-    lhs = np.vdot(vac, a @ (bz @ vac))
-    rhs = np.vdot(vac, bt @ (a @ vac))
+    forward = gamma(rep.space, scipy.linalg.expm(1j * (t + 1j * beta) * k))
+    backward = gamma(rep.space, scipy.linalg.expm(-1j * t * k))
+    lhs = np.vdot(vac, a @ (forward @ (b @ vac)))
+    rhs = np.vdot(vac, b @ (backward @ (a @ vac)))
     return _relative_defect(lhs, rhs)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fockforge import acceptance, cli
+from fockforge.fock import FockSpace
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = ROOT / "docs" / "schema.json"
@@ -151,6 +152,17 @@ def test_lattice_task_is_criterion_09():
     assert len(checks) == 10
     worst = max(c["residual"] for c in checks)
     assert worst == acceptance.criterion_lattice_duality(42)["residual"]
+
+
+def test_duality_defect_rejects_unequal_dimensions(monkeypatch):
+    def unequal(v, space):
+        return {"dim_commutant": 2, "dim_dressed_dual": 3, "dim_algebra": 2,
+                "defect_comm_in_dual": 0.0, "defect_dual_in_comm": 0.0}
+
+    monkeypatch.setattr(acceptance, "fermionic_duality_check", unequal)
+    space = FockSpace("fermi", 2)
+    assert acceptance.duality_defect(space, np.random.default_rng(0)) >= 1.0
+    assert not acceptance.criterion_lattice_duality(42)["pass"]
 
 
 def test_tasks_match_the_schema():
@@ -311,6 +323,7 @@ def test_suite_out_dir_is_a_file_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("error,code,prefix", [
     (ValueError, 2, "schema error: "),
     (np.linalg.LinAlgError, 3, "numerical failure: "),
+    (RuntimeError, 4, "internal error: RuntimeError: "),
 ])
 def test_suite_maps_criterion_errors(tmp_path, capsys, monkeypatch, error, code, prefix):
     def broken(seed):

@@ -180,6 +180,44 @@ def test_hamiltonian_free_spectrum():
     assert np.allclose(got, expect)
 
 
+def test_hamiltonian_jaynes_cummings_spectrum():
+    # K = diag(D/2, -D/2), h = w, v = g sigma_- : H conserves the excitation number,
+    # and at cutoff N every manifold {|up, n>, |down, n + 1>} with n < N is exact
+    split, omega, g, cutoff = 1.3, 1.0, 0.2, 12
+    lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+    model = PauliFierzModel(np.diag([split / 2, -split / 2]), np.array([[omega]]), g * lower,
+                            cutoff=cutoff)
+    ham, _ = hamiltonian(model, cutoff)
+    n = np.arange(cutoff)
+    root = np.sqrt((split - omega) ** 2 / 4 + g**2 * (n + 1))
+    expect = np.concatenate([[-split / 2, split / 2 + cutoff * omega],
+                             (n + 0.5) * omega + root, (n + 0.5) * omega - root])
+    assert np.max(np.abs(np.linalg.eigvalsh(ham) - np.sort(expect))) <= 1e-12
+
+
+def test_hamiltonian_free_spectrum_two_modes():
+    # v = 0: the levels are kappa_i + sum_m n_m omega_m, omega the eigenvalues of h
+    kappa = np.array([-0.4, 0.3, 1.1])
+    h = np.array([[1.0, 0.3], [0.3, 1.4]])
+    cutoff = 4
+    model = PauliFierzModel(np.diag(kappa), h, np.zeros((6, 3)), cutoff=cutoff)
+    ham, _ = hamiltonian(model, cutoff)
+    omega = np.linalg.eigvalsh(h)
+    expect = [k + n1 * omega[0] + n2 * omega[1] for k in kappa
+              for n1 in range(cutoff + 1) for n2 in range(cutoff + 1 - n1)]
+    assert np.max(np.abs(np.linalg.eigvalsh(ham) - np.sort(expect))) <= 1e-12
+
+
+def test_matched_deviation_failure_reasons():
+    ops = np.diag([0.0, 1.0, 2.0])
+    far = matched_spectral_deviation(ops, ops, lambda x: x, [("far", 100.0)], None)
+    assert far["unmatched"] == [("far", "target missing from comparison spectrum")]
+    empty = matched_spectral_deviation(ops, ops, lambda x: x, [("empty", 1.0, np.zeros(3))],
+                                       None)
+    assert empty["unmatched"] == [("empty", "labelled state captured 0.000")]
+    assert far["matched"] == empty["matched"] == []
+
+
 def test_hamiltonian_ground_state_lowering():
     e0 = {}
     for lam in (0.0, 0.2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fockforge.fock import FockSpace
-from fockforge.ops import DoubledVector, gaussian_vector
+from fockforge.ops import DoubledVector, field, gaussian_vector
 from fockforge.quasifree import (CovarianceData, DegenerateOmegaError, NonPositiveEtaError,
                                  OddKernelError, aw_covariance, npoint_function,
                                  reconstruction_defect, reduce_covariance, verify_quasifree,
@@ -110,8 +110,9 @@ def test_bose_number_state_not_quasifree():
     one = sp.creation(0) @ sp.vacuum()
     y = DoubledVector.real_point(np.array([1.0 / np.sqrt(2)]))
     # phi^4 moment is 15/4 but the pairing sum gives 27/4
-    four = npoint_function(sp, one, [y, y, y, y]).real
-    two = npoint_function(sp, one, [y, y]).real
+    phi = field(sp, y)
+    four = npoint_function(one, [phi] * 4).real
+    two = npoint_function(one, [phi] * 2).real
     assert four == pytest.approx(15 / 4)
     assert abs(four - 3 * two**2) == pytest.approx(3.0)
     rep = verify_quasifree(sp, one, [y])

@@ -4,8 +4,8 @@ import scipy.linalg
 
 from fockforge.fock import FockSpace, dgamma, gamma
 from fockforge.thermal import (DoubledRep, KernelViolationError, ThermalParams,
-                               _complex_time_conjugations, _relative_defect, confined_gibbs,
-                               kms_check, tracial_conjugation, tracial_field)
+                               _relative_defect, confined_gibbs, kms_check, tracial_conjugation,
+                               tracial_field)
 
 
 @pytest.fixture
@@ -17,8 +17,13 @@ def kms_check_density(space, gamma_one, h, beta, a, b, t) -> float:
     """Relative trace-cyclicity KMS defect in the irreducible single-space picture."""
     dens = gamma(space, np.asarray(gamma_one, dtype=complex))
     z = np.trace(dens)
-    ham = dgamma(space, np.asarray(h, dtype=complex))
-    bz, bt = _complex_time_conjugations(ham, b, t + 1j * beta, t)
+    ham = dgamma(space, np.asarray(h, dtype=complex)).toarray()
+
+    def tau(z):
+        # Pade exponentials: a route shared with neither kms_check nor eigh
+        return scipy.linalg.expm(1j * z * ham) @ b @ scipy.linalg.expm(-1j * z * ham)
+
+    bz, bt = tau(t + 1j * beta), tau(t)
     lhs = np.trace(dens @ a @ bz) / z
     rhs = np.trace(dens @ bt @ a) / z
     return _relative_defect(lhs, rhs)
@@ -249,10 +254,12 @@ def test_kms_trivial_and_match(rng):
     rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
     eye = np.eye(rep.space.dim)
     assert kms_check(rep, h, 1.0, eye, eye, t=0.4) <= 1e-13
-    gens = [rep.create_left(np.eye(2)[k]) for k in range(2)]
-    a_op = gens[0] @ gens[1].conj().T + 0.4 * gens[1]
-    b_op = gens[1] @ gens[0].conj().T
-    assert kms_check(rep, h, 1.0, a_op, b_op, t=0.2) <= 1e-8
+    for beta in (1.0, 4.0, 8.0):
+        rep = DoubledRep(ThermalParams.gibbs("fermi", h, beta))
+        gens = [rep.create_left(np.eye(2)[k]) for k in range(2)]
+        a_op = gens[0] @ gens[1].conj().T + 0.4 * gens[1]
+        b_op = gens[1] @ gens[0].conj().T
+        assert kms_check(rep, h, beta, a_op, b_op, t=0.2) <= 1e-12
 
 
 def test_kms_mismatch_witness(rng):
@@ -284,25 +291,33 @@ def test_kms_mismatch_fails_at_large_beta():
     assert kms_check(good, h, beta, good.annihilate_left(e0), good.create_left(e0),
                      t=0.3) <= 1e-8
 
-def test_kms_checks_diagonalize_once(rng, monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
 
-    def counted(a):
-        calls.append(a.shape)
-        return eigh(a)
+def test_kms_check_exponentiates_only_the_one_particle_generator(monkeypatch):
+    eigh_calls, expm_calls = [], []
+    eigh, expm = np.linalg.eigh, scipy.linalg.expm
 
-    h = np.array([[1.0]])
-    rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
-    a_op = rep.annihilate_left(np.eye(1)[0])
-    b_op = rep.create_left(np.eye(1)[0])
-    sp = FockSpace("fermi", 1)
-    a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    kms_check(rep, h, 1.0, a_op, b_op, t=0.3)
-    assert len(calls) == 1
-    kms_check_density(sp, scipy.linalg.expm(-h), h, 1.0, a, b, t=0.3)
-    assert len(calls) == 2
+    def counted_eigh(a, *args, **kwargs):
+        eigh_calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counted_expm(a, *args, **kwargs):
+        expm_calls.append(np.shape(a))
+        return expm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    for kind, h, cutoff in (("fermi", np.array([[1.0, 0.2], [0.2, 0.6]]), None),
+                            ("bose", np.array([[1.0]]), 6)):
+        d = h.shape[0]
+        rep = DoubledRep(ThermalParams.gibbs(kind, h, 1.0), single_cutoff=cutoff)
+        a_op = rep.annihilate_left(np.eye(d)[0])
+        b_op = rep.create_left(np.eye(d)[0])
+        # DoubledRep itself calls eigh (sqrtm_psd) and expm (gibbs)
+        eigh_calls.clear()
+        expm_calls.clear()
+        kms_check(rep, h, 1.0, a_op, b_op, t=0.3)
+        assert eigh_calls == []
+        assert expm_calls == [(2 * d, 2 * d)] * 2
 
 
 def test_kms_density_oracle(rng):
