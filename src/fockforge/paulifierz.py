@@ -6,7 +6,7 @@ density, and the confined-case spectral equivalences.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -166,51 +166,9 @@ def standard_liouvillean(model: PauliFierzModel, cutoff: int):
     return x - _compress(x.conj(), _modular_mirror(k, space)), space
 
 
-def _doubled_chart(model: PauliFierzModel, cutoff: int):
-    """The exponential-law chart of the doubled truncation at a single-sided cutoff.
-
-    Returns (ham, space_z, space_w, n_idx, m_idx): H on K (x) Gamma(Z) and the
-    doubled space Gamma(Z (+) Zbar), both truncated at twice the cutoff, and
-    for each doubled state t the indices n_idx[t], m_idx[t] of its left and
-    right occupations in Gamma(Z) and Gamma(Zbar) (same basis as space_z).
-    """
-    n_tot = 2 * cutoff
-    ham, space_z = hamiltonian(model, n_tot)
-    space_w = FockSpace(BOSE, 2 * model.d, n_tot)
-    d = model.d
-    occ = space_w.occupations
-    return ham, space_z, space_w, space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
-
-
 def _compress(a: scipy.sparse.csr_array, rows: np.ndarray) -> scipy.sparse.csr_array:
     """The compression of a to the coordinates rows, in their order."""
     return a[rows][:, rows]
-
-
-def semi_comparison_operator(model: PauliFierzModel, cutoff: int):
-    """Compression of H (x) 1 - 1 (x) dGamma(h-bar) to the doubled truncation, sparse.
-
-    Rows are pairs (kappa, doubled occupation); the doubled occupation
-    splits into a left occupation n and a right occupation m through the
-    exponential-law chart, so the rows are the coordinates (kappa, n, m)
-    of K (x) Gamma(Z) (x) Gamma(Zbar) that the truncation keeps.
-    """
-    ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
-    k, dz = model.dim_k, space_z.dim
-    full = _kron(ham, _eye(dz)) - _kron(_eye(k * dz), dgamma(space_z, np.conj(model.h)))
-    rows = (np.arange(k)[:, None] * dz + n_idx) * dz + m_idx
-    return _compress(full, rows.ravel()), space_w
-
-
-def standard_comparison_operator(model: PauliFierzModel, cutoff: int):
-    """Compression of H (x) 1 - 1 (x) conj(H) to K (x) Kbar (x) doubled truncation, sparse."""
-    ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
-    k, dz = model.dim_k, space_z.dim
-    full = _kron(ham, _eye(k * dz)) - _kron(_eye(k * dz), np.conj(ham))
-    kap = np.arange(k)[:, None, None]
-    kbar = np.arange(k)[None, :, None]
-    rows = (kap * dz + n_idx) * (k * dz) + kbar * dz + m_idx
-    return _compress(full, rows.ravel()), space_w
 
 
 def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -255,11 +213,17 @@ def _labelled_states(model: PauliFierzModel, cutoff: int, n_levels: int, n_right
     With psi_i the eigenvectors of H at the comparison cutoff (twice the
     single-sided one) and chi_j the state of j quanta in the lowest mode of
     h-bar, target E{i}-{j} is labelled by psi_i (x) chi_j and target
-    E{i}-E{j} by psi_i (x) conj(psi_j), each read through the doubled chart.
-    Returns the semi and standard states as columns, in target order.
+    E{i}-E{j} by psi_i (x) conj(psi_j), each read through the exponential-law
+    chart: a doubled occupation splits into a left occupation, index n_idx,
+    and a right one, index m_idx, both in the basis of Gamma(Z) at the
+    comparison cutoff.  Returns the semi and standard states as columns, in
+    target order.
     """
-    ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
-    k = model.dim_k
+    k, d = model.dim_k, model.d
+    ham, space_z = hamiltonian(model, 2 * cutoff)
+    space_w = FockSpace(BOSE, 2 * d, 2 * cutoff)
+    occ = space_w.occupations
+    n_idx, m_idx = space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
     _, vecs = np.linalg.eigh(_real_if_exact(ham))
     psi = np.zeros((vecs.shape[0], n_levels), dtype=vecs.dtype)  # levels past the truncation: 0
     psi[:, :min(n_levels, vecs.shape[1])] = vecs[:, :n_levels]
@@ -483,15 +447,18 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     return out
 
 
-def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, comparison, mirror,
-                      targets) -> dict:
+def _family_deviation(model: PauliFierzModel, cutoff: int, liouvillean, mirror, targets) -> dict:
     """One family at one cutoff; its operators are freed when the call returns.
 
-    mirror is None or _modular_mirror, which builds the index map S that
-    both operators of the family are tested against.
+    The comparison operator is the family's own Liouvillean at density 0,
+    where the dressing R_gamma is the identity: H (x) 1 - 1 (x) dGamma(h-bar)
+    for the semi builder and H (x) 1 - 1 (x) conj(H) for the standard one,
+    both on the doubled truncation.  mirror is None or _modular_mirror,
+    which builds the index map S that both operators of the family are
+    tested against.
     """
     ell, space_w = liouvillean(model, cutoff)
-    comp, _ = comparison(model, cutoff)
+    comp, _ = liouvillean(replace(model, gamma=np.zeros_like(model.h)), cutoff)
     dressing = partial(apply_pair_squeezer, space_w, model.gamma)
     s = None if mirror is None else mirror(model.dim_k, space_w)
     return matched_spectral_deviation(ell, comp, dressing, targets, s)
@@ -501,8 +468,10 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     """Spectral comparison of both Liouvilleans with the difference spectra of H.
 
     For each single-sided cutoff the semi-Liouvillean is compared with
-    the compression of H (x) 1 - 1 (x) dGamma(h-bar) and the standard
-    Liouvillean with H (x) 1 - 1 (x) conj(H).  A fixed family of
+    H (x) 1 - 1 (x) dGamma(h-bar) and the standard Liouvillean with
+    H (x) 1 - 1 (x) conj(H), each on the doubled truncation.  These are the
+    Liouvilleans of the same model at density 0, so both members of a
+    family come from one builder (_family_deviation).  A fixed family of
     difference eigenvalues (the lowest system levels minus a few boson
     quanta), taken from H at cutoff 30 once per check, is followed across
     cutoffs; the reported deviation is the worst matched gap, and it
@@ -532,14 +501,11 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
               "semi_detail": [], "standard_detail": []}
     for n in cutoffs:
         states_semi, states_std = _labelled_states(model, n, N_LEVELS, N_RIGHT)
-        families = (
-            ("semi", semi_liouvillean, semi_comparison_operator, None, targets_semi,
-             states_semi),
-            ("standard", standard_liouvillean, standard_comparison_operator, _modular_mirror,
-             targets_std, states_std))
-        for family, liouvillean, comparison, mirror, targets, states in families:
+        families = (("semi", semi_liouvillean, None, targets_semi, states_semi),
+                    ("standard", standard_liouvillean, _modular_mirror, targets_std, states_std))
+        for family, liouvillean, mirror, targets, states in families:
             labelled = [t + (s,) for t, s in zip(targets, states.T)]
-            res = _family_deviation(model, n, liouvillean, comparison, mirror, labelled)
+            res = _family_deviation(model, n, liouvillean, mirror, labelled)
             report[family].append(res["deviation"])
             report[f"{family}_detail"].append(res)
     report["all_matched"] = not (report["semi_detail"][-1]["unmatched"]

@@ -302,6 +302,27 @@ def test_degenerate_bogolubov_blocks_run(tmp_path):
     assert all(c["residual"] <= 1e-14 for c in checks)
 
 
+def test_fermi_degenerate_sample_model_takes_the_swap_route(tmp_path, monkeypatch):
+    # p = diag(0, 0, 1): Ker p is the first two modes, so the closed form
+    # fails and the implementer is composed with a mode-pair swap
+    calls = []
+    composed = cli.degenerate_implementer
+
+    def counting(space, blocks):
+        calls.append(blocks.d)
+        return composed(space, blocks)
+
+    monkeypatch.setattr(cli, "degenerate_implementer", counting)
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(ROOT / "docs" / "models" / "fermi_degenerate.json"),
+                     "--out", str(out)]) == 0
+    assert calls == [3]
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["block-relations", "implementer-unitarity",
+                                           "intertwining"]
+    assert all(c["pass"] for c in checks)
+
+
 def test_suite_unknown_name(tmp_path, capsys):
     assert cli.suite("nope", str(tmp_path), seed=42) == 2
     assert one_stderr_line(capsys, "schema error: unknown suite 'nope'")

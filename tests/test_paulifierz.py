@@ -1,18 +1,19 @@
+import dataclasses
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import fockforge.paulifierz as pf
-from fockforge.fock import FockSpace, gamma
+from fockforge.fock import FockSpace, dgamma, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
 from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_pair_squeezer,
                                   check_middle, confined_pf_check, coupled_create,
                                   difference_targets, exact_blocks, hamiltonian,
-                                  matched_spectral_deviation, semi_comparison_operator,
-                                  semi_liouvillean, spin_boson, standard_comparison_operator,
+                                  matched_spectral_deviation, semi_liouvillean, spin_boson,
                                   standard_liouvillean)
 from fockforge.thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
@@ -265,6 +266,51 @@ def test_standard_liouvillean_structure():
     assert np.max(np.abs(ev + ev[::-1])) <= 1e-10
 
 
+def _comparison(liouvillean, model, cutoff):
+    """A family's comparison operator as the check builds it: its Liouvillean at density 0."""
+    return liouvillean(dataclasses.replace(model, gamma=np.zeros_like(model.h)), cutoff)
+
+
+def _sparse_kron(a, b):
+    return scipy.sparse.kron(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b), format="csr")
+
+
+def _doubled_chart(model, cutoff):
+    """H on K (x) Gamma(Z) and the doubled space, both at twice the cutoff, and the indices
+    in Gamma(Z) of the left and right occupations of each doubled state."""
+    ham, space_z = hamiltonian(model, 2 * cutoff)
+    space_w = FockSpace("bose", 2 * model.d, 2 * cutoff)
+    occ = space_w.occupations
+    d = model.d
+    return ham, space_z, space_w, space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
+
+
+def semi_comparison_oracle(model, cutoff):
+    """H (x) 1 - 1 (x) dGamma(h-bar) on K (x) Gamma(Z) (x) Gamma(Zbar), compressed to the
+    coordinates (kappa, n, m) that the doubled truncation keeps; sparse.
+
+    The check builds the same operator as the semi-Liouvillean at density 0;
+    this route takes it from the dense H and two Kronecker products instead.
+    """
+    ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
+    k, dz = model.dim_k, space_z.dim
+    full = (_sparse_kron(ham, np.eye(dz))
+            - _sparse_kron(np.eye(k * dz), dgamma(space_z, np.conj(model.h))))
+    rows = ((np.arange(k)[:, None] * dz + n_idx) * dz + m_idx).ravel()
+    return full[rows][:, rows], space_w
+
+
+def standard_comparison_oracle(model, cutoff):
+    """H (x) 1 - 1 (x) conj(H) compressed to K (x) Kbar (x) the doubled truncation; sparse."""
+    ham, space_z, space_w, n_idx, m_idx = _doubled_chart(model, cutoff)
+    k, dz = model.dim_k, space_z.dim
+    full = _sparse_kron(ham, np.eye(k * dz)) - _sparse_kron(np.eye(k * dz), np.conj(ham))
+    kap = np.arange(k)[:, None, None]
+    kbar = np.arange(k)[None, :, None]
+    rows = ((kap * dz + n_idx) * (k * dz) + kbar * dz + m_idx).ravel()
+    return full[rows][:, rows], space_w
+
+
 def _leg_swap(d):
     """The one-particle swap of the two legs of C^d (+) C^d."""
     eye = np.eye(d)
@@ -361,11 +407,11 @@ def test_free_kms_vector_in_kernel():
 def test_comparison_operators_v0_exact():
     model = spin_boson(coupling=0.0, gamma_value=0.25, cutoff=4)
     l_semi, _ = semi_liouvillean(model, model.cutoff)
-    d_semi, _ = semi_comparison_operator(model, 4)
+    d_semi, _ = semi_comparison_oracle(model, 4)
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_semi.toarray()))
                          - np.sort(np.linalg.eigvalsh(d_semi.toarray())))) <= 1e-10
     l_std, _ = standard_liouvillean(model, model.cutoff)
-    d_std, _ = standard_comparison_operator(model, 4)
+    d_std, _ = standard_comparison_oracle(model, 4)
     assert np.max(np.abs(np.sort(np.linalg.eigvalsh(l_std.toarray()))
                          - np.sort(np.linalg.eigvalsh(d_std.toarray())))) <= 1e-10
 
@@ -413,12 +459,12 @@ def _oracle_family(model, cutoff, family, cluster_tol=1e-4, overlap_min=0.9):
     k = model.dim_k
     if family == "semi":
         ell, space = semi_liouvillean(model, cutoff)
-        comp = semi_comparison_operator(model, cutoff)[0].toarray()
+        comp = semi_comparison_oracle(model, cutoff)[0].toarray()
         targets = difference_targets(model)
         legs = k
     else:
         ell, space = standard_liouvillean(model, cutoff)
-        comp = standard_comparison_operator(model, cutoff)[0].toarray()
+        comp = standard_comparison_oracle(model, cutoff)[0].toarray()
         e = np.sort(np.linalg.eigvalsh(hamiltonian(model, 30)[0]))[:3]
         targets = [(f"E{i}-E{j}", float(e[i] - e[j])) for i in range(3) for j in range(3)]
         legs = k * k
@@ -486,14 +532,35 @@ def _sigma_xz_model(cutoff):
                            cutoff)
 
 
+@pytest.mark.parametrize("build, cutoffs", [
+    (partial(spin_boson, 0.1, 1.0, 0.25), range(8, 15)),
+    (_sigma_xz_model, (4, 6)), (_sigma_y_model, (4, 6)),
+    *[(b, (2, 3)) for b in REAL_D2]])
+def test_comparison_operators_are_zero_density_liouvilleans(build, cutoffs):
+    # at density 0 the dressing is the identity, and each Liouvillean is its
+    # comparison operator on the doubled truncation: the check builds it so
+    for n in cutoffs:
+        model = build(cutoff=n)
+        for liouvillean, oracle, tol in ((semi_liouvillean, semi_comparison_oracle, 1e-14),
+                                         (standard_liouvillean, standard_comparison_oracle, 0.0)):
+            got, space = _comparison(liouvillean, model, n)
+            want, space_w = oracle(model, n)
+            assert space.basis == space_w.basis and got.shape == want.shape
+            diff = abs(got - want)
+            assert diff.nnz == 0 or diff.max() <= tol, (liouvillean.__name__, n)
+            # the same nonzero pattern, so the same exact blocks
+            assert ((got != 0) != (want != 0)).nnz == 0
+
+
 def test_model_without_parity_is_one_block():
     model = _sigma_xz_model(6)
     for n in (4, 5, 6):
-        for build in (semi_liouvillean, standard_liouvillean, standard_comparison_operator):
+        for build in (semi_liouvillean, standard_liouvillean,
+                      partial(_comparison, standard_liouvillean)):
             assert len(exact_blocks(build(model, n)[0])) == 1
         # both terms of the semi comparison operator keep the right occupation
         # m, for any model, so its blocks never mix two values of m
-        comp, space = semi_comparison_operator(model, n)
+        comp, space = _comparison(semi_liouvillean, model, n)
         m = np.tile([occ[1] for occ in space.basis], model.dim_k)
         assert all(len(set(m[idx])) == 1 for idx in exact_blocks(comp))
     assert _oracle_agreement(model, (4, 5, 6)) >= 40
@@ -510,7 +577,8 @@ def _parity_labels(model, cutoff):
         # pi(V) flips the left spin, J pi(V) J the right one, each moving one boson
         (standard_liouvillean, (spin[:, None] + spin + left + right) % 2),
         # H (x) 1 - 1 (x) conj(H) keeps the parity of each leg apart
-        (standard_comparison_operator, 2 * ((spin[:, None] + left) % 2) + (spin + right) % 2),
+        (partial(_comparison, standard_liouvillean),
+         2 * ((spin[:, None] + left) % 2) + (spin + right) % 2),
     )
 
 
@@ -528,7 +596,7 @@ def test_zero_cluster_rotated_across_blocks():
     # two halves must leave the identification alone
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
     want = _by_name(confined_pf_check(model, cutoffs=(8,))["standard_detail"][0])
-    comp, space = standard_comparison_operator(model, 8)
+    comp, space = _comparison(standard_liouvillean, model, 8)
     cluster, holders = [], []
     for idx in exact_blocks(comp):
         vals, vecs = np.linalg.eigh(comp[idx][:, idx].toarray())
@@ -641,7 +709,7 @@ def _standard_family(model, cutoff):
     """The standard Liouvillean, the comparison operator H (x) 1 - 1 (x) conj(H), the doubled
     space and the modular mirror S on their common coordinates."""
     ell, space = standard_liouvillean(model, cutoff)
-    comp, _ = standard_comparison_operator(model, cutoff)
+    comp, _ = _comparison(standard_liouvillean, model, cutoff)
     return ell, comp, space, pf._modular_mirror(model.dim_k, space)
 
 
@@ -758,7 +826,7 @@ def test_reference_spectrum_built_once(monkeypatch):
 def test_all_matched_reads_the_last_cutoff(monkeypatch, family, unmatched_at, all_matched):
     # one family leaves a target unmatched at one cutoff of the grid (2, 3, 4);
     # only the last cutoff decides all_matched
-    def fake_deviation(model, cutoff, liouvillean, comparison, mirror, targets):
+    def fake_deviation(model, cutoff, liouvillean, mirror, targets):
         this = "semi" if mirror is None else "standard"
         missed = this == family and cutoff == unmatched_at
         return {"matched": [], "unmatched": [("E0-0", 0.0)] if missed else [],
