@@ -16,6 +16,8 @@ import scipy.sparse
 from .linalg import require_square
 
 DIM_GUARD = 10**6
+# the bytes of one dense dim x dim complex operator a build may allocate
+DENSE_BYTES_GUARD = 2**30
 
 BOSE = "bose"
 FERMI = "fermi"
@@ -73,6 +75,8 @@ class FockSpace:
         assert self.dim == dim
         self.occupations = np.array(basis, dtype=np.int64)
         self.total_numbers = self.occupations.sum(axis=1)
+        # sector n occupies basis[sector_start[n]:sector_start[n + 1]]
+        self.sector_start = np.searchsorted(self.total_numbers, np.arange(n_max + 2))
         self._creation = {}
 
     def __repr__(self):
@@ -212,44 +216,60 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     return out
 
 
-def gamma(space: FockSpace, p) -> np.ndarray:
-    """Multiplicative second quantization Gamma(p) on the graded basis.
+def _require_dense(space: FockSpace):
+    """Raise CutoffError if a dense dim x dim complex operator would exceed DENSE_BYTES_GUARD."""
+    nbytes = space.dim**2 * np.dtype(complex).itemsize
+    if nbytes > DENSE_BYTES_GUARD:
+        raise CutoffError(f"dense dim-{space.dim} operators take {nbytes} bytes, over the budget")
 
-    Diagonal p takes an exact product path.  Any other p, singular or
-    not, is built sector by sector from Gamma(p) Omega = Omega and
-    Gamma(p) a*(w) = a*(pw) Gamma(p): a basis state |n> whose lowest
-    occupied mode is k equals a*_k |parent> / sqrt(n_k), where the parent
-    has one quantum fewer in mode k (no occupied mode precedes k, so the
-    fermionic sign is +1).  Its column is therefore the sector n-1 -> n
-    block of a*(p e_k) applied to the parent's column, divided by
-    sqrt(n_k), one matrix product per (sector, k) batch.  The dense block
-    sum_m p_mk a*_m is gathered from the sector's rows of the cached a*_m.
+
+def gamma(space: FockSpace, p) -> np.ndarray:
+    """Multiplicative second quantization Gamma(p), dense: the direct sum of
+    the sector blocks of _gamma_blocks."""
+    _require_dense(space)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for lo, hi, block in zip(space.sector_start, space.sector_start[1:], _gamma_blocks(space, p)):
+        out[lo:hi, lo:hi] = block
+    return out
+
+
+def _gamma_blocks(space: FockSpace, p) -> list:
+    """The blocks of Gamma(p) on the sectors 0..n_max, which are all of it.
+    Diagonal p takes an exact product path.  Any other p, singular or not,
+    is built sector by sector from Gamma(p) Omega = Omega and Gamma(p) a*(w)
+    = a*(pw) Gamma(p): a basis state |n> whose lowest occupied mode is k
+    equals a*_k |parent> / sqrt(n_k), where the parent has one quantum fewer
+    in mode k (no occupied mode precedes k, so the fermionic sign is +1).
+    Its column is therefore the sector n-1 -> n block of a*(p e_k) applied
+    to the parent's column, divided by sqrt(n_k), one matrix product per
+    (sector, k) batch.  The dense block sum_m p_mk a*_m is gathered from the
+    sector's rows of the cached a*_m.
     """
     p = require_square(np.asarray(p, dtype=complex))
     if p.shape[0] != space.d:
         raise ValueError(f"p is {p.shape}, expected {space.d}x{space.d}")
+    start = space.sector_start
     if not np.any(p - np.diag(np.diag(p))):
         diag = np.diag(p)
         vals = np.array(
             [math.prod(complex(diag[k]) ** nk for k, nk in enumerate(occ)) for occ in space.basis],
             dtype=complex,
         )
-        return np.diag(vals)
-    # sector n occupies basis[start[n]:start[n + 1]]
-    start = np.searchsorted(space.total_numbers, np.arange(space.n_max + 2))
-    batches = {}  # (k, n) -> (columns, parent columns, sqrt(n_k))
+        return [np.diag(vals[lo:hi]) for lo, hi in zip(start[:-1], start[1:])]
+    batches = {}  # (k, n) -> (columns, parent columns, sqrt(n_k)), within the sectors
     for j, occ in enumerate(space.basis[1:], start=1):
         k = next(m for m, nm in enumerate(occ) if nm)
         parent = space.index[occ[:k] + (occ[k] - 1,) + occ[k + 1:]]
-        cols, parents, norms = batches.setdefault((k, sum(occ)), ([], [], []))
-        cols.append(j)
-        parents.append(parent)
+        n = sum(occ)
+        cols, parents, norms = batches.setdefault((k, n), ([], [], []))
+        cols.append(j - start[n])
+        parents.append(parent - start[n - 1])
         norms.append(math.sqrt(occ[k]))
     # a*_m holds at most one entry per row: rows[m] lists the rows that have one
     creators = [space.creation(m) for m in range(space.d)]
     rows = [np.flatnonzero(np.diff(a.indptr)) for a in creators]
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    out[0, 0] = 1.0
+    out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(start[:-1], start[1:])]
+    out[0][0, 0] = 1.0
     # a parent's lowest occupied mode is k or above and its sector is
     # n - 1, so descending k and ascending n fill every parent first
     for k in reversed(range(space.d)):
@@ -263,8 +283,7 @@ def gamma(space: FockSpace, p) -> np.ndarray:
                 lo, hi = a.indptr[start[n]], a.indptr[start[n + 1]]
                 block[rows[m][lo:hi] - start[n], a.indices[lo:hi] - start[n - 1]] = \
                     p[m, k] * a.data[lo:hi]
-            prev = slice(start[n - 1], start[n])
-            out[start[n]:start[n + 1], cols] = (block @ out[prev, parents]) / norms
+            out[n][:, cols] = (block @ out[n - 1][:, parents]) / norms
     return out
 
 

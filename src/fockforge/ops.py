@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, gamma
+from .fock import FockSpace, _gamma_blocks, _require_dense
 from .linalg import expi_herm, require_square, sqrtm_psd
 
+_GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -103,19 +104,26 @@ def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
                                   shape=(space.dim, space.dim))
 
 
-def _exp_series(space: FockSpace, a, x: np.ndarray, t: float) -> np.ndarray:
-    """exp(t a) x for a pair creator or annihilator a, as a finite sum.
-
-    a changes the particle number by two and the space ends at n_max
-    (n_max = d for fermions), so a^(n_max//2 + 1) = 0 and the Taylor
-    series of n_max//2 terms is exact.
-    """
-    out = np.array(x, dtype=complex)
-    term = out
+def _exp_series(space: FockSpace, a, step: int, x: np.ndarray, t: float,
+                window) -> np.ndarray:
+    """exp(t a) x in place of x for a pair creator (step 2) or annihilator
+    (step -2) a: the space ends at n_max, so n_max//2 Taylor terms are exact.
+    With window None each term is one product with all of a.  Otherwise x is
+    zero outside the sectors window = (lo, hi), each term lives on the window
+    before it moved by step, and only the slice of a between them acts."""
+    start = space.sector_start
+    rows = slice(None) if window is None else slice(start[window[0]], start[window[1] + 1])
+    term = x[rows]
     for k in range(1, space.n_max // 2 + 1):
-        term = (a @ term) * (t / k)
-        out += term
-    return out
+        if window is not None:
+            cols, window = rows, (max(window[0] + step, 0), min(window[1] + step, space.n_max))
+            if window[0] > window[1]:
+                break
+            rows = slice(start[window[0]], start[window[1] + 1])
+        term = (a if window is None else a[rows, cols]) @ term
+        term *= t / k
+        x[rows] += term
+    return x
 
 
 def multi_create(space: FockSpace, c) -> np.ndarray:
@@ -131,7 +139,7 @@ def multi_create(space: FockSpace, c) -> np.ndarray:
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
     """exp(a*(c)/2) applied to the vacuum; the series is finite."""
-    return _exp_series(space, _pair_creator(space, c), space.vacuum(), 0.5)
+    return _exp_series(space, _pair_creator(space, c), 2, space.vacuum(), 0.5, None)
 
 
 def gaussian_normalization(space: FockSpace, c) -> float:
@@ -157,43 +165,60 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
-def _apply_implementer(space: FockSpace, pref, a_left, m, a_right, t: float,
-                       x: np.ndarray) -> np.ndarray:
-    """pref exp(t a_left) Gamma(m) exp(-t a_right*) x for pair creators a_left, a_right.
-
-    The one factorized route of squeezers and Shale implementers.  Both
-    exponentials are finite series over the sparse pair creators.  Gamma(m)
-    keeps every particle-number sector, so it acts one diagonal sector block
-    at a time and no dim x dim product is formed.
+def _apply_implementer(space: FockSpace, pref, a_left, g, a_right, t: float,
+                       x: np.ndarray, window) -> np.ndarray:
+    """pref exp(t a_left) Gamma(m) exp(-t a_right*) x in place of the complex x,
+    for pair creators a_left, a_right, g = _gamma_blocks(space, m) and the
+    window of _exp_series: the one route of squeezers and Shale implementers.
+    Gamma(m) keeps every sector, so it acts one block of g at a time.
     """
     # the arrays of a CSR a_right, read as CSC with conjugated data, are a_right*
     adjoint = scipy.sparse.csc_array((a_right.data.conj(), a_right.indices, a_right.indptr),
                                      shape=a_right.shape)
-    y = _exp_series(space, adjoint, x, -t)
-    g = gamma(space, m)
-    start = np.searchsorted(space.total_numbers, np.arange(space.n_max + 2))
-    for lo, hi in zip(start[:-1], start[1:]):
-        y[lo:hi] = g[lo:hi, lo:hi] @ y[lo:hi]
-    return pref * _exp_series(space, a_left, y, t)
+    y = _exp_series(space, adjoint, -2, x, -t, window)
+    lo, hi = (0, space.n_max) if window is None else window
+    # the lowering series ends on sector 0, or on hi's parity when the window is one sector
+    lo, start = 0 if lo < hi else hi % 2, space.sector_start
+    for n in range(lo, hi + 1):
+        y[start[n]:start[n + 1]] = g[n] @ y[start[n]:start[n + 1]]
+    y = _exp_series(space, a_left, 2, y, t, None if window is None else (lo, hi))
+    return np.multiply(pref, y, out=y)
 
 
 def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) -> np.ndarray:
-    """_apply_implementer on the identity, formed one parity class at a time, dense.
+    """_apply_implementer on the identity, dense, one column group at a time.
 
-    Every factor changes N by an even number, so the result is the direct
-    sum of its even and odd class blocks.  Row i of the start holds the unit
-    vector of i's position within its class, an identity of half the size:
-    the pair creators never mix the classes, so one pass of the series forms
-    both class blocks side by side, and each block is then put in place.
+    A group is a run of whole sectors taken from the top sector down, closed
+    once it holds as many basis vectors as the sectors below it.  The rest
+    is one group once the nonzeros of both pair creators on its rows times
+    its basis vectors are at most _GROUP_WORK.  The pair creators never mix
+    the parity classes, so a group's even and odd columns share one identity.
+    The series run on the group's sector windows: the lowering series of a
+    group from sector n touches sectors n, n-2, ... only.  A space of one
+    group takes no slices.
     """
+    _require_dense(space)
+    g = _gamma_blocks(space, m)
+    start, groups, hi = space.sector_start, [], space.n_max
+    nnz = a_left.indptr + a_right.indptr  # nonzeros of both pair creators above each row
+    while hi >= 0:
+        lo = hi if nnz[start[hi + 1]] * start[hi + 1] > _GROUP_WORK else 0
+        while start[hi + 1] - start[lo] < start[lo]:
+            lo -= 1
+        groups.append((lo, hi))
+        hi = lo - 1
     classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
-    y = np.zeros((space.dim, max(map(len, classes))), dtype=complex)
-    for cls in classes:
-        y[cls, np.arange(len(cls))] = 1.0
-    y = _apply_implementer(space, pref, a_left, m, a_right, t, y)
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for cls in classes:
-        out[np.ix_(cls, cls)] = y[cls, :len(cls)]
+    for lo, hi in groups:
+        cols = [cls[np.searchsorted(cls, start[lo]):np.searchsorted(cls, start[hi + 1])]
+                for cls in classes]
+        y = np.zeros((space.dim, max(map(len, cols))), dtype=complex)
+        for c in cols:
+            y[c, np.arange(len(c))] = 1.0
+        y = _apply_implementer(space, pref, a_left, g, a_right, t, y,
+                               None if len(groups) == 1 else (lo, hi))
+        for cls, c in zip(classes, cols):
+            out[np.ix_(cls, c)] = y[cls, :len(c)]
     return out
 
 
@@ -221,7 +246,8 @@ def squeezer(space: FockSpace, c) -> np.ndarray:
 def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
     """squeezer(space, c) @ x without forming the squeezer."""
     pref, ac, m = _squeezer_factors(space, c)
-    return _apply_implementer(space, pref, ac, m, ac, -0.5, x)
+    return _apply_implementer(space, pref, ac, _gamma_blocks(space, m), ac, -0.5,
+                              np.array(x, dtype=complex), None)
 
 
 def jordan_wigner(n: int):

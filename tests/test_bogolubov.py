@@ -7,7 +7,7 @@ from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
                                  positive_blocks_from_c, random_blocks, shale_implementer,
                                  validate_blocks)
 from fockforge.fock import SIGN, FockSpace, gamma
-from fockforge.ops import (DoubledVector, _exp_series, _pair_creator, apply_doubled_matrix, field,
+from fockforge.ops import (DoubledVector, _pair_creator, apply_doubled_matrix, field,
                            squeezer)
 
 
@@ -219,19 +219,33 @@ def test_positive_blocks_match_squeezer(rng):
     assert np.linalg.norm(uf - squeezer(spf, -cf), 2) <= 1e-10
 
 
+def _dense_exp(a, t):
+    """exp(t a) for a nilpotent dense a, as its Taylor sum, which ends exactly."""
+    out = term = np.eye(len(a), dtype=complex)
+    for k in range(1, len(a) + 1):
+        term = term @ a * (t / k)
+        if not np.any(term):
+            return out
+        out = out + term
+    raise AssertionError("the pair operator is not nilpotent")
+
+
 def _dense_implementer(space, blocks):
-    """The Shale implementer formed on the whole identity with one dense Gamma product."""
+    """The Shale implementer as a product of dense Taylor sums over densified
+    pair creators and one dense Gamma, with no series or window of ops."""
     cd = blocks_to_cd(blocks)
     det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
     pref = abs(det) ** (0.25 if space.is_fermi else -0.25)
     t = 0.5 * blocks.sign
-    right = _exp_series(space, _pair_creator(space, cd.c).conj().T,
-                        np.eye(space.dim, dtype=complex), -t)
+    right = _dense_exp(_pair_creator(space, cd.c).toarray().conj().T, -t)
     mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
-    return pref * _exp_series(space, _pair_creator(space, cd.d_kernel), mid @ right, t)
+    return pref * _dense_exp(_pair_creator(space, cd.d_kernel).toarray(), t) @ mid @ right
 
 
-@pytest.mark.parametrize("statistics, d, n_max", [("bose", 2, 8), ("fermi", 4, None)])
+# in ops._implementer_matrix bose d = 3 at cutoff 12 forms three column groups,
+# and bose d = 10 at cutoff 3 two, the first of them the odd sector 3 alone
+@pytest.mark.parametrize("statistics, d, n_max", [("bose", 2, 8), ("fermi", 4, None),
+                                                  ("bose", 3, 12), ("bose", 10, 3)])
 def test_shale_implementer_by_parity_class(rng, statistics, d, n_max):
     blocks = random_blocks(d, statistics, rng)
     space = FockSpace(statistics, d, n_max)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -113,6 +114,21 @@ def test_domain_errors_exit_2(tmp_path, capsys, model):
     assert cli.run(path, None, "json", seed=42) == 2
     err = capsys.readouterr().err
     assert err.startswith("schema error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("model", [
+    {"task": "gaussian", "statistics": "bose", "c": cli.encode_matrix(0.1 * np.eye(2)),
+     "cutoff": 200},
+    {"task": "bogolubov", "statistics": "bose", "p": cli.encode_matrix(np.eye(2)),
+     "q": cli.encode_matrix(np.zeros((2, 2))), "cutoff": 200},
+])
+def test_dense_byte_budget_exits_2(tmp_path, capsys, model):
+    # dim 20301 passes DIM_GUARD, but one dense operator there takes 6.6 GB
+    path = write_model(tmp_path, "big.json", {"schema_version": 1, **model})
+    start = time.perf_counter()
+    assert cli.run(path, None, "json", seed=42) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "over the budget" in capsys.readouterr().err
 
 
 def test_csv_format(tmp_path):

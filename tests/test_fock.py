@@ -6,7 +6,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fockforge.fock import CutoffError, FockSpace, dgamma, exp_law, gamma
+from fockforge.fock import (DENSE_BYTES_GUARD, DIM_GUARD, CutoffError, FockSpace, _require_dense,
+                            dgamma, exp_law, gamma)
+from fockforge.ops import squeezer
 
 
 def test_dimensions():
@@ -27,6 +29,17 @@ def test_basis_is_graded_then_lexicographic():
 def test_dimension_guard():
     with pytest.raises(CutoffError):
         FockSpace("bose", 6, 40)
+
+
+def test_dense_byte_budget_reads_shapes_only():
+    # 2**13 basis vectors fill the budget exactly; no dense operator is built here
+    _require_dense(FockSpace("fermi", 13))
+    big = FockSpace("bose", 2, 200)
+    assert big.dim == 20301 <= DIM_GUARD and 16 * big.dim**2 > DENSE_BYTES_GUARD
+    for build in (lambda: _require_dense(big), lambda: _require_dense(FockSpace("fermi", 14)),
+                  lambda: gamma(big, np.eye(2)), lambda: squeezer(big, 0.1 * np.eye(2))):
+        with pytest.raises(CutoffError, match="over the budget"):
+            build()
 
 
 def test_bose_ladder_matrix():

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fockforge.fock import FockSpace
 from fockforge.linalg import sqrtm_psd
-from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, euclidean_form, field,
+from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
+                           euclidean_form, field,
                            gaussian_normalization, gaussian_vector, jordan_wigner, multi_create,
                            pair_exponential_vacuum, q_operator, squeezer, symplectic_form, weyl)
 from fockforge.paulifierz import apply_pair_squeezer
@@ -230,6 +234,49 @@ def test_squeezer_keeps_parity(rng, statistics, d, n_max):
     odd = space.total_numbers % 2
     assert not np.any(r[odd[:, None] != odd[None, :]])
     assert np.all(np.abs(np.diag(r)) > 0)
+
+
+def test_apply_squeezer_on_column_groups(rng):
+    # bose d = 3 at cutoff 12 forms three column groups in ops._implementer_matrix
+    space = FockSpace("bose", 3, 12)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
+    x = rng.standard_normal((space.dim, 5)) + 1j * rng.standard_normal((space.dim, 5))
+    assert np.max(np.abs(_apply_squeezer(space, c, x) - squeezer(space, c) @ x)) <= 1e-13
+
+
+def test_one_group_spaces_take_no_slices(monkeypatch):
+    # a space of one column group runs the series on the whole space, as does
+    # _apply_squeezer on a general x; a multi-group space slices per window
+    sliced = []
+    for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array):
+        def counted(self, key, getitem=cls.__getitem__):
+            sliced.append(key)
+            return getitem(self, key)
+        monkeypatch.setattr(cls, "__getitem__", counted)
+    for space in (FockSpace("bose", 1, 32), FockSpace("fermi", 3), FockSpace("bose", 3, 12)):
+        a = np.arange(space.d**2, dtype=complex).reshape(space.d, space.d) / space.d**2
+        c = 0.3 * (a - space.sign * a.T)
+        _apply_squeezer(space, c, np.ones((space.dim, 2)))
+        assert sliced == []
+        squeezer(space, c)
+        assert bool(sliced) == (space.dim == 455)
+
+
+def test_squeezer_peak_memory_is_near_its_output(rng):
+    # Gamma(m) is built as its sector blocks and the series run on sector windows,
+    # so no dim x dim temporary sits beside the output
+    space = FockSpace("bose", 3, 12)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
+    squeezer(space, c)  # fills the creation cache of space
+    tracemalloc.start()
+    try:
+        r = squeezer(space, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * r.nbytes
 
 
 @pytest.mark.parametrize("legs", [1, 3])
