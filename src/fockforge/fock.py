@@ -192,14 +192,18 @@ class FockSpace:
 
     def lambda_op(self) -> np.ndarray:
         """(-1)^{N(N-1)/2}, exactly; squares to the identity."""
-        expo = self.total_numbers * (self.total_numbers - 1) // 2
-        return np.diag(((-1.0) ** expo).astype(complex))
+        return np.diag(_lambda_signs(self.total_numbers).astype(complex))
 
     def sector_mask(self, max_total: int) -> np.ndarray:
         return self.total_numbers <= max_total
 
     def sector_projector(self, max_total: int) -> np.ndarray:
         return np.diag(self.sector_mask(max_total).astype(complex))
+
+
+def _lambda_signs(numbers) -> np.ndarray:
+    """The diagonal of Lambda, (-1)^{n(n-1)/2}, at the particle numbers n."""
+    return (-1.0) ** (numbers * (numbers - 1) // 2)
 
 
 def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
@@ -216,17 +220,17 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     return out
 
 
-def _require_dense(space: FockSpace):
+def _require_dense(dim: int):
     """Raise CutoffError if a dense dim x dim complex operator would exceed DENSE_BYTES_GUARD."""
-    nbytes = space.dim**2 * np.dtype(complex).itemsize
+    nbytes = dim**2 * np.dtype(complex).itemsize
     if nbytes > DENSE_BYTES_GUARD:
-        raise CutoffError(f"dense dim-{space.dim} operators take {nbytes} bytes, over the budget")
+        raise CutoffError(f"dense dim-{dim} operators take {nbytes} bytes, over the budget")
 
 
 def gamma(space: FockSpace, p) -> np.ndarray:
     """Multiplicative second quantization Gamma(p), dense: the direct sum of
     the sector blocks of _gamma_blocks."""
-    _require_dense(space)
+    _require_dense(space.dim)
     out = np.zeros((space.dim, space.dim), dtype=complex)
     for lo, hi, block in zip(space.sector_start, space.sector_start[1:], _gamma_blocks(space, p)):
         out[lo:hi, lo:hi] = block

@@ -257,8 +257,7 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda.
 
     Both algebras are computed as Hilbert-Schmidt-orthonormal bases; the
-    report carries their dimensions, the dimension of the algebra M(V) as
-    the commutant of the commutant, and the two containment defects.
+    report carries their dimensions and the two containment defects.
     """
     if space.d != v.ambient_d or not space.is_fermi:
         raise ValueError("need the fermionic Fock space over the ambient space")
@@ -277,7 +276,6 @@ def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     return {
         "dim_commutant": len(comm),
         "dim_dressed_dual": len(dressed_on),
-        "dim_algebra": len(commutant(comm)),
         "defect_comm_in_dual": _containment_defect(comm, dressed_on),
         "defect_dual_in_comm": _containment_defect(dressed_on, comm),
     }

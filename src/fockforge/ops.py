@@ -197,7 +197,7 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
     group from sector n touches sectors n, n-2, ... only.  A space of one
     group takes no slices.
     """
-    _require_dense(space)
+    _require_dense(space.dim)
     g = _gamma_blocks(space, m)
     start, groups, hi = space.sector_start, [], space.n_max
     nnz = a_left.indptr + a_right.indptr  # nonzeros of both pair creators above each row

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 
-from .fock import BOSE, FockSpace, dgamma
+from .fock import BOSE, FockSpace, _require_dense, dgamma
 from .linalg import _self_adjoint, require_square
 from .ops import _apply_squeezer
 from .thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
@@ -128,6 +128,7 @@ def _coupled(model: PauliFierzModel, free, creators) -> scipy.sparse.csr_array:
 def hamiltonian(model: PauliFierzModel, cutoff: int):
     """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H dense."""
     space = FockSpace(BOSE, model.d, cutoff)
+    _require_dense(model.dim_k * space.dim)
     creators = [space.creation(m) for m in range(model.d)]
     return _coupled(model, dgamma(space, model.h), creators).toarray(), space
 

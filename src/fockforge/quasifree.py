@@ -5,7 +5,7 @@ representation data (a complex structure plus a one-particle density).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -56,12 +56,8 @@ class CovarianceData:
         w = np.linalg.eigvalsh(eta)
         if w.min() < -1e-10 * scale:
             raise NonPositiveEtaError(f"eta has negative eigenvalue {w.min()}")
-        if w.min() > 1e-12 * scale:
-            mu = 0.5 * np.linalg.solve(eta, om)
-            g = sqrtm_psd(eta)
-            mu_t = g @ mu @ np.linalg.inv(g)
-            if np.linalg.norm(mu_t, 2) > 1.0 + 1e-8:
-                raise ValueError("Cauchy-Schwarz bound between omega and eta fails")
+        if w.min() > 1e-12 * scale and np.linalg.norm(_whitened(eta, om)[2], 2) > 1.0 + 1e-8:
+            raise ValueError("Cauchy-Schwarz bound between omega and eta fails")
         object.__setattr__(self, "symmetric_form", eta)
         object.__setattr__(self, "omega", om)
 
@@ -106,12 +102,9 @@ def verify_quasifree(space: FockSpace, vector, ys) -> dict:
     vector = np.asarray(vector, dtype=complex)
     k = len(ys)
     fields = [field(space, y) for y in ys]
-    applied = [f @ vector for f in fields]
-    tp = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        fi_dag_v = fields[i].conj().T @ vector
-        for j in range(k):
-            tp[i, j] = np.vdot(fi_dag_v, applied[j])
+    # tp[i, j] = <f_i* vector | f_j vector>
+    tp = (np.column_stack([f.conj().T @ vector for f in fields]).conj().T
+          @ np.column_stack([f @ vector for f in fields]))
 
     def check_order(words):
         worst = 0.0
@@ -137,8 +130,9 @@ class ReducedRepData:
 
     j is the real matrix of the complex structure; chart maps real
     coordinates to the complex coordinates of the constructed
-    one-particle space; density is rho (bosonic) or chi (fermionic) as a
-    complex matrix in that chart.
+    one-particle space, the +1 eigenspace of i j in the whitened frame,
+    so that chart(-j y) = i chart(y); density is rho (bosonic) or chi
+    (fermionic) as a complex matrix in that chart.
     """
 
     kind: str
@@ -146,128 +140,64 @@ class ReducedRepData:
     j: np.ndarray
     density: np.ndarray
     chart: np.ndarray
-    abs_mu: np.ndarray
-    metric: np.ndarray = dc_field(repr=False, default=None)
 
     def to_complex(self, y) -> np.ndarray:
         return self.chart @ np.asarray(y, dtype=float)
 
 
-def _complex_chart(g: np.ndarray, jc: np.ndarray):
-    """Deterministic g-orthonormal basis (f_a, jc f_a) and the chart T.
-
-    T y = g(f_a, y) + i g(jc f_a, y) identifies the real space, with jc
-    acting as multiplication by i, with C^{dim/2}.
-    """
-    dim = g.shape[0]
-    chosen = []
-
-    def g_dot(a, b):
-        return float(a @ g @ b)
-
-    def project_out(v):
-        for f in chosen:
-            v = v - g_dot(f, v) * f
-        return v
-
-    for seed in range(dim):
-        if len(chosen) >= dim:
-            break
-        cand = np.zeros(dim)
-        cand[seed] = 1.0
-        cand = project_out(cand)
-        nrm = g_dot(cand, cand)
-        if nrm < 1e-18:
-            continue
-        f = cand / np.sqrt(nrm)
-        jf = jc @ f
-        jf = project_out(jf)
-        nrm2 = g_dot(jf, jf)
-        if nrm2 < 1e-12:
-            continue
-        jf = jf / np.sqrt(nrm2)
-        chosen.append(f)
-        chosen.append(jf)
-    if len(chosen) != dim:
-        raise np.linalg.LinAlgError("failed to build a complex chart")
-    fs = chosen[0::2]
-    t = np.zeros((dim // 2, dim), dtype=complex)
-    for a, f in enumerate(fs):
-        t[a, :] = f @ g + 1j * ((jc @ f) @ g)
-    return t, fs
-
-
-def _in_chart(metric: np.ndarray, jc: np.ndarray, real_op: np.ndarray):
-    """The complex chart T of (metric, jc) and real_op written in it."""
-    chart, _ = _complex_chart(metric, jc)
-    half = metric.shape[0] // 2
-    op_c = np.zeros((half, half), dtype=complex)
-    # columns via T(op f_b); T f_b is the unit vector e_b
-    pinv = np.linalg.pinv(np.vstack([chart.real, chart.imag]))
-    for b in range(half):
-        e = np.zeros(2 * half)
-        e[b] = 1.0
-        f_b = pinv @ e
-        op_c[:, b] = chart @ (real_op @ f_b)
-    return chart, op_c
+def _whitened(eta: np.ndarray, omega: np.ndarray):
+    """g = eta^{1/2}, its inverse, and mu = eta^{-1} omega / 2 in the frame
+    where eta is the identity, g^{-1} omega g^{-1} / 2, made antisymmetric."""
+    g = sqrtm_psd(eta)
+    ginv = np.linalg.inv(g)
+    mu_t = 0.5 * (ginv @ omega @ ginv)
+    return g, ginv, (mu_t - mu_t.T) / 2
 
 
 def reduce_covariance(cov: CovarianceData) -> ReducedRepData:
     """Map a covariance pair to doubled-representation data.
 
     Solves omega = 2 eta mu, takes the polar part mu = |mu| j, treats -j
-    as the imaginary unit and writes the density in a deterministic
-    complex chart.  Bosonic: omega must be nondegenerate, the density is
-    rho = |mu|^{-1} - 1 and the chart metric eta |mu|, so that
-    y1 (eta + i/2 omega) y2 = <y1|y2> + Re <y1| rho y2>.  Fermionic: the
-    density is chi = (1 - |mu|)/2 and the chart metric eta itself; j is
-    extended over Ker mu by pairing kernel vectors in a deterministic
+    as the imaginary unit and writes the density in a complex chart.  In
+    the whitened frame (eta = 1) one SVD mu_t = U diag(s) V gives
+    |mu_t| = V^T diag(s) V and j_t = U V off the kernel; j_t is real
+    antisymmetric with square -1, so i j_t is Hermitian with
+    eigenvalues +-1; with v its +1 eigenvectors the chart is
+    sqrt(2) v* r eta^{1/2} and the density v* f v, where r and f are
+    functions of |mu_t| and so commute with j_t.  Bosonic: omega must be
+    nondegenerate, f = |mu|^{-1} - 1 is rho and r = |mu|^{1/2} makes the
+    chart an isometry of eta |mu|, so that
+    y1 (eta + i/2 omega) y2 = <y1|y2> + Re <y1| rho y2>.  Fermionic:
+    f = (1 - |mu|)/2 is chi and r = 1 makes the chart an isometry of eta
+    itself; j is extended over Ker mu by pairing kernel vectors in SVD
     order, which requires the kernel to be even dimensional.
     """
     eta = cov.symmetric_form
-    om = cov.omega
     dim = cov.dim
     if dim % 2 == 1:
         raise OddKernelError("odd real dimension forces an odd kernel")
     w = np.linalg.eigvalsh(eta)
     if w.min() <= 1e-12 * max(1.0, w.max()):
         raise NonPositiveEtaError("the symmetric form must be positive definite")
-    g = sqrtm_psd(eta)
-    ginv = np.linalg.inv(g)
-    mu_t = 0.5 * (ginv @ om @ ginv)
-    mu_t = (mu_t - mu_t.T) / 2
-    _, s, vh = np.linalg.svd(mu_t)
-    smax = max(s.max(initial=0.0), 1e-300)
-    null = s <= 1e-10 * smax
+    g, ginv, mu_t = _whitened(eta, cov.omega)
+    u, s, vh = np.linalg.svd(mu_t)
+    null = s <= 1e-10 * max(s.max(initial=0.0), 1e-300)
     n_null = int(null.sum())
     if n_null and cov.kind == BOSE:
         raise DegenerateOmegaError("omega is degenerate relative to eta")
     if n_null % 2 == 1:
         raise OddKernelError(f"kernel of the commutator form has odd dimension {n_null}")
-    abs_mu_t = (vh.T * s) @ vh
-    if n_null == 0:
-        j_t = mu_t @ np.linalg.inv(abs_mu_t)
-    else:
-        keep = ~null
-        inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        j_t = mu_t @ ((vh.T * inv_s) @ vh)
-        # extend over the kernel by pairing its basis vectors in svd order
-        kernel_basis = vh[null, :].T
-        for i in range(0, n_null, 2):
-            v1 = kernel_basis[:, i]
-            v2 = kernel_basis[:, i + 1]
-            j_t = j_t + np.outer(v2, v1) - np.outer(v1, v2)
+    # the polar part u vh of mu_t, extended over the kernel pair by pair in svd order
+    j_t = u[:, ~null] @ vh[~null]
+    kernel = vh[null]
+    for v1, v2 in zip(kernel[0::2], kernel[1::2]):
+        j_t = j_t + np.outer(v2, v1) - np.outer(v1, v2)
     j_t = (j_t - j_t.T) / 2
-    j, abs_mu = ginv @ j_t @ g, ginv @ abs_mu_t @ g
-    if cov.kind == BOSE:
-        metric = eta @ abs_mu
-        metric = (metric + metric.T) / 2
-        density = np.linalg.inv(abs_mu) - np.eye(dim)
-    else:
-        metric = eta.copy()
-        density = 0.5 * (np.eye(dim) - abs_mu)
-    chart, density_c = _in_chart(metric, -j, density)
-    return ReducedRepData(cov.kind, dim // 2, j, density_c, chart, abs_mu, metric)
+    r, f = (np.sqrt(s), 1.0 / s - 1.0) if cov.kind == BOSE else (np.ones(dim), (1.0 - s) / 2)
+    v = np.linalg.eigh(1j * j_t)[1][:, dim // 2:]
+    chart = np.sqrt(2.0) * v.conj().T @ ((vh.T * r) @ vh) @ g
+    density = v.conj().T @ ((vh.T * f) @ vh) @ v
+    return ReducedRepData(cov.kind, dim // 2, ginv @ j_t @ g, density, chart)
 
 
 def reconstruction_defect(cov: CovarianceData, red: ReducedRepData, rng) -> float:
@@ -296,17 +226,9 @@ def aw_covariance(rho_complex: np.ndarray) -> CovarianceData:
     """
     rho = require_square(np.asarray(rho_complex, dtype=complex))
     d = rho.shape[0]
-    one_plus = np.eye(d) + rho
-
-    def embed(m):
-        # real 2d x 2d matrix of the sesquilinear form (z1| m z2)
-        re = m.real
-        im = m.imag
-        top = np.hstack([re, -im])
-        bot = np.hstack([im, re])
-        return np.vstack([top, bot])
-
-    eta = embed(one_plus)
+    m = np.eye(d) + rho
+    # the real 2d x 2d matrix of the sesquilinear form (z1|(1 + rho) z2)
+    eta = np.block([[m.real, -m.imag], [m.imag, m.real]])
     eta = (eta + eta.T) / 2
     # real bilinear form of 2 Im(z1|z2)
     omega = np.block([[np.zeros((d, d)), 2.0 * np.eye(d)],

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .fock import BOSE, FERMI, SIGN, FockSpace, dgamma, exp_law, gamma
+from .fock import BOSE, FERMI, SIGN, FockSpace, _lambda_signs, dgamma, exp_law, gamma
 from .linalg import _self_adjoint, dense, expi_herm, require_square, sqrtm_psd, window_norm
 from .ops import gaussian_vector, squeezer
 
@@ -47,7 +47,7 @@ def _leg_swap_index(space: FockSpace) -> np.ndarray:
 
 def _lambda_sandwich(space: FockSpace, op) -> scipy.sparse.csr_array:
     """Lambda op Lambda for a sparse op; Lambda is diagonal with entries +-1."""
-    lam = scipy.sparse.diags_array(space.lambda_op().diagonal())
+    lam = scipy.sparse.diags_array(_lambda_signs(space.total_numbers))
     return (lam @ op @ lam).tocsr()
 
 
@@ -229,7 +229,7 @@ class DoubledRep:
         if self.kind == FERMI:
             a = space.occupations[:, :self.d].sum(axis=1)
             b = space.total_numbers - a
-            sign = (-1.0) ** ((a * (a - 1) + b * (b - 1)) // 2)
+            sign = _lambda_signs(a) * _lambda_signs(b)
         u = np.zeros((space.dim, space.dim))
         u[_leg_swap_index(space), np.arange(space.dim)] = sign
         return Antiunitary(u)

@@ -121,9 +121,15 @@ def test_domain_errors_exit_2(tmp_path, capsys, model):
      "cutoff": 200},
     {"task": "bogolubov", "statistics": "bose", "p": cli.encode_matrix(np.eye(2)),
      "q": cli.encode_matrix(np.zeros((2, 2))), "cutoff": 200},
+    # a desk-scale model whose reference Hamiltonian at cutoff 30 has dim 2 * 5456
+    {"task": "pauli-fierz", "K": cli.encode_matrix(np.diag([0.5, -0.5])),
+     "h": cli.encode_matrix(np.diag([1.0, 1.2, 1.4])),
+     "v": cli.encode_matrix(0.1 * np.ones((6, 2))),
+     "gamma": cli.encode_matrix(np.diag([0.25, 0.2, 0.15])), "cutoff": 8},
 ])
 def test_dense_byte_budget_exits_2(tmp_path, capsys, model):
-    # dim 20301 passes DIM_GUARD, but one dense operator there takes 6.6 GB
+    # each model passes the dimension guard and the model checks, but one dense
+    # operator it builds takes 6.6 GB (gaussian, bogolubov) or 1.9 GB (pauli-fierz)
     path = write_model(tmp_path, "big.json", {"schema_version": 1, **model})
     start = time.perf_counter()
     assert cli.run(path, None, "json", seed=42) == 2
@@ -172,7 +178,7 @@ def test_lattice_task_is_criterion_09():
 
 def test_duality_defect_rejects_unequal_dimensions(monkeypatch):
     def unequal(v, space):
-        return {"dim_commutant": 2, "dim_dressed_dual": 3, "dim_algebra": 2,
+        return {"dim_commutant": 2, "dim_dressed_dual": 3,
                 "defect_comm_in_dual": 0.0, "defect_dual_in_comm": 0.0}
 
     monkeypatch.setattr(acceptance, "fermionic_duality_check", unequal)

@@ -33,10 +33,11 @@ def test_dimension_guard():
 
 def test_dense_byte_budget_reads_shapes_only():
     # 2**13 basis vectors fill the budget exactly; no dense operator is built here
-    _require_dense(FockSpace("fermi", 13))
+    _require_dense(FockSpace("fermi", 13).dim)
     big = FockSpace("bose", 2, 200)
     assert big.dim == 20301 <= DIM_GUARD and 16 * big.dim**2 > DENSE_BYTES_GUARD
-    for build in (lambda: _require_dense(big), lambda: _require_dense(FockSpace("fermi", 14)),
+    for build in (lambda: _require_dense(big.dim),
+                  lambda: _require_dense(FockSpace("fermi", 14).dim),
                   lambda: gamma(big, np.eye(2)), lambda: squeezer(big, 0.1 * np.eye(2))):
         with pytest.raises(CutoffError, match="over the budget"):
             build()

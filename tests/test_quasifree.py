@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockforge.fock import FockSpace
 from fockforge.ops import DoubledVector, field, gaussian_vector
@@ -192,9 +193,46 @@ def test_reduce_fermi_mixed_kernel(rng):
     cov = CovarianceData("fermi", np.eye(4), om)
     red = reduce_covariance(cov)
     vals = np.sort(np.linalg.eigvals(red.density).real)
-    assert np.allclose(vals, [0.5 * (1 - 0.45 / 0.5) if False else (1 - 0.45) / 2, 0.5], atol=1e-10)
+    assert np.allclose(vals, [(1 - 0.45) / 2, 0.5], atol=1e-10)
     assert reconstruction_defect(cov, red, rng) <= 1e-9
     assert 0.0 <= vals.min() and vals.max() <= 0.5 + 1e-12
+
+
+def _fermi_covariance(rng, d: int, kernel_dim: int):
+    """A random eta > 0 and an omega whose whitened form has singular values
+    0.1-0.9 off a kernel of real dimension kernel_dim; returns the pair and
+    the density spectrum (1 - s)/2 per pair, 1/2 per kernel pair."""
+    b = rng.standard_normal((2 * d, 2 * d))
+    eta = b @ b.T / (2 * d) + 0.5 * np.eye(2 * d)
+    s = rng.uniform(0.1, 0.9, size=d - kernel_dim // 2)
+    om_t = np.zeros((2 * d, 2 * d))
+    om_t[:2 * len(s), :2 * len(s)] = np.kron(np.diag(s), J2)
+    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
+    g = scipy.linalg.sqrtm(eta).real
+    om = 2 * g @ q @ om_t @ q.T @ g
+    spectrum = np.concatenate([(1 - s) / 2, np.full(kernel_dim // 2, 0.5)])
+    return CovarianceData("fermi", eta, (om - om.T) / 2), np.sort(spectrum)
+
+
+def _bose_covariance(rng, d: int):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T / 2
+    return aw_covariance(rho), np.sort(np.linalg.eigvalsh(rho))
+
+
+@pytest.mark.parametrize("kind, d, kernel_dim", [("bose", d, 0) for d in (1, 3, 5)]
+                         + [("fermi", d, k) for d in (2, 3, 4) for k in (0, 2, 4)])
+def test_reduce_chart(rng, kind, d, kernel_dim):
+    cov, spectrum = (_bose_covariance(rng, d) if kind == "bose"
+                     else _fermi_covariance(rng, d, kernel_dim))
+    red = reduce_covariance(cov)
+    assert red.complex_dim == d
+    assert np.linalg.norm(red.j @ red.j + np.eye(2 * d)) <= 1e-10
+    for y in rng.standard_normal((4, 2 * d)):
+        t = red.to_complex(y)
+        assert np.linalg.norm(red.to_complex(-red.j @ y) - 1j * t) <= 1e-10 * np.linalg.norm(t)
+    assert np.allclose(np.sort(np.linalg.eigvals(red.density).real), spectrum, atol=1e-10)
+    assert reconstruction_defect(cov, red, rng) <= 1e-10
 
 
 def test_reduce_fermi_odd_kernel():

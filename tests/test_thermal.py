@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -482,3 +484,18 @@ def test_tracial_trace_property(rng):
             lhs = np.vdot(vac, a @ b @ vac)
             rhs = np.vdot(vac, b @ a @ vac)
             assert abs(lhs - rhs) <= 1e-12
+
+
+def test_right_field_builds_no_dense_lambda():
+    # Lambda enters as its signs only: a dense Lambda at dim 4096 alone takes 268 MB
+    rep = DoubledRep(ThermalParams("fermi", 0.3 * np.eye(6)))
+    assert rep.space.dim == 4096
+    z = np.linspace(0.2, 1.0, 6) + 0.1j
+    rep.field_right(z)  # fills the creation cache of the doubled space
+    tracemalloc.start()
+    try:
+        rep.field_right(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
