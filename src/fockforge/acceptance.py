@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .bogolubov import metaplectic_pair, positive_blocks_from_c, random_blocks, shale_implementer
-from .fock import BOSE, FERMI, FockSpace
+from .fock import BOSE, FERMI, FockSpace, _require_dense
 from .lattice import RealSubspace, fermionic_duality_check
 from .linalg import window_norm
 from .ops import DoubledVector, apply_doubled_matrix, euclidean_form, field, gaussian_vector
@@ -39,6 +39,7 @@ def _report(name, residual, tolerance, extras=None, passed=None):
 
 def car_defect(space, rng, trials):
     """max ||{phi(y1), phi(y2)} - 2 Re<y1, y2>|| over random real points y1, y2."""
+    _require_dense(space.dim)
     d = space.d
     eye = np.eye(space.dim)
     worst = 0.0
@@ -53,6 +54,7 @@ def car_defect(space, rng, trials):
 
 def ccr_defect(space, rng, trials):
     """max ||[a(w1), a*(w2)] - (w1|w2)|| below the top sector over random w1, w2."""
+    _require_dense(space.dim)
     d = space.d
     keep = space.sector_mask(space.n_max - 1)
     worst = 0.0

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace
-from .linalg import dense, polar_decompose, sqrtm_psd
+from .fock import FockSpace, _lambda_signs, _require_dense
+from .linalg import dense, ordered_products, polar_decompose, sqrtm_psd
 
 RANK_RTOL = 1e-10
 GRAY_LOW = 1e-12
 GRAY_HIGH = 1e-8
-
-COMMUTANT_DIM_GUARD = 128
 
 
 class GeneralPositionError(ValueError):
@@ -205,43 +203,35 @@ def halmos_isometry_range(data: HalmosData) -> np.ndarray:
 def commutant(generators) -> list:
     """Hilbert-Schmidt-orthonormal basis of {X : [X, A_i] = 0 for all i}.
 
-    The adjoint of every generator is appended so the result is a
-    *-algebra.  Solved as the nullspace of the stacked commutator maps,
-    by a dense SVD; sparse generators are densified for it.
+    The adjoint of every generator is taken too, so the result is a
+    *-algebra.  Starting from the n^2 matrix units, each generator and its
+    adjoint keep the null space of X -> AX - XA on the basis so far, found
+    by one thin SVD of the map applied to every basis element at once;
+    sparse generators are densified for it.
     """
     gens = [np.asarray(dense(g), dtype=complex) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
-    if n > COMMUTANT_DIM_GUARD:
-        raise ValueError(f"space dimension {n} exceeds guard {COMMUTANT_DIM_GUARD}")
+    _require_dense(n * n)
     full = gens + [g.conj().T for g in gens]
-    eye = np.eye(n)
-    blocks = [np.kron(g, eye) - np.kron(eye, g.T) for g in full]
-    stack = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stack)
     # floor the rank threshold at the generator scale: near-central
-    # generators leave the stack numerically zero
+    # generators leave the map numerically zero
     scale = max(np.linalg.norm(g, 2) for g in full)
-    thr = RANK_RTOL * max(s.max(initial=0.0), scale, 1e-300)
-    null = np.ones(n * n, dtype=bool)
-    null[: s.shape[0]] = s <= thr
-    return [vh.conj().T[:, i].reshape(n, n) for i in np.nonzero(null)[0]]
-
-
-def double_commutant(generators) -> list:
-    return commutant(commutant(generators))
+    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    for a in full:
+        image = (a @ basis - basis @ a).reshape(len(basis), n * n)
+        _, s, vh = np.linalg.svd(image.T, full_matrices=False)
+        null = s <= RANK_RTOL * max(s.max(initial=0.0), scale, 1e-300)
+        basis = np.tensordot(vh[null].conj(), basis, axes=1)
+    return list(basis)
 
 
 def _containment_defect(basis_a, basis_b) -> float:
     """Max HS distance of an element of span(a) from span(b); b is orthonormal
     and neither list is empty (the identity lies in every commutant)."""
-    mat_b = np.column_stack([b.reshape(-1) for b in basis_b])
-    worst = 0.0
-    for x in basis_a:
-        vec = x.reshape(-1)
-        worst = max(worst, float(np.linalg.norm(vec - mat_b @ (mat_b.conj().T @ vec))))
-    return worst
+    mat_a, mat_b = (np.column_stack([x.reshape(-1) for x in basis]) for basis in (basis_a, basis_b))
+    return float(np.linalg.norm(mat_a - mat_b @ (mat_b.conj().T @ mat_a), axis=0).max())
 
 
 def field_generators(space: FockSpace, v: RealSubspace) -> list:
@@ -256,22 +246,18 @@ def field_generators(space: FockSpace, v: RealSubspace) -> list:
 def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
     """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda.
 
-    Both algebras are computed as Hilbert-Schmidt-orthonormal bases; the
-    report carries their dimensions and the two containment defects.
+    M(iV^perp) is the span of the ordered monomials of its fields, which
+    anticommute.  Both algebras are taken as Hilbert-Schmidt-orthonormal
+    bases; the report carries their dimensions and the two containment
+    defects.
     """
     if space.d != v.ambient_d or not space.is_fermi:
         raise ValueError("need the fermionic Fock space over the ambient space")
-    gens = field_generators(space, v)
-    if not gens:
-        gens = [space.identity()]
-    comm = commutant(gens)
-    dual_v = symplectic_complement(v)
-    dual_gens = field_generators(space, dual_v)
-    if not dual_gens:
-        dual_gens = [space.identity()]
-    dual_alg = double_commutant(dual_gens)
-    lam = space.lambda_op()
-    dressed = [lam @ x @ lam for x in dual_alg]
+    comm = commutant(field_generators(space, v) or [space.identity()])
+    dual_alg = ordered_products(field_generators(space, symplectic_complement(v)),
+                                space.identity())
+    signs = _lambda_signs(space.total_numbers)
+    dressed = [signs[:, None] * x * signs for x in dual_alg]
     dressed_on = _orthonormalize_hs(dressed)
     return {
         "dim_commutant": len(comm),

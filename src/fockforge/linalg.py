@@ -33,6 +33,21 @@ def dense(a) -> np.ndarray:
     return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
 
 
+def ordered_products(gens, x) -> list:
+    """The 2^m ordered monomials g_i1 ... g_ik x, i1 < ... < ik, of the m
+    generators applied to x, listed by the bit mask of {i1, ..., ik}.
+
+    Each is the lowest generator of its subset applied to the monomial of
+    the rest, listed before it, so every monomial costs one product.  The
+    generators may be dense or sparse, and x a vector or a matrix.
+    """
+    out = [x]
+    for mask in range(1, 2 ** len(gens)):
+        low = (mask & -mask).bit_length() - 1
+        out.append(gens[low] @ out[mask ^ (1 << low)])
+    return out
+
+
 def require_square(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:

@@ -53,10 +53,15 @@ class CovarianceData:
             raise ValueError("symmetric form is not symmetric")
         if np.max(np.abs(om + om.T)) > 1e-10 * scale:
             raise ValueError("omega is not antisymmetric")
-        w = np.linalg.eigvalsh(eta)
+        w, u = np.linalg.eigh(eta)
         if w.min() < -1e-10 * scale:
             raise NonPositiveEtaError(f"eta has negative eigenvalue {w.min()}")
-        if w.min() > 1e-12 * scale and np.linalg.norm(_whitened(eta, om)[2], 2) > 1.0 + 1e-8:
+        # omega vanishes on Ker eta; on its range the whitened omega / 2 is a contraction
+        on_range = w > 1e-12 * scale
+        white = u[:, on_range] / np.sqrt(w[on_range])
+        if (np.linalg.norm(om @ u[:, ~on_range]) > 1e-10 * scale
+                or np.linalg.svd(white.T @ om @ white, compute_uv=False).max(initial=0.0)
+                > 2.0 * (1.0 + 1e-8)):
             raise ValueError("Cauchy-Schwarz bound between omega and eta fails")
         object.__setattr__(self, "symmetric_form", eta)
         object.__setattr__(self, "omega", om)
@@ -145,15 +150,6 @@ class ReducedRepData:
         return self.chart @ np.asarray(y, dtype=float)
 
 
-def _whitened(eta: np.ndarray, omega: np.ndarray):
-    """g = eta^{1/2}, its inverse, and mu = eta^{-1} omega / 2 in the frame
-    where eta is the identity, g^{-1} omega g^{-1} / 2, made antisymmetric."""
-    g = sqrtm_psd(eta)
-    ginv = np.linalg.inv(g)
-    mu_t = 0.5 * (ginv @ omega @ ginv)
-    return g, ginv, (mu_t - mu_t.T) / 2
-
-
 def reduce_covariance(cov: CovarianceData) -> ReducedRepData:
     """Map a covariance pair to doubled-representation data.
 
@@ -179,7 +175,11 @@ def reduce_covariance(cov: CovarianceData) -> ReducedRepData:
     w = np.linalg.eigvalsh(eta)
     if w.min() <= 1e-12 * max(1.0, w.max()):
         raise NonPositiveEtaError("the symmetric form must be positive definite")
-    g, ginv, mu_t = _whitened(eta, cov.omega)
+    # whiten by g = eta^{1/2}: mu_t = g^{-1} omega g^{-1} / 2, made antisymmetric
+    g = sqrtm_psd(eta)
+    ginv = np.linalg.inv(g)
+    mu_t = 0.5 * (ginv @ cov.omega @ ginv)
+    mu_t = (mu_t - mu_t.T) / 2
     u, s, vh = np.linalg.svd(mu_t)
     null = s <= 1e-10 * max(s.max(initial=0.0), 1e-300)
     n_null = int(null.sum())

@@ -17,7 +17,8 @@ import scipy.linalg
 import scipy.sparse
 
 from .fock import BOSE, FERMI, SIGN, FockSpace, _lambda_signs, dgamma, exp_law, gamma
-from .linalg import _self_adjoint, dense, expi_herm, require_square, sqrtm_psd, window_norm
+from .linalg import (_self_adjoint, dense, expi_herm, ordered_products, polar_decompose,
+                     require_square, sqrtm_psd, window_norm)
 from .ops import gaussian_vector, squeezer
 
 DEFAULT_SINGLE_CUTOFF = 8
@@ -119,6 +120,16 @@ class ThermalParams:
     def gibbs(cls, kind: str, h, beta: float) -> "ThermalParams":
         h = require_square(np.asarray(h, dtype=complex))
         return cls(kind, scipy.linalg.expm(-beta * h), h=h, beta=beta)
+
+
+def _ladder_words(outer, inner, x, top: int) -> dict:
+    """outer^m inner^n x for m + n <= top, keyed (m, n)."""
+    words = {}
+    for n in range(top + 1):
+        words[0, n] = inner @ words[0, n - 1] if n else x
+        for m in range(1, top + 1 - n):
+            words[m, n] = outer @ words[m - 1, n]
+    return words
 
 
 def _doubled_generator(h) -> np.ndarray:
@@ -245,58 +256,37 @@ class DoubledRep:
     def modular_data(self):
         return self.modular_conjugation(), self.modular_operator()
 
-    def left_monomials(self):
-        """Products of left creation/annihilation generators, vacuum-cyclic, as CSR arrays.
+    def modular_oracle(self):
+        """(J, Delta) recovered from the polar decomposition of S: A Omega -> A* Omega.
 
-        Bosonic monomials are built for one mode only: a*^m a^n up to the cutoff.
+        A runs over the 4^d ordered monomials of the left creators and
+        annihilators, whose adjoints are the ordered monomials of the
+        reversed adjoints at the bit-reversed mask, or for one bosonic mode
+        over the words a*^m a^n up to the cutoff; both sides are built as
+        vectors.  Returns (j_linear, delta); j_linear is the linear part of
+        the antiunitary J.  Independent of modular_data up to the shared
+        field definitions.
         """
         d = self.d
         if self.kind == BOSE and d > 1:
             raise ValueError("the bosonic polar-of-S oracle is built for d = 1 only")
         gens = []
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = 1.0
-            gens.append(self.create_left(e))
-            gens.append(self.annihilate_left(e))
-        eye = scipy.sparse.eye_array(self.space.dim, dtype=complex, format="csr")
-        if self.kind == FERMI:
-            words = [eye]
-            frontier = [eye]
-            for _ in range(2 * d):
-                new = []
-                for w in frontier:
-                    for g in gens:
-                        new.append(g @ w)
-                words.extend(new)
-                frontier = new
-                if len(words) > 4 ** (2 * d):
-                    break
-            return words
-        max_degree = self.space.n_max
-        words = []
-        powers_up = [eye]
-        for _ in range(max_degree):
-            powers_up.append(gens[0] @ powers_up[-1])
-        powers_dn = [eye]
-        for _ in range(max_degree):
-            powers_dn.append(gens[1] @ powers_dn[-1])
-        for m in range(max_degree + 1):
-            for n in range(max_degree + 1 - m):
-                words.append(powers_up[m] @ powers_dn[n])
-        return words
-
-    def modular_oracle(self):
-        """(J, Delta) recovered from the polar decomposition of S: A Omega -> A* Omega.
-
-        Returns (j_linear, delta); j_linear is the linear part of the
-        antiunitary J.  Independent of modular_data up to the shared
-        field definitions.
-        """
-        monomials = self.left_monomials()
+        for e in np.eye(d):
+            gens += [self.create_left(e), self.annihilate_left(e)]
+        adjoints = [g.conj().T for g in gens]
         vac = self.space.vacuum()
-        xs = np.column_stack([m @ vac for m in monomials])
-        ys = np.column_stack([m.conj().T @ vac for m in monomials])
+        if self.kind == FERMI:
+            m = len(gens)
+            xs = ordered_products(gens, vac)
+            reversed_ys = ordered_products(adjoints[::-1], vac)
+            ys = [reversed_ys[int(f"{mask:0{m}b}"[::-1], 2)] for mask in range(2**m)]
+        else:
+            words = _ladder_words(gens[0], gens[1], vac, self.space.n_max)
+            adjoint_words = _ladder_words(adjoints[1], adjoints[0], vac, self.space.n_max)
+            xs = [words[key] for key in sorted(words)]
+            # the adjoint of a*^m a^n is (a^n)* (a*^m)*
+            ys = [adjoint_words[n, m] for m, n in sorted(words)]
+        xs, ys = np.column_stack(xs), np.column_stack(ys)
         norms = np.linalg.norm(xs, axis=0)
         keep = norms > 1e-13
         xs = xs[:, keep] / norms[keep]
@@ -305,9 +295,7 @@ class DoubledRep:
         l_part, *_ = np.linalg.lstsq(np.conj(xs).T, ys.T, rcond=1e-12)
         l_part = l_part.T
         delta = l_part.T @ np.conj(l_part)
-        uu, sv, vh = np.linalg.svd(l_part)
-        j_lin = uu @ vh
-        return j_lin, delta
+        return polar_decompose(l_part)[0], delta
 
     def standard_liouvillean(self, h) -> scipy.sparse.csr_array:
         """dGamma(h (+) -conj h), sparse; generates the dressed dynamics, kills Omega."""

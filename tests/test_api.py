@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 184
+MAX_PUBLIC = 183
 
 
 def defaulted_parameters():

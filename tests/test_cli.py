@@ -137,6 +137,41 @@ def test_dense_byte_budget_exits_2(tmp_path, capsys, model):
     assert "over the budget" in capsys.readouterr().err
 
 
+# models at the largest sizes the schema and the guards accept, with the exit code each
+# must give: the commutant's starting basis at lattice d = 7 holds 128^4 complex entries
+# (4.3 GB), and a dense identity at dim 20301 or 16384 takes over 4 GB
+LARGE_MODELS = {
+    "lattice-d4": ({"task": "lattice", "d": 4, "subspaces": 2}, 0),
+    "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2),
+    "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2),
+    "verify-car-d14": ({"task": "verify-car", "d": 14}, 2),
+}
+CAPPED_RUNS = """
+import json, resource, sys
+cap = 3 * 2**30
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from fockforge import cli
+print(json.dumps([cli.main(["run", path, "--out", path + ".report"]) for path in sys.argv[1:]]))
+"""
+
+
+def test_large_models_run_or_exit_2_under_a_3_gib_cap(tmp_path):
+    # one child process whose address space is capped at 3 GiB runs every model: a
+    # dense build over the cap ends in MemoryError, exit 4, so exit 2 means the
+    # budget refused the model before it allocated
+    paths = [write_model(tmp_path, f"{name}.json", {"schema_version": 1, **model})
+             for name, (model, _) in LARGE_MODELS.items()]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(FOCKFORGE_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_RUNS, *paths],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = dict(zip(LARGE_MODELS, json.loads(proc.stdout)))
+    assert codes == {name: code for name, (_, code) in LARGE_MODELS.items()}, proc.stderr
+    assert proc.stderr.count("over the budget") == 3, proc.stderr
+
+
 def test_csv_format(tmp_path):
     path = write_model(tmp_path, "model.json", identity_bogolubov_model())
     out = tmp_path / "report.csv"

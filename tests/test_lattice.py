@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fockforge.fock import FockSpace
-from fockforge.lattice import (GeneralPositionError, RealSubspace, _orthonormalize, commutant,
-                               double_commutant, fermionic_duality_check, field_generators,
+from fockforge.lattice import (RANK_RTOL, GeneralPositionError, RealSubspace, _containment_defect,
+                               _orthonormalize, _orthonormalize_hs, commutant,
+                               fermionic_duality_check, field_generators,
                                general_position_split, halmos_angles,
                                halmos_isometry_range, join, meet, mult_i_matrix,
                                perp, symplectic_complement, to_complex)
+from fockforge.linalg import ordered_products
 from fockforge.thermal import tracial_field
 
 
@@ -48,6 +52,34 @@ def intersect_spans(mats_a, mats_b) -> list:
     null = np.ones(n * n, dtype=bool)
     null[: s.shape[0]] = s <= 1e-8
     return [vh.conj().T[:, i].reshape(n, n) for i in np.nonzero(null)[0]]
+
+
+def kronecker_commutant(gens) -> list:
+    """Reference commutant: the null space of the stacked maps X -> [A, X] over
+    the generators and their adjoints, written as Kronecker products, by one
+    thin SVD of the stack."""
+    gens = [np.asarray(g.toarray() if hasattr(g, "toarray") else g, dtype=complex) for g in gens]
+    full = gens + [g.conj().T for g in gens]
+    n = full[0].shape[0]
+    eye = np.eye(n)
+    stack = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in full])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    scale = max(np.linalg.norm(g, 2) for g in full)
+    null = s <= RANK_RTOL * max(s.max(initial=0.0), scale, 1e-300)
+    return [x.reshape(n, n) for x in vh[null].conj()]
+
+
+def kronecker_algebra(gens, n) -> list:
+    """Reference algebra generated by gens: their double commutant, or the
+    scalars when there are no generators."""
+    if not gens:
+        return [np.eye(n, dtype=complex) / np.sqrt(n)]
+    return kronecker_commutant(kronecker_commutant(gens))
+
+
+def generated_algebra(space, gens) -> list:
+    """Hilbert-Schmidt-orthonormal basis of the span of the ordered monomials of gens."""
+    return _orthonormalize_hs(ordered_products(gens, space.identity()))
 
 
 def whole(d: int) -> RealSubspace:
@@ -194,7 +226,7 @@ def test_commutant_guard():
 def test_double_commutant_contains_generators(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = a + a.conj().T
-    alg = double_commutant([a])
+    alg = commutant(commutant([a]))
     basis = np.column_stack([m.reshape(-1) for m in alg])
     vec = a.reshape(-1)
     resid = vec - basis @ (basis.conj().T @ vec)
@@ -206,9 +238,9 @@ def test_duality_extremes():
     space = FockSpace("fermi", d)
     rep_whole = fermionic_duality_check(whole(d), space)
     assert rep_whole["dim_commutant"] == 1
-    assert len(double_commutant(field_generators(space, whole(d)))) == space.dim**2
+    assert len(generated_algebra(space, field_generators(space, whole(d)))) == space.dim**2
     rep_zero = fermionic_duality_check(zero(d), space)
-    assert len(double_commutant([space.identity()])) == 1
+    assert len(generated_algebra(space, field_generators(space, zero(d)))) == 1
     assert rep_zero["dim_commutant"] == space.dim**2
     for rep in (rep_whole, rep_zero):
         assert rep["defect_comm_in_dual"] <= 1e-8
@@ -227,23 +259,58 @@ def test_duality_random(rng):
         assert rep["defect_dual_in_comm"] <= 1e-8
 
 
+@pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3) for k in range(2 * d + 1)]
+                         + [(4, k) for k in (0, 1, 4, 8)])
+def test_commutant_and_dual_match_the_kronecker_reference(d, k):
+    space = FockSpace("fermi", d)
+    v = RealSubspace.from_vectors(d, np.random.default_rng(10 * d + k).standard_normal((2 * d, k)))
+    gens = field_generators(space, v) or [space.identity()]
+    ref = kronecker_commutant(gens)
+    comm = commutant(gens)
+    assert len(comm) == len(ref)
+    assert max(_containment_defect(comm, ref), _containment_defect(ref, comm)) <= 1e-9
+    if d <= 3:
+        # the span of the ordered monomials is the double commutant; at d = 4 the
+        # reference double commutant takes most of a second, and the dimension of
+        # the dressed dual is pinned against the reference commutant below
+        dual_gens = field_generators(space, symplectic_complement(v))
+        assert len(generated_algebra(space, dual_gens)) == len(kronecker_algebra(dual_gens,
+                                                                                 space.dim))
+    rep = fermionic_duality_check(v, space)
+    assert rep["dim_commutant"] == rep["dim_dressed_dual"] == len(ref)
+    assert rep["defect_comm_in_dual"] <= 1e-9 and rep["defect_dual_in_comm"] <= 1e-9
+
+
+def test_commutant_of_one_field_keeps_one_copy_of_its_basis():
+    # fermi d = 4: the commutant of one field has 128 elements of 16 x 16, 0.5 MB in all;
+    # one n^4 copy per element would take 128 x 1 MB
+    space = FockSpace("fermi", 4)
+    gens = field_generators(space, RealSubspace.from_vectors(4, np.eye(8)[:, 0]))
+    tracemalloc.start()
+    try:
+        comm = commutant(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(comm) == 128
+    assert peak < 32 * 2**20
+
+
 def test_algebra_monotone_and_meet(rng):
     d = 2
     space = FockSpace("fermi", d)
-    from fockforge.lattice import _containment_defect, _orthonormalize_hs
-
     small = RealSubspace.from_vectors(d, rng.standard_normal((4, 1)))
     big = RealSubspace(d, np.column_stack([small.basis, rng.standard_normal(4)]))
-    alg_small = _orthonormalize_hs(double_commutant(field_generators(space, small)))
-    alg_big = _orthonormalize_hs(double_commutant(field_generators(space, big)))
+    alg_small = generated_algebra(space, field_generators(space, small))
+    alg_big = generated_algebra(space, field_generators(space, big))
     assert _containment_defect(alg_small, alg_big) <= 1e-9
     # meet morphism on dimensions: M(V1 & V2) = M(V1) & M(V2)
     v1 = RealSubspace.from_vectors(d, rng.standard_normal((4, 3)))
     v2 = RealSubspace.from_vectors(d, rng.standard_normal((4, 3)))
     inter = meet([v1, v2])
-    alg_inter = double_commutant(field_generators(space, inter) or [space.identity()])
-    alg1 = double_commutant(field_generators(space, v1))
-    alg2 = double_commutant(field_generators(space, v2))
+    alg_inter = generated_algebra(space, field_generators(space, inter))
+    alg1 = generated_algebra(space, field_generators(space, v1))
+    alg2 = generated_algebra(space, field_generators(space, v2))
     alg_cap = intersect_spans(alg1, alg2)
     assert len(alg_inter) == len(alg_cap)
 
@@ -252,7 +319,7 @@ def test_odd_dimensional_center_contains_q(rng):
     # tracial fields over an odd-dimensional real space: Q is central
     sp = FockSpace("fermi", 3)
     gens = [tracial_field(sp, np.eye(3)[k]) for k in range(3)]
-    alg = double_commutant(gens)
+    alg = generated_algebra(sp, gens)
     comm = commutant(gens)
     center = [x for x in comm]
     q = ((1j) ** 3 * gens[0] @ gens[1] @ gens[2]).toarray()

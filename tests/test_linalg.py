@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from fockforge.linalg import NonSquareError, polar_decompose, require_square, sqrtm_psd
+from fockforge.linalg import (NonSquareError, ordered_products, polar_decompose, require_square,
+                             sqrtm_psd)
 
 
 def test_require_square_rejects_non_square():
     with pytest.raises(NonSquareError):
         require_square(np.zeros((2, 3)))
+
+
+def test_ordered_products_by_mask():
+    rng = np.random.default_rng(3)
+    a, b, c = (rng.standard_normal((3, 3)) for _ in range(3))
+    x = rng.standard_normal(3)
+    want = [x, a @ x, b @ x, a @ b @ x, c @ x, a @ c @ x, b @ c @ x, a @ b @ c @ x]
+    got = ordered_products([a, b, c], x)
+    assert len(got) == 8
+    assert all(np.allclose(g, w, rtol=1e-13, atol=1e-13) for g, w in zip(got, want))
+    assert len(ordered_products([], x)) == 1
 
 
 def test_polar_examples():

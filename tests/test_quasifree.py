@@ -148,6 +148,17 @@ def test_covariance_validation():
         CovarianceData("bose", 0.1 * np.eye(2), J2)
 
 
+def test_covariance_singular_eta():
+    # omega must vanish on Ker eta: y1 = e1, y2 = e2 give |y1 omega y2| = 5 against a bound of 0
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        CovarianceData("bose", np.diag([1.0, 0.0]), 5 * J2)
+    # on the range of eta the whitened bound applies: 2 J2 meets it, 2.1 J2 does not
+    eta = np.diag([1.0, 1.0, 0.0, 0.0])
+    CovarianceData("bose", eta, scipy.linalg.block_diag(2 * J2, np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+        CovarianceData("bose", eta, scipy.linalg.block_diag(2.1 * J2, np.zeros((2, 2))))
+
+
 def test_reduce_bose_fock():
     red = reduce_covariance(CovarianceData("bose", 0.5 * np.eye(2), J2))
     assert np.linalg.norm(red.density) <= 1e-12

@@ -197,6 +197,17 @@ def test_modular_oracle_both_statistics():
     assert np.linalg.norm(jb_lin - j_b.unitary, 2) <= 1e-7
 
 
+def test_modular_oracle_fermi_d3():
+    # 64 ordered monomials span the left algebra, where the words of length at most 6
+    # in its 6 generators number 55,987
+    h = np.array([[1.0, 0.3, 0.1], [0.3, 0.6, 0.0], [0.1, 0.0, 0.4]])
+    rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
+    j, delta = rep.modular_data()
+    j_lin, delta_oracle = rep.modular_oracle()
+    assert np.linalg.norm(delta_oracle - delta, 2) <= 1e-12 * np.linalg.norm(delta, 2)
+    assert np.linalg.norm(j_lin - j.unitary, 2) <= 1e-12
+
+
 def test_modular_oracle_bose_is_one_mode():
     rep = DoubledRep(ThermalParams("bose", np.diag([0.2, 0.3])), single_cutoff=2)
     with pytest.raises(ValueError, match="d = 1 only"):
