@@ -207,14 +207,15 @@ def commutant(generators) -> list:
     *-algebra.  Starting from the n^2 matrix units, each generator and its
     adjoint keep the null space of X -> AX - XA on the basis so far, found
     by one thin SVD of the map applied to every basis element at once;
-    sparse generators are densified for it.
+    sparse generators are densified for it.  A generator that equals its
+    adjoint exactly, as every field does, takes one step.
     """
     gens = [np.asarray(dense(g), dtype=complex) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
     _require_dense(n * n)
-    full = gens + [g.conj().T for g in gens]
+    full = gens + [g.conj().T for g in gens if not np.array_equal(g, g.conj().T)]
     # floor the rank threshold at the generator scale: near-central
     # generators leave the map numerically zero
     scale = max(np.linalg.norm(g, 2) for g in full)

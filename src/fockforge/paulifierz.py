@@ -299,48 +299,99 @@ def _anticommutes(a: scipy.sparse.csr_array, mirror) -> bool:
     return not np.any((_compress(a, mirror) + a).data)
 
 
-def _mirrored_eigh(block: scipy.sparse.csr_array, perm: np.ndarray):
-    """eigh of a Hermitian block that the involution perm of its coordinates anticommutes with.
+def _mirror_chart(perm: np.ndarray):
+    """The fixed points of the involution perm and its pairs (i, perm[i]), i < perm[i].
 
-    In the basis of perm-even vectors (the fixed points, then the normalised
-    pair sums, columns of P) and perm-odd ones (the pair differences, columns
-    of M) the block is [[0, B], [B*, 0]] with B = P* block M.  One SVD
-    B = U diag(s) V* gives the eigenpairs (-+s_k, (P u_k -+ M v_k)/sqrt 2)
-    and the null vectors P u_k past the odd dimension; the dense block is
-    never formed.  Returns the eigenvalues ascending, as eigh does.
+    They index the perm-even basis (the fixed points, then the normalised
+    pair sums: the columns of P) and the perm-odd one (the normalised pair
+    differences: the columns of M).
     """
-    n = block.shape[0]
-    pos = np.arange(n)
-    fixed = pos[perm == pos]
+    pos = np.arange(len(perm))
     first = pos[perm > pos]
+    return pos[perm == pos], first, perm[first]
+
+
+def _mirrored_svd(block: scipy.sparse.csr_array, chart):
+    """The SVD B = U diag(s) V* of B = P* block M, for a Hermitian block that the
+    involution of chart (_mirror_chart) anticommutes with.
+
+    In the basis of the columns of P and M the block is [[0, B], [B*, 0]],
+    so its eigenvalues are -+s_k, with eigenvectors (P u_k -+ M v_k)/sqrt 2,
+    and 0 on the null vectors P u_k past the odd dimension.  B is scattered
+    from the block's triplets; the dense block is never formed.  Returns the
+    eigenvalues ascending, as eigh does, with U and V*.
+    """
+    fixed, first, partner = chart
     nf, m = len(fixed), len(first)
     half = np.sqrt(0.5)
-    pairs = np.arange(m)
-    even = scipy.sparse.csr_array(
-        (np.r_[np.ones(nf), np.full(2 * m, half)],
-         (np.r_[fixed, first, perm[first]], np.r_[np.arange(nf), nf + pairs, nf + pairs])),
-        shape=(n, nf + m))
-    odd = scipy.sparse.csr_array((np.r_[np.full(m, half), np.full(m, -half)],
-                                  (np.r_[first, perm[first]], np.r_[pairs, pairs])), shape=(n, m))
-    u, s, vh = np.linalg.svd(_real_if_exact((even.T @ (block @ odd)).toarray()))
-    pu = even @ u
-    mv = odd @ vh.conj().T
-    vals = np.concatenate([-s, np.zeros(nf), s[::-1]])
-    vecs = np.hstack([(pu[:, :m] - mv) * half, pu[:, m:], ((pu[:, :m] + mv) * half)[:, ::-1]])
-    return vals, vecs
+    # the column of P and of M that holds each coordinate, and its weight there
+    p_col, p_wt = np.empty(block.shape[0], dtype=int), np.full(block.shape[0], half)
+    p_col[fixed], p_col[first], p_col[partner] = np.arange(nf), nf + np.arange(m), nf + np.arange(m)
+    p_wt[fixed] = 1.0
+    m_col, m_wt = np.zeros(block.shape[0], dtype=int), np.zeros(block.shape[0])
+    m_col[first], m_col[partner] = np.arange(m), np.arange(m)
+    m_wt[first], m_wt[partner] = half, -half
+    tri = block.tocoo()
+    odd = m_wt[tri.col] != 0  # a fixed point's column meets no column of M
+    rows, cols = tri.row[odd], tri.col[odd]
+    data = _real_if_exact(tri.data[odd]) * p_wt[rows] * m_wt[cols]
+    b = scipy.sparse.coo_array((data, (p_col[rows], m_col[cols])), shape=(nf + m, m)).toarray()
+    u, s, vh = np.linalg.svd(b)
+    return np.concatenate([-s, np.zeros(nf), s[::-1]]), u, vh
 
 
-def _block_spectra(a, mirror):
-    """The eigenpairs of a Hermitian operator, one exact block at a time.
+def _mirrored_vectors(chart, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """The eigenvectors of _mirrored_svd as columns, in the order of its eigenvalues."""
+    fixed, first, partner = chart
+    nf, m = len(fixed), len(first)
+    half = np.sqrt(0.5)
+    vecs = np.empty((nf + 2 * m, nf + 2 * m), dtype=np.result_type(u, vh))
+    # (P u_k - M v_k)/sqrt 2, then P u_k past the odd dimension, then (P u_k + M v_k)/sqrt 2
+    neg, null, pos = vecs[:, :m], vecs[:, m:m + nf], vecs[:, m + nf:][:, ::-1]
+    neg[fixed] = pos[fixed] = u[:nf, :m] * half
+    null[fixed] = u[:nf, m:]
+    pu, mv = u[nf:] * half, vh.conj().T * half  # the rows of P u and M v at the first of a pair
+    neg[first] = pos[partner] = (pu[:, :m] - mv) * half
+    neg[partner] = pos[first] = (pu[:, :m] + mv) * half
+    null[first] = null[partner] = pu[:, m:]
+    return vecs
 
-    Yields (coordinates, eigenvalues, eigenvectors) per block of exact_blocks,
-    eigenvalues ascending.  Without a mirror, or when the mirror S does not
+
+def _mirrored_weights(chart, u: np.ndarray, vh: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """The weights |w_k* probe|^2 of the probe columns on the eigenvectors w_k of
+    _mirrored_svd, in the order of its eigenvalues, read from U and V*.
+
+    With x = U* P* probe and y = V* M* probe the weights are |x_k -+ y_k|^2 / 2
+    on the pairs -+s_k and |x_k|^2 on the null vectors; P* probe and
+    M* probe are gathers, so no eigenvector is formed.
+    """
+    fixed, first, partner = chart
+    m = len(first)
+    half = np.sqrt(0.5)
+    x = _adjoint_product(u, np.concatenate([probe[fixed], (probe[first] + probe[partner]) * half]))
+    y = _adjoint_product(vh.conj().T, (probe[first] - probe[partner]) * half)
+    return np.concatenate([np.abs(x[:m] - y) ** 2 / 2, np.abs(x[m:]) ** 2,
+                           (np.abs(x[:m] + y) ** 2 / 2)[::-1]])
+
+
+def _weights(vecs: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    return np.abs(_adjoint_product(vecs, probe)) ** 2
+
+
+def _block_spectra(a, mirror, probe):
+    """The eigenvalues of a Hermitian operator, one exact block at a time, with
+    either the eigenvectors or the weights of some probe columns on them.
+
+    Yields (coordinates, eigenvalues, x) per block of exact_blocks,
+    eigenvalues ascending; x is the block's eigenvectors when probe is None,
+    else the weights |v_k* probe|^2 of the probe's rows on the block, one
+    row per eigenvalue.  Without a mirror, or when the mirror S does not
     satisfy S a S = -a exactly, each block is densified alone and gets one
     eigh, in real arithmetic when its imaginary part is exactly zero.  With
     one, a block that S maps onto an earlier block takes that block's
     spectrum negated and its eigenvectors permuted by S, and a block that S
     maps onto itself is split into its S-even and S-odd halves and solved by
-    one SVD (_mirrored_eigh).
+    one SVD (_mirrored_svd), whose factors give the weights directly.
     """
     a = scipy.sparse.csr_array(a)
     blocks = exact_blocks(a)
@@ -353,15 +404,22 @@ def _block_spectra(a, mirror):
         # without an exact mirror no block has an image
         image = owner[mirror[idx[0]]] if mirrored else None
         if image == b:
-            yield (idx, *_mirrored_eigh(_compress(a, idx), np.searchsorted(idx, mirror[idx])))
+            chart = _mirror_chart(np.searchsorted(idx, mirror[idx]))
+            vals, u, vh = _mirrored_svd(_compress(a, idx), chart)
+            yield idx, vals, (_mirrored_vectors(chart, u, vh) if probe is None
+                              else _mirrored_weights(chart, u, vh, probe[idx]))
         elif image is not None and image < b:
             src, vals, vecs = held.pop(b)
-            yield (idx, -vals[::-1], vecs[np.searchsorted(src, mirror[idx]), ::-1])
+            rows = np.searchsorted(src, mirror[idx])
+            if probe is None:
+                yield idx, -vals[::-1], vecs[rows, ::-1]
+            else:  # the rows of vecs permuted by S are read by the probe permuted back
+                yield idx, -vals[::-1], _weights(vecs, probe[idx[np.argsort(rows)]])[::-1]
         else:
             vals, vecs = np.linalg.eigh(_real_if_exact(_compress(a, idx).toarray()))
             if image is not None:
                 held[image] = (idx, vals, vecs)
-            yield (idx, vals, vecs)
+            yield idx, vals, (vecs if probe is None else _weights(vecs, probe[idx]))
 
 
 def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirror) -> dict:
@@ -383,14 +441,16 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
 
     Both operators may be dense or sparse.  Each is diagonalised one exact
     block at a time (see exact_blocks and _block_spectra), and the overlaps
-    are taken block by block.  mirror is None or an index map S that both
+    are taken block by block: the Liouvillean yields only its eigenvalues
+    and the weights of the dressed vectors on its eigenvectors, which its
+    SVD route reads from the factors without forming them.  mirror is None or an index map S that both
     operators share; where S a S = -a holds exactly, _block_spectra uses it
     to halve the work.  The clusters and the projections run over the
     merged spectrum, since a degenerate eigenvalue may span blocks.
     """
     entries = []  # per target: an unmatched reason, or the index of its chosen vector
     located, chosen = [], []
-    blocks = list(_block_spectra(comparison, mirror))
+    blocks = list(_block_spectra(comparison, mirror, None))
     vals_d = np.concatenate([vals for _, vals, _ in blocks])
     owner = np.repeat(np.arange(len(blocks)), [len(vals) for _, vals, _ in blocks])
     column = np.concatenate([np.arange(len(vals)) for _, vals, _ in blocks])
@@ -422,8 +482,7 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     if chosen:
         psi = dressing(np.stack(chosen, axis=1))
         psi = psi / np.linalg.norm(psi, axis=0)
-        spectra = [(vals, np.abs(_adjoint_product(vecs, psi[idx])) ** 2)
-                   for idx, vals, vecs in _block_spectra(liouvillean, mirror)]
+        spectra = [(vals, weights) for _, vals, weights in _block_spectra(liouvillean, mirror, psi)]
         vals_l = np.concatenate([vals for vals, _ in spectra])
         overlaps = np.concatenate([ov for _, ov in spectra])
         for tgt, col in zip(located, overlaps.T):
@@ -492,7 +551,9 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     is offered the modular mirror S (_modular_mirror): for a real model both
     of its operators anticommute with S, so a pair of blocks that S swaps
     costs one eigh and a block that S maps onto itself one SVD of half its
-    size; otherwise it takes one eigh per block too.
+    size; otherwise it takes one eigh per block too.  On a Liouvillean block
+    the SVD factors give the overlaps directly, so no eigenvector matrix of
+    the block is formed.
     """
     levels = _reference_levels(model)
     targets_semi = _semi_targets(model, levels)

@@ -296,6 +296,28 @@ def test_commutant_of_one_field_keeps_one_copy_of_its_basis():
     assert peak < 32 * 2**20
 
 
+def test_commutant_takes_one_step_per_self_adjoint_generator(monkeypatch):
+    # every field is exactly self-adjoint, so its adjoint step would find nothing new
+    space = FockSpace("fermi", 3)
+    v = RealSubspace.from_vectors(3, np.random.default_rng(3).standard_normal((6, 2)))
+    fields = field_generators(space, v)
+    assert all(np.array_equal(g.toarray(), g.toarray().conj().T) for g in fields)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    # a creation operator is not self-adjoint and keeps its adjoint step
+    for gens, steps in ((fields, len(fields)), (fields + [space.creation(0)], len(fields) + 2)):
+        calls.clear()
+        comm = commutant(gens)
+        assert len(calls) == steps
+        assert len(comm) == len(kronecker_commutant(gens))
+
+
 def test_algebra_monotone_and_meet(rng):
     d = 2
     space = FockSpace("fermi", d)

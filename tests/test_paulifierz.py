@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -659,37 +660,78 @@ def _count_svd(monkeypatch):
     return calls
 
 
+def _clusters(values, tol):
+    """(start, stop) of each run of values within tol (relative) of its first member."""
+    start = 0
+    while start < len(values):
+        stop = start + 1
+        while stop < len(values) and (abs(values[stop] - values[start])
+                                      <= tol * max(1.0, abs(values[start]))):
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _rotating_solvers(monkeypatch, rng):
+    """Make eigh and svd return every degenerate eigenspace, and every degenerate
+    singular subspace, in a random unitary basis.
+
+    eigh rotates the eigenvectors of each cluster of eigenvalues.  svd rotates
+    the columns of U and the rows of V* of each cluster of nonzero singular
+    values by one unitary, so B = U diag(s) V* stays; the singular vectors of
+    the zero singular values, with the columns of U past them, are rotated on
+    each side apart.  Returns the eigenvalue multiplicity of each rotated
+    space and the shapes of the svd calls.
+    """
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    sizes, svd_calls = [], []
+
+    def unitary(size):
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+        return q
+
+    def rotated_eigh(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        v = v.astype(complex)
+        for start, stop in _clusters(w, 1e-9):
+            if stop - start > 1:
+                v[:, start:stop] = v[:, start:stop] @ unitary(stop - start)
+                sizes.append(stop - start)
+        return w, v
+
+    def rotated_svd(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        svd_calls.append(a.shape)
+        u, vh = u.astype(complex), vh.astype(complex)
+        zero = int(np.count_nonzero(s > 1e-9))  # s descends: the zero singular values trail
+        for start, stop in _clusters(s[:zero], 1e-9):
+            if stop - start > 1:
+                q = unitary(stop - start)
+                u[:, start:stop] = u[:, start:stop] @ q
+                vh[start:stop] = q.conj().T @ vh[start:stop]
+                sizes.append(stop - start)
+        null, odd_null = u.shape[1] - zero, len(s) - zero
+        if null > 1:
+            u[:, zero:] = u[:, zero:] @ unitary(null)
+            if odd_null:
+                vh[zero:] = unitary(odd_null) @ vh[zero:]
+            sizes.append(null + odd_null)
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    monkeypatch.setattr(np.linalg, "svd", rotated_svd)
+    return sizes, svd_calls
+
+
 def test_degenerate_targets_independent_of_eigenbasis(monkeypatch):
     # E_i - E_i = 0 is an 18-fold eigenvalue of one exact block of the
     # standard Liouvillean at cutoff 8 (and 9 + 9 over two comparison
-    # blocks); any unitary rotation of each degenerate eigenspace that
-    # _block_spectra yields, through eigh or through the mirror SVD, must
-    # leave the identification alone
+    # blocks); any unitary rotation of each degenerate eigenspace that eigh
+    # returns, or of the singular subspaces the mirror SVD reads its
+    # eigenvectors or weights from, must leave the identification alone
     model = spin_boson(coupling=0.1, gamma_value=0.25, cutoff=8)
     plain = confined_pf_check(model, cutoffs=(8,))
-    rng = np.random.default_rng(5)
-    block_spectra = pf._block_spectra
-    rotated_sizes = []
-
-    def rotated_block_spectra(a, mirror):
-        for idx, w, v in block_spectra(a, mirror):
-            v = v.astype(complex)
-            start = 0
-            while start < len(w):
-                stop = start + 1
-                while stop < len(w) and w[stop] - w[start] <= 1e-9 * max(1.0, abs(w[start])):
-                    stop += 1
-                size = stop - start
-                if size > 1:
-                    q, _ = np.linalg.qr(rng.standard_normal((size, size))
-                                        + 1j * rng.standard_normal((size, size)))
-                    v[:, start:stop] = v[:, start:stop] @ q
-                    rotated_sizes.append(size)
-                start = stop
-            yield idx, w, v
-
-    monkeypatch.setattr(pf, "_block_spectra", rotated_block_spectra)
-    svd_calls = _count_svd(monkeypatch)
+    rotated_sizes, svd_calls = _rotating_solvers(monkeypatch, np.random.default_rng(5))
     turned = confined_pf_check(model, cutoffs=(8,))
     assert 18 in rotated_sizes
     # the two Liouvillean blocks and the two comparison blocks that S maps onto themselves
@@ -751,7 +793,7 @@ def test_mirror_route_eigenpairs(build, monkeypatch):
     for a in (ell, comp):
         dense = a.toarray()
         scale = np.linalg.norm(dense, 2)
-        spectra = list(pf._block_spectra(a, s))
+        spectra = list(pf._block_spectra(a, s, None))
         assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in spectra])),
                               np.arange(a.shape[0]))
         for idx, w, v in spectra:
@@ -759,7 +801,7 @@ def test_mirror_route_eigenpairs(build, monkeypatch):
             assert np.linalg.norm(v.conj().T @ v - np.eye(len(idx)), 2) <= 1e-12
             assert np.linalg.norm(dense[np.ix_(idx, idx)] @ v - v * w, 2) <= 1e-12 * scale
         got = np.sort(np.concatenate([w for _, w, _ in spectra]))
-        want = np.sort(np.concatenate([w for _, w, _ in pf._block_spectra(a, None)]))
+        want = np.sort(np.concatenate([w for _, w, _ in pf._block_spectra(a, None, None)]))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
     assert svd_calls  # the self-mirrored blocks went through the SVD
 
@@ -774,6 +816,50 @@ def test_mirror_route_matches_plain_route(build):
     assert len(plain["matched"]) >= 6
     for want, got in zip(plain["matched"], mirrored["matched"]):
         assert abs(got[1] - want[1]) <= 1e-13 and abs(got[2] - want[2]) <= 1e-13
+
+
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model, REAL_D2[1]])
+def test_mirror_weights_match_plain_eigenvectors(build, monkeypatch):
+    # the SVD route reads the weights |v_k* psi|^2 from its factors and forms no
+    # eigenvector; summed over each cluster they are the weights on the
+    # eigenvectors of one eigh per block
+    model = build(cutoff=6)
+    ell, comp, _, s = _standard_family(model, 6 if model.d == 1 else 3)
+    rng = np.random.default_rng(9)
+    svd_calls = _count_svd(monkeypatch)
+    for a in (ell, comp):
+        psi = rng.standard_normal((a.shape[0], 9)) + 1j * rng.standard_normal((a.shape[0], 9))
+        psi /= np.linalg.norm(psi, axis=0)
+        plain = list(pf._block_spectra(a, None, None))
+        scale = max(np.abs(w).max() for _, w, _ in plain)  # the norm of a
+        for (idx, w, weights), (idx_p, w_p, v_p) in zip(pf._block_spectra(a, s, psi), plain,
+                                                        strict=True):
+            assert np.array_equal(idx, idx_p)
+            assert np.max(np.abs(w - w_p)) <= 1e-12 * scale
+            want = np.abs(v_p.conj().T @ psi[idx]) ** 2
+            # the clusters the check sums over: a 1e-6 gap of the d = 2 comparison
+            # operator mixes its eigenvectors at 1e-12
+            for start, stop in _clusters(w_p, pf.CLUSTER_TOL):
+                assert np.max(np.abs(weights[start:stop].sum(axis=0)
+                                     - want[start:stop].sum(axis=0))) <= 1e-12
+    assert len(svd_calls) >= 2  # each operator has a block that S maps onto itself
+
+
+def test_confined_check_forms_no_liouvillean_eigenvectors():
+    # the standard Liouvillean at cutoff 10 is two blocks of 462 that S maps onto
+    # themselves; the weights come from the SVD factors of each block's half-size
+    # B, so no 462 x 462 eigenvector matrix, nor its P u and M v halves, is held.
+    # With them the check peaked at 8.8 MB; without, at about 3.6 MB
+    model = spin_boson(0.1, 1.0, 0.25, cutoff=14)
+    confined_pf_check(spin_boson(cutoff=3), cutoffs=(2,))  # loads scipy's lazy modules
+    tracemalloc.start()
+    try:
+        rep = confined_pf_check(model, cutoffs=(10,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep["standard_detail"][0]["matched"]) == 9
+    assert peak < 6 * 2**20
 
 
 def test_mirror_falls_back_when_it_does_not_anticommute(monkeypatch):
