@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .fock import BOSE, FERMI, SIGN, FockSpace
-from .linalg import require_square, sqrtm_psd
+from .linalg import dense, require_square, sqrtm_psd
 from .ops import _implementer_matrix, _pair_creator, bogolubov_matrix_on_doubled
 
 
@@ -205,7 +205,7 @@ def mode_pair_swap_implementer(space: FockSpace, k: int, l: int) -> np.ndarray:
     """The field monomial phi_k phi_l implementing mode_pair_swap, as a dense unitary."""
     phi_k = space.creation(k) + space.annihilation(k)
     phi_l = space.creation(l) + space.annihilation(l)
-    return (phi_k @ phi_l).toarray()
+    return dense(phi_k @ phi_l)
 
 
 def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:

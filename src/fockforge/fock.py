@@ -13,21 +13,15 @@ import math
 import numpy as np
 import scipy.sparse
 
-from .linalg import require_square
+from .linalg import CutoffError, _require_dense, require_square
 
 DIM_GUARD = 10**6
-# the bytes of one dense dim x dim complex operator a build may allocate
-DENSE_BYTES_GUARD = 2**30
 
 BOSE = "bose"
 FERMI = "fermi"
 # the statistics sign s of p*p + s q#qbar = 1, det(1 + s cc*), gamma (1 + s gamma)^{-1}
 # and their kin: every bose/fermi construction is written once in terms of it
 SIGN = {BOSE: -1.0, FERMI: 1.0}
-
-
-class CutoffError(ValueError):
-    pass
 
 
 def _occupations(d, total, cap):
@@ -218,13 +212,6 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
         if row.nnz:
             out = out + space.creation(j) @ row
     return out
-
-
-def _require_dense(dim: int):
-    """Raise CutoffError if a dense dim x dim complex operator would exceed DENSE_BYTES_GUARD."""
-    nbytes = dim**2 * np.dtype(complex).itemsize
-    if nbytes > DENSE_BYTES_GUARD:
-        raise CutoffError(f"dense dim-{dim} operators take {nbytes} bytes, over the budget")
 
 
 def gamma(space: FockSpace, p) -> np.ndarray:

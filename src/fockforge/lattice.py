@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, _lambda_signs, _require_dense
-from .linalg import dense, ordered_products, polar_decompose, sqrtm_psd
+from .fock import FockSpace, _lambda_signs
+from .linalg import _require_dense, dense, ordered_products, polar_decompose, sqrtm_psd
 
 RANK_RTOL = 1e-10
 GRAY_LOW = 1e-12

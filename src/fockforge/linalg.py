@@ -2,7 +2,8 @@
 
 Everything here works on plain ``numpy`` arrays (complex128 unless the
 input is real); ``dense`` turns the package's sparse operators into such
-arrays at the dense kernels.  Tolerances follow the package-wide
+arrays at the dense kernels, and is the one place that does, so it owns
+the byte budget of a dense operator.  Tolerances follow the package-wide
 defaults: 1e-10 for identities that hold algebraically, 1e-8 for
 spectral comparisons.
 """
@@ -13,9 +14,15 @@ import numpy as np
 import scipy.sparse
 
 KERNEL_RTOL = 1e-12  # singular values below this (relative) count as zero
+# the bytes of one dense dim x dim complex operator a build may allocate
+DENSE_BYTES_GUARD = 2**30
 
 
 class NonSquareError(ValueError):
+    pass
+
+
+class CutoffError(ValueError):
     pass
 
 
@@ -28,9 +35,20 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _require_dense(dim: int):
+    """Raise CutoffError if a dense dim x dim complex operator would exceed DENSE_BYTES_GUARD."""
+    nbytes = dim**2 * np.dtype(complex).itemsize
+    if nbytes > DENSE_BYTES_GUARD:
+        raise CutoffError(f"dense dim-{dim} operators take {nbytes} bytes, over the budget")
+
+
 def dense(a) -> np.ndarray:
-    """a as a numpy array; a sparse operator is densified here, at a dense kernel."""
-    return a.toarray() if scipy.sparse.issparse(a) else np.asarray(a)
+    """a as a numpy array; a sparse operator is densified here, at a dense kernel,
+    after _require_dense has checked the byte budget at its larger side."""
+    if not scipy.sparse.issparse(a):
+        return np.asarray(a)
+    _require_dense(max(a.shape))
+    return a.toarray()
 
 
 def ordered_products(gens, x) -> list:

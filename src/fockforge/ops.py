@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, _gamma_blocks, _require_dense
-from .linalg import expi_herm, require_square, sqrtm_psd
+from .fock import FockSpace, _gamma_blocks
+from .linalg import _require_dense, dense, expi_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,7 +134,7 @@ def multi_create(space: FockSpace, c) -> np.ndarray:
     particle number by two; for c the (anti)symmetrized product of w1, w2
     it reduces to a*(w1) a*(w2).
     """
-    return _pair_creator(space, c).toarray()
+    return dense(_pair_creator(space, c))
 
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:

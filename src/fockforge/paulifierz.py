@@ -12,8 +12,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 
-from .fock import BOSE, FockSpace, _require_dense, dgamma
-from .linalg import _self_adjoint, require_square
+from .fock import BOSE, FockSpace, dgamma
+from .linalg import _self_adjoint, dense, require_square
 from .ops import _apply_squeezer
 from .thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
@@ -98,39 +98,19 @@ def coupled_create(q: np.ndarray, creators) -> scipy.sparse.csr_array:
     return out
 
 
-def check_middle(bbar: np.ndarray, a, dim_k: int, dim_h: int) -> scipy.sparse.csr_array:
-    """Tensor bbar into the middle leg: K (x) H -> K (x) Kbar (x) H.
-
-    For a = C (x) A0 the result is C (x) bbar (x) A0.  a may be dense or
-    sparse; the result is sparse, one entry per pair of nonzeros of a and bbar.
-    """
-    bbar = scipy.sparse.coo_array(require_square(np.asarray(bbar, dtype=complex)))
-    a = scipy.sparse.coo_array(a)
-    if a.shape != (dim_k * dim_h, dim_k * dim_h):
-        raise ValueError("operator shape does not match the stated legs")
-    kb = bbar.shape[0]
-    i, x = np.divmod(a.row, dim_h)
-    j, y = np.divmod(a.col, dim_h)
-    rows = (i[:, None] * kb + bbar.row) * dim_h + x[:, None]
-    cols = (j[:, None] * kb + bbar.col) * dim_h + y[:, None]
-    data = a.data[:, None] * bbar.data
-    shape = (dim_k * kb * dim_h, dim_k * kb * dim_h)
-    return scipy.sparse.csr_array((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-
-
-def _coupled(model: PauliFierzModel, free, creators) -> scipy.sparse.csr_array:
-    """K (x) 1 + 1 (x) free + A + A* on C^k (x) a boson space, A = coupled_create(v, creators)."""
-    inter = coupled_create(model.v, creators)
-    return (_kron(model.K, _eye(free.shape[0])) + _kron(_eye(model.dim_k), free)
+def _coupled(system: np.ndarray, coupling: np.ndarray, free, creators) -> scipy.sparse.csr_array:
+    """system (x) 1 + 1 (x) free + A + A* on a system space (x) a boson space, with
+    A = coupled_create(coupling, creators): the one assembly of H and of both Liouvilleans."""
+    inter = coupled_create(coupling, creators)
+    return (_kron(system, _eye(free.shape[0])) + _kron(_eye(system.shape[0]), free)
             + inter + inter.conj().T)
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int):
     """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H dense."""
     space = FockSpace(BOSE, model.d, cutoff)
-    _require_dense(model.dim_k * space.dim)
     creators = [space.creation(m) for m in range(model.d)]
-    return _coupled(model, dgamma(space, model.h), creators).toarray(), space
+    return dense(_coupled(model.K, model.v, dgamma(space, model.h), creators)), space
 
 
 def _doubling(model: PauliFierzModel, cutoff: int):
@@ -149,21 +129,24 @@ def semi_liouvillean(model: PauliFierzModel, cutoff: int):
     """K (x) 1 + 1 (x) dGamma(h (+) -h-bar) + pi_l(V) on K (x) Gamma(Z (+) Zbar); returns
     (L, doubled space), L sparse."""
     rep, creators = _doubling(model, cutoff)
-    return _coupled(model, rep.standard_liouvillean(model.h), creators), rep.space
+    return _coupled(model.K, model.v, rep.standard_liouvillean(model.h), creators), rep.space
 
 
 def standard_liouvillean(model: PauliFierzModel, cutoff: int):
     """L = L_fr + pi(V) - J pi(V) J on K (x) Kbar (x) Gamma(Z (+) Zbar), L sparse.
 
-    Built as X - J X J with X = K (x) 1 + dGamma(h (+) 0) + pi_l(V), the
-    identity on the Kbar leg; J X J is conj(X) relabelled by the modular
-    mirror S.  Each entry of L is then a - b where its mirror entry is
-    b - a, so S L S = -L holds exactly for a real model.
+    Built as X - J X J with X = (K (x) 1) (x) 1 + 1 (x) dGamma(h (+) 0) + pi_l(V (x) 1),
+    assembled as H is (_coupled) on the system K (x) Kbar, whose coupling
+    B'_m = B_m (x) 1 acts as the identity on the Kbar leg; J X J is conj(X)
+    relabelled by the modular mirror S.  Each entry of L is then a - b where
+    its mirror entry is b - a, so S L S = -L holds exactly for a real model.
     """
     rep, creators = _doubling(model, cutoff)
     k, space = model.dim_k, rep.space
-    left = _coupled(model, dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h)), creators)
-    x = check_middle(np.eye(k), left, k, space.dim)
+    eye = np.eye(k)
+    coupling = np.einsum("imj,ab->iamjb", model.v.reshape(k, model.d, k), eye)
+    x = _coupled(np.kron(model.K, eye), coupling.reshape(k * k * model.d, k * k),
+                 dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h)), creators)
     return x - _compress(x.conj(), _modular_mirror(k, space)), space
 
 
@@ -335,7 +318,7 @@ def _mirrored_svd(block: scipy.sparse.csr_array, chart):
     odd = m_wt[tri.col] != 0  # a fixed point's column meets no column of M
     rows, cols = tri.row[odd], tri.col[odd]
     data = _real_if_exact(tri.data[odd]) * p_wt[rows] * m_wt[cols]
-    b = scipy.sparse.coo_array((data, (p_col[rows], m_col[cols])), shape=(nf + m, m)).toarray()
+    b = dense(scipy.sparse.coo_array((data, (p_col[rows], m_col[cols])), shape=(nf + m, m)))
     u, s, vh = np.linalg.svd(b)
     return np.concatenate([-s, np.zeros(nf), s[::-1]]), u, vh
 
@@ -416,7 +399,7 @@ def _block_spectra(a, mirror, probe):
             else:  # the rows of vecs permuted by S are read by the probe permuted back
                 yield idx, -vals[::-1], _weights(vecs, probe[idx[np.argsort(rows)]])[::-1]
         else:
-            vals, vecs = np.linalg.eigh(_real_if_exact(_compress(a, idx).toarray()))
+            vals, vecs = np.linalg.eigh(_real_if_exact(dense(_compress(a, idx))))
             if image is not None:
                 held[image] = (idx, vals, vecs)
             yield idx, vals, (vecs if probe is None else _weights(vecs, probe[idx]))
@@ -425,12 +408,11 @@ def _block_spectra(a, mirror, probe):
 def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirror) -> dict:
     """Deviation of overlap-identified eigenvalue pairs.
 
-    Each target (name, value) or (name, value, state) is located at the
-    nearest comparison eigenvalue.  Its comparison vector is the projection
-    of the labelled product state onto the comparison eigenvectors within
-    CLUSTER_TOL of that eigenvalue (without a state: the nearest
-    eigenvector), so a degenerate eigenspace is read independently of the
-    basis the eigensolver returns; for an isolated eigenvalue it is the
+    Each target (name, value, state) is located at the nearest comparison
+    eigenvalue.  Its comparison vector is the projection of the labelled
+    product state onto the comparison eigenvectors within CLUSTER_TOL of
+    that eigenvalue, so a degenerate eigenspace is read independently of
+    the basis the eigensolver returns; for an isolated eigenvalue it is the
     eigenvector up to phase.  The comparison vectors are pushed through the
     dressing chart as one block: dressing is a callable on blocks of
     column vectors, such as apply_pair_squeezer.  The Liouvillean
@@ -454,26 +436,22 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     vals_d = np.concatenate([vals for _, vals, _ in blocks])
     owner = np.repeat(np.arange(len(blocks)), [len(vals) for _, vals, _ in blocks])
     column = np.concatenate([np.arange(len(vals)) for _, vals, _ in blocks])
-    for name, tgt, *state in targets:
+    for name, tgt, state in targets:
         i = int(np.argmin(np.abs(vals_d - tgt)))
         if abs(vals_d[i] - tgt) > 1e-6 + 1e-3 * abs(tgt):
             entries.append((name, "target missing from comparison spectrum"))
             continue
         vec = np.zeros(comparison.shape[0], dtype=complex)
-        if state:
-            members = _cluster(vals_d, i)
-            size = np.linalg.norm(state[0])  # zero when the truncation drops the state
-            for b in np.unique(owner[members]):
-                idx, _, vecs = blocks[b]
-                sub = vecs[:, column[members & (owner == b)]]
-                vec[idx] = sub @ _adjoint_product(sub, state[0][idx]) / (size or 1.0)
-            captured = float(np.vdot(vec, vec).real)
-            if captured < OVERLAP_MIN:
-                entries.append((name, f"labelled state captured {captured:.3f}"))
-                continue
-        else:
-            idx, _, vecs = blocks[owner[i]]
-            vec[idx] = vecs[:, column[i]]
+        members = _cluster(vals_d, i)
+        size = np.linalg.norm(state)  # zero when the truncation drops the state
+        for b in np.unique(owner[members]):
+            idx, _, vecs = blocks[b]
+            sub = vecs[:, column[members & (owner == b)]]
+            vec[idx] = sub @ _adjoint_product(sub, state[idx]) / (size or 1.0)
+        captured = float(np.vdot(vec, vec).real)
+        if captured < OVERLAP_MIN:
+            entries.append((name, f"labelled state captured {captured:.3f}"))
+            continue
         entries.append((name, len(chosen)))
         located.append(tgt)
         chosen.append(vec / np.linalg.norm(vec))

@@ -62,20 +62,27 @@ def _field(space: FockSpace, w, right: bool) -> scipy.sparse.csr_array:
 
 
 class Antiunitary:
-    """An antiunitary operator stored as (unitary matrix, conjugation).
+    """An antiunitary operator stored as (signed permutation u, conjugation), u sparse.
 
     Acts as psi -> u conj(psi); the sandwich J M J of a linear map M,
     dense or sparse, is the dense u conj(M) conj(u), linear again.
     """
 
-    def __init__(self, unitary: np.ndarray):
-        self.unitary = np.asarray(unitary, dtype=complex)
+    def __init__(self, signs: np.ndarray, perm: np.ndarray):
+        """u sends e_i to signs[i] e_perm[i]."""
+        n = len(perm)
+        self._u = scipy.sparse.csr_array((np.asarray(signs, dtype=complex), (perm, np.arange(n))),
+                                         shape=(n, n))
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return dense(self._u)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        return self.unitary @ np.conj(psi)
+        return self._u @ np.conj(psi)
 
-    def sandwich(self, m: np.ndarray) -> np.ndarray:
-        return self.unitary @ np.conj(m) @ np.conj(self.unitary)
+    def sandwich(self, m) -> np.ndarray:
+        return dense(self._u @ m.conj() @ self._u.conj())
 
 
 @dataclass(frozen=True)
@@ -241,9 +248,7 @@ class DoubledRep:
             a = space.occupations[:, :self.d].sum(axis=1)
             b = space.total_numbers - a
             sign = _lambda_signs(a) * _lambda_signs(b)
-        u = np.zeros((space.dim, space.dim))
-        u[_leg_swap_index(space), np.arange(space.dim)] = sign
-        return Antiunitary(u)
+        return Antiunitary(sign, _leg_swap_index(space))
 
     def modular_operator(self) -> np.ndarray:
         """Delta = Gamma(gamma (+) conj(gamma)^{-1}); needs trivial kernels."""
@@ -453,4 +458,4 @@ def tracial_field(space: FockSpace, v, side: str = "left") -> scipy.sparse.csr_a
 
 def tracial_conjugation(space: FockSpace) -> Antiunitary:
     """J = Lambda o (entrywise conjugation) for the tracial representation."""
-    return Antiunitary(space.lambda_op().real)
+    return Antiunitary(_lambda_signs(space.total_numbers), np.arange(space.dim))

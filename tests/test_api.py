@@ -2,7 +2,8 @@
 is a knob that some caller must need, and every public name is one that a
 check runs or a test pins, so a new one shows up here.  docs/coverage.md
 maps each paper statement to its gate and must name only what exists, and
-each name in a tier-1-only row must appear in a test file the row names."""
+each name in a tier-1-only row must appear in a test file the row names.
+Sparse operators are densified by one budget-checked route."""
 
 import ast
 import importlib
@@ -57,6 +58,27 @@ def test_defaulted_parameter_census():
 def test_public_name_census():
     names = public_names()
     assert len(names) <= MAX_PUBLIC, "\n".join(names)
+
+
+def callers(name):
+    """module.function for every def in the package that calls name, a function or method."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+    return sorted(found)
+
+
+def test_densify_census():
+    # a sparse operator becomes dense only in linalg.dense, which checks the byte budget
+    # first; the other budget checks guard arrays that are allocated dense directly
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if ".toarray(" in p.read_text()] \
+        == ["linalg.py"]
+    assert callers("_require_dense") == ["fock.gamma", "lattice.commutant", "linalg.dense",
+                                         "ops._implementer_matrix"]
 
 
 def test_coverage_map_names_what_exists():

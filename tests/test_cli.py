@@ -145,6 +145,18 @@ LARGE_MODELS = {
     "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2),
     "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2),
     "verify-car-d14": ({"task": "verify-car", "d": 14}, 2),
+    "thermal-single-cutoff-80": ({"task": "thermal", "statistics": "bose",
+                                  "gamma": cli.encode_matrix(np.array([[0.3]])),
+                                  "single_cutoff": 80}, 2),
+    "kms-single-cutoff-80": ({"task": "kms", "statistics": "bose",
+                              "gamma": cli.encode_matrix(np.array([[np.exp(-1.0)]])),
+                              "h": cli.encode_matrix(np.array([[1.0]])), "beta": 1.0,
+                              "single_cutoff": 80}, 2),
+    "gaussian-dim-20301": ({"task": "gaussian", "statistics": "bose",
+                            "c": cli.encode_matrix(np.diag([0.2, 0.1])), "cutoff": 200}, 2),
+    "bogolubov-dim-20301": ({"task": "bogolubov", "statistics": "bose",
+                             "p": cli.encode_matrix(np.cosh(0.2) * np.eye(2)),
+                             "q": cli.encode_matrix(np.sinh(0.2) * np.eye(2)), "cutoff": 200}, 2),
 }
 CAPPED_RUNS = """
 import json, resource, sys
@@ -169,7 +181,7 @@ def test_large_models_run_or_exit_2_under_a_3_gib_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = dict(zip(LARGE_MODELS, json.loads(proc.stdout)))
     assert codes == {name: code for name, (_, code) in LARGE_MODELS.items()}, proc.stderr
-    assert proc.stderr.count("over the budget") == 3, proc.stderr
+    assert proc.stderr.count("over the budget") == 7, proc.stderr
 
 
 def test_csv_format(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fockforge.fock import (DENSE_BYTES_GUARD, DIM_GUARD, CutoffError, FockSpace, _require_dense,
-                            dgamma, exp_law, gamma)
+from fockforge.fock import DIM_GUARD, CutoffError, FockSpace, dgamma, exp_law, gamma
+from fockforge.linalg import DENSE_BYTES_GUARD, _require_dense
 from fockforge.ops import squeezer
 
 

@@ -12,7 +12,7 @@ from fockforge.fock import FockSpace, dgamma, gamma
 from fockforge.linalg import sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
 from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_pair_squeezer,
-                                  check_middle, confined_pf_check, coupled_create,
+                                  confined_pf_check, coupled_create,
                                   difference_targets, exact_blocks, hamiltonian,
                                   matched_spectral_deviation, semi_liouvillean, spin_boson,
                                   standard_liouvillean)
@@ -72,6 +72,13 @@ def jpvj_closed_form(model, space) -> np.ndarray:
     """1_K (x) (a*(mirrored coupling) + h.c.) acting on the Kbar and boson legs, dense."""
     inter = coupled_create(mirrored_coupling(model), creators(space))
     return np.kron(np.eye(model.dim_k), (inter + inter.conj().T).toarray())
+
+
+def identity_middle_leg(a: np.ndarray, k: int, dim_h: int) -> np.ndarray:
+    """C (x) A0 -> C (x) 1 (x) A0 for a dense a on K (x) H, dim K = k: the identity
+    tensored into a middle Kbar leg, K (x) Kbar (x) H."""
+    a6 = np.einsum("ixjy,ab->iaxjby", a.reshape(k, dim_h, k, dim_h), np.eye(k))
+    return a6.reshape(k * k * dim_h, k * k * dim_h)
 
 
 def _expm_squeezer(space, gamma_one):
@@ -147,33 +154,6 @@ def test_v_star(rng):
     assert abs(lhs - rhs) <= 1e-12
 
 
-def test_check_middle(rng):
-    k, h1, h2 = 2, 3, 3
-    a0 = rng.standard_normal((h1, h1))
-    c = rng.standard_normal((k, k))
-    bbar = rng.standard_normal((k, k))
-    lhs = check_middle(bbar, np.kron(c, a0), k, h1).toarray()
-    assert np.linalg.norm(lhs - np.kron(c, np.kron(bbar, a0))) <= 1e-12
-    eye_mid = check_middle(np.eye(k), np.kron(c, a0), k, h1).toarray()
-    assert np.linalg.norm(eye_mid - np.kron(c, np.kron(np.eye(k), a0))) <= 1e-12
-    a = rng.standard_normal((k * h1, k * h1))
-    with pytest.raises(ValueError):
-        check_middle(bbar, a, k, h1 + 1)
-
-
-def test_check_middle_iterated(rng):
-    # inserting twice stacks the middle legs: C (x) b2 (x) b1 (x) A0
-    k, h = 2, 2
-    c = rng.standard_normal((k, k))
-    a0 = rng.standard_normal((h, h))
-    b1 = rng.standard_normal((k, k))
-    b2 = rng.standard_normal((k, k))
-    once = check_middle(b1, np.kron(c, a0), k, h)
-    twice = check_middle(b2, once, k, k * h).toarray()
-    want = np.kron(c, np.kron(b2, np.kron(b1, a0)))
-    assert np.linalg.norm(twice - want) <= 1e-12
-
-
 def test_hamiltonian_free_spectrum():
     model = spin_boson(coupling=0.0, splitting=2.0, gamma_value=None, cutoff=2)
     ham, _ = hamiltonian(model, model.cutoff)
@@ -212,7 +192,7 @@ def test_hamiltonian_free_spectrum_two_modes():
 
 def test_matched_deviation_failure_reasons():
     ops = np.diag([0.0, 1.0, 2.0])
-    far = matched_spectral_deviation(ops, ops, lambda x: x, [("far", 100.0)], None)
+    far = matched_spectral_deviation(ops, ops, lambda x: x, [("far", 100.0, np.ones(3))], None)
     assert far["unmatched"] == [("far", "target missing from comparison spectrum")]
     empty = matched_spectral_deviation(ops, ops, lambda x: x, [("empty", 1.0, np.zeros(3))],
                                        None)
@@ -381,7 +361,7 @@ def test_left_right_interactions_commute_subcutoff():
     _, space = semi_liouvillean(model, model.cutoff)
     inter = coupled_create(dressed_coupling(model), creators(space))
     v_full = inter + inter.conj().T
-    pi_v = check_middle(np.eye(2), v_full, 2, space.dim).toarray()
+    pi_v = identity_middle_leg(v_full.toarray(), 2, space.dim)
     jvj = jpvj_closed_form(model, space)
     comm = pi_v @ jvj - jvj @ pi_v
     sub = np.kron(np.eye(4), space.sector_projector(space.n_max - 2))
@@ -508,7 +488,9 @@ def _oracle_agreement(model, cutoffs) -> int:
     for family in ("semi", "standard"):
         for n, detail in zip(cutoffs, rep[f"{family}_detail"]):
             oracle, (ell, comp, dress, targets) = _oracle_family(model, n, family)
-            plain = _by_name(matched_spectral_deviation(ell, comp, dress.__matmul__, targets, None))
+            states = _labelled_states(model, n, 3, 2)[family == "standard"]
+            labelled = [t + (s,) for t, s in zip(targets, states.T)]
+            plain = _by_name(matched_spectral_deviation(ell, comp, dress.__matmul__, labelled, None))
             got = _by_name(detail)
             for name, want in oracle.items():
                 for found in (got[name], plain[name]):
@@ -551,6 +533,29 @@ def test_comparison_operators_are_zero_density_liouvilleans(build, cutoffs):
             assert diff.nnz == 0 or diff.max() <= tol, (liouvillean.__name__, n)
             # the same nonzero pattern, so the same exact blocks
             assert ((got != 0) != (want != 0)).nnz == 0
+
+
+def _complex_three_level_model(cutoff):
+    """A complex model: a three-level system with complex K and v, one boson mode."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    v = 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return PauliFierzModel((a + a.conj().T) / 2, np.eye(1), v, np.array([[0.25]]), cutoff)
+
+
+@pytest.mark.parametrize("build", [partial(spin_boson, 0.1, 1.0, 0.25), _sigma_xz_model,
+                                   *REAL_D2, _complex_three_level_model])
+def test_standard_liouvillean_is_x_minus_jxj_bit_for_bit(build):
+    # the oracle builds X on K (x) Gamma and tensors an identity Kbar leg into it; the
+    # library assembles X on the system K (x) Kbar with the coupling B_m (x) 1
+    model = build(cutoff=3)
+    ell, space = standard_liouvillean(model, model.cutoff)
+    _, left_creators = pf._doubling(model, model.cutoff)
+    free = dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h))
+    left = pf._coupled(model.K, model.v, free, left_creators).toarray()
+    x = identity_middle_leg(left, model.dim_k, space.dim)
+    s = pf._modular_mirror(model.dim_k, space)
+    assert np.array_equal(ell.toarray(), x - np.conj(x)[np.ix_(s, s)])
 
 
 def test_model_without_parity_is_one_block():
