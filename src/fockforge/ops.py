@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import FockSpace, _gamma_blocks
-from .linalg import _require_dense, dense, expi_herm, require_square, sqrtm_psd
+from .linalg import _require_dense, expi_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -126,15 +126,15 @@ def _exp_series(space: FockSpace, a, step: int, x: np.ndarray, t: float,
     return x
 
 
-def multi_create(space: FockSpace, c) -> np.ndarray:
-    """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k.
+def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
+    """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k, as a CSR array.
 
     c is the kernel of a Hilbert-Schmidt map from the conjugate space,
     symmetric for bosons and antisymmetric for fermions.  Raises the
     particle number by two; for c the (anti)symmetrized product of w1, w2
     it reduces to a*(w1) a*(w2).
     """
-    return dense(_pair_creator(space, c))
+    return _pair_creator(space, c)
 
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:

@@ -68,13 +68,27 @@ class PauliFierzModel:
         return self.h.shape[0]
 
 
-def _kron(a, b) -> scipy.sparse.csr_array:
-    """The Kronecker product of two dense or sparse matrices, as a sparse array."""
-    return scipy.sparse.kron(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b), format="csr")
+def _kron(a, b) -> scipy.sparse.coo_array:
+    """The Kronecker product of two dense or sparse matrices, as sparse triplets."""
+    return scipy.sparse.kron(scipy.sparse.csr_array(a), scipy.sparse.csr_array(b), format="coo")
 
 
 def _eye(n: int) -> scipy.sparse.csr_array:
     return scipy.sparse.eye_array(n, dtype=complex, format="csr")
+
+
+def _sum_triplets(terms) -> scipy.sparse.csr_array:
+    """The sum of sparse triplet arrays of one shape as one CSR construction.
+
+    Duplicate entries are summed and exact zeros dropped, as a chain of
+    sparse sums would; where at most two terms meet at any entry, the sum
+    is bit for bit that of the chain.
+    """
+    data, row, col = ([getattr(t, f) for t in terms] for f in ("data", "row", "col"))
+    out = scipy.sparse.coo_array((np.concatenate(data), (np.concatenate(row), np.concatenate(col))),
+                                 shape=terms[0].shape).tocsr()
+    out.eliminate_zeros()
+    return out
 
 
 def coupled_create(q: np.ndarray, creators) -> scipy.sparse.csr_array:
@@ -100,10 +114,15 @@ def coupled_create(q: np.ndarray, creators) -> scipy.sparse.csr_array:
 
 def _coupled(system: np.ndarray, coupling: np.ndarray, free, creators) -> scipy.sparse.csr_array:
     """system (x) 1 + 1 (x) free + A + A* on a system space (x) a boson space, with
-    A = coupled_create(coupling, creators): the one assembly of H and of both Liouvilleans."""
-    inter = coupled_create(coupling, creators)
-    return (_kron(system, _eye(free.shape[0])) + _kron(_eye(system.shape[0]), free)
-            + inter + inter.conj().T)
+    A = coupled_create(coupling, creators): the one assembly of H and of both Liouvilleans.
+
+    The triplets of all four terms make one CSR.  A and A* change the boson
+    number n_l - n_r by +1 and -1 and the other two terms keep it, so at
+    most two terms meet at any entry and the sum is exact in any order.
+    """
+    inter = coupled_create(coupling, creators).tocoo()
+    return _sum_triplets([_kron(system, _eye(free.shape[0])), _kron(_eye(system.shape[0]), free),
+                          inter, inter.conj().T])
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int):
@@ -138,21 +157,24 @@ def standard_liouvillean(model: PauliFierzModel, cutoff: int):
     Built as X - J X J with X = (K (x) 1) (x) 1 + 1 (x) dGamma(h (+) 0) + pi_l(V (x) 1),
     assembled as H is (_coupled) on the system K (x) Kbar, whose coupling
     B'_m = B_m (x) 1 acts as the identity on the Kbar leg; J X J is conj(X)
-    relabelled by the modular mirror S.  Each entry of L is then a - b where
-    its mirror entry is b - a, so S L S = -L holds exactly for a real model.
+    relabelled by the modular mirror S, so L is one CSR of X's triplets and
+    (S row, S col, -conj value) for each of them.  Each entry of L is then
+    a - b where its mirror entry is b - a, so S L S = -L holds exactly for a
+    real model.
     """
     rep, creators = _doubling(model, cutoff)
     k, space = model.dim_k, rep.space
     eye = np.eye(k)
     coupling = np.einsum("imj,ab->iamjb", model.v.reshape(k, model.d, k), eye)
     x = _coupled(np.kron(model.K, eye), coupling.reshape(k * k * model.d, k * k),
-                 dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h)), creators)
-    return x - _compress(x.conj(), _modular_mirror(k, space)), space
+                 dgamma(space, np.kron(np.diag([1.0, 0.0]), model.h)), creators).tocoo()
+    return _sum_triplets([x, _mirrored(x, _modular_mirror(k, space), -x.data.conj())]), space
 
 
-def _compress(a: scipy.sparse.csr_array, rows: np.ndarray) -> scipy.sparse.csr_array:
-    """The compression of a to the coordinates rows, in their order."""
-    return a[rows][:, rows]
+def _mirrored(tri: scipy.sparse.coo_array, mirror: np.ndarray, data) -> scipy.sparse.coo_array:
+    """The triplets (mirror[row], mirror[col], data) of tri's entries: S a S for an
+    involution S and data = tri.data."""
+    return scipy.sparse.coo_array((data, (mirror[tri.row], mirror[tri.col])), shape=tri.shape)
 
 
 def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -275,11 +297,13 @@ def _modular_mirror(dim_k: int, space: FockSpace) -> np.ndarray:
             + _leg_swap_index(space)).ravel()
 
 
-def _anticommutes(a: scipy.sparse.csr_array, mirror) -> bool:
-    """Whether mirror is an involution S of the coordinates with S a S = -a exactly."""
+def _anticommutes(a, mirror) -> bool:
+    """Whether mirror is an involution S of the coordinates of a sparse a with S a S = -a
+    exactly."""
     if mirror is None or not np.array_equal(mirror[mirror], np.arange(a.shape[0])):
         return False
-    return not np.any((_compress(a, mirror) + a).data)
+    tri = scipy.sparse.coo_array(a)
+    return not np.any((_mirrored(tri, mirror, tri.data) + tri).data)
 
 
 def _mirror_chart(perm: np.ndarray):
@@ -294,15 +318,15 @@ def _mirror_chart(perm: np.ndarray):
     return pos[perm == pos], first, perm[first]
 
 
-def _mirrored_svd(block: scipy.sparse.csr_array, chart):
+def _mirrored_svd(block: scipy.sparse.coo_array, chart):
     """The SVD B = U diag(s) V* of B = P* block M, for a Hermitian block that the
     involution of chart (_mirror_chart) anticommutes with.
 
     In the basis of the columns of P and M the block is [[0, B], [B*, 0]],
     so its eigenvalues are -+s_k, with eigenvectors (P u_k -+ M v_k)/sqrt 2,
     and 0 on the null vectors P u_k past the odd dimension.  B is scattered
-    from the block's triplets; the dense block is never formed.  Returns the
-    eigenvalues ascending, as eigh does, with U and V*.
+    from the block's triplets, real when they are; the dense block is never
+    formed.  Returns the eigenvalues ascending, as eigh does, with U and V*.
     """
     fixed, first, partner = chart
     nf, m = len(fixed), len(first)
@@ -314,29 +338,35 @@ def _mirrored_svd(block: scipy.sparse.csr_array, chart):
     m_col, m_wt = np.zeros(block.shape[0], dtype=int), np.zeros(block.shape[0])
     m_col[first], m_col[partner] = np.arange(m), np.arange(m)
     m_wt[first], m_wt[partner] = half, -half
-    tri = block.tocoo()
-    odd = m_wt[tri.col] != 0  # a fixed point's column meets no column of M
-    rows, cols = tri.row[odd], tri.col[odd]
-    data = _real_if_exact(tri.data[odd]) * p_wt[rows] * m_wt[cols]
+    odd = m_wt[block.col] != 0  # a fixed point's column meets no column of M
+    rows, cols = block.row[odd], block.col[odd]
+    data = block.data[odd] * p_wt[rows] * m_wt[cols]
     b = dense(scipy.sparse.coo_array((data, (p_col[rows], m_col[cols])), shape=(nf + m, m)))
     u, s, vh = np.linalg.svd(b)
     return np.concatenate([-s, np.zeros(nf), s[::-1]]), u, vh
 
 
-def _mirrored_vectors(chart, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """The eigenvectors of _mirrored_svd as columns, in the order of its eigenvalues."""
+def _mirrored_vectors(chart, u: np.ndarray, vh: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The eigenvectors of _mirrored_svd at the eigenvalues that the mask keep marks, as
+    columns in the order of its eigenvalues; no other column is formed."""
     fixed, first, partner = chart
     nf, m = len(fixed), len(first)
     half = np.sqrt(0.5)
-    vecs = np.empty((nf + 2 * m, nf + 2 * m), dtype=np.result_type(u, vh))
-    # (P u_k - M v_k)/sqrt 2, then P u_k past the odd dimension, then (P u_k + M v_k)/sqrt 2
-    neg, null, pos = vecs[:, :m], vecs[:, m:m + nf], vecs[:, m + nf:][:, ::-1]
-    neg[fixed] = pos[fixed] = u[:nf, :m] * half
-    null[fixed] = u[:nf, m:]
-    pu, mv = u[nf:] * half, vh.conj().T * half  # the rows of P u and M v at the first of a pair
-    neg[first] = pos[partner] = (pu[:, :m] - mv) * half
-    neg[partner] = pos[first] = (pu[:, :m] + mv) * half
-    null[first] = null[partner] = pu[:, m:]
+    cols = np.flatnonzero(keep)
+    vecs = np.empty((nf + 2 * m, len(cols)), dtype=np.result_type(u, vh))
+    # column j < m is (P u_j - M v_j)/sqrt 2, then P u_j up to m + nf, then
+    # (P u_k + M v_k)/sqrt 2 with k = nf + 2m - 1 - j
+    null = (cols >= m) & (cols < m + nf)
+    neg, pair = cols < m, ~null
+    k = np.where(neg, cols, len(keep) - 1 - cols)[pair]
+    # the rows of P u and M v at the first of a pair
+    pu, mv = u[nf:, k] * half, vh[k].conj().T * half
+    minus, plus = (pu - mv) * half, (pu + mv) * half
+    vecs[np.ix_(fixed, pair)] = u[:nf, k] * half
+    vecs[np.ix_(first, pair)] = np.where(neg[pair], minus, plus)
+    vecs[np.ix_(partner, pair)] = np.where(neg[pair], plus, minus)
+    vecs[np.ix_(fixed, null)] = u[:nf, cols[null]]
+    vecs[np.ix_(first, null)] = vecs[np.ix_(partner, null)] = u[nf:, cols[null]] * half
     return vecs
 
 
@@ -361,48 +391,109 @@ def _weights(vecs: np.ndarray, probe: np.ndarray) -> np.ndarray:
     return np.abs(_adjoint_product(vecs, probe)) ** 2
 
 
+def _eigh_block(block, probe, idx, image):
+    """One eigh of a block, and its reading (vals, x) as _block_spectra yields it.
+
+    Returns that reading and, when image is given, the reading of the block
+    that S maps this one onto, else None.  image holds that block's
+    coordinates and the rows of this block that S sends them to.
+    """
+    vals, vecs = np.linalg.eigh(dense(block))
+    if callable(probe):
+        out = vals, vecs[:, probe(vals)]
+    else:
+        out = vals, _weights(vecs, probe[idx])
+    if image is None:
+        return out, None
+    coords, rows = image
+    if callable(probe):  # the columns of the negated spectrum, reversed, at the rows S permutes
+        return out, (-vals[::-1], vecs[:, ::-1][:, probe(-vals[::-1])][rows])
+    # the rows of vecs permuted by S are read by the probe permuted back
+    return out, (-vals[::-1], _weights(vecs, probe[coords[np.argsort(rows)]])[::-1])
+
+
+def _svd_block(block, perm, probe, idx):
+    """One SVD of a block that the involution perm of its coordinates anticommutes
+    with (_mirrored_svd), and its reading (vals, x) (see _block_spectra)."""
+    chart = _mirror_chart(perm)
+    vals, u, vh = _mirrored_svd(block, chart)
+    if callable(probe):
+        return vals, _mirrored_vectors(chart, u, vh, probe(vals))
+    return vals, _mirrored_weights(chart, u, vh, probe[idx])
+
+
 def _block_spectra(a, mirror, probe):
     """The eigenvalues of a Hermitian operator, one exact block at a time, with
-    either the eigenvectors or the weights of some probe columns on them.
+    either some of the eigenvectors or the weights of some probe columns on them.
 
     Yields (coordinates, eigenvalues, x) per block of exact_blocks,
-    eigenvalues ascending; x is the block's eigenvectors when probe is None,
-    else the weights |v_k* probe|^2 of the probe's rows on the block, one
-    row per eigenvalue.  Without a mirror, or when the mirror S does not
-    satisfy S a S = -a exactly, each block is densified alone and gets one
-    eigh, in real arithmetic when its imaginary part is exactly zero.  With
-    one, a block that S maps onto an earlier block takes that block's
-    spectrum negated and its eigenvectors permuted by S, and a block that S
-    maps onto itself is split into its S-even and S-odd halves and solved by
-    one SVD (_mirrored_svd), whose factors give the weights directly.
+    eigenvalues ascending.  When probe is a function from a block's
+    eigenvalues to a mask over them, x is the block's eigenvectors at the
+    marked eigenvalues only; else probe is an array of columns and x the
+    weights |v_k* probe|^2 of the probe's rows on the block, one row per
+    eigenvalue.  The operator's triplets are read once and split by block
+    into block-local coordinates; each block is built from its own.
+    Without a mirror, or when the mirror S does not satisfy S a S = -a
+    exactly, each block is densified alone (linalg.dense of its triplets,
+    real when they are) and gets one eigh.  With one, a block that S maps
+    onto an earlier block takes that block's spectrum negated, with its
+    eigenvectors permuted by S, and a block that S maps onto itself is
+    split into its S-even and S-odd halves and solved by one SVD
+    (_mirrored_svd), whose factors give the weights directly.  Each block
+    is solved and read in a helper, so its factors are freed before the
+    next block is solved; only the reading of a block's S-image is held.
     """
     a = scipy.sparse.csr_array(a)
     blocks = exact_blocks(a)
-    mirrored = _anticommutes(a, mirror)
-    owner = np.empty(a.shape[0], dtype=int)
+    tri = a.tocoo()
+    mirrored = _anticommutes(tri, mirror)
+    owner, local = np.empty(a.shape[0], dtype=int), np.empty(a.shape[0], dtype=int)
     for b, idx in enumerate(blocks):
-        owner[idx] = b
-    held = {}  # block number -> the spectrum of the earlier block that S maps onto it
+        owner[idx], local[idx] = b, np.arange(len(idx))
+    # the nonzero triplets in block order, each block's in the order of a's
+    order = np.flatnonzero(tri.data)
+    order = order[np.argsort(owner[tri.row[order]], kind="stable")]
+    rows, cols, data = tri.row[order], tri.col[order], tri.data[order]
+    bounds = np.searchsorted(owner[rows], np.arange(len(blocks) + 1))
+    rows, cols = local[rows], local[cols]
+    del tri, order
+    held = {}  # block number -> the reading of the earlier block that S maps onto it
     for b, idx in enumerate(blocks):
         # without an exact mirror no block has an image
         image = owner[mirror[idx[0]]] if mirrored else None
+        if image is not None and image < b:
+            yield (idx, *held.pop(b))
+            continue
+        part = slice(bounds[b], bounds[b + 1])
+        block = scipy.sparse.coo_array((_real_if_exact(data[part]), (rows[part], cols[part])),
+                                       shape=(len(idx), len(idx)))
         if image == b:
-            chart = _mirror_chart(np.searchsorted(idx, mirror[idx]))
-            vals, u, vh = _mirrored_svd(_compress(a, idx), chart)
-            yield idx, vals, (_mirrored_vectors(chart, u, vh) if probe is None
-                              else _mirrored_weights(chart, u, vh, probe[idx]))
-        elif image is not None and image < b:
-            src, vals, vecs = held.pop(b)
-            rows = np.searchsorted(src, mirror[idx])
-            if probe is None:
-                yield idx, -vals[::-1], vecs[rows, ::-1]
-            else:  # the rows of vecs permuted by S are read by the probe permuted back
-                yield idx, -vals[::-1], _weights(vecs, probe[idx[np.argsort(rows)]])[::-1]
-        else:
-            vals, vecs = np.linalg.eigh(_real_if_exact(dense(_compress(a, idx))))
-            if image is not None:
-                held[image] = (idx, vals, vecs)
-            yield idx, vals, (vecs if probe is None else _weights(vecs, probe[idx]))
+            yield (idx, *_svd_block(block, local[mirror[idx]], probe, idx))
+            continue
+        target = None if image is None else (blocks[image], local[mirror[blocks[image]]])
+        out, for_image = _eigh_block(block, probe, idx, target)
+        if for_image is not None:
+            held[image] = for_image
+        yield (idx, *out)
+
+
+def _match_window(tgt):
+    """How close the nearest comparison eigenvalue must lie to a target value."""
+    return 1e-6 + 1e-3 * abs(tgt)
+
+
+def _near_targets(targets, vals: np.ndarray) -> np.ndarray:
+    """Which of vals matched_spectral_deviation can read for one of the target values.
+
+    A target t is located at its nearest eigenvalue, within _match_window(t),
+    and reads that eigenvalue's cluster, whose members lie within
+    _match_window(t) + CLUSTER_TOL max(1, |t| + _match_window(t)) of t; the
+    mask keeps twice that distance, so rounding never drops a member.
+    """
+    t = np.asarray(targets, dtype=float)[:, None]
+    gap = _match_window(t)
+    return np.any(np.abs(vals - t) <= 2 * (gap + CLUSTER_TOL * np.maximum(1.0, np.abs(t) + gap)),
+                  axis=0)
 
 
 def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirror) -> dict:
@@ -425,20 +516,25 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     block at a time (see exact_blocks and _block_spectra), and the overlaps
     are taken block by block: the Liouvillean yields only its eigenvalues
     and the weights of the dressed vectors on its eigenvectors, which its
-    SVD route reads from the factors without forming them.  mirror is None or an index map S that both
-    operators share; where S a S = -a holds exactly, _block_spectra uses it
-    to halve the work.  The clusters and the projections run over the
-    merged spectrum, since a degenerate eigenvalue may span blocks.
+    SVD route reads from the factors without forming them.  The comparison
+    operator yields all its eigenvalues but only the eigenvectors that some
+    target's cluster can reach (_near_targets), so it holds a few columns
+    per block.  mirror is None or an index map S that both operators share;
+    where S a S = -a holds exactly, _block_spectra uses it to halve the
+    work.  The clusters and the projections run over the merged spectrum,
+    since a degenerate eigenvalue may span blocks.
     """
     entries = []  # per target: an unmatched reason, or the index of its chosen vector
     located, chosen = [], []
-    blocks = list(_block_spectra(comparison, mirror, None))
+    near = partial(_near_targets, [tgt for _, tgt, _ in targets])
+    blocks = list(_block_spectra(comparison, mirror, near))
     vals_d = np.concatenate([vals for _, vals, _ in blocks])
     owner = np.repeat(np.arange(len(blocks)), [len(vals) for _, vals, _ in blocks])
-    column = np.concatenate([np.arange(len(vals)) for _, vals, _ in blocks])
+    # each kept eigenvalue's column among its block's kept eigenvectors
+    column = np.concatenate([np.cumsum(near(vals)) - 1 for _, vals, _ in blocks])
     for name, tgt, state in targets:
         i = int(np.argmin(np.abs(vals_d - tgt)))
-        if abs(vals_d[i] - tgt) > 1e-6 + 1e-3 * abs(tgt):
+        if abs(vals_d[i] - tgt) > _match_window(tgt):
             entries.append((name, "target missing from comparison spectrum"))
             continue
         vec = np.zeros(comparison.shape[0], dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from fockforge.fock import FockSpace
-from fockforge.linalg import sqrtm_psd
+from fockforge.linalg import dense, sqrtm_psd
 from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
                            euclidean_form, field,
                            gaussian_normalization, gaussian_vector, jordan_wigner, multi_create,
@@ -97,16 +97,16 @@ def test_weyl_relation_regression_bound():
 
 def test_multi_create_zero_and_product(rng):
     spf = FockSpace("fermi", 3)
-    assert not np.any(multi_create(spf, np.zeros((3, 3))))
+    assert not np.any(dense(multi_create(spf, np.zeros((3, 3)))))
     w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     kernel = 0.5 * (np.outer(w1, w2) - np.outer(w2, w1))
-    lhs = multi_create(spf, kernel)
+    lhs = dense(multi_create(spf, kernel))
     rhs = (spf.create(w1) @ spf.create(w2)).toarray()
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * max(1, np.linalg.norm(rhs, 2))
     spb = FockSpace("bose", 2, 6)
     kernel_s = 0.5 * (np.outer(w1[:2], w2[:2]) + np.outer(w2[:2], w1[:2]))
-    lhs_b = multi_create(spb, kernel_s)
+    lhs_b = dense(multi_create(spb, kernel_s))
     rhs_b = (spb.create(w1[:2]) @ spb.create(w2[:2])).toarray()
     assert np.linalg.norm(lhs_b - rhs_b, 2) <= 1e-10 * np.linalg.norm(rhs_b, 2)
 
