@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock import BOSE, FERMI, SIGN, FockSpace
 from .linalg import dense, require_square, sqrtm_psd
-from .ops import _implementer_matrix, _pair_creator, bogolubov_matrix_on_doubled
+from .ops import _implementer_matrix, bogolubov_matrix_on_doubled, multi_create
 
 
 class FermiDegenerateError(ValueError):
@@ -121,8 +121,8 @@ def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
                          prefactor: complex) -> np.ndarray:
     """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
-    return _implementer_matrix(space, prefactor, _pair_creator(space, cd.d_kernel),
-                               np.linalg.inv(blocks.p.conj().T), _pair_creator(space, cd.c),
+    return _implementer_matrix(space, prefactor, multi_create(space, cd.d_kernel),
+                               np.linalg.inv(blocks.p.conj().T), multi_create(space, cd.c),
                                0.5 * blocks.sign)
 
 

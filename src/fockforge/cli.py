@@ -48,11 +48,6 @@ def decode_matrix(obj) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def encode_matrix(mat: np.ndarray):
-    mat = np.asarray(mat, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in mat]
-
-
 def _require(model: dict, key, types):
     if key not in model:
         raise SchemaError(f"missing field {key!r}")

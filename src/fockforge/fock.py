@@ -72,6 +72,7 @@ class FockSpace:
         # sector n occupies basis[sector_start[n]:sector_start[n + 1]]
         self.sector_start = np.searchsorted(self.total_numbers, np.arange(n_max + 2))
         self._creation = {}
+        self._rows = {}
 
     def __repr__(self):
         return f"FockSpace({self.statistics}, d={self.d}, n_max={self.n_max}, dim={self.dim})"
@@ -95,44 +96,42 @@ class FockSpace:
     def creation(self, k: int) -> scipy.sparse.csr_array:
         """a*_k in the occupation basis as a CSR array (truncation drops the top).
 
-        One nonzero per column that a*_k keeps in the space, built from
-        raising(k) and cached; its data is read-only, so callers never
-        change the cached array in place.  Adding a quantum preserves the
-        graded lexicographic order, so the targets ascend with the columns
-        and each row holds at most one entry.
+        The CSR form of creation_rows(k), cached; its data is read-only, so
+        callers never change the cached array in place.
         """
         if k not in self._creation:
-            target, weight = self.raising(k)
-            cols = np.flatnonzero(weight)
-            indptr = np.zeros(self.dim + 1, dtype=np.int64)
-            indptr[target[cols] + 1] = 1
-            a = scipy.sparse.csr_array((weight[cols].astype(complex), cols, np.cumsum(indptr)),
-                                       shape=(self.dim, self.dim))
+            low, weight = self.creation_rows(k)
+            a = _rows_csr(low[:, None], weight[:, None].astype(complex))
             a.data.flags.writeable = False
             self._creation[k] = a
         return self._creation[k]
+
+    def creation_rows(self, k: int):
+        """a*_k by index arithmetic, cached and read-only: row i holds weight[i]
+        at column low[i], the state with one quantum fewer in mode k.
+
+        The weight is sqrt(n_k) for bosons and (-1)^(n_0 + ... + n_{k-1})
+        for fermions; a row whose mode k is empty has weight 0 and low 0.
+        Each row holds at most one entry, and removing a quantum preserves
+        the graded lexicographic order, so each column does too.
+        """
+        if k not in self._rows:
+            occ = self.occupations
+            filled = occ[:, k] > 0
+            low = np.zeros(self.dim, dtype=np.int64)
+            low[filled] = self.indices(occ[filled] - np.eye(self.d, dtype=np.int64)[k])
+            if self.is_fermi:
+                weight = np.where(filled, (-1.0) ** occ[:, :k].sum(axis=1), 0.0)
+            else:
+                weight = np.sqrt(occ[:, k])
+            low.flags.writeable = weight.flags.writeable = False
+            self._rows[k] = low, weight
+        return self._rows[k]
 
     def indices(self, occ) -> np.ndarray:
         """Basis indices of the occupation rows of occ."""
         rows = np.asarray(occ).tolist()
         return np.array([self.index[tuple(row)] for row in rows], dtype=np.int64)
-
-    def raising(self, k: int):
-        """a*_k by index arithmetic: it sends basis vector i to weight[i] e_target[i].
-
-        A basis vector that a*_k takes out of the space (top sector, or
-        an occupied fermionic mode) has weight 0 and target 0.
-        """
-        occ = self.occupations
-        if self.is_fermi:
-            ok = occ[:, k] == 0
-            weight = (-1.0) ** occ[:, :k].sum(axis=1)
-        else:
-            ok = self.total_numbers < self.n_max
-            weight = np.sqrt(occ[:, k] + 1.0)
-        target = np.zeros(self.dim, dtype=np.int64)
-        target[ok] = self.indices(occ[ok] + np.eye(self.d, dtype=np.int64)[k])
-        return target, np.where(ok, weight, 0.0)
 
     def annihilation(self, k: int) -> scipy.sparse.csr_array:
         """a_k = (a*_k)*, as a CSR array."""
@@ -150,12 +149,12 @@ class FockSpace:
     def ladder(self, u, v) -> scipy.sparse.csr_array:
         """a*(u) + a(v) for one-particle vectors u and v, as a CSR array.
 
-        Built by index arithmetic on the cached a*_k, which store at most one
-        entry per row and per column: row m takes one entry from each a*_k
-        with u_k != 0, at the column of m - e_k, and one from each a_k with
-        v_k != 0, at the column of m + e_k.  In the graded lexicographic
-        basis m - e_k ascends with k, m + e_k descends, and sector n - 1
-        precedes sector n + 1, so every row comes out with sorted columns.
+        Gathered from the row tables of creation_rows: row m takes one entry
+        from each a*_k with u_k != 0, at the column of m - e_k, and one from
+        each a_k with v_k != 0, at the column of m + e_k.  In the graded
+        lexicographic basis m - e_k ascends with k, m + e_k descends, and
+        sector n - 1 precedes sector n + 1, so every row comes out with
+        sorted columns.
         """
         u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
         for x in (u, v):
@@ -166,19 +165,13 @@ class FockSpace:
         cols = np.zeros((self.dim, len(terms)), dtype=np.int64)
         vals = np.zeros((self.dim, len(terms)), dtype=complex)
         for j, (k, coeff, lowers) in enumerate(terms):
-            a = self.creation(k)
-            filled = a.indptr[1:] != a.indptr[:-1]
-            if lowers:
-                cols[a.indices, j] = np.flatnonzero(filled)
-                vals[a.indices, j] = coeff * a.data
-            else:
-                cols[filled, j] = a.indices
-                vals[filled, j] = coeff * a.data
-        stored = vals != 0
-        indptr = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-        return scipy.sparse.csr_array((vals[stored], cols[stored], indptr),
-                                      shape=(self.dim, self.dim))
+            low, weight = self.creation_rows(k)
+            filled = np.flatnonzero(weight)
+            # a*_k gathers row m from low[m]; a_k scatters it back to row low[m]
+            rows, at = (low[filled], filled) if lowers else (filled, low[filled])
+            cols[rows, j] = at
+            vals[rows, j] = coeff * weight[filled]
+        return _rows_csr(cols, vals)
 
     def parity(self) -> np.ndarray:
         """(-1)^N, exactly."""
@@ -193,6 +186,16 @@ class FockSpace:
 
     def sector_projector(self, max_total: int) -> np.ndarray:
         return np.diag(self.sector_mask(max_total).astype(complex))
+
+
+def _rows_csr(cols, vals) -> scipy.sparse.csr_array:
+    """The square CSR array whose row i holds vals[i, j] at column cols[i, j]
+    wherever vals[i, j] != 0; the columns of each row must ascend."""
+    stored = vals != 0
+    indptr = np.zeros(len(vals) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return scipy.sparse.csr_array((vals[stored], cols[stored], indptr),
+                                  shape=(len(vals), len(vals)))
 
 
 def _lambda_signs(numbers) -> np.ndarray:
@@ -233,8 +236,9 @@ def _gamma_blocks(space: FockSpace, p) -> list:
     in mode k (no occupied mode precedes k, so the fermionic sign is +1).
     Its column is therefore the sector n-1 -> n block of a*(p e_k) applied
     to the parent's column, divided by sqrt(n_k), one matrix product per
-    (sector, k) batch.  The dense block sum_m p_mk a*_m is gathered from the
-    sector's rows of the cached a*_m.
+    (sector, k) batch.  The parent and sqrt(n_k) are read from the row table
+    of a*_k, and the dense block sum_m p_mk a*_m is gathered from the
+    sector's rows of the tables of a*_m (FockSpace.creation_rows).
     """
     p = require_square(np.asarray(p, dtype=complex))
     if p.shape[0] != space.d:
@@ -247,34 +251,22 @@ def _gamma_blocks(space: FockSpace, p) -> list:
             dtype=complex,
         )
         return [np.diag(vals[lo:hi]) for lo, hi in zip(start[:-1], start[1:])]
-    batches = {}  # (k, n) -> (columns, parent columns, sqrt(n_k)), within the sectors
-    for j, occ in enumerate(space.basis[1:], start=1):
-        k = next(m for m, nm in enumerate(occ) if nm)
-        parent = space.index[occ[:k] + (occ[k] - 1,) + occ[k + 1:]]
-        n = sum(occ)
-        cols, parents, norms = batches.setdefault((k, n), ([], [], []))
-        cols.append(j - start[n])
-        parents.append(parent - start[n - 1])
-        norms.append(math.sqrt(occ[k]))
-    # a*_m holds at most one entry per row: rows[m] lists the rows that have one
-    creators = [space.creation(m) for m in range(space.d)]
-    rows = [np.flatnonzero(np.diff(a.indptr)) for a in creators]
+    lowest = np.argmax(space.occupations > 0, axis=1)
+    rows = [space.creation_rows(m) for m in range(space.d)]
     out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(start[:-1], start[1:])]
     out[0][0, 0] = 1.0
-    # a parent's lowest occupied mode is k or above and its sector is
-    # n - 1, so descending k and ascending n fill every parent first
-    for k in reversed(range(space.d)):
-        for n in range(1, space.n_max + 1):
-            if (k, n) not in batches:
-                continue
-            cols, parents, norms = batches[(k, n)]
-            block = np.zeros((start[n + 1] - start[n], start[n] - start[n - 1]), dtype=complex)
+    # a parent lies in sector n - 1, so ascending n fills every parent first
+    for n in range(1, space.n_max + 1):
+        lo, hi, below = start[n], start[n + 1], start[n - 1]
+        for k in np.unique(lowest[lo:hi]):
+            cols = lo + np.flatnonzero(lowest[lo:hi] == k)
+            block = np.zeros((hi - lo, lo - below), dtype=complex)
             for m in np.flatnonzero(p[:, k]):
-                a = creators[m]
-                lo, hi = a.indptr[start[n]], a.indptr[start[n + 1]]
-                block[rows[m][lo:hi] - start[n], a.indices[lo:hi] - start[n - 1]] = \
-                    p[m, k] * a.data[lo:hi]
-            out[n][:, cols] = (block @ out[n - 1][:, parents]) / norms
+                low, weight = rows[m]
+                filled = lo + np.flatnonzero(weight[lo:hi])
+                block[filled - lo, low[filled] - below] = p[m, k] * weight[filled]
+            low, weight = rows[k]
+            out[n][:, cols - lo] = (block @ out[n - 1][:, low[cols] - below]) / weight[cols]
     return out
 
 

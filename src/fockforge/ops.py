@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, _gamma_blocks
+from .fock import FockSpace, _gamma_blocks, _rows_csr
 from .linalg import _require_dense, expi_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
@@ -66,44 +66,6 @@ def weyl(space: FockSpace, y: DoubledVector) -> np.ndarray:
     return expi_herm(field(space, y))
 
 
-def _pair_creator(space: FockSpace, c) -> scipy.sparse.csr_array:
-    """a*(c) = sum_{jk} c_jk a*_j a*_k as a CSR array, by index arithmetic.
-
-    Each a*_k has at most one nonzero per row (FockSpace.creation), so the
-    row of an occupation m is a gather of two lowering tables: for every
-    pair j <= k it holds c_jk a*_j a*_k + c_kj a*_k a*_j at the column of
-    m - e_j - e_k, and no operator product is formed.  In the graded
-    lexicographic basis those columns ascend with (j, k) in lexicographic
-    order, so the rows come out sorted and the array is built directly.
-    """
-    c = require_square(np.asarray(c, dtype=complex))
-    if c.shape[0] != space.d:
-        raise ValueError(f"kernel is {c.shape}, expected {space.d}x{space.d}")
-    if np.max(np.abs(c + space.sign * c.T)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        raise ValueError("fermionic pair kernel must be antisymmetric" if space.is_fermi
-                         else "bosonic pair kernel must be symmetric")
-    # a*_k sends basis vector low[k, r] to weight[k, r] e_r; rows it never reaches hold 0
-    low = np.zeros((space.d, space.dim), dtype=np.int64)
-    weight = np.zeros((space.d, space.dim))
-    for k in range(space.d):
-        a = space.creation(k)
-        filled = np.flatnonzero(np.diff(a.indptr))
-        low[k, filled] = a.indices
-        weight[k, filled] = a.data.real
-    # a*_j a*_k reaches row r from column low[k, low[j, r]]; axes (j, k, r)
-    vals = c[:, :, None] * weight[:, None, :] * weight[:, low].swapaxes(0, 1)
-    j, k = np.triu_indices(space.d)
-    pair = vals[j, k]
-    off = j != k
-    pair[off] += vals[k[off], j[off]]
-    cols = low[:, low].swapaxes(0, 1)[j, k]
-    stored = pair.T != 0
-    indptr = np.zeros(space.dim + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
-    return scipy.sparse.csr_array((pair.T[stored], cols.T[stored], indptr),
-                                  shape=(space.dim, space.dim))
-
-
 def _exp_series(space: FockSpace, a, step: int, x: np.ndarray, t: float,
                 window) -> np.ndarray:
     """exp(t a) x in place of x for a pair creator (step 2) or annihilator
@@ -132,14 +94,33 @@ def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
     c is the kernel of a Hilbert-Schmidt map from the conjugate space,
     symmetric for bosons and antisymmetric for fermions.  Raises the
     particle number by two; for c the (anti)symmetrized product of w1, w2
-    it reduces to a*(w1) a*(w2).
+    it reduces to a*(w1) a*(w2).  The one pair creator of the package, built
+    by index arithmetic on the row tables of FockSpace.creation_rows: the
+    row of an occupation m holds, for every pair j <= k, c_jk a*_j a*_k +
+    c_kj a*_k a*_j at the column of m - e_j - e_k, and no operator product
+    is formed.  In the graded lexicographic basis those columns ascend with
+    (j, k) in lexicographic order, so the rows come out sorted.
     """
-    return _pair_creator(space, c)
+    c = require_square(np.asarray(c, dtype=complex))
+    if c.shape[0] != space.d:
+        raise ValueError(f"kernel is {c.shape}, expected {space.d}x{space.d}")
+    if np.max(np.abs(c + space.sign * c.T)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+        raise ValueError("fermionic pair kernel must be antisymmetric" if space.is_fermi
+                         else "bosonic pair kernel must be symmetric")
+    # axes (k, r): a*_k reaches row r from column low[k, r] with weight[k, r]
+    low, weight = map(np.array, zip(*[space.creation_rows(k) for k in range(space.d)]))
+    # a*_j a*_k reaches row r from column low[k, low[j, r]]; axes (j, k, r)
+    vals = c[:, :, None] * weight[:, None, :] * weight[:, low].swapaxes(0, 1)
+    j, k = np.triu_indices(space.d)
+    pair = vals[j, k]
+    off = j != k
+    pair[off] += vals[k[off], j[off]]
+    return _rows_csr(low[:, low].swapaxes(0, 1)[j, k].T, pair.T)
 
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
     """exp(a*(c)/2) applied to the vacuum; the series is finite."""
-    return _exp_series(space, _pair_creator(space, c), 2, space.vacuum(), 0.5, None)
+    return _exp_series(space, multi_create(space, c), 2, space.vacuum(), 0.5, None)
 
 
 def gaussian_normalization(space: FockSpace, c) -> float:
@@ -225,7 +206,7 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
 def _squeezer_factors(space: FockSpace, c):
     """The prefactor, the pair creator a*(c) and the one-particle middle factor of R."""
     c = require_square(np.asarray(c, dtype=complex))
-    return (gaussian_normalization(space, c), _pair_creator(space, c),
+    return (gaussian_normalization(space, c), multi_create(space, c),
             sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T)))
 
 

@@ -92,7 +92,6 @@ class ThermalParams:
     kind: str
     gamma: np.ndarray
     h: np.ndarray | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         g = _self_adjoint(self.gamma, "gamma")
@@ -109,6 +108,8 @@ class ThermalParams:
         object.__setattr__(self, "gamma", g)
         if self.h is not None:
             h = _self_adjoint(self.h, "h")
+            if h.shape != g.shape:
+                raise ValueError(f"h is {h.shape} but gamma is {g.shape}")
             if np.linalg.norm(h @ g - g @ h, 2) > 1e-10 * max(1.0, np.linalg.norm(h, 2)):
                 raise ValueError("h must commute with gamma")
             object.__setattr__(self, "h", h)
@@ -126,7 +127,7 @@ class ThermalParams:
     @classmethod
     def gibbs(cls, kind: str, h, beta: float) -> "ThermalParams":
         h = require_square(np.asarray(h, dtype=complex))
-        return cls(kind, scipy.linalg.expm(-beta * h), h=h, beta=beta)
+        return cls(kind, scipy.linalg.expm(-beta * h), h=h)
 
 
 def _ladder_words(outer, inner, x, top: int) -> dict:

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 183
+MAX_PUBLIC = 182
 
 
 def defaulted_parameters():
@@ -79,6 +79,13 @@ def test_densify_census():
         == ["linalg.py"]
     assert callers("_require_dense") == ["fock.gamma", "lattice.commutant", "linalg.dense",
                                          "ops._implementer_matrix"]
+
+
+def test_creation_rows_census():
+    # a*_k's index arithmetic lives in FockSpace: every builder indexed by occupation
+    # reads its row tables, not the CSR arrays of the cached a*_k
+    assert callers("creation_rows") == ["fock._gamma_blocks", "fock.creation", "fock.ladder",
+                                        "ops.multi_create"]
 
 
 def test_coverage_map_names_what_exists():

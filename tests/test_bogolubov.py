@@ -7,7 +7,7 @@ from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
                                  positive_blocks_from_c, random_blocks, shale_implementer,
                                  validate_blocks)
 from fockforge.fock import SIGN, FockSpace, gamma
-from fockforge.ops import (DoubledVector, _pair_creator, apply_doubled_matrix, field,
+from fockforge.ops import (DoubledVector, apply_doubled_matrix, field, multi_create,
                            squeezer)
 
 
@@ -237,9 +237,9 @@ def _dense_implementer(space, blocks):
     det = np.linalg.det(blocks.p @ blocks.p.conj().T).real
     pref = abs(det) ** (0.25 if space.is_fermi else -0.25)
     t = 0.5 * blocks.sign
-    right = _dense_exp(_pair_creator(space, cd.c).toarray().conj().T, -t)
+    right = _dense_exp(multi_create(space, cd.c).toarray().conj().T, -t)
     mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
-    return pref * _dense_exp(_pair_creator(space, cd.d_kernel).toarray(), t) @ mid @ right
+    return pref * _dense_exp(multi_create(space, cd.d_kernel).toarray(), t) @ mid @ right
 
 
 # in ops._implementer_matrix bose d = 3 at cutoff 12 forms three column groups,

@@ -16,6 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = ROOT / "docs" / "schema.json"
 
 
+def encode_matrix(mat):
+    """A complex matrix as the nested [re, im] lists that decode_matrix reads."""
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, dtype=complex)]
+
+
 def write_model(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -23,15 +28,15 @@ def write_model(tmp_path, name, payload):
 
 
 def identity_bogolubov_model():
-    eye = cli.encode_matrix(np.eye(2))
-    zero = cli.encode_matrix(np.zeros((2, 2)))
+    eye = encode_matrix(np.eye(2))
+    zero = encode_matrix(np.zeros((2, 2)))
     return {"schema_version": 1, "task": "bogolubov", "statistics": "fermi",
             "p": eye, "q": zero}
 
 
 def test_decode_encode_roundtrip():
     m = np.array([[1 + 2j, 0], [0.5j, -1]])
-    assert np.allclose(cli.decode_matrix(cli.encode_matrix(m)), m)
+    assert np.allclose(cli.decode_matrix(encode_matrix(m)), m)
     with pytest.raises(cli.SchemaError):
         cli.decode_matrix([[1, 2], [3, 4]])
 
@@ -50,8 +55,8 @@ def test_run_identity_bogolubov(tmp_path, capsys):
 def test_run_kms_mismatch_fails(tmp_path):
     h = np.array([[1.0]])
     model = {"schema_version": 1, "task": "kms", "statistics": "fermi",
-             "gamma": cli.encode_matrix(np.array([[np.exp(-2.0)]])),
-             "h": cli.encode_matrix(h), "beta": 1.0, "t": 0.1}
+             "gamma": encode_matrix(np.array([[np.exp(-2.0)]])),
+             "h": encode_matrix(h), "beta": 1.0, "t": 0.1}
     path = write_model(tmp_path, "bad.json", model)
     out = tmp_path / "bad_report.json"
     code = cli.run(path, str(out), "json", seed=42)
@@ -64,8 +69,8 @@ def test_run_kms_mismatch_fails(tmp_path):
 
 def test_run_kms_match_passes(tmp_path):
     model = {"schema_version": 1, "task": "kms", "statistics": "fermi",
-             "gamma": cli.encode_matrix(np.array([[np.exp(-1.0)]])),
-             "h": cli.encode_matrix(np.array([[1.0]])), "beta": 1.0}
+             "gamma": encode_matrix(np.array([[np.exp(-1.0)]])),
+             "h": encode_matrix(np.array([[1.0]])), "beta": 1.0}
     path = write_model(tmp_path, "good.json", model)
     assert cli.run(path, str(tmp_path / "r.json"), "json", seed=1) == 0
 
@@ -98,16 +103,16 @@ def test_not_json_exits_2(tmp_path):
     {"task": "verify-car", "d": 2, "trials": 0},
     {"task": "verify-car", "d": 2, "trials": -3},
     {"task": "lattice", "d": 2, "subspaces": 0},
-    {"task": "thermal", "statistics": "bose", "gamma": cli.encode_matrix(np.diag([0.25])),
+    {"task": "thermal", "statistics": "bose", "gamma": encode_matrix(np.diag([0.25])),
      "single_cutoff": 0},
     # a gamma or an h that is not self-adjoint is no density or energy
     {"task": "thermal", "statistics": "fermi",
-     "gamma": cli.encode_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))},
-    {"task": "kms", "statistics": "fermi", "gamma": cli.encode_matrix(np.exp(-1.0) * np.eye(2)),
-     "h": cli.encode_matrix(np.array([[1.0, 0.7], [0.0, 1.0]])), "beta": 1.0},
-    {"task": "pauli-fierz", "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-     "h": cli.encode_matrix(np.array([[1.0, 0.5], [0.0, 1.2]])),
-     "v": cli.encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4},
+     "gamma": encode_matrix(np.array([[0.5, 0.2], [0.0, 0.4]]))},
+    {"task": "kms", "statistics": "fermi", "gamma": encode_matrix(np.exp(-1.0) * np.eye(2)),
+     "h": encode_matrix(np.array([[1.0, 0.7], [0.0, 1.0]])), "beta": 1.0},
+    {"task": "pauli-fierz", "K": encode_matrix(np.diag([0.5, -0.5])),
+     "h": encode_matrix(np.array([[1.0, 0.5], [0.0, 1.2]])),
+     "v": encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4},
 ])
 def test_domain_errors_exit_2(tmp_path, capsys, model):
     path = write_model(tmp_path, "bad.json", {"schema_version": 1, **model})
@@ -117,15 +122,15 @@ def test_domain_errors_exit_2(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize("model", [
-    {"task": "gaussian", "statistics": "bose", "c": cli.encode_matrix(0.1 * np.eye(2)),
+    {"task": "gaussian", "statistics": "bose", "c": encode_matrix(0.1 * np.eye(2)),
      "cutoff": 200},
-    {"task": "bogolubov", "statistics": "bose", "p": cli.encode_matrix(np.eye(2)),
-     "q": cli.encode_matrix(np.zeros((2, 2))), "cutoff": 200},
+    {"task": "bogolubov", "statistics": "bose", "p": encode_matrix(np.eye(2)),
+     "q": encode_matrix(np.zeros((2, 2))), "cutoff": 200},
     # a desk-scale model whose reference Hamiltonian at cutoff 30 has dim 2 * 5456
-    {"task": "pauli-fierz", "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-     "h": cli.encode_matrix(np.diag([1.0, 1.2, 1.4])),
-     "v": cli.encode_matrix(0.1 * np.ones((6, 2))),
-     "gamma": cli.encode_matrix(np.diag([0.25, 0.2, 0.15])), "cutoff": 8},
+    {"task": "pauli-fierz", "K": encode_matrix(np.diag([0.5, -0.5])),
+     "h": encode_matrix(np.diag([1.0, 1.2, 1.4])),
+     "v": encode_matrix(0.1 * np.ones((6, 2))),
+     "gamma": encode_matrix(np.diag([0.25, 0.2, 0.15])), "cutoff": 8},
 ])
 def test_dense_byte_budget_exits_2(tmp_path, capsys, model):
     # each model passes the dimension guard and the model checks, but one dense
@@ -146,17 +151,17 @@ LARGE_MODELS = {
     "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2),
     "verify-car-d14": ({"task": "verify-car", "d": 14}, 2),
     "thermal-single-cutoff-80": ({"task": "thermal", "statistics": "bose",
-                                  "gamma": cli.encode_matrix(np.array([[0.3]])),
+                                  "gamma": encode_matrix(np.array([[0.3]])),
                                   "single_cutoff": 80}, 2),
     "kms-single-cutoff-80": ({"task": "kms", "statistics": "bose",
-                              "gamma": cli.encode_matrix(np.array([[np.exp(-1.0)]])),
-                              "h": cli.encode_matrix(np.array([[1.0]])), "beta": 1.0,
+                              "gamma": encode_matrix(np.array([[np.exp(-1.0)]])),
+                              "h": encode_matrix(np.array([[1.0]])), "beta": 1.0,
                               "single_cutoff": 80}, 2),
     "gaussian-dim-20301": ({"task": "gaussian", "statistics": "bose",
-                            "c": cli.encode_matrix(np.diag([0.2, 0.1])), "cutoff": 200}, 2),
+                            "c": encode_matrix(np.diag([0.2, 0.1])), "cutoff": 200}, 2),
     "bogolubov-dim-20301": ({"task": "bogolubov", "statistics": "bose",
-                             "p": cli.encode_matrix(np.cosh(0.2) * np.eye(2)),
-                             "q": cli.encode_matrix(np.sinh(0.2) * np.eye(2)), "cutoff": 200}, 2),
+                             "p": encode_matrix(np.cosh(0.2) * np.eye(2)),
+                             "q": encode_matrix(np.sinh(0.2) * np.eye(2)), "cutoff": 200}, 2),
 }
 CAPPED_RUNS = """
 import json, resource, sys
@@ -244,14 +249,14 @@ def test_tasks_match_the_schema():
 def test_gaussian_task(tmp_path):
     c = np.array([[0, 0.5], [-0.5, 0]])
     model = {"schema_version": 1, "task": "gaussian", "statistics": "fermi",
-             "c": cli.encode_matrix(c)}
+             "c": encode_matrix(c)}
     path = write_model(tmp_path, "gauss.json", model)
     assert cli.run(path, str(tmp_path / "g.json"), "json", seed=5) == 0
 
 
 def test_thermal_task(tmp_path):
     model = {"schema_version": 1, "task": "thermal", "statistics": "fermi",
-             "gamma": cli.encode_matrix(np.diag([0.5, 0.2]))}
+             "gamma": encode_matrix(np.diag([0.5, 0.2]))}
     path = write_model(tmp_path, "th.json", model)
     assert cli.run(path, str(tmp_path / "t.json"), "json", seed=5) == 0
 
@@ -264,9 +269,9 @@ def test_lattice_task(tmp_path):
 
 def test_pauli_fierz_task(tmp_path):
     model = {"schema_version": 1, "task": "pauli-fierz",
-             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-             "h": cli.encode_matrix(np.eye(1)),
-             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "K": encode_matrix(np.diag([0.5, -0.5])),
+             "h": encode_matrix(np.eye(1)),
+             "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
              "cutoff": 8}
     path = write_model(tmp_path, "pf.json", model)
     assert cli.run(path, str(tmp_path / "pf_rep.json"), "json", seed=5) == 0
@@ -280,8 +285,8 @@ def test_pauli_fierz_hermiticity_checks_the_hamiltonian(tmp_path, K, h):
     # both inputs pass their self-adjointness checks but are not Hermitian to
     # 1e-12; the model stores them symmetrised, so H is Hermitian to the bit
     model = {"schema_version": 1, "task": "pauli-fierz",
-             "K": cli.encode_matrix(np.array(K)), "h": cli.encode_matrix(np.array(h)),
-             "v": cli.encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4}
+             "K": encode_matrix(np.array(K)), "h": encode_matrix(np.array(h)),
+             "v": encode_matrix(0.1 * np.ones((4, 2))), "cutoff": 4}
     path = write_model(tmp_path, "pf.json", model)
     out = tmp_path / "r.json"
     assert cli.run(path, str(out), "json", seed=42) == 0
@@ -300,7 +305,7 @@ def one_stderr_line(capsys, prefix):
 ])
 def test_invalid_bose_blocks_fail_block_relations(tmp_path, p, q):
     model = {"schema_version": 1, "task": "bogolubov", "statistics": "bose",
-             "p": cli.encode_matrix(np.array(p)), "q": cli.encode_matrix(np.array(q))}
+             "p": encode_matrix(np.array(p)), "q": encode_matrix(np.array(q))}
     path = write_model(tmp_path, "blocks.json", model)
     out = tmp_path / "r.json"
     assert cli.run(path, str(out), "json", seed=42) == 1
@@ -313,13 +318,28 @@ def test_invalid_bose_blocks_fail_block_relations(tmp_path, p, q):
                                   {"cutoff_grid": [8, 6]}])
 def test_pauli_fierz_grid_must_increase(tmp_path, capsys, grid):
     model = {"schema_version": 1, "task": "pauli-fierz",
-             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-             "h": cli.encode_matrix(np.eye(1)),
-             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
-             "gamma": cli.encode_matrix(np.array([[0.25]])), **grid}
+             "K": encode_matrix(np.diag([0.5, -0.5])),
+             "h": encode_matrix(np.eye(1)),
+             "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "gamma": encode_matrix(np.array([[0.25]])), **grid}
     path = write_model(tmp_path, "pf.json", model)
     assert cli.run(path, None, "json", seed=42) == 2
     assert one_stderr_line(capsys, "schema error: cutoff grid ")
+
+
+@pytest.mark.parametrize("model,message", [
+    ({"task": "thermal", "statistics": "bose", "gamma": encode_matrix([[0.3]]),
+      "h": encode_matrix(np.eye(2))}, "h is (2, 2) but gamma is (1, 1)"),
+    ({"task": "kms", "statistics": "fermi", "gamma": encode_matrix([[0.3]]),
+      "h": encode_matrix(np.eye(2)), "beta": 1.0}, "h is (2, 2) but gamma is (1, 1)"),
+    ({"task": "pauli-fierz", "K": encode_matrix(np.diag([0.5, -0.5])),
+      "h": encode_matrix(np.eye(1)), "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+      "gamma": encode_matrix(np.diag([0.25, 0.2]))}, "h is (1, 1) but gamma is (2, 2)"),
+])
+def test_h_and_gamma_shapes_must_match(tmp_path, capsys, model, message):
+    path = write_model(tmp_path, "shapes.json", {"schema_version": 1, **model})
+    assert cli.run(path, None, "json", seed=42) == 2
+    assert one_stderr_line(capsys, f"schema error: {message}")
 
 
 def test_pauli_fierz_sample_model_with_gamma(tmp_path):
@@ -333,10 +353,10 @@ def test_pauli_fierz_sample_model_with_gamma(tmp_path):
 def test_pauli_fierz_unmatched_targets_fail(tmp_path):
     # at cutoff 4 the semi targets E0-1, E1-2 and E2-2 find no comparison partner
     model = {"schema_version": 1, "task": "pauli-fierz",
-             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-             "h": cli.encode_matrix(np.eye(1)),
-             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
-             "gamma": cli.encode_matrix(np.array([[0.25]])),
+             "K": encode_matrix(np.diag([0.5, -0.5])),
+             "h": encode_matrix(np.eye(1)),
+             "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "gamma": encode_matrix(np.array([[0.25]])),
              "cutoff_grid": [3, 4], "tolerances": {"spectra": 1e-2}}
     path = write_model(tmp_path, "pf.json", model)
     out = tmp_path / "r.json"
@@ -348,9 +368,9 @@ def test_pauli_fierz_unmatched_targets_fail(tmp_path):
 
 def test_pauli_fierz_grid_checked_without_gamma(tmp_path, capsys):
     model = {"schema_version": 1, "task": "pauli-fierz",
-             "K": cli.encode_matrix(np.diag([0.5, -0.5])),
-             "h": cli.encode_matrix(np.eye(1)),
-             "v": cli.encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
+             "K": encode_matrix(np.diag([0.5, -0.5])),
+             "h": encode_matrix(np.eye(1)),
+             "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])),
              "cutoff_grid": [8, 6]}
     path = write_model(tmp_path, "pf.json", model)
     assert cli.run(path, None, "json", seed=42) == 2
@@ -360,8 +380,8 @@ def test_pauli_fierz_grid_checked_without_gamma(tmp_path, capsys):
 def test_degenerate_bogolubov_blocks_run(tmp_path):
     # p = 0: the mode-pair swap that phi_0 phi_1 implements, Ker p is everything
     model = {"schema_version": 1, "task": "bogolubov", "statistics": "fermi",
-             "p": cli.encode_matrix(np.zeros((2, 2))),
-             "q": cli.encode_matrix(np.array([[0, -1], [1, 0]]))}
+             "p": encode_matrix(np.zeros((2, 2))),
+             "q": encode_matrix(np.array([[0, -1], [1, 0]]))}
     path = write_model(tmp_path, "swap.json", model)
     out = tmp_path / "r.json"
     assert cli.run(path, str(out), "json", seed=42) == 0
@@ -428,8 +448,8 @@ def test_suite_maps_criterion_errors(tmp_path, capsys, monkeypatch, error, code,
 
 def test_shale_cutoff_warning_reaches_stderr(tmp_path):
     model = {"schema_version": 1, "task": "bogolubov", "statistics": "bose",
-             "p": cli.encode_matrix(np.array([[np.cosh(1.0)]])),
-             "q": cli.encode_matrix(np.array([[np.sinh(1.0)]])), "cutoff": 2}
+             "p": encode_matrix(np.array([[np.cosh(1.0)]])),
+             "q": encode_matrix(np.array([[np.sinh(1.0)]])), "cutoff": 2}
     path = write_model(tmp_path, "shale.json", model)
     out = tmp_path / "r.json"
     proc = subprocess.run([sys.executable, "-m", "fockforge.cli", "run", path, "--out", str(out)],

@@ -6,9 +6,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fockforge.fock import DIM_GUARD, CutoffError, FockSpace, dgamma, exp_law, gamma
+from fockforge.fock import (DIM_GUARD, CutoffError, FockSpace, _gamma_blocks, dgamma, exp_law,
+                            gamma)
 from fockforge.linalg import DENSE_BYTES_GUARD, _require_dense
-from fockforge.ops import squeezer
+from fockforge.ops import multi_create, squeezer
 
 
 def test_dimensions():
@@ -298,3 +299,143 @@ def test_sparse_core_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert sp.dim == 1771
     assert peak_create < 2e6 and peak_dgamma < 2e6
+
+
+# the routes that read a*_k from a column view or from its CSR arrays, kept as
+# references for the row tables of FockSpace.creation_rows
+def raising_creation(space, k):
+    """a*_k from its column view: basis vector i goes to weight[i] e_target[i],
+    with weight 0 where a*_k leaves the space (top sector, or mode k full)."""
+    occ = space.occupations
+    if space.is_fermi:
+        ok = occ[:, k] == 0
+        weight = (-1.0) ** occ[:, :k].sum(axis=1)
+    else:
+        ok = space.total_numbers < space.n_max
+        weight = np.sqrt(occ[:, k] + 1.0)
+    target = np.zeros(space.dim, dtype=np.int64)
+    target[ok] = space.indices(occ[ok] + np.eye(space.d, dtype=np.int64)[k])
+    weight = np.where(ok, weight, 0.0)
+    cols = np.flatnonzero(weight)
+    indptr = np.zeros(space.dim + 1, dtype=np.int64)
+    indptr[target[cols] + 1] = 1
+    return scipy.sparse.csr_array((weight[cols].astype(complex), cols, np.cumsum(indptr)),
+                                  shape=(space.dim, space.dim))
+
+
+def stored_csr(cols, vals):
+    stored = vals != 0
+    indptr = np.zeros(len(vals) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    return scipy.sparse.csr_array((vals[stored], cols[stored], indptr), shape=(len(vals),) * 2)
+
+
+def csr_ladder(space, u, v):
+    """a*(u) + a(v), each term read from the indptr, indices and data of a*_k."""
+    terms = ([(k, u[k], False) for k in np.flatnonzero(u)]
+             + [(k, np.conj(v[k]), True) for k in np.flatnonzero(v)[::-1]])
+    cols = np.zeros((space.dim, len(terms)), dtype=np.int64)
+    vals = np.zeros((space.dim, len(terms)), dtype=complex)
+    for j, (k, coeff, lowers) in enumerate(terms):
+        a = raising_creation(space, k)
+        filled = a.indptr[1:] != a.indptr[:-1]
+        if lowers:
+            cols[a.indices, j] = np.flatnonzero(filled)
+            vals[a.indices, j] = coeff * a.data
+        else:
+            cols[filled, j] = a.indices
+            vals[filled, j] = coeff * a.data
+    return stored_csr(cols, vals)
+
+
+def csr_pair_creator(space, c):
+    """a*(c) from lowering tables rebuilt out of the CSR arrays of a*_k."""
+    low = np.zeros((space.d, space.dim), dtype=np.int64)
+    weight = np.zeros((space.d, space.dim))
+    for k in range(space.d):
+        a = raising_creation(space, k)
+        filled = np.flatnonzero(np.diff(a.indptr))
+        low[k, filled] = a.indices
+        weight[k, filled] = a.data.real
+    vals = c[:, :, None] * weight[:, None, :] * weight[:, low].swapaxes(0, 1)
+    j, k = np.triu_indices(space.d)
+    pair = vals[j, k]
+    off = j != k
+    pair[off] += vals[k[off], j[off]]
+    return stored_csr(low[:, low].swapaxes(0, 1)[j, k].T, pair.T)
+
+
+def batched_gamma_blocks(space, p):
+    """The sector blocks of Gamma(p) for non-diagonal p, batched by (k, n) in a
+    loop over the basis states and read from the CSR arrays of a*_m."""
+    start = space.sector_start
+    batches = {}
+    for j, occ in enumerate(space.basis[1:], start=1):
+        k = next(m for m, nm in enumerate(occ) if nm)
+        parent = space.index[occ[:k] + (occ[k] - 1,) + occ[k + 1:]]
+        n = sum(occ)
+        cols, parents, norms = batches.setdefault((k, n), ([], [], []))
+        cols.append(j - start[n])
+        parents.append(parent - start[n - 1])
+        norms.append(math.sqrt(occ[k]))
+    creators = [raising_creation(space, m) for m in range(space.d)]
+    rows = [np.flatnonzero(np.diff(a.indptr)) for a in creators]
+    out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(start[:-1], start[1:])]
+    out[0][0, 0] = 1.0
+    for k in reversed(range(space.d)):
+        for n in range(1, space.n_max + 1):
+            if (k, n) not in batches:
+                continue
+            cols, parents, norms = batches[(k, n)]
+            block = np.zeros((start[n + 1] - start[n], start[n] - start[n - 1]), dtype=complex)
+            for m in np.flatnonzero(p[:, k]):
+                a = creators[m]
+                lo, hi = a.indptr[start[n]], a.indptr[start[n + 1]]
+                block[rows[m][lo:hi] - start[n], a.indices[lo:hi] - start[n - 1]] = \
+                    p[m, k] * a.data[lo:hi]
+            out[n][:, cols] = (block @ out[n - 1][:, parents]) / norms
+    return out
+
+
+ROW_TABLE_SPACES = ([("bose", d, n) for d in (1, 2, 3, 4) for n in (0, 1, 2, 5, 9)]
+                    + [("fermi", d, None) for d in range(1, 9)])
+
+
+def same_csr(got, want):
+    return (isinstance(got, scipy.sparse.csr_array) and np.array_equal(got.data, want.data)
+            and np.array_equal(got.indices, want.indices)
+            and np.array_equal(got.indptr, want.indptr))
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_row_table_builders_match_csr_routes_bit_for_bit(spec):
+    sp = FockSpace(*spec)
+    rng = np.random.default_rng(sp.dim + 100 * sp.d)
+    for k in range(sp.d):
+        assert same_csr(sp.creation(k), raising_creation(sp, k))
+    u, v = (rng.standard_normal(sp.d) + 1j * rng.standard_normal(sp.d) for _ in range(2))
+    u[0] = 0.0
+    zero = np.zeros(sp.d)
+    for x, y in ((u, v), (u, zero), (zero, v)):
+        assert same_csr(sp.ladder(x, y), csr_ladder(sp, x, y))
+    c = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
+    c = c - sp.sign * c.T
+    assert same_csr(multi_create(sp, c), csr_pair_creator(sp, c))
+    p = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
+    singular = p @ np.diag(np.arange(sp.d) > 0)
+    for m in (p, np.eye(sp.d)[rng.permutation(sp.d)][:, ::-1], singular):
+        if np.any(m - np.diag(np.diag(m))):
+            for got, want in zip(_gamma_blocks(sp, m), batched_gamma_blocks(sp, m), strict=True):
+                assert np.array_equal(got, want)
+
+
+def test_creation_rows_are_read_only():
+    sp = FockSpace("bose", 2, 3)
+    low, weight = sp.creation_rows(1)
+    assert sp.creation_rows(1)[0] is low
+    for table in (low, weight):
+        with pytest.raises(ValueError):
+            table[0] = 1
+    # row i holds weight[i] at column low[i]; rows with mode 1 empty hold nothing
+    assert np.array_equal(sp.creation(1).toarray()[np.arange(sp.dim), low], weight)
+    assert not np.any(weight[sp.occupations[:, 1] == 0])

@@ -23,6 +23,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fockforge import cli  # noqa: E402
+from test_cli import encode_matrix  # noqa: E402
 
 PAIR = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)
 # values of the wrong JSON type or shape for any field
@@ -47,14 +48,14 @@ def matrix(draw, n, shapes=tuple(SHAPES), scale=1.0, shift=0.0):
     """An encoded n x n matrix scale * S(m) + shift, m with entries in [-1.5, 1.5]."""
     m = np.array(draw(st.lists(PAIR, min_size=n * n, max_size=n * n)))
     m = (m[:, 0] + 1j * m[:, 1]).reshape(n, n)
-    return cli.encode_matrix(scale * SHAPES[draw(st.sampled_from(shapes))](m)
-                             + shift * np.eye(n))
+    return encode_matrix(scale * SHAPES[draw(st.sampled_from(shapes))](m)
+                         + shift * np.eye(n))
 
 
 def occupation(high):
     """A diagonal 1 x 1 .. 2 x 2 density-like matrix with entries in [0, high]."""
     return st.lists(st.floats(0.0, high), min_size=1, max_size=2).map(
-        lambda xs: cli.encode_matrix(np.diag(xs)))
+        lambda xs: encode_matrix(np.diag(xs)))
 
 
 STATISTICS = st.sampled_from(["bose", "fermi"])
