@@ -72,7 +72,7 @@ class FockSpace:
         # sector n occupies basis[sector_start[n]:sector_start[n + 1]]
         self.sector_start = np.searchsorted(self.total_numbers, np.arange(n_max + 2))
         self._creation = {}
-        self._rows = {}
+        self._rows = None
 
     def __repr__(self):
         return f"FockSpace({self.statistics}, d={self.d}, n_max={self.n_max}, dim={self.dim})"
@@ -106,27 +106,33 @@ class FockSpace:
             self._creation[k] = a
         return self._creation[k]
 
-    def creation_rows(self, k: int):
+    def creation_rows(self, k):
         """a*_k by index arithmetic, cached and read-only: row i holds weight[i]
-        at column low[i], the state with one quantum fewer in mode k.
+        at column low[i], the state with one quantum fewer in mode k.  An
+        integer array k stacks the tables of its modes.
 
         The weight is sqrt(n_k) for bosons and (-1)^(n_0 + ... + n_{k-1})
         for fermions; a row whose mode k is empty has weight 0 and low 0.
         Each row holds at most one entry, and removing a quantum preserves
-        the graded lexicographic order, so each column does too.
+        the graded lexicographic order, so each column does too.  The first
+        call builds the tables of every mode, and the table of a_k that
+        ladder reads: row low[i] holds weight[i] at column i.
         """
-        if k not in self._rows:
+        if self._rows is None:
             occ = self.occupations
-            filled = occ[:, k] > 0
-            low = np.zeros(self.dim, dtype=np.int64)
-            low[filled] = self.indices(occ[filled] - np.eye(self.d, dtype=np.int64)[k])
-            if self.is_fermi:
-                weight = np.where(filled, (-1.0) ** occ[:, :k].sum(axis=1), 0.0)
-            else:
-                weight = np.sqrt(occ[:, k])
-            low.flags.writeable = weight.flags.writeable = False
-            self._rows[k] = low, weight
-        return self._rows[k]
+            modes, filled = np.nonzero(occ.T)
+            low = np.zeros((self.d, self.dim), dtype=np.int64)
+            low[modes, filled] = self.indices(occ[filled] - np.eye(self.d, dtype=np.int64)[modes])
+            weight = (np.where(occ.T > 0, (-1.0) ** (np.cumsum(occ, axis=1) - occ).T, 0.0)
+                      if self.is_fermi else np.sqrt(occ.T))
+            high, raised = np.zeros_like(low), np.zeros_like(weight)
+            up = modes, low[modes, filled]
+            high[up], raised[up] = filled, weight[modes, filled]
+            self._tables = low, weight, high, raised
+            for table in self._tables:
+                table.flags.writeable = False
+            self._rows = list(zip(low, weight))
+        return self._rows[k] if np.ndim(k) == 0 else (self._tables[0][k], self._tables[1][k])
 
     def indices(self, occ) -> np.ndarray:
         """Basis indices of the occupation rows of occ."""
@@ -134,8 +140,8 @@ class FockSpace:
         return np.array([self.index[tuple(row)] for row in rows], dtype=np.int64)
 
     def annihilation(self, k: int) -> scipy.sparse.csr_array:
-        """a_k = (a*_k)*, as a CSR array."""
-        return self.creation(k).conj().T.tocsr()
+        """a_k = (a*_k)* = a(e_k), as a CSR array read from ladder's table of a_k."""
+        return self.annihilate(np.eye(self.d)[k])
 
     def create(self, w) -> scipy.sparse.csr_array:
         """a*(w) = sum_k w_k a*_k for a one-particle vector w, as a CSR array
@@ -149,28 +155,23 @@ class FockSpace:
     def ladder(self, u, v) -> scipy.sparse.csr_array:
         """a*(u) + a(v) for one-particle vectors u and v, as a CSR array.
 
-        Gathered from the row tables of creation_rows: row m takes one entry
+        One read of the row tables of creation_rows: row m takes one entry
         from each a*_k with u_k != 0, at the column of m - e_k, and one from
         each a_k with v_k != 0, at the column of m + e_k.  In the graded
         lexicographic basis m - e_k ascends with k, m + e_k descends, and
-        sector n - 1 precedes sector n + 1, so every row comes out with
-        sorted columns.
+        sector n - 1 precedes sector n + 1, so with the a_k in descending k
+        every row comes out with sorted columns.  Each entry is the product
+        coefficient * weight of a per-term scatter, so it is bit for bit.
         """
         u, v = (np.asarray(x, dtype=complex).reshape(-1) for x in (u, v))
         for x in (u, v):
             if x.shape[0] != self.d:
                 raise ValueError(f"vector length {x.shape[0]} != d = {self.d}")
-        terms = ([(k, u[k], False) for k in np.flatnonzero(u)]
-                 + [(k, np.conj(v[k]), True) for k in np.flatnonzero(v)[::-1]])
-        cols = np.zeros((self.dim, len(terms)), dtype=np.int64)
-        vals = np.zeros((self.dim, len(terms)), dtype=complex)
-        for j, (k, coeff, lowers) in enumerate(terms):
-            low, weight = self.creation_rows(k)
-            filled = np.flatnonzero(weight)
-            # a*_k gathers row m from low[m]; a_k scatters it back to row low[m]
-            rows, at = (low[filled], filled) if lowers else (filled, low[filled])
-            cols[rows, j] = at
-            vals[rows, j] = coeff * weight[filled]
+        ku, kv = np.flatnonzero(u), np.flatnonzero(v)[::-1]
+        low, weight = self.creation_rows(ku)
+        high, raised = self._tables[2:]
+        cols = np.concatenate([low, high[kv]]).T
+        vals = np.concatenate([u[ku, None] * weight, np.conj(v[kv, None]) * raised[kv]]).T
         return _rows_csr(cols, vals)
 
     def parity(self) -> np.ndarray:
@@ -219,54 +220,58 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
 
 def gamma(space: FockSpace, p) -> np.ndarray:
     """Multiplicative second quantization Gamma(p), dense: the direct sum of
-    the sector blocks of _gamma_blocks."""
+    the sector blocks of _gamma_blocks (for diagonal p, of their diagonals)."""
     _require_dense(space.dim)
+    blocks = _gamma_blocks(space, p)
+    if blocks[0].ndim == 1:
+        return np.diag(np.concatenate(blocks))
     out = np.zeros((space.dim, space.dim), dtype=complex)
-    for lo, hi, block in zip(space.sector_start, space.sector_start[1:], _gamma_blocks(space, p)):
+    for lo, hi, block in zip(space.sector_start, space.sector_start[1:], blocks):
         out[lo:hi, lo:hi] = block
     return out
 
 
 def _gamma_blocks(space: FockSpace, p) -> list:
     """The blocks of Gamma(p) on the sectors 0..n_max, which are all of it.
-    Diagonal p takes an exact product path.  Any other p, singular or not,
-    is built sector by sector from Gamma(p) Omega = Omega and Gamma(p) a*(w)
-    = a*(pw) Gamma(p): a basis state |n> whose lowest occupied mode is k
-    equals a*_k |parent> / sqrt(n_k), where the parent has one quantum fewer
-    in mode k (no occupied mode precedes k, so the fermionic sign is +1).
-    Its column is therefore the sector n-1 -> n block of a*(p e_k) applied
-    to the parent's column, divided by sqrt(n_k), one matrix product per
-    (sector, k) batch.  The parent and sqrt(n_k) are read from the row table
-    of a*_k, and the dense block sum_m p_mk a*_m is gathered from the
-    sector's rows of the tables of a*_m (FockSpace.creation_rows).
+    Diagonal p takes an exact product path and gives the blocks' diagonals,
+    slices of one vector.  Any other p, singular or not, is built sector by
+    sector from Gamma(p) Omega = Omega and Gamma(p) a*(w) = a*(pw) Gamma(p):
+    a basis state |n> whose lowest occupied mode is k equals a*_k |parent> /
+    sqrt(n_k), where the parent has one quantum fewer in mode k (no occupied
+    mode precedes k, so the fermionic sign is +1).  Its column is therefore
+    the sector n-1 -> n block of a*(p e_k) applied to the parent's column,
+    divided by sqrt(n_k).  A sector's entries of every a*_m are read once
+    from the stacked tables of FockSpace.creation_rows, and each k fills the
+    block sum_m p_mk a*_m in one assignment (m - e_m differs across m, so no
+    entries collide).  In the graded lexicographic basis the states whose
+    lowest mode is k form one run of a sector and their parents another, so
+    each k takes one product on slices, with the parents' slice made
+    contiguous so that it rounds as the gathered copy did.
     """
     p = require_square(np.asarray(p, dtype=complex))
     if p.shape[0] != space.d:
         raise ValueError(f"p is {p.shape}, expected {space.d}x{space.d}")
     start = space.sector_start
     if not np.any(p - np.diag(np.diag(p))):
-        diag = np.diag(p)
-        vals = np.array(
-            [math.prod(complex(diag[k]) ** nk for k, nk in enumerate(occ)) for occ in space.basis],
-            dtype=complex,
-        )
-        return [np.diag(vals[lo:hi]) for lo, hi in zip(start[:-1], start[1:])]
+        diag = np.diag(p).tolist()
+        vals = np.array([math.prod(map(pow, diag, occ)) for occ in space.basis], dtype=complex)
+        return [vals[lo:hi] for lo, hi in zip(start[:-1].tolist(), start[1:].tolist())]
     lowest = np.argmax(space.occupations > 0, axis=1)
-    rows = [space.creation_rows(m) for m in range(space.d)]
+    low, weight = space.creation_rows(np.arange(space.d))
     out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(start[:-1], start[1:])]
     out[0][0, 0] = 1.0
     # a parent lies in sector n - 1, so ascending n fills every parent first
     for n in range(1, space.n_max + 1):
         lo, hi, below = start[n], start[n + 1], start[n - 1]
-        for k in np.unique(lowest[lo:hi]):
-            cols = lo + np.flatnonzero(lowest[lo:hi] == k)
-            block = np.zeros((hi - lo, lo - below), dtype=complex)
-            for m in np.flatnonzero(p[:, k]):
-                low, weight = rows[m]
-                filled = lo + np.flatnonzero(weight[lo:hi])
-                block[filled - lo, low[filled] - below] = p[m, k] * weight[filled]
-            low, weight = rows[k]
-            out[n][:, cols - lo] = (block @ out[n - 1][:, low[cols] - below]) / weight[cols]
+        m, r = np.nonzero(weight[:, lo:hi])
+        w, c = weight[m, lo + r], low[m, lo + r] - below
+        block = np.zeros((hi - lo, lo - below), dtype=complex)
+        runs = lo + np.flatnonzero(np.diff(lowest[lo:hi], prepend=-1, append=-1))
+        for c0, c1 in zip(runs[:-1], runs[1:]):
+            k = lowest[c0]
+            block[r, c] = p[m, k] * w
+            parents = out[n - 1][:, low[k, c0] - below:low[k, c1 - 1] - below + 1]
+            out[n][:, c0 - lo:c1 - lo] = (block @ np.ascontiguousarray(parents)) / weight[k, c0:c1]
     return out
 
 

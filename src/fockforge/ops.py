@@ -108,7 +108,7 @@ def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
         raise ValueError("fermionic pair kernel must be antisymmetric" if space.is_fermi
                          else "bosonic pair kernel must be symmetric")
     # axes (k, r): a*_k reaches row r from column low[k, r] with weight[k, r]
-    low, weight = map(np.array, zip(*[space.creation_rows(k) for k in range(space.d)]))
+    low, weight = space.creation_rows(np.arange(space.d))
     # a*_j a*_k reaches row r from column low[k, low[j, r]]; axes (j, k, r)
     vals = c[:, :, None] * weight[:, None, :] * weight[:, low].swapaxes(0, 1)
     j, k = np.triu_indices(space.d)
@@ -161,7 +161,9 @@ def _apply_implementer(space: FockSpace, pref, a_left, g, a_right, t: float,
     # the lowering series ends on sector 0, or on hi's parity when the window is one sector
     lo, start = 0 if lo < hi else hi % 2, space.sector_start
     for n in range(lo, hi + 1):
-        y[start[n]:start[n + 1]] = g[n] @ y[start[n]:start[n + 1]]
+        # a diagonal m gives diagonals; they act as matrices, since a product rounds otherwise
+        block = g[n] if g[n].ndim == 2 else np.diag(g[n])
+        y[start[n]:start[n + 1]] = block @ y[start[n]:start[n + 1]]
     y = _exp_series(space, a_left, 2, y, t, None if window is None else (lo, hi))
     return np.multiply(pref, y, out=y)
 
@@ -176,7 +178,8 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
     the parity classes, so a group's even and odd columns share one identity.
     The series run on the group's sector windows: the lowering series of a
     group from sector n touches sectors n, n-2, ... only.  A space of one
-    group takes no slices.
+    group takes no slices.  A parity's rows are runs of whole sectors, so a
+    group's columns are copied out one row sector at a time.
     """
     _require_dense(space.dim)
     g = _gamma_blocks(space, m)
@@ -198,8 +201,10 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
             y[c, np.arange(len(c))] = 1.0
         y = _apply_implementer(space, pref, a_left, g, a_right, t, y,
                                None if len(groups) == 1 else (lo, hi))
-        for cls, c in zip(classes, cols):
-            out[np.ix_(cls, c)] = y[cls, :len(c)]
+        for parity, c in enumerate(cols):
+            for n in range(parity, space.n_max + 1, 2):
+                rows = slice(start[n], start[n + 1])
+                out[rows, c] = y[rows, :len(c)]
     return out
 
 

@@ -15,9 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fockforge import cli
+from fockforge.acceptance import car_defect, ccr_defect
+from fockforge.fock import FockSpace
+from fockforge.linalg import dense, window_norm
+from fockforge.ops import DoubledVector, euclidean_form, field
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -98,3 +103,40 @@ def test_suite_pass_flags_do_not_depend_on_thread_count(suite_runs, tmp_path):
         assert got["pass"] == want["pass"], name
         assert [c["pass"] for c in _checks(got)] == [c["pass"] for c in _checks(want)], name
         assert all(c["residual"] <= c["tolerance"] for c in _checks(got)), name
+
+
+def sparse_defects(space, rng, trials):
+    """car_defect (fermions) or ccr_defect (bosons) with the anticommutator or
+    commutator formed as a sparse product and densified, the reference for the
+    products against dense.  Returns the worst norm and, per trial, the
+    sparse-form defect with the same matrix formed against dense."""
+    d, diag, worst, pairs = space.d, np.diag_indices(space.dim), 0.0, []
+    keep = space.sector_mask(space.n_max - 1)
+    for _ in range(trials):
+        if space.is_fermi:
+            y1, y2 = (DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                      for _ in range(2))
+            a, b, shift = field(space, y1), field(space, y2), 2.0 * euclidean_form(y1, y2)
+            pair = dense(a @ b + b @ a), a @ dense(b) + b @ dense(a)
+        else:
+            w1, w2 = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+            a, b, shift = space.annihilate(w1), space.create(w2), np.vdot(w1, w2)
+            pair = dense(a @ b - b @ a), a @ dense(b) - b @ dense(a)
+        for defect in pair:
+            defect[diag] -= shift
+        pairs.append(pair)
+        norm = np.linalg.norm(pair[0], 2) if space.is_fermi else window_norm(pair[0], keep)
+        worst = max(worst, norm)
+    return worst, pairs
+
+
+@pytest.mark.parametrize("spec", [("fermi", 2, None), ("fermi", 4, None), ("fermi", 6, None),
+                                  ("bose", 1, 10), ("bose", 2, 8), ("bose", 3, 6)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_defects_against_dense_match_the_sparse_products_bit_for_bit(spec, seed):
+    space = FockSpace(*spec)
+    worst, pairs = sparse_defects(space, np.random.default_rng(seed), 3)
+    for sparse_form, dense_form in pairs:
+        assert np.array_equal(sparse_form, dense_form)
+    defect = car_defect if space.is_fermi else ccr_defect
+    assert defect(space, np.random.default_rng(seed), 3) == worst

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -512,3 +513,31 @@ def test_python_dash_m_runs_a_model(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
+
+
+def test_report_digest_against_a_doctored_digest(monkeypatch, tmp_path, capsys):
+    # the comparison only: the digests are fixed lines, so no suite runs
+    monkeypatch.setenv("FOCKFORGE_THREADS", "2")  # the tool pins it at import
+    spec = importlib.util.spec_from_file_location("report_digest",
+                                                  ROOT / "tools" / "report_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    reports = [("aa", "full/criterion-01.json", 0), ("bb", "full/criterion-08.json", 1),
+               ("cc", "run/model.json", 0), ("dd", "run/model.csv", 0)]
+    monkeypatch.setattr(tool, "digests", lambda out: iter(reports))
+    lines = [f"{digest}  {name}  {code}" for digest, name, code in reports]
+    saved = tmp_path / "saved.txt"
+    saved.write_text("\n".join(lines) + "\n")
+    assert tool.differences(lines, saved.read_text().splitlines()) == []
+    assert tool.main(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out == f"all 4 reports match {saved}\n"
+    # one digest changed, one exit code changed, one report missing, one extra
+    doctored = [lines[0].replace("aa", "ab"), lines[1][:-1] + "0", lines[3],
+                "ee  run/other.json  0"]
+    saved.write_text("\n".join(doctored) + "\n")
+    diff = tool.differences(lines, saved.read_text().splitlines())
+    assert diff == [f"now   {lines[0]}\nsaved {doctored[0]}",
+                    f"now   {lines[1]}\nsaved {doctored[1]}",
+                    f"now   {lines[2]}\nsaved (none)", f"now   (none)\nsaved {doctored[3]}"]
+    assert tool.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out == "\n".join(diff) + "\n"

@@ -439,3 +439,39 @@ def test_creation_rows_are_read_only():
     # row i holds weight[i] at column low[i]; rows with mode 1 empty hold nothing
     assert np.array_equal(sp.creation(1).toarray()[np.arange(sp.dim), low], weight)
     assert not np.any(weight[sp.occupations[:, 1] == 0])
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_annihilation_matches_the_transpose_route_bit_for_bit(spec):
+    sp = FockSpace(*spec)
+    for k in range(sp.d):
+        assert same_csr(sp.annihilation(k), raising_creation(sp, k).conj().T.tocsr())
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_lowest_mode_runs_and_their_parents_are_contiguous(spec):
+    # _gamma_blocks reads the states of each lowest mode k, and their parents
+    # (one quantum fewer in mode k), as column slices
+    sp = FockSpace(*spec)
+    lowest = np.argmax(sp.occupations > 0, axis=1)
+    for n in range(1, sp.n_max + 1):
+        lo, hi = sp.sector_start[n], sp.sector_start[n + 1]
+        for k in range(sp.d):
+            run = lo + np.flatnonzero(lowest[lo:hi] == k)
+            if len(run):
+                parents = sp.indices(sp.occupations[run] - np.eye(sp.d, dtype=np.int64)[k])
+                for ids in (run, parents):
+                    assert np.array_equal(ids, np.arange(ids[0], ids[-1] + 1))
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_diagonal_gamma_is_the_scalar_product_bit_for_bit(spec):
+    sp = FockSpace(*spec)
+    rng = np.random.default_rng(sp.dim + 100 * sp.d)
+    diag = rng.standard_normal(sp.d) + 1j * rng.standard_normal(sp.d)
+    want = np.array([math.prod(complex(diag[k]) ** nk for k, nk in enumerate(occ))
+                     for occ in sp.basis], dtype=complex)
+    blocks = _gamma_blocks(sp, np.diag(diag))
+    assert [len(b) for b in blocks] == np.diff(sp.sector_start).tolist()
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.array_equal(gamma(sp, np.diag(diag)), np.diag(want))

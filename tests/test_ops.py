@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from fockforge.fock import FockSpace
+from fockforge import bogolubov, ops
+from fockforge.fock import FockSpace, _gamma_blocks
 from fockforge.linalg import dense, sqrtm_psd
-from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
+from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_implementer,
+                           _apply_squeezer,
                            euclidean_form, field,
                            gaussian_normalization, gaussian_vector, jordan_wigner, multi_create,
                            pair_exponential_vacuum, q_operator, squeezer, symplectic_form, weyl)
@@ -277,6 +279,54 @@ def test_squeezer_peak_memory_is_near_its_output(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * r.nbytes
+
+
+def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
+    """ops._implementer_matrix with its columns scattered by one np.ix_ per
+    parity class, the reference for the scatter by row sector."""
+    g = _gamma_blocks(space, m)
+    start, groups, hi = space.sector_start, [], space.n_max
+    nnz = a_left.indptr + a_right.indptr
+    while hi >= 0:
+        lo = hi if nnz[start[hi + 1]] * start[hi + 1] > ops._GROUP_WORK else 0
+        while start[hi + 1] - start[lo] < start[lo]:
+            lo -= 1
+        groups.append((lo, hi))
+        hi = lo - 1
+    classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for lo, hi in groups:
+        cols = [cls[np.searchsorted(cls, start[lo]):np.searchsorted(cls, start[hi + 1])]
+                for cls in classes]
+        y = np.zeros((space.dim, max(map(len, cols))), dtype=complex)
+        for c in cols:
+            y[c, np.arange(len(c))] = 1.0
+        y = _apply_implementer(space, pref, a_left, g, a_right, t, y,
+                               None if len(groups) == 1 else (lo, hi))
+        for cls, c in zip(classes, cols):
+            out[np.ix_(cls, c)] = y[cls, :len(c)]
+    return out
+
+
+# the operator-build spaces, then small spaces of one and of several sectors per group
+IMPLEMENTER_SPACES = [("bose", 1, 32), ("bose", 2, 28), ("bose", 4, 10), ("fermi", 8, None),
+                      ("fermi", 2, None), ("fermi", 3, None), ("bose", 1, 20)]
+
+
+@pytest.mark.filterwarnings("ignore:cutoff:RuntimeWarning")
+@pytest.mark.parametrize("spec", IMPLEMENTER_SPACES)
+def test_implementers_match_the_ix_scatter_bit_for_bit(monkeypatch, spec):
+    space = FockSpace(*spec)
+    rng = np.random.default_rng(space.dim)
+    a = rng.standard_normal((space.d, space.d)) + 1j * rng.standard_normal((space.d, space.d))
+    c = 0.35 * (a - space.sign * a.T) / np.linalg.norm(a - space.sign * a.T, 2)
+    blocks = bogolubov.random_blocks(space.d, space.statistics, rng)
+    got = squeezer(space, c), bogolubov.shale_implementer(space, blocks)
+    monkeypatch.setattr(ops, "_implementer_matrix", ix_implementer_matrix)
+    monkeypatch.setattr(bogolubov, "_implementer_matrix", ix_implementer_matrix)
+    want = squeezer(space, c), bogolubov.shale_implementer(space, blocks)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("legs", [1, 3])

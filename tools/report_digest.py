@@ -5,9 +5,14 @@ Runs, through ``cli.main`` into a temporary directory, ``suite full``,
 CSV, and prints one ``sha256  report  exit-code`` line per report.  Two
 checkouts produce the same reports when their outputs are identical:
 
-    PYTHONPATH=src python tools/report_digest.py
+    PYTHONPATH=src python tools/report_digest.py > before.txt
+    PYTHONPATH=src python tools/report_digest.py --against before.txt
+
+With ``--against FILE`` it prints only the reports whose line differs from
+the saved digest FILE, or that only one side has, and exits 1 if any does.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -44,11 +49,30 @@ def digests(out: Path):
             yield hashlib.sha256(path.read_bytes()).hexdigest(), f"run/{path.name}", code
 
 
-def main() -> int:
+def differences(lines, saved) -> list:
+    """For each report whose digest line in lines differs from its line in
+    saved, or that only one of them has, its line now and its saved line;
+    in the order of lines, then of saved."""
+    ours, theirs = ({line.split()[1]: line for line in text if line.strip()}
+                    for text in (lines, saved))
+    return ([f"now   {line}\nsaved {theirs.get(name, '(none)')}"
+             for name, line in ours.items() if theirs.get(name) != line]
+            + [f"now   (none)\nsaved {line}" for name, line in theirs.items() if name not in ours])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="compare with a saved digest and print only the differences")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for digest, name, code in digests(Path(tmp)):
-            print(f"{digest}  {name}  {code}")
-    return 0
+        lines = [f"{digest}  {name}  {code}" for digest, name, code in digests(Path(tmp))]
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    diff = differences(lines, args.against.read_text().splitlines())
+    print("\n".join(diff) if diff else f"all {len(lines)} reports match {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
