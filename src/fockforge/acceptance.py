@@ -15,7 +15,7 @@ import scipy.linalg
 from .bogolubov import metaplectic_pair, positive_blocks_from_c, random_blocks, shale_implementer
 from .fock import BOSE, FERMI, FockSpace
 from .lattice import RealSubspace, fermionic_duality_check
-from .linalg import dense, window_norm
+from .linalg import _require_dense, dense, window_norm
 from .ops import DoubledVector, apply_doubled_matrix, euclidean_form, field, gaussian_vector
 from .paulifierz import confined_pf_check, spin_boson
 from .quasifree import aw_covariance, reconstruction_defect, reduce_covariance
@@ -41,7 +41,8 @@ def car_defect(space, rng, trials):
     """max ||{phi(y1), phi(y2)} - 2 Re<y1, y2>|| over random real points y1, y2.
     CSR times dense sums each entry over the same row nonzeros, in the same
     order, as CSR times CSR, so f1 @ dense(f2) + f2 @ dense(f1) is the dense
-    sparse anticommutator bit for bit, up to the sign of zeros."""
+    sparse anticommutator bit for bit, up to the sign of zeros; the budget comes first."""
+    _require_dense(space.dim)
     d = space.d
     diag = np.diag_indices(space.dim)
     worst = 0.0
@@ -57,7 +58,8 @@ def car_defect(space, rng, trials):
 
 def ccr_defect(space, rng, trials):
     """max ||[a(w1), a*(w2)] - (w1|w2)|| below the top sector over random w1, w2,
-    the commutator multiplied against dense, bit for bit as in car_defect."""
+    the commutator multiplied against dense, bit for bit and budget first as in car_defect."""
+    _require_dense(space.dim)
     d = space.d
     keep = space.sector_mask(space.n_max - 1)
     diag = np.diag_indices(space.dim)

@@ -71,6 +71,10 @@ class FockSpace:
         self.total_numbers = self.occupations.sum(axis=1)
         # sector n occupies basis[sector_start[n]:sector_start[n + 1]]
         self.sector_start = np.searchsorted(self.total_numbers, np.arange(n_max + 2))
+        # tails[i, r]: the occupation tuples of the d - 1 - i modes after mode i with total <= r
+        tails = [[math.comb(r + k, k) if statistics == BOSE else math.comb(k, r)
+                  for r in range(n_max + 1)] for k in range(d - 1, -1, -1)]
+        self._tails = np.array(tails) if statistics == BOSE else np.cumsum(tails, axis=1)
         self._creation = {}
         self._rows = None
 
@@ -135,9 +139,16 @@ class FockSpace:
         return self._rows[k] if np.ndim(k) == 0 else (self._tables[0][k], self._tables[1][k])
 
     def indices(self, occ) -> np.ndarray:
-        """Basis indices of the occupation rows of occ."""
-        rows = np.asarray(occ).tolist()
-        return np.array([self.index[tuple(row)] for row in rows], dtype=np.int64)
+        """Basis indices of the occupation rows of occ, states of this space.  A row
+        of total n sits at sector_start[n] plus, at each mode i, the states that
+        agree with it before i and hold fewer quanta at i, so more after it."""
+        occ = np.asarray(occ, dtype=np.int64).reshape(-1, self.d)
+        left = occ.sum(axis=1)  # the quanta in mode i and after it
+        rank = self.sector_start[left]
+        for tails, m in zip(self._tails, occ.T):
+            rank += tails[left] - tails[left - m]
+            left -= m
+        return rank
 
     def annihilation(self, k: int) -> scipy.sparse.csr_array:
         """a_k = (a*_k)* = a(e_k), as a CSR array read from ladder's table of a_k."""
@@ -295,7 +306,7 @@ def exp_law(space1: FockSpace, space2: FockSpace, target: FockSpace | None = Non
         raise CutoffError(
             f"target cutoff {target.n_max} < {space1.n_max} + {space2.n_max}")
     u = np.zeros((target.dim, space1.dim * space2.dim), dtype=complex)
-    for i1, occ1 in enumerate(space1.basis):
-        for i2, occ2 in enumerate(space2.basis):
-            u[target.index[occ1 + occ2], i1 * space2.dim + i2] = 1.0
+    occ = np.hstack([np.repeat(space1.occupations, space2.dim, axis=0),
+                     np.tile(space2.occupations, (space1.dim, 1))])
+    u[target.indices(occ), np.arange(len(occ))] = 1.0
     return u, target

@@ -19,6 +19,7 @@ from .fock import FockSpace, _gamma_blocks, _rows_csr
 from .linalg import _require_dense, expi_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
+_SLAB = 64  # columns of a group per pass, which bounds the working set beside the output
 PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_3 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -66,26 +67,32 @@ def weyl(space: FockSpace, y: DoubledVector) -> np.ndarray:
     return expi_herm(field(space, y))
 
 
-def _exp_series(space: FockSpace, a, step: int, x: np.ndarray, t: float,
-                window) -> np.ndarray:
-    """exp(t a) x in place of x for a pair creator (step 2) or annihilator
-    (step -2) a: the space ends at n_max, so n_max//2 Taylor terms are exact.
-    With window None each term is one product with all of a.  Otherwise x is
-    zero outside the sectors window = (lo, hi), each term lives on the window
-    before it moved by step, and only the slice of a between them acts."""
+def _exp_series(space: FockSpace, a, step: int, t: float, window):
+    """The map x -> exp(t a) x, in place of x, for a pair creator (step 2) or
+    annihilator (step -2) a: the space ends at n_max, so n_max//2 Taylor terms
+    are exact.  With window None each term is one product with all of a.
+    Otherwise x is zero outside the sectors window = (lo, hi), each term lives
+    on the window before it moved by step, and only the slice of a between
+    them acts; the slices are taken here, once for every x."""
     start = space.sector_start
-    rows = slice(None) if window is None else slice(start[window[0]], start[window[1] + 1])
-    term = x[rows]
-    for k in range(1, space.n_max // 2 + 1):
+    rows = first = slice(None) if window is None else slice(start[window[0]], start[window[1] + 1])
+    terms = []
+    for _ in range(space.n_max // 2):
         if window is not None:
             cols, window = rows, (max(window[0] + step, 0), min(window[1] + step, space.n_max))
             if window[0] > window[1]:
                 break
             rows = slice(start[window[0]], start[window[1] + 1])
-        term = (a if window is None else a[rows, cols]) @ term
-        term *= t / k
-        x[rows] += term
-    return x
+        terms.append((rows, a if window is None else a[rows, cols]))
+
+    def apply(x):
+        term = x[first]
+        for k, (rows, part) in enumerate(terms, 1):
+            term = part @ term
+            term *= t / k
+            x[rows] += term
+        return x
+    return apply
 
 
 def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
@@ -120,7 +127,7 @@ def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
 
 def pair_exponential_vacuum(space: FockSpace, c) -> np.ndarray:
     """exp(a*(c)/2) applied to the vacuum; the series is finite."""
-    return _exp_series(space, multi_create(space, c), 2, space.vacuum(), 0.5, None)
+    return _exp_series(space, multi_create(space, c), 2, 0.5, None)(space.vacuum())
 
 
 def gaussian_normalization(space: FockSpace, c) -> float:
@@ -146,30 +153,35 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
-def _apply_implementer(space: FockSpace, pref, a_left, g, a_right, t: float,
-                       x: np.ndarray, window) -> np.ndarray:
-    """pref exp(t a_left) Gamma(m) exp(-t a_right*) x in place of the complex x,
-    for pair creators a_left, a_right, g = _gamma_blocks(space, m) and the
-    window of _exp_series: the one route of squeezers and Shale implementers.
+def _implementer(space: FockSpace, pref, a_left, g, a_right, t: float, window):
+    """The map x -> pref exp(t a_left) Gamma(m) exp(-t a_right*) x, in place of a
+    complex x, for pair creators a_left, a_right, g = _gamma_blocks(space, m)
+    and the window of _exp_series: the one route of squeezers and Shale
+    implementers.  Both series take their slices here, once for every x.
     Gamma(m) keeps every sector, so it acts one block of g at a time.
     """
     # the arrays of a CSR a_right, read as CSC with conjugated data, are a_right*
     adjoint = scipy.sparse.csc_array((a_right.data.conj(), a_right.indices, a_right.indptr),
                                      shape=a_right.shape)
-    y = _exp_series(space, adjoint, -2, x, -t, window)
+    lowering = _exp_series(space, adjoint, -2, -t, window)
     lo, hi = (0, space.n_max) if window is None else window
     # the lowering series ends on sector 0, or on hi's parity when the window is one sector
     lo, start = 0 if lo < hi else hi % 2, space.sector_start
-    for n in range(lo, hi + 1):
-        # a diagonal m gives diagonals; they act as matrices, since a product rounds otherwise
-        block = g[n] if g[n].ndim == 2 else np.diag(g[n])
-        y[start[n]:start[n + 1]] = block @ y[start[n]:start[n + 1]]
-    y = _exp_series(space, a_left, 2, y, t, None if window is None else (lo, hi))
-    return np.multiply(pref, y, out=y)
+    raising = _exp_series(space, a_left, 2, t, None if window is None else (lo, hi))
+
+    def apply(x):
+        y = lowering(x)
+        for n in range(lo, hi + 1):
+            # a diagonal m gives diagonals; they act as matrices, since a product rounds otherwise
+            block = g[n] if g[n].ndim == 2 else np.diag(g[n])
+            y[start[n]:start[n + 1]] = block @ y[start[n]:start[n + 1]]
+        y = raising(y)
+        return np.multiply(pref, y, out=y)
+    return apply
 
 
 def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) -> np.ndarray:
-    """_apply_implementer on the identity, dense, one column group at a time.
+    """_implementer on the identity, dense, one column group at a time.
 
     A group is a run of whole sectors taken from the top sector down, closed
     once it holds as many basis vectors as the sectors below it.  The rest
@@ -180,8 +192,16 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
     group from sector n touches sectors n, n-2, ... only.  A space of one
     group takes no slices.  A parity's rows are runs of whole sectors, so a
     group's columns are copied out one row sector at a time.
+
+    A group runs in slabs of _SLAB shared columns, the last up to its end: a
+    slab's buffer and series terms are all that sits beside out, and every
+    slab reuses its group's window slices.  Slabs start at multiples of _SLAB
+    and none is a lone column (numpy takes that as a vector), so each product
+    sums every column as in the whole group, bit for bit.
     """
     _require_dense(space.dim)
+    # out first, so that it can take a freed heap run before the blocks and slabs split it
+    out = np.zeros((space.dim, space.dim), dtype=complex)
     g = _gamma_blocks(space, m)
     start, groups, hi = space.sector_start, [], space.n_max
     nnz = a_left.indptr + a_right.indptr  # nonzeros of both pair creators above each row
@@ -192,19 +212,24 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
         groups.append((lo, hi))
         hi = lo - 1
     classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
-    out = np.zeros((space.dim, space.dim), dtype=complex)
     for lo, hi in groups:
         cols = [cls[np.searchsorted(cls, start[lo]):np.searchsorted(cls, start[hi + 1])]
                 for cls in classes]
-        y = np.zeros((space.dim, max(map(len, cols))), dtype=complex)
-        for c in cols:
-            y[c, np.arange(len(c))] = 1.0
-        y = _apply_implementer(space, pref, a_left, g, a_right, t, y,
-                               None if len(groups) == 1 else (lo, hi))
-        for parity, c in enumerate(cols):
-            for n in range(parity, space.n_max + 1, 2):
-                rows = slice(start[n], start[n + 1])
-                out[rows, c] = y[rows, :len(c)]
+        apply = _implementer(space, pref, a_left, g, a_right, t,
+                             None if len(groups) == 1 else (lo, hi))
+        width = max(map(len, cols))
+        bounds = [*range(0, max(width - 1, 1), _SLAB), width]  # no slab is a lone column
+        for s, e in zip(bounds, bounds[1:]):
+            slab = [c[s:e] for c in cols]
+            y = np.zeros((space.dim, max(map(len, slab))), dtype=complex)
+            for c in slab:
+                y[c, np.arange(len(c))] = 1.0
+            y = apply(y)
+            for parity, c in enumerate(slab):
+                for n in range(parity, space.n_max + 1, 2):
+                    rows = slice(start[n], start[n + 1])
+                    out[rows, c] = y[rows, :len(c)]
+            del y
     return out
 
 
@@ -232,8 +257,8 @@ def squeezer(space: FockSpace, c) -> np.ndarray:
 def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
     """squeezer(space, c) @ x without forming the squeezer."""
     pref, ac, m = _squeezer_factors(space, c)
-    return _apply_implementer(space, pref, ac, _gamma_blocks(space, m), ac, -0.5,
-                              np.array(x, dtype=complex), None)
+    return _implementer(space, pref, ac, _gamma_blocks(space, m), ac, -0.5,
+                        None)(np.array(x, dtype=complex))
 
 
 def jordan_wigner(n: int):

@@ -77,7 +77,8 @@ def test_densify_census():
     # first; the other budget checks guard arrays that are allocated dense directly
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if ".toarray(" in p.read_text()] \
         == ["linalg.py"]
-    assert callers("_require_dense") == ["fock.gamma", "lattice.commutant", "linalg.dense",
+    assert callers("_require_dense") == ["acceptance.car_defect", "acceptance.ccr_defect",
+                                         "fock.gamma", "lattice.commutant", "linalg.dense",
                                          "ops._implementer_matrix"]
 
 

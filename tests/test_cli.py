@@ -143,6 +143,20 @@ def test_dense_byte_budget_exits_2(tmp_path, capsys, model):
     assert "over the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [{"task": "verify-car", "d": 14},
+                                   {"task": "verify-ccr", "d": 2, "cutoff": 200}])
+def test_verify_tasks_refuse_before_building_fields(tmp_path, capsys, monkeypatch, model):
+    # fermi d = 14 (dim 16384) and bose d = 2 at cutoff 200 (dim 20301) are over the
+    # byte budget, which car_defect and ccr_defect check before any operator exists
+    def built(*args):
+        raise AssertionError("an operator was built before the budget check")
+    monkeypatch.setattr(acceptance, "field", built)
+    monkeypatch.setattr(FockSpace, "ladder", built)
+    path = write_model(tmp_path, "big.json", {"schema_version": 1, **model})
+    assert cli.run(path, None, "json", seed=42) == 2
+    assert "over the budget" in capsys.readouterr().err
+
+
 # models at the largest sizes the schema and the guards accept, with the exit code each
 # must give: the commutant's starting basis at lattice d = 7 holds 128^4 complex entries
 # (4.3 GB), and a dense identity at dim 20301 or 16384 takes over 4 GB

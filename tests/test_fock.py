@@ -475,3 +475,25 @@ def test_diagonal_gamma_is_the_scalar_product_bit_for_bit(spec):
     assert [len(b) for b in blocks] == np.diff(sp.sector_start).tolist()
     assert np.array_equal(np.concatenate(blocks), want)
     assert np.array_equal(gamma(sp, np.diag(diag)), np.diag(want))
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES + [("fermi", 14, None)])
+def test_indices_rank_every_row_as_the_index_dict_does(spec):
+    sp = FockSpace(*spec)
+    assert np.array_equal(sp.indices(sp.occupations), np.arange(sp.dim))
+    rows = sp.occupations[np.random.default_rng(sp.dim).permutation(sp.dim)]
+    want = np.array([sp.index[tuple(row)] for row in rows.tolist()], dtype=np.int64)
+    got = sp.indices(rows)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("specs", [(("bose", 1, 3), ("bose", 2, 2)), (("fermi", 2, None),
+                                                                       ("fermi", 3, None))])
+def test_exp_law_matches_the_basis_double_loop(specs):
+    s1, s2 = (FockSpace(*spec) for spec in specs)
+    u, target = exp_law(s1, s2)
+    want = np.zeros_like(u)
+    for i1, occ1 in enumerate(s1.basis):
+        for i2, occ2 in enumerate(s2.basis):
+            want[target.index[occ1 + occ2], i1 * s2.dim + i2] = 1.0
+    assert np.array_equal(u, want)

@@ -7,8 +7,8 @@ import scipy.sparse
 from fockforge import bogolubov, ops
 from fockforge.fock import FockSpace, _gamma_blocks
 from fockforge.linalg import dense, sqrtm_psd
-from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_implementer,
-                           _apply_squeezer,
+from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
+                           _implementer,
                            euclidean_form, field,
                            gaussian_normalization, gaussian_vector, jordan_wigner, multi_create,
                            pair_exponential_vacuum, q_operator, squeezer, symplectic_form, weyl)
@@ -282,8 +282,9 @@ def test_squeezer_peak_memory_is_near_its_output(rng):
 
 
 def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
-    """ops._implementer_matrix with its columns scattered by one np.ix_ per
-    parity class, the reference for the scatter by row sector."""
+    """ops._implementer_matrix with each column group in one pass and its columns
+    scattered by one np.ix_ per parity class, the reference for the slabs and
+    for the scatter by row sector."""
     g = _gamma_blocks(space, m)
     start, groups, hi = space.sector_start, [], space.n_max
     nnz = a_left.indptr + a_right.indptr
@@ -301,16 +302,19 @@ def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
         y = np.zeros((space.dim, max(map(len, cols))), dtype=complex)
         for c in cols:
             y[c, np.arange(len(c))] = 1.0
-        y = _apply_implementer(space, pref, a_left, g, a_right, t, y,
-                               None if len(groups) == 1 else (lo, hi))
+        y = _implementer(space, pref, a_left, g, a_right, t,
+                         None if len(groups) == 1 else (lo, hi))(y)
         for cls, c in zip(classes, cols):
             out[np.ix_(cls, c)] = y[cls, :len(c)]
     return out
 
 
-# the operator-build spaces, then small spaces of one and of several sectors per group
+# the operator-build spaces, small spaces of one and of several sectors per group, a
+# space of three groups (157, 91 and 50 shared columns) and one whose widest group
+# (163 columns) ends in a slab of 35
 IMPLEMENTER_SPACES = [("bose", 1, 32), ("bose", 2, 28), ("bose", 4, 10), ("fermi", 8, None),
-                      ("fermi", 2, None), ("fermi", 3, None), ("bose", 1, 20)]
+                      ("fermi", 2, None), ("fermi", 3, None), ("bose", 1, 20), ("bose", 3, 12),
+                      ("fermi", 9, None)]
 
 
 @pytest.mark.filterwarnings("ignore:cutoff:RuntimeWarning")
@@ -327,6 +331,74 @@ def test_implementers_match_the_ix_scatter_bit_for_bit(monkeypatch, spec):
     want = squeezer(space, c), bogolubov.shale_implementer(space, blocks)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def slab_widths(monkeypatch):
+    """The column count of every pass of an ops._implementer map, as it runs."""
+    widths = []
+
+    def counted(*args):
+        apply = _implementer(*args)
+
+        def counted_apply(x):
+            widths.append(x.shape[1])
+            return apply(x)
+        return counted_apply
+    monkeypatch.setattr(ops, "_implementer", counted)
+    return widths
+
+
+def test_a_slab_that_would_be_a_lone_column_joins_the_slab_before(monkeypatch):
+    # at 16 columns a slab, the groups of 88 and 81 shared columns of bose d = 2 at
+    # cutoff 24 end in slabs of 8 and 17: the 81st column runs with the 16 before it
+    space = FockSpace("bose", 2, 24)
+    rng = np.random.default_rng(space.dim)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
+    pref, ac, m = ops._squeezer_factors(space, c)
+    want = ix_implementer_matrix(space, pref, ac, m, ac, -0.5)
+    monkeypatch.setattr(ops, "_SLAB", 16)
+    widths = slab_widths(monkeypatch)
+    assert np.array_equal(squeezer(space, c), want)
+    assert widths == [16] * 5 + [8] + [16] * 4 + [17]
+
+
+def test_a_group_slices_its_windows_once_however_many_slabs(monkeypatch):
+    # bose d = 3 at cutoff 12 forms groups of 157, 91 and 50 shared columns, which run
+    # in 3, 2 and 1 slabs and take the slices that one pass per group takes
+    space = FockSpace("bose", 3, 12)
+    a = np.arange(9, dtype=complex).reshape(3, 3) / 9
+    c = 0.3 * (a + a.T)
+    sliced = []
+    for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array):
+        def counted(self, key, getitem=cls.__getitem__):
+            sliced.append(key)
+            return getitem(self, key)
+        monkeypatch.setattr(cls, "__getitem__", counted)
+    widths = slab_widths(monkeypatch)
+    squeezer(space, c)
+    in_slabs = len(sliced)
+    assert widths == [64, 64, 29, 64, 27, 50]
+    sliced.clear()
+    monkeypatch.setattr(ops, "_SLAB", space.dim)
+    squeezer(space, c)
+    assert widths[6:] == [157, 91, 50] and len(sliced) == in_slabs > 0
+
+
+def test_squeezer_peak_memory_runs_in_slabs(rng):
+    # at bose d = 4, cutoff 10 the widest group holds 286 shared columns; in slabs of
+    # _SLAB columns the working set beside the output stays within half its size
+    space = FockSpace("bose", 4, 10)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
+    squeezer(space, c)  # fills the creation cache of space
+    tracemalloc.start()
+    try:
+        r = squeezer(space, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * r.nbytes
 
 
 @pytest.mark.parametrize("legs", [1, 3])
