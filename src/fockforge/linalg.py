@@ -107,10 +107,10 @@ def sqrtm_psd(a) -> np.ndarray:
     return s
 
 
-def expi_herm(a) -> np.ndarray:
-    """exp(i a) for a Hermitian matrix a, dense or sparse, through eigh."""
+def exp_herm(a, z) -> np.ndarray:
+    """exp(z a) for a Hermitian a, dense or sparse, and a complex z, through eigh (one triangle)."""
     w, v = np.linalg.eigh(dense(a))
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(z * w)) @ v.conj().T
 
 
 def polar_decompose(a):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import FockSpace, _gamma_blocks, _rows_csr
-from .linalg import _require_dense, expi_herm, require_square, sqrtm_psd
+from .linalg import _require_dense, exp_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
 _SLAB = 64  # columns of a group per pass, which bounds the working set beside the output
@@ -64,7 +64,7 @@ def weyl(space: FockSpace, y: DoubledVector) -> np.ndarray:
         raise ValueError("Weyl operators are defined on bosonic spaces")
     if np.max(np.abs(y.z1 - y.conj_pair())) > 1e-12:
         raise ValueError("Weyl operator needs a real doubled vector")
-    return expi_herm(field(space, y))
+    return exp_herm(field(space, y), 1j)
 
 
 def _exp_series(space: FockSpace, a, step: int, t: float, window):

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .fock import BOSE, FERMI, SIGN, FockSpace, _lambda_signs, dgamma, exp_law, gamma
-from .linalg import (_self_adjoint, dense, expi_herm, ordered_products, polar_decompose,
+from .linalg import (_self_adjoint, dense, exp_herm, ordered_products, polar_decompose,
                      require_square, sqrtm_psd, window_norm)
 from .ops import gaussian_vector, squeezer
 
@@ -126,8 +126,8 @@ class ThermalParams:
 
     @classmethod
     def gibbs(cls, kind: str, h, beta: float) -> "ThermalParams":
-        h = require_square(np.asarray(h, dtype=complex))
-        return cls(kind, scipy.linalg.expm(-beta * h), h=h)
+        h = _self_adjoint(h, "h")
+        return cls(kind, exp_herm(h, -beta), h=h)
 
 
 def _ladder_words(outer, inner, x, top: int) -> dict:
@@ -142,7 +142,7 @@ def _ladder_words(outer, inner, x, top: int) -> dict:
 
 def _doubled_generator(h) -> np.ndarray:
     """h (+) -conj h on C^{2d}: the one-particle generator of the standard Liouvillean."""
-    h = require_square(np.asarray(h, dtype=complex))
+    h = _self_adjoint(h, "h")
     return scipy.linalg.block_diag(h, -np.conj(h))
 
 
@@ -226,12 +226,12 @@ class DoubledRep:
     def weyl_left(self, z) -> np.ndarray:
         if self.kind != BOSE:
             raise ValueError("Weyl operators are bosonic")
-        return expi_herm(self.field_left(z))
+        return exp_herm(self.field_left(z), 1j)
 
     def weyl_right(self, z) -> np.ndarray:
         if self.kind != BOSE:
             raise ValueError("Weyl operators are bosonic")
-        return expi_herm(self.field_right(z))
+        return exp_herm(self.field_right(z), 1j)
 
     # -- modular structure ----------------------------------------------
 
@@ -431,7 +431,7 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float) -> float:
     The state is the doubled vacuum, the dynamics is generated by the
     standard Liouvillean L = dGamma(k) of h, k = h (+) -conj h, so
     tau^z(B) = Gamma(e^{izk}) B Gamma(e^{-izk}).  Gamma(p) fixes Omega, so
-    each side takes one 2d x 2d expm and one Gamma:
+    each side takes one 2d x 2d exponential, through eigh, and one Gamma:
     <Omega, A Gamma(e^{i(t+i beta)k}) B Omega> against
     <Omega, B Gamma(e^{-itk}) A Omega>.  The defect vanishes when the
     representation density is the Gibbs density exp(-beta h).  It is the
@@ -441,8 +441,8 @@ def kms_check(rep: DoubledRep, h, beta: float, a, b, t: float) -> float:
     """
     k = _doubled_generator(h)
     vac = rep.space.vacuum()
-    forward = gamma(rep.space, scipy.linalg.expm(1j * (t + 1j * beta) * k))
-    backward = gamma(rep.space, scipy.linalg.expm(-1j * t * k))
+    forward = gamma(rep.space, exp_herm(k, 1j * (t + 1j * beta)))
+    backward = gamma(rep.space, exp_herm(k, -1j * t))
     lhs = np.vdot(vac, a @ (forward @ (b @ vac)))
     rhs = np.vdot(vac, b @ (backward @ (a @ vac)))
     return _relative_defect(lhs, rhs)

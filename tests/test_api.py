@@ -3,7 +3,8 @@ is a knob that some caller must need, and every public name is one that a
 check runs or a test pins, so a new one shows up here.  docs/coverage.md
 maps each paper statement to its gate and must name only what exists, and
 each name in a tier-1-only row must appear in a test file the row names.
-Sparse operators are densified by one budget-checked route."""
+Sparse operators are densified by one budget-checked route, and every
+production exponential runs on numpy's BLAS, never on scipy's."""
 
 import ast
 import importlib
@@ -11,7 +12,13 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import scipy.linalg
+
 from fockforge import acceptance, cli
+from fockforge.fock import FockSpace
+from fockforge.ops import DoubledVector, squeezer, weyl
+from fockforge.thermal import DoubledRep, ThermalParams, kms_check
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
@@ -80,6 +87,39 @@ def test_densify_census():
     assert callers("_require_dense") == ["acceptance.car_defect", "acceptance.ccr_defect",
                                          "fock.gamma", "lattice.commutant", "linalg.dense",
                                          "ops._implementer_matrix"]
+
+
+def test_one_blas_runtime_census():
+    # scipy ships a second OpenBLAS whose thread pool, once woken, slows numpy's kernels;
+    # only the two checks whose point is an algorithm independent of eigh call expm,
+    # and block_diag is pure numpy
+    assert callers("expm") == ["acceptance.criterion_kms", "acceptance.criterion_modular"]
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "scipy.linalg" and not (
+                    node.module == "scipy" and "linalg" in [a.name for a in node.names]), path
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) \
+                    and ast.unparse(node.value) == "scipy.linalg":
+                used.add(node.attr)
+    assert used == {"block_diag", "expm"}
+
+
+def test_production_exponentials_need_no_scipy_expm(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production code must not call scipy.linalg.expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    c = np.array([[0.0, 0.3], [0.3, 0.0]], dtype=complex)
+    assert squeezer(FockSpace("bose", 2, 6), c).shape == (28, 28)
+    h = np.array([[1.0, 0.2], [0.2, 0.7]], dtype=complex)
+    rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
+    e0 = np.eye(2)[0]
+    assert kms_check(rep, h, 1.0, rep.annihilate_left(e0), rep.create_left(e0), t=0.3) <= 1e-12
+    y = DoubledVector.real_point(np.array([0.2 + 0.1j]))
+    w = weyl(FockSpace("bose", 1, 8), y)
+    assert np.linalg.norm(w @ w.conj().T - np.eye(9), 2) <= 1e-12
 
 
 def test_creation_rows_census():

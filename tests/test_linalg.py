@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fockforge.linalg import (NonSquareError, ordered_products, polar_decompose, require_square,
-                             sqrtm_psd)
+from fockforge import cli, ops
+from fockforge.linalg import (NonSquareError, dense, exp_herm, ordered_products, polar_decompose,
+                             require_square, sqrtm_psd)
+from fockforge.thermal import ThermalParams
 
 
 def test_require_square_rejects_non_square():
@@ -57,3 +60,46 @@ def test_sqrtm_psd():
     assert np.linalg.norm(s @ s - p, 2) <= 1e-10 * np.linalg.norm(p, 2)
     with pytest.raises(ValueError):
         sqrtm_psd(np.diag([1.0, -1.0]))
+
+
+def expi_herm(a) -> np.ndarray:
+    """exp(i a) through eigh: the route of linalg.expi_herm at 4c56e7e, kept as an oracle."""
+    w, v = np.linalg.eigh(dense(a))
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("model", [{}, {"d": 2, "cutoff": 8}])
+def test_exp_herm_keeps_the_weyl_operators_of_verify_ccr_bit_for_bit(monkeypatch, model):
+    calls = []
+
+    def recorded(a, z):
+        calls.append((a, z, exp_herm(a, z)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ops, "exp_herm", recorded)
+    cli.task_verify_ccr(model, np.random.default_rng(42))
+    assert len(calls) == 3
+    for a, z, out in calls:
+        assert z == 1j
+        assert np.array_equal(out, expi_herm(a))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_exp_herm_matches_pade_expm(dim):
+    rng = np.random.default_rng(20 + dim)
+    beta, t = 1.7, 0.3
+    for _ in range(5):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = (m + m.conj().T) / 2
+        for z in (-beta, 1j * (t + 1j * beta), -1j * t):
+            ref = scipy.linalg.expm(z * a)
+            assert np.linalg.norm(exp_herm(a, z) - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+
+
+def test_gibbs_rejects_a_non_hermitian_h_before_any_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gibbs must check h before eigh reads one triangle of it")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        ThermalParams.gibbs("fermi", [[1.0, 0.5], [0.0, 1.2]], 1.0)

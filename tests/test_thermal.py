@@ -306,31 +306,38 @@ def test_kms_mismatch_fails_at_large_beta():
 
 
 def test_kms_check_exponentiates_only_the_one_particle_generator(monkeypatch):
-    eigh_calls, expm_calls = [], []
-    eigh, expm = np.linalg.eigh, scipy.linalg.expm
+    eigh_calls = []
+    eigh = np.linalg.eigh
 
     def counted_eigh(a, *args, **kwargs):
         eigh_calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    def counted_expm(a, *args, **kwargs):
-        expm_calls.append(np.shape(a))
-        return expm(a, *args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kms_check must not call scipy.linalg.expm")
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
     for kind, h, cutoff in (("fermi", np.array([[1.0, 0.2], [0.2, 0.6]]), None),
                             ("bose", np.array([[1.0]]), 6)):
         d = h.shape[0]
         rep = DoubledRep(ThermalParams.gibbs(kind, h, 1.0), single_cutoff=cutoff)
         a_op = rep.annihilate_left(np.eye(d)[0])
         b_op = rep.create_left(np.eye(d)[0])
-        # DoubledRep itself calls eigh (sqrtm_psd) and expm (gibbs)
+        # ThermalParams.gibbs (exp_herm) and DoubledRep (sqrtm_psd) call eigh themselves
         eigh_calls.clear()
-        expm_calls.clear()
         kms_check(rep, h, 1.0, a_op, b_op, t=0.3)
-        assert eigh_calls == []
-        assert expm_calls == [(2 * d, 2 * d)] * 2
+        assert eigh_calls == [(2 * d, 2 * d)] * 2
+
+
+def test_kms_check_rejects_a_non_hermitian_h():
+    # eigh reads one triangle of k = h (+) -conj h, so an h that is not self-adjoint
+    # must be refused, not silently exponentiated as a different matrix
+    rep = DoubledRep(ThermalParams.gibbs("fermi", np.eye(2), 1.0))
+    e0 = np.eye(2)[0]
+    with pytest.raises(ValueError, match="self-adjoint"):
+        kms_check(rep, [[1.0, 0.5], [0.0, 1.0]], 1.0, rep.annihilate_left(e0),
+                  rep.create_left(e0), t=0.3)
 
 
 def test_kms_density_oracle(rng):
