@@ -22,10 +22,6 @@ from .quasifree import aw_covariance, reconstruction_defect, reduce_covariance
 from .thermal import DoubledRep, ThermalParams, confined_gibbs, kms_check
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def _report(name, residual, tolerance, extras=None, passed=None):
     """The one check-report dict.  A check with several gates passes its combined
     flag as passed; otherwise it passes when residual <= tolerance."""
@@ -80,6 +76,14 @@ def intertwining_defect(space, blocks, u, y):
     return lhs - field(space, apply_doubled_matrix(blocks.matrix(), y))
 
 
+def _composition_defect(space, r1, r2, keep):
+    """min over the sign of ||(U(r1) U(r2) -+ U(r1 r2)) P||, U the metaplectic
+    implementer and P the coordinate projector onto the columns keep."""
+    (u1, _), (u2, _), (u12, _) = (metaplectic_pair(space, r) for r in (r1, r2, r1.compose(r2)))
+    prod = u1 @ u2
+    return min(np.linalg.norm((prod - u12)[:, keep], 2), np.linalg.norm((prod + u12)[:, keep], 2))
+
+
 def kernel_defect(space, c, om, z):
     """The vector (a(z) + s a*(c zbar)) om for the statistics sign s; it vanishes
     when om is the Gaussian vector of kernel c."""
@@ -132,14 +136,14 @@ def duality_defect(space, rng):
 
 def criterion_car_exactness(seed):
     """CAR anticommutators are exact for random dimensions and vectors."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = max(car_defect(FockSpace("fermi", d), rng, 34) for d in (2, 4, 6))
     return _report("car-exactness", worst, 1e-12)
 
 
 def criterion_ccr_truncation(seed):
     """[a(w1), a*(w2)] - (w1|w2) vanishes exactly below the top sector."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = max(ccr_defect(FockSpace("bose", d, cutoff), rng, 10)
                 for d, cutoff in ((1, 10), (2, 8), (3, 6)))
     return _report("ccr-truncation", worst, 1e-12)
@@ -147,7 +151,7 @@ def criterion_ccr_truncation(seed):
 
 def criterion_trace_identities(seed):
     """Tr Gamma(gamma) against the closed determinant formulas."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst_fermi = 0.0
     for d in (2, 3, 4):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -177,7 +181,7 @@ def criterion_trace_identities(seed):
 
 def criterion_implementers(seed):
     """Shale/Pin intertwining and the metaplectic composition sign."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst_fermi = 0.0
     for d in (2, 3):
         space = FockSpace("fermi", d)
@@ -196,28 +200,15 @@ def criterion_implementers(seed):
         y = DoubledVector.real_point(np.array([1.0 + 0.3j]))
         defect = intertwining_defect(space_b, blocks, u, y)
         worst_bose = max(worst_bose, window_norm(defect, keep))
-    # composition sign of the two-valued implementer
+    # composition sign of the two-valued implementer; the fermionic check keeps every column
     space_f = FockSpace("fermi", 3)
-    worst_comp_f = 0.0
-    for _ in range(5):
-        r1 = random_blocks(3, FERMI, rng)
-        r2 = random_blocks(3, FERMI, rng)
-        u1, _ = metaplectic_pair(space_f, r1)
-        u2, _ = metaplectic_pair(space_f, r2)
-        u12, _ = metaplectic_pair(space_f, r1.compose(r2))
-        prod = u1 @ u2
-        worst_comp_f = max(worst_comp_f, min(np.linalg.norm(prod - u12, 2),
-                                             np.linalg.norm(prod + u12, 2)))
+    worst_comp_f = max(_composition_defect(space_f, random_blocks(3, FERMI, rng),
+                                           random_blocks(3, FERMI, rng), space_f.sector_mask(3))
+                       for _ in range(5))
     space_big = FockSpace("bose", 1, 32)
-    keep_big = space_big.sector_mask(2)
     r1 = positive_blocks_from_c(np.array([[np.tanh(0.25)]], dtype=complex), BOSE)
     r2 = positive_blocks_from_c(np.array([[-np.tanh(0.2)]], dtype=complex), BOSE)
-    u1, _ = metaplectic_pair(space_big, r1)
-    u2, _ = metaplectic_pair(space_big, r2)
-    u12, _ = metaplectic_pair(space_big, r1.compose(r2))
-    prod = u1 @ u2
-    comp_b = min(np.linalg.norm((prod - u12)[:, keep_big], 2),
-                 np.linalg.norm((prod + u12)[:, keep_big], 2))
+    comp_b = _composition_defect(space_big, r1, r2, space_big.sector_mask(2))
     extras = {"fermi_intertwining": worst_fermi, "bose_intertwining": worst_bose,
               "fermi_composition": worst_comp_f, "bose_composition": comp_b}
     passed = (worst_fermi <= 1e-10 and worst_bose <= 1e-7
@@ -227,7 +218,7 @@ def criterion_implementers(seed):
 
 def criterion_gaussian_kernels(seed):
     """(a(z) + s a*(c zbar)) Omega_c residuals for random kernels, s the statistics sign."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst_fermi = 0.0
     for _ in range(20):
         d = int(rng.integers(2, 5))
@@ -252,7 +243,7 @@ def criterion_gaussian_kernels(seed):
 
 def criterion_two_point(seed):
     """Thermal two-point functions against the closed forms."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = {"fermi": 0.0, "bose": 0.0}
     h = np.array([[1.0, 0.2], [0.2, 1.5]], dtype=complex)
     for beta in (0.5, 1.0, 2.0):
@@ -283,7 +274,7 @@ def criterion_modular(seed):
                    np.linalg.norm(j_lin - j.unitary, 2)]
         reps[kind] = rep, j, delta
     rep_f, j_f, _ = reps[FERMI]
-    res_conj = conjugation_defect(rep_f, j_f, _rng(seed), 5)
+    res_conj = conjugation_defect(rep_f, j_f, np.random.default_rng(seed), 5)
     rep_b, _, delta_b = reps[BOSE]
     ell = rep_b.standard_liouvillean(rep_b.params.h)
     res_exp = (np.linalg.norm(delta_b - scipy.linalg.expm(-dense(ell)), 2)
@@ -297,7 +288,7 @@ def criterion_modular(seed):
 
 def criterion_kms(seed):
     """KMS boundary defect, matched and deliberately mismatched."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     results = {}
     for kind, cutoff in (("fermi", None), ("bose", 6)):
         h = np.array([[1.0, 0.2], [0.2, 0.7]], dtype=complex) if kind == "fermi" \
@@ -323,7 +314,7 @@ def criterion_kms(seed):
 
 def criterion_lattice_duality(seed):
     """Fermionic duality between the commutant and the dressed complement."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     space = FockSpace("fermi", 2)
     worst = max(duality_defect(space, rng) for _ in range(10))
     return _report("fermionic-duality", worst, 1e-8)
@@ -345,7 +336,7 @@ def criterion_confined_pf(seed):
 
 def criterion_quasifree_reduction(seed):
     """Covariance reduction reproduces the density and the two-point form."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     rho = a @ a.conj().T / 2
     cov = aw_covariance(rho)

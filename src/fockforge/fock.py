@@ -8,7 +8,9 @@ occupation tuple within each grade, vacuum first.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 import scipy.sparse
@@ -16,23 +18,13 @@ import scipy.sparse
 from .linalg import CutoffError, _require_dense, require_square
 
 DIM_GUARD = 10**6
+_TABLE_GUARD = 2**24  # entries of the occupation table, dim x d
 
 BOSE = "bose"
 FERMI = "fermi"
 # the statistics sign s of p*p + s q#qbar = 1, det(1 + s cc*), gamma (1 + s gamma)^{-1}
 # and their kin: every bose/fermi construction is written once in terms of it
 SIGN = {BOSE: -1.0, FERMI: 1.0}
-
-
-def _occupations(d, total, cap):
-    # lexicographically ascending tuples of length d summing to total
-    if d == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    for first in range(0, min(total, cap) + 1):
-        for rest in _occupations(d - 1, total - first, cap):
-            yield (first,) + rest
 
 
 class FockSpace:
@@ -58,16 +50,24 @@ class FockSpace:
             dim = math.comb(n_max + d, d)
         if dim > DIM_GUARD:
             raise CutoffError(f"Fock dimension {dim} exceeds guard {DIM_GUARD}")
+        if dim * d > _TABLE_GUARD:
+            raise CutoffError(f"occupation table of {dim} states x {d} modes is over the budget")
 
-        cap = 1 if statistics == FERMI else n_max
-        basis = []
-        for n in range(n_max + 1):
-            basis.extend(_occupations(d, n, cap))
+        # Python's sort is stable, so sorting a lexicographic enumeration by total grades it.
+        # A bosonic state is the differences of its partial sums c_1 <= ... <= c_d = total,
+        # and those ascend lexicographically as the states do.
+        if statistics == FERMI:
+            basis = sorted(itertools.product((0, 1), repeat=d), key=sum)
+            self.occupations = np.array(basis, dtype=np.int64)
+        else:
+            sums = itertools.combinations_with_replacement(range(n_max + 1), d)
+            self.occupations = np.array(sorted(sums, key=operator.itemgetter(-1)), dtype=np.int64)
+            self.occupations[:, 1:] -= self.occupations[:, :-1]  # ufuncs resolve the overlap
+            basis = list(map(tuple, self.occupations.tolist()))
         self.basis = basis
         self.index = {occ: i for i, occ in enumerate(basis)}
         self.dim = len(basis)
         assert self.dim == dim
-        self.occupations = np.array(basis, dtype=np.int64)
         self.total_numbers = self.occupations.sum(axis=1)
         # sector n occupies basis[sector_start[n]:sector_start[n + 1]]
         self.sector_start = np.searchsorted(self.total_numbers, np.arange(n_max + 2))

@@ -26,15 +26,6 @@ class CutoffError(ValueError):
     pass
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    return m
-
-
 def _require_dense(dim: int):
     """Raise CutoffError if a dense dim x dim complex operator would exceed DENSE_BYTES_GUARD."""
     nbytes = dim**2 * np.dtype(complex).itemsize
@@ -67,7 +58,12 @@ def ordered_products(gens, x) -> list:
 
 
 def require_square(a) -> np.ndarray:
-    m = as_matrix(a)
+    """a as a square matrix; a scalar is 1 x 1."""
+    m = np.asarray(a)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {m.shape}")
     return m

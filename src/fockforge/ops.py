@@ -308,13 +308,6 @@ def q_operator(space: FockSpace, ys) -> np.ndarray:
     return q
 
 
-def bogolubov_matrix_on_doubled(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """[[p, q], [conj q, conj p]] acting on doubled coordinates (z1, z2bar)."""
-    top = np.hstack([p, q])
-    bot = np.hstack([q.conj(), p.conj()])
-    return np.vstack([top, bot])
-
-
 def apply_doubled_matrix(r: np.ndarray, y: DoubledVector) -> DoubledVector:
     d = r.shape[0] // 2
     coords = np.concatenate([y.z1, y.z2bar])

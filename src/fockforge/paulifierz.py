@@ -213,7 +213,7 @@ def difference_targets(model: PauliFierzModel) -> list:
     return _semi_targets(model, _reference_levels(model))
 
 
-def _labelled_states(model: PauliFierzModel, cutoff: int, n_levels: int, n_right: int):
+def _labelled_states(model: PauliFierzModel, cutoff: int):
     """Product states that label the targets of both families at one cutoff.
 
     With psi_i the eigenvectors of H at the comparison cutoff (twice the
@@ -231,14 +231,14 @@ def _labelled_states(model: PauliFierzModel, cutoff: int, n_levels: int, n_right
     occ = space_w.occupations
     n_idx, m_idx = space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
     _, vecs = np.linalg.eigh(_real_if_exact(ham))
-    psi = np.zeros((vecs.shape[0], n_levels), dtype=vecs.dtype)  # levels past the truncation: 0
-    psi[:, :min(n_levels, vecs.shape[1])] = vecs[:, :n_levels]
-    psi = psi.reshape(k, space_z.dim, n_levels)
+    psi = np.zeros((vecs.shape[0], N_LEVELS), dtype=vecs.dtype)  # levels past the truncation: 0
+    psi[:, :min(N_LEVELS, vecs.shape[1])] = vecs[:, :N_LEVELS]
+    psi = psi.reshape(k, space_z.dim, N_LEVELS)
     w, u = np.linalg.eigh(np.conj(model.h))
     raise_low = space_z.create(u[:, np.argmin(w)])
-    chi = np.empty((space_z.dim, n_right + 1), dtype=complex)
+    chi = np.empty((space_z.dim, N_RIGHT + 1), dtype=complex)
     chi[:, 0] = space_z.vacuum()
-    for j in range(1, n_right + 1):
+    for j in range(1, N_RIGHT + 1):
         chi[:, j] = raise_low @ chi[:, j - 1] / np.sqrt(j)
     chi = _real_if_exact(chi)
     semi = np.einsum("kti,tj->ktij", psi[:, n_idx, :], chi[m_idx, :])
@@ -633,10 +633,9 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     targets_semi = _semi_targets(model, levels)
     targets_std = [(f"E{i}-E{j}", float(levels[i] - levels[j]))
                    for i in range(N_LEVELS) for j in range(N_LEVELS)]
-    report = {"cutoffs": list(cutoffs), "semi": [], "standard": [],
-              "semi_detail": [], "standard_detail": []}
+    report = {"semi": [], "standard": [], "semi_detail": [], "standard_detail": []}
     for n in cutoffs:
-        states_semi, states_std = _labelled_states(model, n, N_LEVELS, N_RIGHT)
+        states_semi, states_std = _labelled_states(model, n)
         families = (("semi", semi_liouvillean, None, targets_semi, states_semi),
                     ("standard", standard_liouvillean, _modular_mirror, targets_std, states_std))
         for family, liouvillean, mirror, targets, states in families:

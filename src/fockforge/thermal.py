@@ -309,17 +309,14 @@ class DoubledRep:
 
     # -- confined-gas identifications ------------------------------------
 
-    def pair_kernel(self) -> np.ndarray:
-        return pair_kernel(self.params.gamma, self.kind)
-
     def omega_vector(self) -> np.ndarray:
         """Standard vector representative of the Gibbs state: the Gaussian
         vector of the pair kernel."""
-        return gaussian_vector(self.space, self.pair_kernel())
+        return gaussian_vector(self.space, pair_kernel(self.params.gamma, self.kind))
 
     def r_gamma(self) -> np.ndarray:
         """The dressing unitary mapping omega_vector back to the vacuum."""
-        return squeezer(self.space, self.pair_kernel())
+        return squeezer(self.space, pair_kernel(self.params.gamma, self.kind))
 
     def pair_embedding(self):
         """Isometry from Gamma(Z) (x) Gamma(Zbar) box into the doubled space."""

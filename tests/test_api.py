@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 182
+MAX_PUBLIC = 179
 
 
 def defaulted_parameters():

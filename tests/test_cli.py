@@ -19,7 +19,8 @@ SCHEMA = ROOT / "docs" / "schema.json"
 
 def encode_matrix(mat):
     """A complex matrix as the nested [re, im] lists that decode_matrix reads."""
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat, dtype=complex)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def write_model(tmp_path, name, payload):
@@ -159,8 +160,13 @@ def test_verify_tasks_refuse_before_building_fields(tmp_path, capsys, monkeypatc
 
 # models at the largest sizes the schema and the guards accept, with the exit code each
 # must give: the commutant's starting basis at lattice d = 7 holds 128^4 complex entries
-# (4.3 GB), and a dense identity at dim 20301 or 16384 takes over 4 GB
+# (4.3 GB), a dense identity at dim 20301 or 16384 takes over 4 GB, and the doubled space
+# of 520 thermal modes (dim 542361 on 1040 modes) would need a 4.5 GB occupation table;
+# 1100 modes at cutoff 0 are past Python's recursion limit, so no builder may recurse per mode
 LARGE_MODELS = {
+    "verify-ccr-d1100": ({"task": "verify-ccr", "d": 1100, "cutoff": 0}, 1),
+    "thermal-520-modes": ({"task": "thermal", "statistics": "bose",
+                           "gamma": encode_matrix(0.3 * np.eye(520)), "single_cutoff": 1}, 2),
     "lattice-d4": ({"task": "lattice", "d": 4, "subspaces": 2}, 0),
     "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2),
     "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2),
@@ -201,7 +207,7 @@ def test_large_models_run_or_exit_2_under_a_3_gib_cap(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = dict(zip(LARGE_MODELS, json.loads(proc.stdout)))
     assert codes == {name: code for name, (_, code) in LARGE_MODELS.items()}, proc.stderr
-    assert proc.stderr.count("over the budget") == 7, proc.stderr
+    assert proc.stderr.count("over the budget") == 8, proc.stderr
 
 
 def test_csv_format(tmp_path):

@@ -27,6 +27,41 @@ def test_basis_is_graded_then_lexicographic():
     assert totals == sorted(totals)
 
 
+def recursive_occupations(d, total, cap):
+    """The basis builder of 83d3e28, one recursion level per mode: lexicographically
+    ascending tuples of length d summing to total, each entry at most cap."""
+    if d == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(0, min(total, cap) + 1):
+        for rest in recursive_occupations(d - 1, total - first, cap):
+            yield (first,) + rest
+
+
+def test_basis_matches_the_recursive_builder():
+    grid = [("fermi", d, d, 1) for d in range(1, 15)]
+    grid += [("bose", d, n, n) for d in range(1, 5) for n in range(11)]
+    for statistics, d, n_max, cap in grid:
+        want = [occ for n in range(n_max + 1) for occ in recursive_occupations(d, n, cap)]
+        space = FockSpace(statistics, d, n_max)
+        assert space.basis == want, (statistics, d, n_max)
+        assert np.array_equal(space.occupations, np.array(want, dtype=np.int64))
+        assert space.occupations.dtype == np.int64
+
+
+def test_many_modes_build_and_the_occupation_table_budget_refuses_first():
+    # more modes than Python's recursion limit allows levels
+    space = FockSpace("bose", 1500, 1)
+    assert space.dim == 1501 and not space.occupations[0].any()
+    assert np.array_equal(space.occupations[1:], np.eye(1500, dtype=np.int64)[::-1])
+    assert space.index[(1,) + (0,) * 1499] == 1500
+    # dim 888030 passes DIM_GUARD, but its table of dim x 20 entries does not
+    assert math.comb(27, 7) <= DIM_GUARD
+    with pytest.raises(CutoffError, match="occupation table .* over the budget"):
+        FockSpace("bose", 20, 7)
+
+
 def test_dimension_guard():
     with pytest.raises(CutoffError):
         FockSpace("bose", 6, 40)

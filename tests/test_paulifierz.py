@@ -488,7 +488,7 @@ def _oracle_agreement(model, cutoffs) -> int:
     for family in ("semi", "standard"):
         for n, detail in zip(cutoffs, rep[f"{family}_detail"]):
             oracle, (ell, comp, dress, targets) = _oracle_family(model, n, family)
-            states = _labelled_states(model, n, 3, 2)[family == "standard"]
+            states = _labelled_states(model, n)[family == "standard"]
             labelled = [t + (s,) for t, s in zip(targets, states.T)]
             plain = _by_name(matched_spectral_deviation(ell, comp, dress.__matmul__, labelled, None))
             got = _by_name(detail)
@@ -618,7 +618,7 @@ def test_zero_cluster_rotated_across_blocks():
     cluster = np.hstack(cluster) @ q
     for idx in holders:  # every rotated vector has weight on both blocks
         assert np.linalg.norm(cluster[idx], axis=0).min() > 0.01
-    _, states = _labelled_states(model, 8, 3, 2)
+    _, states = _labelled_states(model, 8)
     ell, _ = standard_liouvillean(model, 8)
     vals_l, vecs_l = np.linalg.eigh(ell.toarray())
     dress = np.kron(np.eye(4), _expm_squeezer(space, model.gamma))
@@ -769,7 +769,7 @@ def _standard_match(model, cutoff, mirror):
     """matched_spectral_deviation of the standard family with the given mirror."""
     ell, comp, space, _ = _standard_family(model, cutoff)
     levels = pf._reference_levels(model)
-    _, states = _labelled_states(model, cutoff, 3, 2)
+    _, states = _labelled_states(model, cutoff)
     targets = [(f"E{i}-E{j}", float(levels[i] - levels[j]), states[:, 3 * i + j])
                for i in range(3) for j in range(3)]
     dressing = partial(apply_pair_squeezer, space, model.gamma)
