@@ -269,6 +269,7 @@ def criterion_modular(seed):
         rep = DoubledRep(ThermalParams.gibbs(kind, np.array(h, dtype=complex), 1.0),
                          single_cutoff=cutoff)
         j, delta = rep.modular_data()
+        delta = dense(delta)  # its 2-norms take the dense kernel
         j_lin, delta_oracle = rep.modular_oracle()
         oracle += [np.linalg.norm(delta_oracle - delta, 2) / np.linalg.norm(delta, 2),
                    np.linalg.norm(j_lin - j.unitary, 2)]

@@ -185,10 +185,6 @@ class FockSpace:
         vals = np.concatenate([u[ku, None] * weight, np.conj(v[kv, None]) * raised[kv]]).T
         return _rows_csr(cols, vals)
 
-    def parity(self) -> np.ndarray:
-        """(-1)^N, exactly."""
-        return np.diag(((-1.0) ** self.total_numbers).astype(complex))
-
     def lambda_op(self) -> np.ndarray:
         """(-1)^{N(N-1)/2}, exactly; squares to the identity."""
         return np.diag(_lambda_signs(self.total_numbers).astype(complex))
@@ -229,23 +225,26 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     return out
 
 
-def gamma(space: FockSpace, p) -> np.ndarray:
-    """Multiplicative second quantization Gamma(p), dense: the direct sum of
-    the sector blocks of _gamma_blocks (for diagonal p, of their diagonals)."""
+def gamma(space: FockSpace, p) -> scipy.sparse.csr_array:
+    """Multiplicative second quantization Gamma(p), a CSR array whose data are
+    its diagonal or its sector blocks, in row-major order, from _gamma_blocks.
+    Like a dense operator, it refuses a space over the dense byte budget."""
     _require_dense(space.dim)
-    blocks = _gamma_blocks(space, p)
-    if blocks[0].ndim == 1:
-        return np.diag(np.concatenate(blocks))
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    for lo, hi, block in zip(space.sector_start, space.sector_start[1:], blocks):
-        out[lo:hi, lo:hi] = block
-    return out
+    blocks, dim, start = _gamma_blocks(space, p), space.dim, space.sector_start
+    if not isinstance(blocks, list):
+        return scipy.sparse.csr_array((blocks, np.arange(dim), np.arange(dim + 1)), (dim, dim))
+    sizes = np.diff(start)
+    width = np.repeat(sizes, sizes)  # each row of a sector holds the sector's columns
+    indptr = np.concatenate([[0], np.cumsum(width)])
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - np.repeat(start[:-1], sizes), width)
+    data = np.concatenate(blocks, axis=None)
+    return scipy.sparse.csr_array((data, indices, indptr), (dim, dim))
 
 
-def _gamma_blocks(space: FockSpace, p) -> list:
+def _gamma_blocks(space: FockSpace, p) -> list | np.ndarray:
     """The blocks of Gamma(p) on the sectors 0..n_max, which are all of it.
-    Diagonal p takes an exact product path and gives the blocks' diagonals,
-    slices of one vector.  Any other p, singular or not, is built sector by
+    Diagonal p takes an exact product path and gives Gamma(p)'s diagonal
+    instead, one vector.  Any other p, singular or not, is built sector by
     sector from Gamma(p) Omega = Omega and Gamma(p) a*(w) = a*(pw) Gamma(p):
     a basis state |n> whose lowest occupied mode is k equals a*_k |parent> /
     sqrt(n_k), where the parent has one quantum fewer in mode k (no occupied
@@ -263,10 +262,9 @@ def _gamma_blocks(space: FockSpace, p) -> list:
     if p.shape[0] != space.d:
         raise ValueError(f"p is {p.shape}, expected {space.d}x{space.d}")
     start = space.sector_start
-    if not np.any(p - np.diag(np.diag(p))):
+    if np.count_nonzero(p) == np.count_nonzero(np.diagonal(p)):
         diag = np.diag(p).tolist()
-        vals = np.array([math.prod(map(pow, diag, occ)) for occ in space.basis], dtype=complex)
-        return [vals[lo:hi] for lo, hi in zip(start[:-1].tolist(), start[1:].tolist())]
+        return np.array([math.prod(map(pow, diag, occ)) for occ in space.basis], dtype=complex)
     lowest = np.argmax(space.occupations > 0, axis=1)
     low, weight = space.creation_rows(np.arange(space.d))
     out = [np.zeros((hi - lo, hi - lo), dtype=complex) for lo, hi in zip(start[:-1], start[1:])]
@@ -282,7 +280,8 @@ def _gamma_blocks(space: FockSpace, p) -> list:
             k = lowest[c0]
             block[r, c] = p[m, k] * w
             parents = out[n - 1][:, low[k, c0] - below:low[k, c1 - 1] - below + 1]
-            out[n][:, c0 - lo:c1 - lo] = (block @ np.ascontiguousarray(parents)) / weight[k, c0:c1]
+            np.divide(block @ np.ascontiguousarray(parents), weight[k, c0:c1],
+                      out=out[n][:, c0 - lo:c1 - lo])
     return out
 
 

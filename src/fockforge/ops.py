@@ -172,9 +172,9 @@ def _implementer(space: FockSpace, pref, a_left, g, a_right, t: float, window):
     def apply(x):
         y = lowering(x)
         for n in range(lo, hi + 1):
-            # a diagonal m gives diagonals; they act as matrices, since a product rounds otherwise
-            block = g[n] if g[n].ndim == 2 else np.diag(g[n])
-            y[start[n]:start[n + 1]] = block @ y[start[n]:start[n + 1]]
+            rows = slice(start[n], start[n + 1])
+            # a diagonal m gives a diagonal; it acts as a matrix, since a product rounds otherwise
+            y[rows] = (g[n] if isinstance(g, list) else np.diag(g[rows])) @ y[rows]
         y = raising(y)
         return np.multiply(pref, y, out=y)
     return apply

@@ -251,8 +251,8 @@ class DoubledRep:
             sign = _lambda_signs(a) * _lambda_signs(b)
         return Antiunitary(sign, _leg_swap_index(space))
 
-    def modular_operator(self) -> np.ndarray:
-        """Delta = Gamma(gamma (+) conj(gamma)^{-1}); needs trivial kernels."""
+    def modular_operator(self) -> scipy.sparse.csr_array:
+        """Delta = Gamma(gamma (+) conj(gamma)^{-1}), sparse; needs trivial kernels."""
         g = self.params.gamma
         w = np.linalg.eigvalsh(g)
         if w.min() <= 1e-12:
@@ -400,7 +400,7 @@ class DoubledRep:
 
 
 def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
-    """Gibbs density Gamma(gamma)/Tr and the truncated trace.
+    """Gibbs density Gamma(gamma)/Tr, sparse, and the truncated trace.
 
     Returns (density, trace, reference, tail): reference is the closed
     determinantal value det(1-gamma)^{-1} or det(1+gamma); tail is the
@@ -411,7 +411,7 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
         raise ValueError("bosonic gamma needs spectrum inside [0,1)")
     reference = float(np.linalg.det(np.eye(space.d) + space.sign * g).real ** space.sign)
     big = gamma(space, g)
-    trace = float(np.trace(big).real)
+    trace = float(big.trace().real)
     tail = reference - trace
     return big / trace, trace, reference, tail
 

@@ -14,17 +14,18 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from fockforge import acceptance, cli
-from fockforge.fock import FockSpace
-from fockforge.ops import DoubledVector, squeezer, weyl
+from fockforge.fock import FockSpace, dgamma, gamma
+from fockforge.ops import DoubledVector, multi_create, squeezer, weyl
 from fockforge.thermal import DoubledRep, ThermalParams, kms_check
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 179
+MAX_PUBLIC = 178
 
 
 def defaulted_parameters():
@@ -81,12 +82,27 @@ def callers(name):
 
 def test_densify_census():
     # a sparse operator becomes dense only in linalg.dense, which checks the byte budget
-    # first; the other budget checks guard arrays that are allocated dense directly
+    # first; the other budget checks guard arrays that are allocated dense directly, except
+    # fock.gamma's, which keeps the refusals of the dense Gamma(p): its dense arrays are
+    # the sector blocks, not a dim x dim matrix
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if ".toarray(" in p.read_text()] \
         == ["linalg.py"]
     assert callers("_require_dense") == ["acceptance.car_defect", "acceptance.ccr_defect",
                                          "fock.gamma", "lattice.commutant", "linalg.dense",
                                          "ops._implementer_matrix"]
+
+
+def test_fock_layer_builders_return_csr_arrays():
+    # every second-quantized builder of the fock layer, Gamma(p) included, is sparse
+    rng = np.random.default_rng(3)
+    for space in (FockSpace("bose", 2, 4), FockSpace("fermi", 3)):
+        d = space.d
+        w, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        h, p = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        built = [space.creation(1), space.annihilation(1), space.create(w), space.annihilate(w),
+                 space.ladder(w, v), dgamma(space, h), gamma(space, p),
+                 gamma(space, np.diag(np.diag(p))), multi_create(space, h - space.sign * h.T)]
+        assert all(isinstance(op, scipy.sparse.csr_array) for op in built), space
 
 
 def test_one_blas_runtime_census():

@@ -7,6 +7,7 @@ from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
                                  positive_blocks_from_c, random_blocks, shale_implementer,
                                  validate_blocks)
 from fockforge.fock import SIGN, FockSpace, gamma
+from fockforge.linalg import dense
 from fockforge.ops import (DoubledVector, apply_doubled_matrix, field, multi_create,
                            squeezer)
 
@@ -237,7 +238,7 @@ def _dense_implementer(space, blocks):
     pref = abs(det) ** (0.25 if space.is_fermi else -0.25)
     t = 0.5 * blocks.sign
     right = _dense_exp(multi_create(space, cd.c).toarray().conj().T, -t)
-    mid = gamma(space, np.linalg.inv(blocks.p.conj().T))
+    mid = dense(gamma(space, np.linalg.inv(blocks.p.conj().T)))
     return pref * _dense_exp(multi_create(space, cd.d_kernel).toarray(), t) @ mid @ right
 
 

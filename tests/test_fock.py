@@ -8,7 +8,7 @@ import scipy.sparse
 
 from fockforge.fock import (DIM_GUARD, CutoffError, FockSpace, _gamma_blocks, dgamma, exp_law,
                             gamma)
-from fockforge.linalg import DENSE_BYTES_GUARD, _require_dense
+from fockforge.linalg import DENSE_BYTES_GUARD, _require_dense, dense
 from fockforge.ops import multi_create, squeezer
 
 
@@ -136,15 +136,16 @@ def test_dgamma_lie_morphism():
 def test_gamma_diagonal_and_parity():
     sp = FockSpace("bose", 1, 4)
     lam = 0.7 - 0.2j
-    assert np.allclose(gamma(sp, np.array([[lam]])), np.diag([lam**n for n in range(5)]))
+    assert np.allclose(dense(gamma(sp, np.array([[lam]]))), np.diag([lam**n for n in range(5)]))
     for space in (FockSpace("bose", 2, 3), FockSpace("fermi", 3)):
-        assert np.array_equal(gamma(space, -np.eye(space.d)), space.parity())
+        parity = np.diag(((-1.0) ** space.total_numbers).astype(complex))
+        assert np.array_equal(dense(gamma(space, -np.eye(space.d))), parity)
 
 
 def test_gamma_fermi_diagonal_eigenvalues():
     sp = FockSpace("fermi", 2)
     a, b = 0.3, 1.7
-    got = np.sort_complex(np.diagonal(gamma(sp, np.diag([a, b]))))
+    got = np.sort_complex(np.diagonal(dense(gamma(sp, np.diag([a, b])))))
     assert np.allclose(np.sort_complex(np.array([1, a, b, a * b])), got)
 
 
@@ -155,12 +156,12 @@ def test_gamma_morphism_and_two_routes():
         p2 = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
         p1 /= 2.0
         p2 /= 2.0
-        lhs = gamma(sp, p2) @ gamma(sp, p1)
-        assert np.linalg.norm(lhs - gamma(sp, p2 @ p1), 2) <= 1e-9
+        lhs = dense(gamma(sp, p2)) @ dense(gamma(sp, p1))
+        assert np.linalg.norm(lhs - dense(gamma(sp, p2 @ p1)), 2) <= 1e-9
         # oracle: Gamma(p) = exp(dGamma(log p)) for invertible p
         oracle = scipy.linalg.expm(dgamma(sp, scipy.linalg.logm(p1)).toarray())
-        assert np.linalg.norm(gamma(sp, p1) - oracle, 2) <= 1e-10
-    assert np.allclose(gamma(FockSpace("bose", 2, 3), np.eye(2)), np.eye(10))
+        assert np.linalg.norm(dense(gamma(sp, p1)) - oracle, 2) <= 1e-10
+    assert np.allclose(dense(gamma(FockSpace("bose", 2, 3), np.eye(2))), np.eye(10))
 
 
 def test_gamma_exp_identity():
@@ -168,7 +169,7 @@ def test_gamma_exp_identity():
     rng = np.random.default_rng(3)
     h = rng.standard_normal((3, 3))
     h = h + h.T
-    lhs = gamma(sp, scipy.linalg.expm(1j * h))
+    lhs = dense(gamma(sp, scipy.linalg.expm(1j * h)))
     rhs = scipy.linalg.expm(1j * dgamma(sp, h).toarray())
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-8
 
@@ -176,7 +177,7 @@ def test_gamma_exp_identity():
 def test_gamma_singular_fallback():
     sp = FockSpace("bose", 2, 3)
     p = np.array([[0.0, 0.0], [0.0, 0.5]])
-    g = gamma(sp, p)
+    g = dense(gamma(sp, p))
     # vacuum stays, any occupation of mode 0 is annihilated
     assert g[0, 0] == 1.0
     idx = sp.index[(1, 0)]
@@ -194,7 +195,7 @@ def test_gamma_needs_no_svd_logm_or_expm(monkeypatch):
     singular = np.array([[0.4, 0.2], [0.8, 0.4]])
     for sp in (FockSpace("bose", 2, 4), FockSpace("fermi", 2)):
         for p in (invertible, singular):
-            g = gamma(sp, p)
+            g = dense(gamma(sp, p))
             one = [sp.index[(1, 0)], sp.index[(0, 1)]]
             assert np.array_equal(g[:, 0], sp.vacuum())
             assert np.allclose(g[np.ix_(one, one)], p)
@@ -239,8 +240,8 @@ def test_exp_law_intertwines_dgamma_and_gamma():
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
     p1 = 0.5 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
     p2 = 0.5 * (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
-    lhs2 = gamma(tgt, scipy.linalg.block_diag(p1, p2)) @ u
-    rhs2 = u @ np.kron(gamma(s1, p1), gamma(s2, p2))
+    lhs2 = dense(gamma(tgt, scipy.linalg.block_diag(p1, p2))) @ u
+    rhs2 = u @ np.kron(dense(gamma(s1, p1)), dense(gamma(s2, p2)))
     assert np.linalg.norm(lhs2 - rhs2, 2) <= 1e-9
 
 
@@ -261,7 +262,7 @@ def test_exp_law_parity_string_for_fermions():
     u, tgt = exp_law(f1, f2)
     w = np.array([0.3 + 1j])
     lhs = tgt.create(np.concatenate([np.zeros(2), w])) @ u
-    rhs = u @ np.kron(f1.parity(), f2.create(w).toarray())
+    rhs = u @ np.kron(dense(gamma(f1, -np.eye(f1.d))), f2.create(w).toarray())
     assert np.linalg.norm(lhs - rhs, 2) <= 1e-12
 
 
@@ -506,10 +507,53 @@ def test_diagonal_gamma_is_the_scalar_product_bit_for_bit(spec):
     diag = rng.standard_normal(sp.d) + 1j * rng.standard_normal(sp.d)
     want = np.array([math.prod(complex(diag[k]) ** nk for k, nk in enumerate(occ))
                      for occ in sp.basis], dtype=complex)
-    blocks = _gamma_blocks(sp, np.diag(diag))
-    assert [len(b) for b in blocks] == np.diff(sp.sector_start).tolist()
-    assert np.array_equal(np.concatenate(blocks), want)
-    assert np.array_equal(gamma(sp, np.diag(diag)), np.diag(want))
+    assert np.array_equal(_gamma_blocks(sp, np.diag(diag)), want)
+    assert np.array_equal(dense(gamma(sp, np.diag(diag))), np.diag(want))
+
+
+def dense_gamma_assembly(space, p):
+    """The dense Gamma(p), the oracle of fock.gamma: the sector blocks of _gamma_blocks
+    copied into a dim x dim zero matrix, or for diagonal p its diagonal."""
+    blocks = _gamma_blocks(space, p)
+    if not isinstance(blocks, list):
+        return np.diag(blocks)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for lo, hi, block in zip(space.sector_start, space.sector_start[1:], blocks):
+        out[lo:hi, lo:hi] = block
+    return out
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_gamma_is_the_dense_assembly_as_a_block_diagonal_csr_array(spec):
+    sp = FockSpace(*spec)
+    rng = np.random.default_rng(sp.dim + 100 * sp.d)
+    p = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
+    singular = p @ np.diag(np.arange(sp.d) > 0)
+    for m in (np.diag(np.diag(p)), p, singular):
+        g = gamma(sp, m)
+        assert isinstance(g, scipy.sparse.csr_array) and g.has_canonical_format
+        assert np.array_equal(dense(g), dense_gamma_assembly(sp, m))
+        # every stored entry lies in a sector block, and diagonal p stores the diagonal only
+        rows = np.repeat(np.arange(sp.dim), np.diff(g.indptr))
+        assert np.array_equal(sp.total_numbers[rows], sp.total_numbers[g.indices])
+        if not np.any(m - np.diag(np.diag(m))):
+            assert np.array_equal(g.indices, np.arange(sp.dim))
+
+
+def test_gamma_holds_its_blocks_not_a_dense_matrix():
+    # at bose d = 4, cutoff 10 the sector blocks hold 183755 of the 1002001 entries
+    sp = FockSpace("bose", 4, 10)
+    rng = np.random.default_rng(6)
+    p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gamma(sp, p)  # fills the row tables of sp
+    tracemalloc.start()
+    try:
+        g = gamma(sp, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.nnz == 183755
+    assert peak <= 0.6 * 16 * sp.dim**2
 
 
 @pytest.mark.parametrize("spec", ROW_TABLE_SPACES + [("fermi", 14, None)])

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from fockforge import bogolubov, ops
-from fockforge.fock import FockSpace, _gamma_blocks
+from fockforge.fock import FockSpace, _gamma_blocks, gamma
 from fockforge.linalg import dense, sqrtm_psd
 from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
                            _implementer,
@@ -437,9 +437,9 @@ def test_q_operator_parity_and_orientation():
     sp = FockSpace("fermi", 2)
     basis = canonical_doubled_basis(2)
     q = q_operator(sp, basis)
-    assert np.allclose(q, sp.parity())
+    assert np.allclose(q, dense(gamma(sp, -np.eye(sp.d))))
     swapped = [basis[1], basis[0]] + basis[2:]
-    assert np.allclose(q_operator(sp, swapped), -sp.parity())
+    assert np.allclose(q_operator(sp, swapped), -dense(gamma(sp, -np.eye(sp.d))))
 
 
 def test_q_operator_properties(rng):
@@ -478,7 +478,7 @@ def test_lambda_dressing_identity(rng):
     # Lambda a*(z) Lambda = a*(z) I for both statistics
     for sp in (FockSpace("fermi", 3), FockSpace("bose", 2, 5)):
         lam = sp.lambda_op()
-        par = sp.parity()
+        par = dense(gamma(sp, -np.eye(sp.d)))
         z = rng.standard_normal(sp.d) + 1j * rng.standard_normal(sp.d)
         a_dag = sp.create(z).toarray()
         assert np.linalg.norm(lam @ a_dag @ lam - a_dag @ par, 2) <= 1e-13 * np.linalg.norm(a_dag, 2)

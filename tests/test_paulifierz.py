@@ -9,7 +9,7 @@ import scipy.sparse
 
 import fockforge.paulifierz as pf
 from fockforge.fock import FockSpace, dgamma, gamma
-from fockforge.linalg import sqrtm_psd
+from fockforge.linalg import dense, sqrtm_psd
 from fockforge.ops import pair_exponential_vacuum
 from fockforge.paulifierz import (PauliFierzModel, _labelled_states, apply_pair_squeezer,
                                   confined_pf_check, coupled_create,
@@ -94,7 +94,7 @@ def _expm_squeezer(space, gamma_one):
              for j in modes for k in modes).toarray()
     eye = np.eye(space.d)
     g = c @ c.conj().T
-    mid = gamma(space, sqrtm_psd(eye - g))
+    mid = dense(gamma(space, sqrtm_psd(eye - g)))
     pref = np.linalg.det(eye - g).real ** 0.25
     return pref * (scipy.linalg.expm(-0.5 * ac) @ mid @ scipy.linalg.expm(0.5 * ac.conj().T))
 
@@ -321,7 +321,7 @@ def test_jpvj_closed_form():
         free = PauliFierzModel(model.K, model.h, np.zeros_like(model.v), model.gamma, cutoff)
         pi_v = (ell - semi_liouvillean(free, cutoff)[0]).toarray()
         assert np.max(np.abs(pi_v - v_full)) <= 1e-14
-        jw = np.kron(np.eye(k), gamma(space, _leg_swap(model.d)))
+        jw = np.kron(np.eye(k), dense(gamma(space, _leg_swap(model.d))))
         sandwich = np.kron(np.eye(k), jw @ np.conj(v_full) @ jw)
         closed = jpvj_closed_form(model, space)
         assert np.linalg.norm(sandwich - closed, 2) <= 1e-10
@@ -332,7 +332,7 @@ def test_leg_swap_gamma_is_the_swap_permutation():
         d = space.d // 2
         perm = np.zeros((space.dim, space.dim))
         perm[_leg_swap_index(space), np.arange(space.dim)] = 1.0
-        g = gamma(space, _leg_swap(d))
+        g = dense(gamma(space, _leg_swap(d)))
         if space.is_fermi:
             # moving b second-leg creators past a first-leg ones gives the
             # sign (-1)^(ab) = Lambda(a + b) Lambda(a) Lambda(b)
@@ -345,7 +345,7 @@ def test_leg_swap_gamma_is_the_swap_permutation():
     # sector route of gamma rounds by 1.1e-16 on the bose d = 1 space at n_max 16
     for kind, d in (("bose", 1), ("bose", 2), ("fermi", 2), ("fermi", 3)):
         rep = DoubledRep(ThermalParams(kind, np.diag(np.linspace(0.1, 0.3, d))))
-        g = gamma(rep.space, _leg_swap(d))
+        g = dense(gamma(rep.space, _leg_swap(d)))
         if kind == "fermi":
             g = rep.space.lambda_op() @ g
         u = rep.modular_conjugation().unitary

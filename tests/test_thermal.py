@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from fockforge.fock import FockSpace, dgamma, gamma
+from fockforge.linalg import dense
 from fockforge.thermal import (DoubledRep, KernelViolationError, ThermalParams,
                                _relative_defect, confined_gibbs, kms_check, tracial_conjugation,
                                tracial_field)
@@ -17,7 +18,7 @@ def rng():
 
 def kms_check_density(space, gamma_one, h, beta, a, b, t) -> float:
     """Relative trace-cyclicity KMS defect in the irreducible single-space picture."""
-    dens = gamma(space, np.asarray(gamma_one, dtype=complex))
+    dens = dense(gamma(space, np.asarray(gamma_one, dtype=complex)))
     z = np.trace(dens)
     ham = dgamma(space, np.asarray(h, dtype=complex)).toarray()
 
@@ -33,7 +34,7 @@ def kms_check_density(space, gamma_one, h, beta, a, b, t) -> float:
 
 def gibbs_expectation(rep, a) -> complex:
     """Tr(Gamma(gamma) a) / Tr Gamma(gamma) on the single space of rep."""
-    dens = gamma(rep.space_single, rep.params.gamma)
+    dens = dense(gamma(rep.space_single, rep.params.gamma))
     return complex(np.trace(dens @ a) / np.trace(dens))
 
 
@@ -170,6 +171,7 @@ def test_modular_data_fermi(rng):
     params = ThermalParams.gibbs("fermi", np.array([[1.0, 0.3], [0.3, 0.5]]), 1.0)
     rep = DoubledRep(params)
     j_op, delta = rep.modular_data()
+    delta = dense(delta)
     dim = rep.space.dim
     vac = rep.space.vacuum()
     assert np.linalg.norm(j_op.unitary @ np.conj(j_op.unitary) - np.eye(dim), 2) <= 1e-12
@@ -187,11 +189,13 @@ def test_modular_data_fermi(rng):
 def test_modular_oracle_both_statistics():
     rep_f = DoubledRep(ThermalParams.gibbs("fermi", np.array([[0.8, 0.1], [0.1, 0.3]]), 1.0))
     j_f, delta_f = rep_f.modular_data()
+    delta_f = dense(delta_f)
     j_lin, delta_oracle = rep_f.modular_oracle()
     assert np.linalg.norm(delta_oracle - delta_f, 2) <= 1e-7 * np.linalg.norm(delta_f, 2)
     assert np.linalg.norm(j_lin - j_f.unitary, 2) <= 1e-7
     rep_b = DoubledRep(ThermalParams.gibbs("bose", np.array([[1.2]]), 1.0), single_cutoff=6)
     j_b, delta_b = rep_b.modular_data()
+    delta_b = dense(delta_b)
     jb_lin, delta_b_oracle = rep_b.modular_oracle()
     assert np.linalg.norm(delta_b_oracle - delta_b, 2) <= 1e-7 * np.linalg.norm(delta_b, 2)
     assert np.linalg.norm(jb_lin - j_b.unitary, 2) <= 1e-7
@@ -203,6 +207,7 @@ def test_modular_oracle_fermi_d3():
     h = np.array([[1.0, 0.3, 0.1], [0.3, 0.6, 0.0], [0.1, 0.0, 0.4]])
     rep = DoubledRep(ThermalParams.gibbs("fermi", h, 1.0))
     j, delta = rep.modular_data()
+    delta = dense(delta)
     j_lin, delta_oracle = rep.modular_oracle()
     assert np.linalg.norm(delta_oracle - delta, 2) <= 1e-12 * np.linalg.norm(delta, 2)
     assert np.linalg.norm(j_lin - j.unitary, 2) <= 1e-12
@@ -217,6 +222,7 @@ def test_modular_oracle_bose_is_one_mode():
 def test_modular_polar_consistency():
     rep = DoubledRep(ThermalParams.gibbs("fermi", np.diag([1.0, 0.4]), 1.0))
     j_op, delta = rep.modular_data()
+    delta = dense(delta)
     sq = scipy.linalg.sqrtm(delta)
     lhs = j_op.unitary @ np.conj(sq)        # J Delta^{1/2} as an antilinear map
     rhs = np.linalg.inv(sq) @ j_op.unitary  # Delta^{-1/2} J
@@ -358,7 +364,7 @@ def test_confined_gibbs_examples():
     assert reference == pytest.approx(2.0)
     assert trace == pytest.approx(2.0 - 2.0**-10)
     assert tail == pytest.approx(2.0**-10)
-    assert np.trace(dens) == pytest.approx(1.0)
+    assert np.trace(dense(dens)) == pytest.approx(1.0)
     spf = FockSpace("fermi", 1)
     _, trace_f, ref_f, tail_f = confined_gibbs(spf, np.array([[0.5]]))
     assert trace_f == pytest.approx(1.5) and abs(tail_f) <= 1e-12
@@ -421,7 +427,7 @@ def test_omega_gamma_trivial_and_fermi_formula():
 def test_omega_gamma_matches_gibbs_vectorization(rng):
     params = ThermalParams("fermi", np.diag([0.5, 0.2]))
     rep = DoubledRep(params)
-    dens = gamma(rep.space_single, params.gamma)
+    dens = dense(gamma(rep.space_single, params.gamma))
     vec = rep.iota(scipy.linalg.sqrtm(dens)) / np.sqrt(np.trace(dens).real)
     assert np.linalg.norm(vec - rep.omega_vector()) <= 1e-10
 
