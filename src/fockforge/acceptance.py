@@ -157,7 +157,7 @@ def criterion_trace_identities(seed):
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         g = a @ a.conj().T / d
         space = FockSpace("fermi", d)
-        _, trace, reference, _ = confined_gibbs(space, g)
+        trace, reference, _ = confined_gibbs(space, g)
         worst_fermi = max(worst_fermi, abs(trace - reference) / abs(reference))
     worst_bose = 0.0
     cutoff = 20
@@ -166,7 +166,7 @@ def criterion_trace_identities(seed):
         g = a @ a.conj().T
         g = 0.8 * g / max(np.linalg.eigvalsh(g).max(), 1e-12)
         space = FockSpace("bose", d, cutoff)
-        _, trace, reference, tail = confined_gibbs(space, g)
+        trace, reference, tail = confined_gibbs(space, g)
         evals = np.linalg.eigvalsh(g)
         bound = 0.0
         top = float(evals.max())

@@ -1,5 +1,5 @@
-"""Real subspaces of C^d, their lattice operations and angle data,
-numerical commutants, and the fermionic duality check.
+"""Real subspaces of C^d, their lattice operations and angle data, and
+the fermionic duality check.
 
 Real-linear objects are represented as real matrices on R^{2d}, with a
 complex vector z stored as (Re z; Im z) and multiplication by i given by
@@ -8,6 +8,7 @@ the fixed block matrix J.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,41 +201,6 @@ def halmos_isometry_range(data: HalmosData) -> np.ndarray:
             + data.eps @ data.z_basis @ sqrtm_psd(data.chi))
 
 
-def commutant(generators) -> list:
-    """Hilbert-Schmidt-orthonormal basis of {X : [X, A_i] = 0 for all i}.
-
-    The adjoint of every generator is taken too, so the result is a
-    *-algebra.  Starting from the n^2 matrix units, each generator and its
-    adjoint keep the null space of X -> AX - XA on the basis so far, found
-    by one thin SVD of the map applied to every basis element at once;
-    sparse generators are densified for it.  A generator that equals its
-    adjoint exactly, as every field does, takes one step.
-    """
-    gens = [np.asarray(dense(g), dtype=complex) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
-    _require_dense(n * n)
-    full = gens + [g.conj().T for g in gens if not np.array_equal(g, g.conj().T)]
-    # floor the rank threshold at the generator scale: near-central
-    # generators leave the map numerically zero
-    scale = max(np.linalg.norm(g, 2) for g in full)
-    basis = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
-    for a in full:
-        image = (a @ basis - basis @ a).reshape(len(basis), n * n)
-        _, s, vh = np.linalg.svd(image.T, full_matrices=False)
-        null = s <= RANK_RTOL * max(s.max(initial=0.0), scale, 1e-300)
-        basis = np.tensordot(vh[null].conj(), basis, axes=1)
-    return list(basis)
-
-
-def _containment_defect(basis_a, basis_b) -> float:
-    """Max HS distance of an element of span(a) from span(b); b is orthonormal
-    and neither list is empty (the identity lies in every commutant)."""
-    mat_a, mat_b = (np.column_stack([x.reshape(-1) for x in basis]) for basis in (basis_a, basis_b))
-    return float(np.linalg.norm(mat_a - mat_b @ (mat_b.conj().T @ mat_a), axis=0).max())
-
-
 def field_generators(space: FockSpace, v: RealSubspace) -> list:
     """Fermionic fields phi(z) for a real basis of V (self-adjoint set), as CSR arrays."""
     ops = []
@@ -245,32 +211,45 @@ def field_generators(space: FockSpace, v: RealSubspace) -> list:
 
 
 def fermionic_duality_check(v: RealSubspace, space: FockSpace) -> dict:
-    """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda.
+    """Compare the commutant of M(V) with Lambda M(iV^perp) Lambda through the CAR.
 
-    M(iV^perp) is the span of the ordered monomials of its fields, which
-    anticommute.  Both algebras are taken as Hilbert-Schmidt-orthonormal
-    bases; the report carries their dimensions and the two containment
-    defects.
+    The fields phi_i of a real orthonormal basis of V (m of them) and psi_j
+    of iV^perp are self-adjoint unitaries with {g_a, g_b} = 2 delta_ab.  So
+    E = prod_i (1 + Ad phi_i)/2 is the Hilbert-Schmidt-orthogonal projection
+    onto M(V)', and dim_commutant is its trace 2^-m sum_S |tr phi_S|^2 over
+    the ordered monomials phi_S.  dim_dressed_dual counts the dressed
+    monomials Y_S = Lambda psi_S Lambda / sqrt(n), which are HS-orthonormal
+    because tr(psi_S* psi_T) = +-tr psi_{S xor T} vanishes for S != T, and
+    defect_dual_in_comm is max ||[phi_i, Y_S]||_HS.
+
+    defect_comm_in_dual is the certificate that both dimensions rest on:
+    the largest anticommutator defect ||{g_a, g_b} - 2 delta_ab||_HS / sqrt(n)
+    and trace |tr g_S| / n of a nonempty monomial, over both generator sets.
+    When it vanishes E is a projection and the Y_S are orthonormal, so once
+    the dual lies in the commutant, equal dimensions put the commutant in
+    the dual.
     """
     if space.d != v.ambient_d or not space.is_fermi:
         raise ValueError("need the fermionic Fock space over the ambient space")
-    comm = commutant(field_generators(space, v) or [space.identity()])
-    dual_alg = ordered_products(field_generators(space, symplectic_complement(v)),
-                                space.identity())
+    n = space.dim
+    _require_dense(n * n)  # the monomial lists hold 2^m n^2 <= n^4 entries
+    identity = space.identity()
+    gens, dual = ([dense(g) for g in field_generators(space, w)]
+                  for w in (v, symplectic_complement(v)))
+    monomials = [ordered_products(fields, identity) for fields in (gens, dual)]
+    traces = [np.array([np.trace(x) for x in monos]) for monos in monomials]
+    anticommutators = [np.linalg.norm(f[a] @ f[b] + f[b] @ f[a] - 2.0 * (a == b) * identity)
+                       for f in (gens, dual) for a in range(len(f)) for b in range(a + 1)]
+    certificate = max(max(anticommutators, default=0.0) / math.sqrt(n),
+                      max(np.abs(t[1:]).max(initial=0.0) for t in traces) / n)
+    # Lambda is a diagonal unitary: ||[phi, Lambda psi_S Lambda]|| = ||[Lambda phi Lambda, psi_S]||
     signs = _lambda_signs(space.total_numbers)
-    dressed = [signs[:, None] * x * signs for x in dual_alg]
-    dressed_on = _orthonormalize_hs(dressed)
+    dressed = [signs[:, None] * g * signs for g in gens]
+    defect = max((np.linalg.norm(g @ y - y @ g) for g in dressed for y in monomials[1]),
+                 default=0.0)
     return {
-        "dim_commutant": len(comm),
-        "dim_dressed_dual": len(dressed_on),
-        "defect_comm_in_dual": _containment_defect(comm, dressed_on),
-        "defect_dual_in_comm": _containment_defect(dressed_on, comm),
+        "dim_commutant": round(float(np.sum(np.abs(traces[0]) ** 2)) / 2 ** len(gens)),
+        "dim_dressed_dual": len(monomials[1]),
+        "defect_comm_in_dual": float(certificate),
+        "defect_dual_in_comm": float(defect / math.sqrt(n)),
     }
-
-
-def _orthonormalize_hs(mats) -> list:
-    n = mats[0].shape[0]
-    cols = np.column_stack([m.reshape(-1) for m in mats])
-    q = _orthonormalize(cols)
-    return [q[:, i].reshape(n, n) for i in range(q.shape[1])]
-

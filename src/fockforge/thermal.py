@@ -400,9 +400,9 @@ class DoubledRep:
 
 
 def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
-    """Gibbs density Gamma(gamma)/Tr, sparse, and the truncated trace.
+    """The truncated trace of the Gibbs density Gamma(gamma) against its closed value.
 
-    Returns (density, trace, reference, tail): reference is the closed
+    Returns (trace, reference, tail): reference is the closed
     determinantal value det(1-gamma)^{-1} or det(1+gamma); tail is the
     (nonnegative) part of the reference missed by the truncation.
     """
@@ -410,10 +410,8 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     if not space.is_fermi and np.linalg.eigvalsh(g).max() >= 1.0:
         raise ValueError("bosonic gamma needs spectrum inside [0,1)")
     reference = float(np.linalg.det(np.eye(space.d) + space.sign * g).real ** space.sign)
-    big = gamma(space, g)
-    trace = float(big.trace().real)
-    tail = reference - trace
-    return big / trace, trace, reference, tail
+    trace = float(gamma(space, g).trace().real)
+    return trace, reference, reference - trace
 
 
 def _relative_defect(lhs: complex, rhs: complex) -> float:

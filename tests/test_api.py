@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fockforge"
 COVERAGE = ROOT / "docs" / "coverage.md"
 MAX_DEFAULTED = 13
-MAX_PUBLIC = 178
+MAX_PUBLIC = 177
 
 
 def defaulted_parameters():
@@ -88,8 +88,8 @@ def test_densify_census():
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if ".toarray(" in p.read_text()] \
         == ["linalg.py"]
     assert callers("_require_dense") == ["acceptance.car_defect", "acceptance.ccr_defect",
-                                         "fock.gamma", "lattice.commutant", "linalg.dense",
-                                         "ops._implementer_matrix"]
+                                         "fock.gamma", "lattice.fermionic_duality_check",
+                                         "linalg.dense", "ops._implementer_matrix"]
 
 
 def test_fock_layer_builders_return_csr_arrays():

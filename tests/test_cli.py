@@ -159,37 +159,44 @@ def test_verify_tasks_refuse_before_building_fields(tmp_path, capsys, monkeypatc
 
 
 # models at the largest sizes the schema and the guards accept, with the exit code each
-# must give: the commutant's starting basis at lattice d = 7 holds 128^4 complex entries
-# (4.3 GB), a dense identity at dim 20301 or 16384 takes over 4 GB, and the doubled space
-# of 520 thermal modes (dim 542361 on 1040 modes) would need a 4.5 GB occupation table;
-# 1100 modes at cutoff 0 are past Python's recursion limit, so no builder may recurse per mode
+# must give and its time bound in seconds: the duality check's monomial lists at lattice
+# d = 7 may hold 128^4 complex entries (4.3 GB), a dense identity at dim 20301 or 16384 takes
+# over 4 GB, and the doubled space of 520 thermal modes (dim 542361 on 1040 modes) would need
+# a 4.5 GB occupation table; 1100 modes at cutoff 0 are past Python's recursion limit, so no
+# builder may recurse per mode
 LARGE_MODELS = {
-    "verify-ccr-d1100": ({"task": "verify-ccr", "d": 1100, "cutoff": 0}, 1),
+    "verify-ccr-d1100": ({"task": "verify-ccr", "d": 1100, "cutoff": 0}, 1, 2.0),
     "thermal-520-modes": ({"task": "thermal", "statistics": "bose",
-                           "gamma": encode_matrix(0.3 * np.eye(520)), "single_cutoff": 1}, 2),
-    "lattice-d4": ({"task": "lattice", "d": 4, "subspaces": 2}, 0),
-    "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2),
-    "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2),
-    "verify-car-d14": ({"task": "verify-car", "d": 14}, 2),
+                           "gamma": encode_matrix(0.3 * np.eye(520)), "single_cutoff": 1}, 2, 5.0),
+    "lattice-d4": ({"task": "lattice", "d": 4, "subspaces": 2}, 0, 2.0),
+    "lattice-d6": ({"task": "lattice", "d": 6, "subspaces": 1}, 0, 5.0),
+    "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2, 2.0),
+    "verify-ccr-dim-20301": ({"task": "verify-ccr", "d": 2, "cutoff": 200}, 2, 2.0),
+    "verify-car-d14": ({"task": "verify-car", "d": 14}, 2, 2.0),
     "thermal-single-cutoff-80": ({"task": "thermal", "statistics": "bose",
                                   "gamma": encode_matrix(np.array([[0.3]])),
-                                  "single_cutoff": 80}, 2),
+                                  "single_cutoff": 80}, 2, 2.0),
     "kms-single-cutoff-80": ({"task": "kms", "statistics": "bose",
                               "gamma": encode_matrix(np.array([[np.exp(-1.0)]])),
                               "h": encode_matrix(np.array([[1.0]])), "beta": 1.0,
-                              "single_cutoff": 80}, 2),
+                              "single_cutoff": 80}, 2, 2.0),
     "gaussian-dim-20301": ({"task": "gaussian", "statistics": "bose",
-                            "c": encode_matrix(np.diag([0.2, 0.1])), "cutoff": 200}, 2),
+                            "c": encode_matrix(np.diag([0.2, 0.1])), "cutoff": 200}, 2, 2.0),
     "bogolubov-dim-20301": ({"task": "bogolubov", "statistics": "bose",
                              "p": encode_matrix(np.cosh(0.2) * np.eye(2)),
-                             "q": encode_matrix(np.sinh(0.2) * np.eye(2)), "cutoff": 200}, 2),
+                             "q": encode_matrix(np.sinh(0.2) * np.eye(2)), "cutoff": 200}, 2, 2.0),
 }
 CAPPED_RUNS = """
-import json, resource, sys
+import json, resource, sys, time
 cap = 3 * 2**30
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from fockforge import cli
-print(json.dumps([cli.main(["run", path, "--out", path + ".report"]) for path in sys.argv[1:]]))
+runs = []
+for path in sys.argv[1:]:
+    start = time.perf_counter()
+    code = cli.main(["run", path, "--out", path + ".report"])
+    runs.append((code, time.perf_counter() - start))
+print(json.dumps(runs))
 """
 
 
@@ -198,15 +205,19 @@ def test_large_models_run_or_exit_2_under_a_3_gib_cap(tmp_path):
     # dense build over the cap ends in MemoryError, exit 4, so exit 2 means the
     # budget refused the model before it allocated
     paths = [write_model(tmp_path, f"{name}.json", {"schema_version": 1, **model})
-             for name, (model, _) in LARGE_MODELS.items()]
+             for name, (model, _, _) in LARGE_MODELS.items()]
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env.update(FOCKFORGE_THREADS="1", PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", CAPPED_RUNS, *paths],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes = dict(zip(LARGE_MODELS, json.loads(proc.stdout)))
-    assert codes == {name: code for name, (_, code) in LARGE_MODELS.items()}, proc.stderr
+    runs = dict(zip(LARGE_MODELS, json.loads(proc.stdout)))
+    assert {name: code for name, (code, _) in runs.items()} \
+        == {name: code for name, (_, code, _) in LARGE_MODELS.items()}, proc.stderr
+    slow = {name: seconds for name, (_, seconds) in runs.items()
+            if seconds > LARGE_MODELS[name][2]}
+    assert not slow, slow
     assert proc.stderr.count("over the budget") == 8, proc.stderr
 
 

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from fockforge import acceptance, lattice
 from fockforge.fock import FockSpace
-from fockforge.lattice import (RANK_RTOL, GeneralPositionError, RealSubspace, _containment_defect,
-                               _orthonormalize, _orthonormalize_hs, commutant,
+from fockforge.lattice import (RANK_RTOL, GeneralPositionError, RealSubspace, _orthonormalize,
                                fermionic_duality_check, field_generators,
                                general_position_split, halmos_angles,
                                halmos_isometry_range, join, meet, mult_i_matrix,
@@ -54,6 +52,31 @@ def intersect_spans(mats_a, mats_b) -> list:
     return [vh.conj().T[:, i].reshape(n, n) for i in np.nonzero(null)[0]]
 
 
+def orthonormalize_hs(mats) -> list:
+    """Hilbert-Schmidt-orthonormal basis of the span of the matrices."""
+    n = mats[0].shape[0]
+    q = _orthonormalize(np.column_stack([m.reshape(-1) for m in mats]))
+    return [q[:, i].reshape(n, n) for i in range(q.shape[1])]
+
+
+def containment_defect(basis_a, basis_b) -> float:
+    """Max HS distance of an element of span(a) from span(b); b is orthonormal."""
+    mat_a, mat_b = (np.column_stack([x.reshape(-1) for x in basis])
+                    for basis in (basis_a, basis_b))
+    return float(np.linalg.norm(mat_a - mat_b @ (mat_b.conj().T @ mat_a), axis=0).max())
+
+
+def expectation_commutant(gens) -> list:
+    """Commutant of self-adjoint unitaries that commute or anticommute pairwise: the
+    range of E = prod_i (1 + Ad g_i)/2 on the n^2 matrix units, HS-orthonormalised."""
+    gens = [g.toarray() if hasattr(g, "toarray") else np.asarray(g) for g in gens]
+    n = gens[0].shape[0]
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    for g in gens:
+        units = (units + g @ units @ g) / 2
+    return orthonormalize_hs(list(units))
+
+
 def kronecker_commutant(gens) -> list:
     """Reference commutant: the null space of the stacked maps X -> [A, X] over
     the generators and their adjoints, written as Kronecker products, by one
@@ -79,7 +102,7 @@ def kronecker_algebra(gens, n) -> list:
 
 def generated_algebra(space, gens) -> list:
     """Hilbert-Schmidt-orthonormal basis of the span of the ordered monomials of gens."""
-    return _orthonormalize_hs(ordered_products(gens, space.identity()))
+    return orthonormalize_hs(ordered_products(gens, space.identity()))
 
 
 def whole(d: int) -> RealSubspace:
@@ -203,36 +226,6 @@ def test_gray_zone_flag(rng):
     assert not general_position_split(clean).gray_zone
 
 
-def test_commutant_basics():
-    import itertools
-
-    units = []
-    for i, j in itertools.product(range(3), repeat=2):
-        m = np.zeros((3, 3), dtype=complex)
-        m[i, j] = 1
-        units.append(m)
-    comm = commutant(units)
-    assert len(comm) == 1
-    assert np.linalg.norm(comm[0] - comm[0][0, 0] * np.eye(3), 2) <= 1e-10
-    everything = commutant([np.eye(4, dtype=complex)])
-    assert len(everything) == 16
-
-
-def test_commutant_guard():
-    with pytest.raises(ValueError):
-        commutant([np.eye(200, dtype=complex)])
-
-
-def test_double_commutant_contains_generators(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = a + a.conj().T
-    alg = commutant(commutant([a]))
-    basis = np.column_stack([m.reshape(-1) for m in alg])
-    vec = a.reshape(-1)
-    resid = vec - basis @ (basis.conj().T @ vec)
-    assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(vec)
-
-
 def test_duality_extremes():
     d = 2
     space = FockSpace("fermi", d)
@@ -259,16 +252,33 @@ def test_duality_random(rng):
         assert rep["defect_dual_in_comm"] <= 1e-8
 
 
-@pytest.mark.parametrize("d, k", [(d, k) for d in (2, 3) for k in range(2 * d + 1)]
+@pytest.mark.parametrize("broken", ["field-scaled-by-1.1", "undressed-dual"])
+def test_duality_defect_rejects_broken_car_and_an_undressed_dual(monkeypatch, broken):
+    # the dimensions are read from traces that a scaled field leaves equal, so the
+    # anticommutator part of the certificate must catch it; without Lambda the dual
+    # does not commute with M(V)
+    if broken == "field-scaled-by-1.1":
+        def scaled(space, v):
+            fields = field_generators(space, v)
+            return [1.1 * fields[0]] + fields[1:]
+        monkeypatch.setattr(lattice, "field_generators", scaled)
+    else:
+        monkeypatch.setattr(lattice, "_lambda_signs", lambda numbers: np.ones(len(numbers)))
+    space = FockSpace("fermi", 2)
+    assert acceptance.duality_defect(space, np.random.default_rng(42)) > 1e-8
+    assert not acceptance.criterion_lattice_duality(42)["pass"]
+
+
+@pytest.mark.parametrize("d, k",[(d, k) for d in (2, 3) for k in range(2 * d + 1)]
                          + [(4, k) for k in (0, 1, 4, 8)])
 def test_commutant_and_dual_match_the_kronecker_reference(d, k):
     space = FockSpace("fermi", d)
     v = RealSubspace.from_vectors(d, np.random.default_rng(10 * d + k).standard_normal((2 * d, k)))
     gens = field_generators(space, v) or [space.identity()]
     ref = kronecker_commutant(gens)
-    comm = commutant(gens)
+    comm = expectation_commutant(gens)
     assert len(comm) == len(ref)
-    assert max(_containment_defect(comm, ref), _containment_defect(ref, comm)) <= 1e-9
+    assert max(containment_defect(comm, ref), containment_defect(ref, comm)) <= 1e-9
     if d <= 3:
         # the span of the ordered monomials is the double commutant; at d = 4 the
         # reference double commutant takes most of a second, and the dimension of
@@ -281,43 +291,6 @@ def test_commutant_and_dual_match_the_kronecker_reference(d, k):
     assert rep["defect_comm_in_dual"] <= 1e-9 and rep["defect_dual_in_comm"] <= 1e-9
 
 
-def test_commutant_of_one_field_keeps_one_copy_of_its_basis():
-    # fermi d = 4: the commutant of one field has 128 elements of 16 x 16, 0.5 MB in all;
-    # one n^4 copy per element would take 128 x 1 MB
-    space = FockSpace("fermi", 4)
-    gens = field_generators(space, RealSubspace.from_vectors(4, np.eye(8)[:, 0]))
-    tracemalloc.start()
-    try:
-        comm = commutant(gens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(comm) == 128
-    assert peak < 32 * 2**20
-
-
-def test_commutant_takes_one_step_per_self_adjoint_generator(monkeypatch):
-    # every field is exactly self-adjoint, so its adjoint step would find nothing new
-    space = FockSpace("fermi", 3)
-    v = RealSubspace.from_vectors(3, np.random.default_rng(3).standard_normal((6, 2)))
-    fields = field_generators(space, v)
-    assert all(np.array_equal(g.toarray(), g.toarray().conj().T) for g in fields)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    # a creation operator is not self-adjoint and keeps its adjoint step
-    for gens, steps in ((fields, len(fields)), (fields + [space.creation(0)], len(fields) + 2)):
-        calls.clear()
-        comm = commutant(gens)
-        assert len(calls) == steps
-        assert len(comm) == len(kronecker_commutant(gens))
-
-
 def test_algebra_monotone_and_meet(rng):
     d = 2
     space = FockSpace("fermi", d)
@@ -325,7 +298,7 @@ def test_algebra_monotone_and_meet(rng):
     big = RealSubspace(d, np.column_stack([small.basis, rng.standard_normal(4)]))
     alg_small = generated_algebra(space, field_generators(space, small))
     alg_big = generated_algebra(space, field_generators(space, big))
-    assert _containment_defect(alg_small, alg_big) <= 1e-9
+    assert containment_defect(alg_small, alg_big) <= 1e-9
     # meet morphism on dimensions: M(V1 & V2) = M(V1) & M(V2)
     v1 = RealSubspace.from_vectors(d, rng.standard_normal((4, 3)))
     v2 = RealSubspace.from_vectors(d, rng.standard_normal((4, 3)))
@@ -342,8 +315,7 @@ def test_odd_dimensional_center_contains_q(rng):
     sp = FockSpace("fermi", 3)
     gens = [tracial_field(sp, np.eye(3)[k]) for k in range(3)]
     alg = generated_algebra(sp, gens)
-    comm = commutant(gens)
-    center = [x for x in comm]
+    comm = kronecker_commutant(gens)
     q = ((1j) ** 3 * gens[0] @ gens[1] @ gens[2]).toarray()
     # Q commutes with the generators and lies in the algebra
     for g in gens:

@@ -138,7 +138,7 @@ def test_pair_exponential_matches_series():
     vec = pair_exponential_vacuum(sp, np.array([[c]], dtype=complex))
     for k in range(6):
         expect = c**k * np.sqrt(float(math.factorial(2 * k))) / (2**k * math.factorial(k))
-        assert vec[sp.index[(2 * k,)]] == pytest.approx(expect, rel=1e-12)
+        assert vec[sp.indices((2 * k,))[0]] == pytest.approx(expect, rel=1e-12)
 
 
 def test_gaussian_vector_trivial_and_normalization(rng):

@@ -47,7 +47,7 @@ def _creators(space):
         target, weight = [0] * space.dim, [0] * space.dim
         for i, occ in enumerate(space.basis):
             if (occ[k] == 0) if space.is_fermi else (sum(occ) < space.n_max):
-                target[i] = space.index[occ[:k] + (occ[k] + 1,) + occ[k + 1:]]
+                target[i] = space.indices(occ[:k] + (occ[k] + 1,) + occ[k + 1:])[0]
                 weight[i] = (mpmath.mpf(-1) ** sum(occ[:k]) if space.is_fermi
                              else mpmath.sqrt(occ[k] + 1))
         out.append((target, weight))

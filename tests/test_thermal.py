@@ -360,15 +360,14 @@ def test_kms_density_oracle(rng):
 
 def test_confined_gibbs_examples():
     spb = FockSpace("bose", 1, 10)
-    dens, trace, reference, tail = confined_gibbs(spb, np.array([[0.5]]))
+    trace, reference, tail = confined_gibbs(spb, np.array([[0.5]]))
     assert reference == pytest.approx(2.0)
     assert trace == pytest.approx(2.0 - 2.0**-10)
     assert tail == pytest.approx(2.0**-10)
-    assert np.trace(dense(dens)) == pytest.approx(1.0)
     spf = FockSpace("fermi", 1)
-    _, trace_f, ref_f, tail_f = confined_gibbs(spf, np.array([[0.5]]))
+    trace_f, ref_f, tail_f = confined_gibbs(spf, np.array([[0.5]]))
     assert trace_f == pytest.approx(1.5) and abs(tail_f) <= 1e-12
-    _, trace_0, ref_0, _ = confined_gibbs(spf, np.zeros((1, 1)))
+    trace_0, ref_0, _ = confined_gibbs(spf, np.zeros((1, 1)))
     assert trace_0 == pytest.approx(1.0) and ref_0 == pytest.approx(1.0)
 
 
@@ -378,7 +377,7 @@ def test_confined_gibbs_bose_tail_bound(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     g = a @ a.conj().T
     g = 0.7 * g / np.linalg.eigvalsh(g).max()
-    _, trace, reference, tail = confined_gibbs(sp, g)
+    trace, reference, tail = confined_gibbs(sp, g)
     top = np.linalg.eigvalsh(g).max()
     bound = sum((n + 1) * top**n for n in range(cutoff + 1, cutoff + 500)) * 2
     assert 0.0 <= tail <= bound
@@ -418,7 +417,7 @@ def test_omega_gamma_trivial_and_fermi_formula():
     g = 0.6
     rep = DoubledRep(ThermalParams("fermi", np.array([[g]])))
     om = rep.omega_vector()
-    pair_idx = rep.space.index[(1, 1)]
+    pair_idx = rep.space.indices((1, 1))[0]
     assert om[0] == pytest.approx((1 + g) ** -0.5)
     assert om[pair_idx] == pytest.approx(np.sqrt(g) * (1 + g) ** -0.5)
     assert np.linalg.norm(om) == pytest.approx(1.0)
