@@ -23,7 +23,7 @@ from .acceptance import _report
 from .bogolubov import (BogolubovBlocks, FermiDegenerateError, degenerate_implementer,
                         shale_implementer, validate_blocks)
 from .fock import FockSpace
-from .linalg import window_norm
+from .linalg import dense, window_norm
 from .ops import DoubledVector, gaussian_vector, squeezer, symplectic_form, weyl
 from .paulifierz import PauliFierzModel, confined_pf_check, hamiltonian
 from .thermal import DoubledRep, ThermalParams, kms_check
@@ -239,7 +239,7 @@ def task_pauli_fierz(model, rng):
                           "through at least two cutoffs")
     if g is None:
         ham, _ = hamiltonian(pf, cutoff)
-        herm = np.linalg.norm(ham - ham.conj().T, 2)
+        herm = np.linalg.norm(dense(ham - ham.conj().T), 2)
         return [_report("hamiltonian-hermiticity", herm, _tolerance(model, "hermitian", 1e-12))]
     rep = confined_pf_check(pf, cutoffs=cutoffs)
     dev = max(rep["semi"][-1], rep["standard"][-1])

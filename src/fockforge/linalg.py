@@ -70,8 +70,14 @@ def require_square(a) -> np.ndarray:
 
 
 def _self_adjoint(m, name: str) -> np.ndarray:
-    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||)."""
+    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||).
+
+    A finite m equal to m* passes without the two spectral norms (SVDs); a
+    non-finite one takes them, and fails as they do.
+    """
     m = require_square(np.asarray(m, dtype=complex))
+    if np.isfinite(m).all() and np.array_equal(m, m.conj().T):
+        return m
     if np.linalg.norm(m - m.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
         raise ValueError(f"{name} must be self-adjoint")
     return m

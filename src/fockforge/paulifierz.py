@@ -96,20 +96,17 @@ def coupled_create(q: np.ndarray, creators) -> scipy.sparse.csr_array:
 
     With creators[m] = a*_m this is a*(q), and B (x) a*(w) for q = B (x) |w);
     with the left creators a*_l(e_m) of a thermal representation it is
-    pi_l(a*(q)).
+    pi_l(a*(q)).  The d terms' triplets make one CSR (_sum_triplets), so
+    where at most two terms meet at an entry the sum is bit for bit that of
+    a chain of sparse sums: always for a*_m, which changes only mode m, and
+    for a*_l(e_m) at a diagonal density or at d <= 2.
     """
     q = np.asarray(q, dtype=complex)
     dim_k, d = q.shape[1], len(creators)
     if q.shape != (dim_k * d, dim_k):
         raise ValueError(f"coupling must be {(dim_k * d, dim_k)}, got {q.shape}")
-    dim = dim_k * creators[0].shape[0]
-    out = scipy.sparse.csr_array((dim, dim), dtype=complex)
     q4 = q.reshape(dim_k, d, dim_k)
-    for m, a in enumerate(creators):
-        b_m = q4[:, m, :]
-        if np.any(b_m):
-            out = out + _kron(b_m, a)
-    return out
+    return _sum_triplets([_kron(q4[:, m, :], a) for m, a in enumerate(creators)])
 
 
 def _coupled(system: np.ndarray, coupling: np.ndarray, free, creators) -> scipy.sparse.csr_array:
@@ -126,10 +123,10 @@ def _coupled(system: np.ndarray, coupling: np.ndarray, free, creators) -> scipy.
 
 
 def hamiltonian(model: PauliFierzModel, cutoff: int):
-    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H dense."""
+    """H = K (x) 1 + 1 (x) dGamma(h) + a*(v) + a(v) at a cutoff; returns (H, space), H sparse."""
     space = FockSpace(BOSE, model.d, cutoff)
     creators = [space.creation(m) for m in range(model.d)]
-    return dense(_coupled(model.K, model.v, dgamma(space, model.h), creators)), space
+    return _coupled(model.K, model.v, dgamma(space, model.h), creators), space
 
 
 def _doubling(model: PauliFierzModel, cutoff: int):
@@ -197,9 +194,22 @@ def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray
     return y.reshape(dw, r, -1).transpose(1, 0, 2).reshape(shape)
 
 
-def _reference_levels(model: PauliFierzModel):
+def _reference_states(model: PauliFierzModel):
+    """The N_LEVELS lowest levels of H at cutoff 30 and their eigenvectors as columns.
+
+    H is diagonalised one exact block at a time (_block_spectra), and each
+    block keeps its N_LEVELS lowest eigenvectors; the lowest N_LEVELS of the
+    merged levels keep theirs, embedded at their block's coordinates.
+    """
     ham, _ = hamiltonian(model, 30)
-    return np.sort(np.linalg.eigvalsh(ham))[:N_LEVELS]
+    blocks = _block_spectra(ham, None, lambda vals: np.arange(len(vals)) < N_LEVELS)
+    # (level, block coordinates, eigenvector) of every kept level, the lowest first
+    kept = sorted(((val, idx, vec) for idx, vals, x in blocks for val, vec in zip(vals, x.T)),
+                  key=lambda t: t[0])[:N_LEVELS]
+    vecs = np.zeros((ham.shape[0], N_LEVELS), dtype=np.result_type(*(v for _, _, v in kept)))
+    for col, (_, idx, vec) in enumerate(kept):
+        vecs[idx, col] = vec
+    return np.array([val for val, _, _ in kept]), vecs
 
 
 def _semi_targets(model: PauliFierzModel, levels) -> list:
@@ -210,30 +220,30 @@ def _semi_targets(model: PauliFierzModel, levels) -> list:
 
 def difference_targets(model: PauliFierzModel) -> list:
     """Well-converged difference eigenvalues E_i - j h for the check families."""
-    return _semi_targets(model, _reference_levels(model))
+    return _semi_targets(model, _reference_states(model)[0])
 
 
-def _labelled_states(model: PauliFierzModel, cutoff: int):
+def _labelled_states(model: PauliFierzModel, cutoff: int, reference: np.ndarray):
     """Product states that label the targets of both families at one cutoff.
 
-    With psi_i the eigenvectors of H at the comparison cutoff (twice the
-    single-sided one) and chi_j the state of j quanta in the lowest mode of
+    With psi_i the reference eigenvectors of H (_reference_states, cutoff
+    30) read on K (x) Gamma(Z) at the comparison cutoff (twice the
+    single-sided one), and chi_j the state of j quanta in the lowest mode of
     h-bar, target E{i}-{j} is labelled by psi_i (x) chi_j and target
     E{i}-E{j} by psi_i (x) conj(psi_j), each read through the exponential-law
     chart: a doubled occupation splits into a left occupation, index n_idx,
     and a right one, index m_idx, both in the basis of Gamma(Z) at the
-    comparison cutoff.  Returns the semi and standard states as columns, in
-    target order.
+    comparison cutoff.  The graded basis of the smaller of the two Gamma(Z)
+    is a prefix of the larger one's, so psi_i is cut to it, or padded with
+    zeros.  Returns the semi and standard states as columns, in target order.
     """
     k, d = model.dim_k, model.d
-    ham, space_z = hamiltonian(model, 2 * cutoff)
+    space_z = FockSpace(BOSE, d, 2 * cutoff)
     space_w = FockSpace(BOSE, 2 * d, 2 * cutoff)
     occ = space_w.occupations
     n_idx, m_idx = space_z.indices(occ[:, :d]), space_z.indices(occ[:, d:])
-    _, vecs = np.linalg.eigh(_real_if_exact(ham))
-    psi = np.zeros((vecs.shape[0], N_LEVELS), dtype=vecs.dtype)  # levels past the truncation: 0
-    psi[:, :min(N_LEVELS, vecs.shape[1])] = vecs[:, :N_LEVELS]
-    psi = psi.reshape(k, space_z.dim, N_LEVELS)
+    psi = reference.reshape(k, -1, N_LEVELS)[:, :space_z.dim]
+    psi = np.pad(psi, ((0, 0), (0, space_z.dim - psi.shape[1]), (0, 0)))
     w, u = np.linalg.eigh(np.conj(model.h))
     raise_low = space_z.create(u[:, np.argmin(w)])
     chi = np.empty((space_z.dim, N_RIGHT + 1), dtype=complex)
@@ -607,18 +617,20 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     Liouvilleans of the same model at density 0, so both members of a
     family come from one builder (_family_deviation).  A fixed family of
     difference eigenvalues (the lowest system levels minus a few boson
-    quanta), taken from H at cutoff 30 once per check, is followed across
-    cutoffs; the reported deviation is the worst matched gap, and it
-    shrinks as the cutoff grows because the dressing tail of the density
-    dies off.  all_matched says whether both families matched every
-    target at the last cutoff; a deviation counts only when they did.
+    quanta), taken from H at cutoff 30 once per check (_reference_states,
+    one exact block at a time), is followed across cutoffs; the reported
+    deviation is the worst matched gap, and it shrinks as the cutoff grows
+    because the dressing tail of the density dies off.  all_matched says
+    whether both families matched every target at the last cutoff; a
+    deviation counts only when they did.
 
     Each target is labelled by a product state (psi_i (x) chi_j or
-    psi_i (x) conj(psi_j), with psi_i from H at the comparison cutoff) whose
-    projection onto the nearest comparison eigenspace is the comparison
-    vector; see matched_spectral_deviation.  The thermal dressing acts on
-    those vectors only (apply_pair_squeezer).  The four operators are built
-    sparse and diagonalised one exact block at a time (the Z2 parity sectors
+    psi_i (x) conj(psi_j), with psi_i the reference eigenvectors of H read
+    at the comparison cutoff: _labelled_states) whose projection onto the
+    nearest comparison eigenspace is the comparison vector; see
+    matched_spectral_deviation.  The thermal dressing acts on those vectors
+    only (apply_pair_squeezer).  H and the four operators are built sparse
+    and diagonalised one exact block at a time (the Z2 parity sectors
     of the sigma_x-coupled spin-boson model, for instance), each block in
     real arithmetic when its imaginary part is exactly zero, as for any real
     model.  The semi family takes one eigh per block.  The standard family
@@ -629,13 +641,13 @@ def confined_pf_check(model: PauliFierzModel, cutoffs) -> dict:
     the SVD factors give the overlaps directly, so no eigenvector matrix of
     the block is formed.
     """
-    levels = _reference_levels(model)
+    levels, reference = _reference_states(model)
     targets_semi = _semi_targets(model, levels)
     targets_std = [(f"E{i}-E{j}", float(levels[i] - levels[j]))
                    for i in range(N_LEVELS) for j in range(N_LEVELS)]
     report = {"semi": [], "standard": [], "semi_detail": [], "standard_detail": []}
     for n in cutoffs:
-        states_semi, states_std = _labelled_states(model, n)
+        states_semi, states_std = _labelled_states(model, n, reference)
         families = (("semi", semi_liouvillean, None, targets_semi, states_semi),
                     ("standard", standard_liouvillean, _modular_mirror, targets_std, states_std))
         for family, liouvillean, mirror, targets, states in families:

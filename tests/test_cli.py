@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fockforge import acceptance, cli
 from fockforge.fock import FockSpace
@@ -128,7 +129,8 @@ def test_domain_errors_exit_2(tmp_path, capsys, model):
      "cutoff": 200},
     {"task": "bogolubov", "statistics": "bose", "p": encode_matrix(np.eye(2)),
      "q": encode_matrix(np.zeros((2, 2))), "cutoff": 200},
-    # a desk-scale model whose reference Hamiltonian at cutoff 30 has dim 2 * 5456
+    # a desk-scale model whose reference Hamiltonian at cutoff 30 is one exact block of
+    # dim 2 * 5456
     {"task": "pauli-fierz", "K": encode_matrix(np.diag([0.5, -0.5])),
      "h": encode_matrix(np.diag([1.0, 1.2, 1.4])),
      "v": encode_matrix(0.1 * np.ones((6, 2))),
@@ -167,7 +169,7 @@ def test_verify_tasks_refuse_before_building_fields(tmp_path, capsys, monkeypatc
 LARGE_MODELS = {
     "verify-ccr-d1100": ({"task": "verify-ccr", "d": 1100, "cutoff": 0}, 1, 2.0),
     "thermal-520-modes": ({"task": "thermal", "statistics": "bose",
-                           "gamma": encode_matrix(0.3 * np.eye(520)), "single_cutoff": 1}, 2, 5.0),
+                           "gamma": encode_matrix(0.3 * np.eye(520)), "single_cutoff": 1}, 2, 2.0),
     "lattice-d4": ({"task": "lattice", "d": 4, "subspaces": 2}, 0, 2.0),
     "lattice-d6": ({"task": "lattice", "d": 6, "subspaces": 1}, 0, 5.0),
     "lattice-d7": ({"task": "lattice", "d": 7, "subspaces": 2}, 2, 2.0),
@@ -324,6 +326,42 @@ def test_pauli_fierz_hermiticity_checks_the_hamiltonian(tmp_path, K, h):
     assert cli.run(path, str(out), "json", seed=42) == 0
     checks = json.loads(out.read_text())["checks"]
     assert [(c["name"], c["residual"]) for c in checks] == [("hamiltonian-hermiticity", 0.0)]
+
+
+def test_pauli_fierz_hermiticity_rejects_an_anti_hermitian_term(tmp_path, monkeypatch):
+    # the witness of the gate: H + T with T = i eps |0)(0|, so T* = -T and the
+    # residual ||(H + T) - (H + T)*|| is the spectral norm of T - T* = 2T, 2 eps
+    eps, build = 1e-9, cli.hamiltonian
+
+    def skewed(model, cutoff):
+        ham, space = build(model, cutoff)
+        return ham + scipy.sparse.csr_array(([1j * eps], ([0], [0])), shape=ham.shape), space
+
+    monkeypatch.setattr(cli, "hamiltonian", skewed)
+    model = {"schema_version": 1, "task": "pauli-fierz",
+             "K": encode_matrix(np.diag([0.5, -0.5])), "h": encode_matrix(np.eye(1)),
+             "v": encode_matrix(0.1 * np.array([[0, 1], [1, 0]])), "cutoff": 4}
+    path = write_model(tmp_path, "pf.json", model)
+    out = tmp_path / "r.json"
+    assert cli.run(path, str(out), "json", seed=42) == 1
+    [check] = json.loads(out.read_text())["checks"]
+    assert check["name"] == "hamiltonian-hermiticity" and check["pass"] is False
+    assert check["residual"] == pytest.approx(2 * eps, rel=1e-14)
+
+
+# every sample model passes, except the KMS mismatch witness, which must fail
+SAMPLE_EXIT_CODES = {"kms_mismatch": 1}
+SAMPLES = sorted((ROOT / "docs" / "models").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_sample_models_exit_with_their_documented_code(tmp_path, path):
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(path), "--out", str(out)]) == SAMPLE_EXIT_CODES.get(path.stem, 0)
+
+
+def test_every_task_has_a_sample_model():
+    assert {json.loads(p.read_text())["task"] for p in SAMPLES} == set(cli.TASK_RUNNERS)
 
 
 def one_stderr_line(capsys, prefix):

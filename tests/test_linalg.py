@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from fockforge import cli, ops
-from fockforge.linalg import (NonSquareError, dense, exp_herm, ordered_products, polar_decompose,
-                             require_square, sqrtm_psd)
+from fockforge.linalg import (NonSquareError, _self_adjoint, dense, exp_herm, ordered_products,
+                             polar_decompose, require_square, sqrtm_psd)
 from fockforge.thermal import ThermalParams
 
 
@@ -103,3 +105,30 @@ def test_gibbs_rejects_a_non_hermitian_h_before_any_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     with pytest.raises(ValueError, match="self-adjoint"):
         ThermalParams.gibbs("fermi", [[1.0, 0.5], [0.0, 1.2]], 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in m - m*
+def test_self_adjoint_skips_its_norms_only_on_exactly_hermitian_finite_input(tmp_path,
+                                                                            monkeypatch):
+    # an exactly Hermitian finite m passes without the two spectral norms; every other m
+    # takes them, so the accepted inputs and the failures stay what they were
+    norms, norm = [], np.linalg.norm
+
+    def counting(*args):
+        norms.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    h = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]])
+    assert np.array_equal(_self_adjoint(h, "h"), h) and not norms
+    near = h + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    assert np.array_equal(_self_adjoint(near, "h"), near) and len(norms) == 2
+    with pytest.raises(ValueError, match="self-adjoint"):
+        _self_adjoint(h + np.array([[0.0, 1e-9], [0.0, 0.0]]), "h")
+    monkeypatch.undo()
+    # inf equals itself, so diag(inf, 0.2) must not pass as Hermitian: its norms fail
+    gamma = np.diag([np.inf, 0.2])
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"schema_version": 1, "task": "thermal", "statistics": "bose",
+                                "gamma": np.stack([gamma, np.zeros((2, 2))], axis=-1).tolist()}))
+    assert cli.run(str(path), None, "json", seed=42) == 3
