@@ -77,11 +77,12 @@ def intertwining_defect(space, blocks, u, y):
 
 
 def _composition_defect(space, r1, r2, keep):
-    """min over the sign of ||(U(r1) U(r2) -+ U(r1 r2)) P||, U the metaplectic
-    implementer and P the coordinate projector onto the columns keep."""
-    (u1, _), (u2, _), (u12, _) = (metaplectic_pair(space, r) for r in (r1, r2, r1.compose(r2)))
-    prod = u1 @ u2
-    return min(np.linalg.norm((prod - u12)[:, keep], 2), np.linalg.norm((prod + u12)[:, keep], 2))
+    """min over both members v of the pair U(r1 r2) of ||(U(r1) U(r2) - v) P||, U the
+    metaplectic implementer and P the coordinate projector onto the columns keep."""
+    (u1, _), (u2, _) = (metaplectic_pair(space, r) for r in (r1, r2))
+    prod = dense(u1) @ dense(u2)
+    return min(np.linalg.norm((prod - dense(v))[:, keep], 2)
+               for v in metaplectic_pair(space, r1.compose(r2)))
 
 
 def kernel_defect(space, c, om, z):
@@ -187,7 +188,7 @@ def criterion_implementers(seed):
         space = FockSpace("fermi", d)
         for _ in range(10):
             blocks = random_blocks(d, FERMI, rng)
-            u = shale_implementer(space, blocks)
+            u = dense(shale_implementer(space, blocks))
             y = DoubledVector.real_point(rng.standard_normal(d) + 1j * rng.standard_normal(d))
             worst_fermi = max(worst_fermi,
                               np.linalg.norm(intertwining_defect(space, blocks, u, y), 2))
@@ -196,7 +197,7 @@ def criterion_implementers(seed):
     worst_bose = 0.0
     for t in (0.1, 0.2, 0.3):
         blocks = positive_blocks_from_c(np.array([[np.tanh(t)]], dtype=complex), BOSE)
-        u = shale_implementer(space_b, blocks)
+        u = dense(shale_implementer(space_b, blocks))
         y = DoubledVector.real_point(np.array([1.0 + 0.3j]))
         defect = intertwining_defect(space_b, blocks, u, y)
         worst_bose = max(worst_bose, window_norm(defect, keep))

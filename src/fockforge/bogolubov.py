@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse
 
 from .fock import BOSE, FERMI, SIGN, FockSpace
 from .linalg import dense, require_square, sqrtm_psd
@@ -113,15 +114,16 @@ def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
 
 
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
-                         prefactor: complex) -> np.ndarray:
+                         prefactor: complex) -> scipy.sparse.csr_array:
     """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
     return _implementer_matrix(space, prefactor, multi_create(space, cd.d_kernel),
                                np.linalg.inv(blocks.p.conj().T), multi_create(space, cd.c),
                                0.5 * blocks.sign)
 
 
-def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:
-    """The unitary with positive vacuum expectation implementing r.
+def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> scipy.sparse.csr_array:
+    """The unitary with positive vacuum expectation implementing r, a CSR array of
+    its two parity blocks (ops._implementer_matrix).
 
     Conjugation sends phi(y) to phi(r y).  Bosonic implementers live on
     the truncated space and are unitary only up to the truncation tail;
@@ -146,7 +148,8 @@ def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:
 
 
 def metaplectic_pair(space: FockSpace, blocks: BogolubovBlocks):
-    """The two-valued implementer (U, -U) with the determinantal phase.
+    """The two-valued implementer (U, -U) with the determinantal phase, two CSR
+    arrays of their parity blocks.
 
     The phase is the principal square root of det p* (fermionic) or of
     its inverse (bosonic); either member differs from the Shale
@@ -203,7 +206,7 @@ def mode_pair_swap_implementer(space: FockSpace, k: int, l: int) -> np.ndarray:
 
 
 def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:
-    """Implementer for fermionic r with Ker p != 0.
+    """Implementer for fermionic r with Ker p != 0, as a dense unitary.
 
     Composes r with a mode-pair swap whose implementer is a known field
     monomial, applies the closed form to the nondegenerate product, and
@@ -219,7 +222,7 @@ def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndar
         composed = blocks.compose(s)
         svals = np.linalg.svd(composed.p, compute_uv=False)
         if svals.min() > 1e-6 * max(svals.max(), 1e-300):
-            u_comp = shale_implementer(space, composed)
+            u_comp = dense(shale_implementer(space, composed))
             u_swap = mode_pair_swap_implementer(space, k, l)
             u = u_comp @ u_swap.conj().T
             lead = u.flat[np.argmax(np.abs(u))]

@@ -140,7 +140,7 @@ def task_bogolubov(model, rng):
         return checks
     space = FockSpace(stat, p.shape[0], cutoff)  # a fermionic space ignores the cutoff
     try:
-        u = shale_implementer(space, blocks)
+        u = dense(shale_implementer(space, blocks))
     except FermiDegenerateError:
         # Ker p != 0: the closed form fails, the composed route does not
         u = degenerate_implementer(space, blocks)
@@ -170,7 +170,7 @@ def task_gaussian(model, rng):
     tol_k = _tolerance(model, "kernel", 1e-12 if stat == "fermi" else 1e-8)
     checks = [_report("kernel-condition",
                       np.linalg.norm(acceptance.kernel_defect(space, c, om, z)), tol_k)]
-    res = np.linalg.norm(squeezer(space, c) @ om - space.vacuum())
+    res = np.linalg.norm(dense(squeezer(space, c)) @ om - space.vacuum())
     tol_r = _tolerance(model, "squeezer", 1e-12 if stat == "fermi" else 1e-6)
     checks.append(_report("squeezer-vacuum", res, tol_r))
     return checks

@@ -232,13 +232,23 @@ def gamma(space: FockSpace, p) -> scipy.sparse.csr_array:
     _require_dense(space.dim)
     blocks, dim, start = _gamma_blocks(space, p), space.dim, space.sector_start
     if not isinstance(blocks, list):
-        return scipy.sparse.csr_array((blocks, np.arange(dim), np.arange(dim + 1)), (dim, dim))
-    sizes = np.diff(start)
-    width = np.repeat(sizes, sizes)  # each row of a sector holds the sector's columns
-    indptr = np.concatenate([[0], np.cumsum(width)])
-    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - np.repeat(start[:-1], sizes), width)
-    data = np.concatenate(blocks, axis=None)
-    return scipy.sparse.csr_array((data, indices, indptr), (dim, dim))
+        diag = np.arange(dim + 1, dtype=np.int32)
+        return scipy.sparse.csr_array((blocks, diag[:-1], diag), (dim, dim))
+    return _sector_csr(start, [np.arange(lo, hi) for lo, hi in zip(start[:-1], start[1:])],
+                       np.concatenate(blocks, axis=None))
+
+
+def _sector_csr(start, cols, data) -> scipy.sparse.csr_array:
+    """The square CSR array whose every row in sector n, start[n]:start[n + 1],
+    stores the ascending columns cols[n], with data in row-major order: the
+    data of sector n are a (sector size x len(cols[n])) block.  The array
+    keeps data itself, so a caller may fill it afterwards.  Its index arrays
+    are int32, which hold every index below the dense byte budget."""
+    sizes = np.diff(start).tolist()
+    indptr = np.zeros(start[-1] + 1, dtype=np.int32)
+    np.cumsum(np.repeat([len(c) for c in cols], sizes), out=indptr[1:])
+    indices = np.concatenate([c for c, n in zip(cols, sizes) for _ in range(n)], dtype=np.int32)
+    return scipy.sparse.csr_array((data, indices, indptr), (start[-1], start[-1]))
 
 
 def _gamma_blocks(space: FockSpace, p) -> list | np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, _gamma_blocks, _rows_csr
+from .fock import FockSpace, _gamma_blocks, _rows_csr, _sector_csr
 from .linalg import _require_dense, exp_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
@@ -180,30 +180,38 @@ def _implementer(space: FockSpace, pref, a_left, g, a_right, t: float, window):
     return apply
 
 
-def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) -> np.ndarray:
-    """_implementer on the identity, dense, one column group at a time.
+def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right,
+                        t: float) -> scipy.sparse.csr_array:
+    """_implementer on the identity, one column group at a time, as a CSR array
+    of its two parity blocks.  The pair creators never mix the parity classes,
+    so every row in sector n stores the columns of class n mod 2, ascending,
+    and sector n's data are one dense (sector x class) view that the slabs
+    write into; the other entries are exactly zero and are not stored.
 
     A group is a run of whole sectors taken from the top sector down, closed
     once it holds as many basis vectors as the sectors below it.  The rest
     is one group once the nonzeros of both pair creators on its rows times
-    its basis vectors are at most _GROUP_WORK.  The pair creators never mix
-    the parity classes, so a group's even and odd columns share one identity.
-    The series run on the group's sector windows: the lowering series of a
-    group from sector n touches sectors n, n-2, ... only.  A space of one
-    group takes no slices.  A parity's rows are runs of whole sectors, so a
-    group's columns are copied out one row sector at a time.
+    its basis vectors are at most _GROUP_WORK.  A group's even and odd
+    columns, runs of their classes, share one identity.  The series run on
+    the group's sector windows: the lowering series of a group from sector n
+    touches sectors n, n-2, ... only.  A space of one group takes no slices.
 
     A group runs in slabs of _SLAB shared columns, the last up to its end: a
-    slab's buffer and series terms are all that sits beside out, and every
-    slab reuses its group's window slices.  Slabs start at multiples of _SLAB
-    and none is a lone column (numpy takes that as a vector), so each product
-    sums every column as in the whole group, bit for bit.
+    slab's buffer and series terms are all that sits beside the output, and
+    every slab reuses its group's window slices.  Slabs start at multiples of
+    _SLAB and none is a lone column (numpy takes that as a vector), so each
+    product sums every column as in the whole group, bit for bit.
     """
     _require_dense(space.dim)
-    # out first, so that it can take a freed heap run before the blocks and slabs split it
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    g = _gamma_blocks(space, m)
     start, groups, hi = space.sector_start, [], space.n_max
+    classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
+    # the output first, so that it can take a freed heap run before the blocks and slabs split it
+    out = _sector_csr(start, [classes[n % 2] for n in range(hi + 1)],
+                      np.zeros(sum(len(cls) ** 2 for cls in classes), dtype=complex))
+    offsets = out.indptr[start].tolist()
+    views = [out.data[a:b].reshape(-1, len(classes[n % 2]))
+             for n, (a, b) in enumerate(zip(offsets, offsets[1:]))]
+    g = _gamma_blocks(space, m)
     nnz = a_left.indptr + a_right.indptr  # nonzeros of both pair creators above each row
     while hi >= 0:
         lo = hi if nnz[start[hi + 1]] * start[hi + 1] > _GROUP_WORK else 0
@@ -211,10 +219,9 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
             lo -= 1
         groups.append((lo, hi))
         hi = lo - 1
-    classes = [np.flatnonzero(space.total_numbers % 2 == p) for p in (0, 1)]
     for lo, hi in groups:
-        cols = [cls[np.searchsorted(cls, start[lo]):np.searchsorted(cls, start[hi + 1])]
-                for cls in classes]
+        first = [np.searchsorted(cls, start[lo]) for cls in classes]
+        cols = [cls[f:np.searchsorted(cls, start[hi + 1])] for f, cls in zip(first, classes)]
         apply = _implementer(space, pref, a_left, g, a_right, t,
                              None if len(groups) == 1 else (lo, hi))
         width = max(map(len, cols))
@@ -225,10 +232,9 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right, t: float) ->
             for c in slab:
                 y[c, np.arange(len(c))] = 1.0
             y = apply(y)
-            for parity, c in enumerate(slab):
+            for parity, (f, c) in enumerate(zip(first, slab)):
                 for n in range(parity, space.n_max + 1, 2):
-                    rows = slice(start[n], start[n + 1])
-                    out[rows, c] = y[rows, :len(c)]
+                    views[n][:, f + s:f + s + len(c)] = y[start[n]:start[n + 1], :len(c)]
             del y
     return out
 
@@ -240,8 +246,9 @@ def _squeezer_factors(space: FockSpace, c):
             sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T)))
 
 
-def squeezer(space: FockSpace, c) -> np.ndarray:
-    """The unitary R mapping the Gaussian vector of c back to the vacuum.
+def squeezer(space: FockSpace, c) -> scipy.sparse.csr_array:
+    """The unitary R mapping the Gaussian vector of c back to the vacuum, a CSR
+    array of its two parity blocks (_implementer_matrix).
 
     R = det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2) Gamma((1 -+ cc*)^{1/2}) exp(a(c)/2),
     upper signs for bosons, lower for fermions; the fermionic middle

@@ -314,8 +314,9 @@ class DoubledRep:
         vector of the pair kernel."""
         return gaussian_vector(self.space, pair_kernel(self.params.gamma, self.kind))
 
-    def r_gamma(self) -> np.ndarray:
-        """The dressing unitary mapping omega_vector back to the vacuum."""
+    def r_gamma(self) -> scipy.sparse.csr_array:
+        """The dressing unitary mapping omega_vector back to the vacuum: the squeezer
+        of the pair kernel, a CSR array of its two parity blocks."""
         return squeezer(self.space, pair_kernel(self.params.gamma, self.kind))
 
     def pair_embedding(self):
@@ -372,7 +373,7 @@ class DoubledRep:
         invariance is a commutator, exact on the truncation, and is
         reported at full norm.
         """
-        r = self.r_gamma()
+        r = dense(self.r_gamma())
         rdag = r.conj().T
         d = self.d
         if self.kind == BOSE:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockforge import cli
+from fockforge import acceptance, bogolubov, cli
 from fockforge.acceptance import car_defect, ccr_defect
 from fockforge.fock import FockSpace
 from fockforge.linalg import dense, window_norm
@@ -48,6 +48,18 @@ def suite_runs(tmp_path_factory):
     code_first = cli.suite("full", str(first), seed=42)
     code_second = cli.suite("full", str(second), seed=42)
     return first, second, code_first, code_second
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_criterion_04_fails_when_the_metaplectic_pair_loses_its_sign(monkeypatch, seed):
+    # the fermionic composition U(r1) U(r2) = -U(r1 r2) is met only by the pair's -U
+    def without_sign(space, blocks):
+        u, _ = bogolubov.metaplectic_pair(space, blocks)
+        return u, u
+    monkeypatch.setattr(acceptance, "metaplectic_pair", without_sign)
+    report = acceptance.criterion_implementers(seed)
+    assert not report["pass"]
+    assert report["fermi_composition"] == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("check_name,label", CRITERIA)

@@ -17,6 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from fockforge import acceptance, cli
+from fockforge.bogolubov import metaplectic_pair, random_blocks, shale_implementer
 from fockforge.fock import FockSpace, dgamma, gamma
 from fockforge.ops import DoubledVector, multi_create, squeezer, weyl
 from fockforge.thermal import DoubledRep, ThermalParams, kms_check
@@ -83,8 +84,8 @@ def callers(name):
 def test_densify_census():
     # a sparse operator becomes dense only in linalg.dense, which checks the byte budget
     # first; the other budget checks guard arrays that are allocated dense directly, except
-    # fock.gamma's, which keeps the refusals of the dense Gamma(p): its dense arrays are
-    # the sector blocks, not a dim x dim matrix
+    # fock.gamma's and ops._implementer_matrix's, which keep the refusals of the dense
+    # operators: their dense arrays are sector or parity blocks, not a dim x dim matrix
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if ".toarray(" in p.read_text()] \
         == ["linalg.py"]
     assert callers("_require_dense") == ["acceptance.car_defect", "acceptance.ccr_defect",
@@ -93,15 +94,20 @@ def test_densify_census():
 
 
 def test_fock_layer_builders_return_csr_arrays():
-    # every second-quantized builder of the fock layer, Gamma(p) included, is sparse
+    # every second-quantized builder of the fock layer, Gamma(p) and the implementers
+    # included, is sparse
     rng = np.random.default_rng(3)
     for space in (FockSpace("bose", 2, 4), FockSpace("fermi", 3)):
         d = space.d
         w, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
         h, p = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+        c = 0.3 * (h - space.sign * h.T) / np.linalg.norm(h - space.sign * h.T, 2)
+        blocks = random_blocks(d, space.statistics, rng)
         built = [space.creation(1), space.annihilation(1), space.create(w), space.annihilate(w),
                  space.ladder(w, v), dgamma(space, h), gamma(space, p),
-                 gamma(space, np.diag(np.diag(p))), multi_create(space, h - space.sign * h.T)]
+                 gamma(space, np.diag(np.diag(p))), multi_create(space, h - space.sign * h.T),
+                 squeezer(space, c), shale_implementer(space, blocks),
+                 *metaplectic_pair(space, blocks)]
         assert all(isinstance(op, scipy.sparse.csr_array) for op in built), space
 
 

@@ -88,7 +88,7 @@ def test_one_minus_cc_identity(rng):
 
 def test_shale_identity_blocks():
     sp = FockSpace("fermi", 2)
-    u = shale_implementer(sp, BogolubovBlocks.identity(2, "fermi"))
+    u = dense(shale_implementer(sp, BogolubovBlocks.identity(2, "fermi")))
     assert np.allclose(u, np.eye(sp.dim))
 
 
@@ -96,7 +96,7 @@ def test_fermi_implementer_unitary_and_intertwining(rng):
     sp = FockSpace("fermi", 3)
     for _ in range(6):
         blocks = random_blocks(3, "fermi", rng)
-        u = shale_implementer(sp, blocks)
+        u = dense(shale_implementer(sp, blocks))
         assert np.linalg.norm(u.conj().T @ u - np.eye(sp.dim), 2) <= 1e-11
         assert u[0, 0].real > 0 and abs(u[0, 0].imag) <= 1e-12
         mat = blocks.matrix()
@@ -132,7 +132,7 @@ def test_bose_truncation_warning():
 
 def test_metaplectic_identity_pair():
     sp = FockSpace("fermi", 2)
-    u_plus, u_minus = metaplectic_pair(sp, BogolubovBlocks.identity(2, "fermi"))
+    u_plus, u_minus = map(dense, metaplectic_pair(sp, BogolubovBlocks.identity(2, "fermi")))
     assert np.allclose(u_plus, np.eye(sp.dim))
     assert np.allclose(u_minus, -np.eye(sp.dim))
 
@@ -140,17 +140,15 @@ def test_metaplectic_identity_pair():
 def test_metaplectic_phase_and_composition(rng):
     sp = FockSpace("fermi", 3)
     blocks = random_blocks(3, "fermi", rng)
-    u_shale = shale_implementer(sp, blocks)
-    u_plus, _ = metaplectic_pair(sp, blocks)
+    u_shale = dense(shale_implementer(sp, blocks))
+    u_plus = dense(metaplectic_pair(sp, blocks)[0])
     ratio = np.vdot(u_shale.reshape(-1), u_plus.reshape(-1)) / np.vdot(
         u_shale.reshape(-1), u_shale.reshape(-1))
     assert abs(abs(ratio) - 1.0) <= 1e-9
     assert np.linalg.norm(u_plus - ratio * u_shale, 2) <= 1e-9
     r1 = random_blocks(3, "fermi", rng)
     r2 = random_blocks(3, "fermi", rng)
-    u1, _ = metaplectic_pair(sp, r1)
-    u2, _ = metaplectic_pair(sp, r2)
-    u12, _ = metaplectic_pair(sp, r1.compose(r2))
+    u1, u2, u12 = (dense(metaplectic_pair(sp, r)[0]) for r in (r1, r2, r1.compose(r2)))
     prod = u1 @ u2
     assert min(np.linalg.norm(prod - u12, 2), np.linalg.norm(prod + u12, 2)) <= 1e-9
 
@@ -160,14 +158,12 @@ def test_metaplectic_composition_bose():
     sub = sp.sector_projector(2)
     r1 = positive_blocks_from_c(np.array([[np.tanh(0.25)]], dtype=complex), "bose")
     r2 = positive_blocks_from_c(np.array([[-np.tanh(0.2)]], dtype=complex), "bose")
-    u1, _ = metaplectic_pair(sp, r1)
-    u2, _ = metaplectic_pair(sp, r2)
-    u12, _ = metaplectic_pair(sp, r1.compose(r2))
+    u1, u2, u12 = (dense(metaplectic_pair(sp, r)[0]) for r in (r1, r2, r1.compose(r2)))
     prod = u1 @ u2
     res = min(np.linalg.norm((prod - u12) @ sub, 2), np.linalg.norm((prod + u12) @ sub, 2))
     assert res <= 1e-7
     # the pair differs from the Shale implementer by a modulus-one scalar
-    u_shale = shale_implementer(sp, r1)
+    u_shale = dense(shale_implementer(sp, r1))
     ratio = u1[0, 0] / u_shale[0, 0]
     assert abs(abs(ratio) - 1.0) <= 1e-9
     assert np.linalg.norm(u1 - ratio * u_shale, 2) <= 1e-9
@@ -208,15 +204,15 @@ def test_positive_blocks_match_squeezer(rng):
     # bosonic: implementer of the positive map is the squeezer itself
     spb = FockSpace("bose", 1, 20)
     cb = np.array([[0.3]], dtype=complex)
-    u = shale_implementer(spb, positive_blocks_from_c(cb, "bose"))
-    assert np.linalg.norm(u - squeezer(spb, cb), 2) <= 1e-10
+    u = dense(shale_implementer(spb, positive_blocks_from_c(cb, "bose")))
+    assert np.linalg.norm(u - dense(squeezer(spb, cb)), 2) <= 1e-10
     # fermionic: the implementer with positive vacuum overlap is the
     # adjoint of the squeezer (equivalently the squeezer of -c)
     spf = FockSpace("fermi", 2)
     cf = np.array([[0, 0.7], [-0.7, 0]], dtype=complex)
-    uf = shale_implementer(spf, positive_blocks_from_c(cf, "fermi"))
-    assert np.linalg.norm(uf - squeezer(spf, cf).conj().T, 2) <= 1e-10
-    assert np.linalg.norm(uf - squeezer(spf, -cf), 2) <= 1e-10
+    uf = dense(shale_implementer(spf, positive_blocks_from_c(cf, "fermi")))
+    assert np.linalg.norm(uf - dense(squeezer(spf, cf)).conj().T, 2) <= 1e-10
+    assert np.linalg.norm(uf - dense(squeezer(spf, -cf)), 2) <= 1e-10
 
 
 def _dense_exp(a, t):
@@ -249,7 +245,7 @@ def _dense_implementer(space, blocks):
 def test_shale_implementer_by_parity_class(rng, statistics, d, n_max):
     blocks = random_blocks(d, statistics, rng)
     space = FockSpace(statistics, d, n_max)
-    u = shale_implementer(space, blocks)
+    u = dense(shale_implementer(space, blocks))
     odd = space.total_numbers % 2
     assert not np.any(u[odd[:, None] != odd[None, :]])
     assert np.max(np.abs(u - _dense_implementer(space, blocks))) <= 1e-13
@@ -260,8 +256,7 @@ def test_inverse_blocks_and_adjoint_phase(rng):
     inv = blocks.inverse()
     assert np.linalg.norm(blocks.matrix() @ inv.matrix() - np.eye(6), 2) <= 1e-10
     sp = FockSpace("fermi", 3)
-    u = shale_implementer(sp, blocks)
-    u_inv = shale_implementer(sp, inv)
+    u, u_inv = (dense(shale_implementer(sp, b)) for b in (blocks, inv))
     ratio = np.vdot(u.conj().T.reshape(-1), u_inv.reshape(-1)) / sp.dim
     assert abs(abs(ratio) - 1.0) <= 1e-9
     assert np.linalg.norm(u_inv - ratio * u.conj().T, 2) <= 1e-9

@@ -187,10 +187,10 @@ def test_gaussian_two_routes(rng):
 
 def test_squeezer_identity_and_unitarity(rng):
     spf = FockSpace("fermi", 3)
-    assert np.allclose(squeezer(spf, np.zeros((3, 3))), np.eye(spf.dim))
+    assert np.allclose(dense(squeezer(spf, np.zeros((3, 3)))), np.eye(spf.dim))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = (a - a.T) / 2
-    r = squeezer(spf, c)
+    r = dense(squeezer(spf, c))
     assert np.linalg.norm(r.conj().T @ r - np.eye(spf.dim), 2) <= 1e-12
     om = gaussian_vector(spf, c)
     assert np.linalg.norm(r @ om - spf.vacuum()) <= 1e-12
@@ -208,7 +208,7 @@ def test_squeezer_conjugation_signs(rng):
     # bosons: a*(z) -> a*(pz) + a(p c conj z); fermions get the minus sign
     spb = FockSpace("bose", 1, 24)
     cb = np.array([[0.3]], dtype=complex)
-    rb = squeezer(spb, cb)
+    rb = dense(squeezer(spb, cb))
     p = np.linalg.inv(sqrtm_psd(np.eye(1) - cb @ cb.conj().T))
     z = np.array([1.0 + 0.2j])
     sub = spb.sector_projector(4)
@@ -217,7 +217,7 @@ def test_squeezer_conjugation_signs(rng):
     assert np.linalg.norm(sub @ (lhs - rhs) @ sub, 2) <= 1e-7
     spf = FockSpace("fermi", 2)
     cf = np.array([[0, 0.6], [-0.6, 0]], dtype=complex)
-    rf = squeezer(spf, cf)
+    rf = dense(squeezer(spf, cf))
     pf = np.linalg.inv(sqrtm_psd(np.eye(2) + cf @ cf.conj().T))
     zf = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs_f = rf @ spf.create(zf) @ rf.conj().T
@@ -234,8 +234,32 @@ def test_squeezer_keeps_parity(rng, statistics, d, n_max):
     c = a + a.T if statistics == "bose" else a - a.T
     r = squeezer(space, 0.4 * c / np.linalg.norm(c, 2))
     odd = space.total_numbers % 2
-    assert not np.any(r[odd[:, None] != odd[None, :]])
-    assert np.all(np.abs(np.diag(r)) > 0)
+    rows = np.repeat(np.arange(space.dim), np.diff(r.indptr))
+    assert np.array_equal(odd[rows], odd[r.indices])  # no stored entry joins the parities
+    assert np.all(np.abs(r.diagonal()) > 0)
+
+
+@pytest.mark.filterwarnings("ignore:cutoff:RuntimeWarning")
+@pytest.mark.parametrize("spec", [("bose", 1, 0), ("bose", 1, 9), ("bose", 3, 12),
+                                  ("fermi", 1, None), ("fermi", 4, None)])
+def test_implementers_store_their_two_parity_blocks(spec):
+    # every row of sector n stores the whole parity class of n, and nothing else;
+    # implementers and both branches of Gamma(p) index in int32
+    space = FockSpace(*spec)
+    rng = np.random.default_rng(space.dim)
+    a, p = (rng.standard_normal((space.d,) * 2) + 1j * rng.standard_normal((space.d,) * 2)
+            for _ in range(2))
+    c = 0.35 * (a - space.sign * a.T) / max(np.linalg.norm(a - space.sign * a.T, 2), 1.0)
+    blocks = bogolubov.random_blocks(space.d, space.statistics, rng)
+    built = [squeezer(space, c), bogolubov.shale_implementer(space, blocks),
+             *bogolubov.metaplectic_pair(space, blocks)]
+    odd = space.total_numbers % 2
+    for u in built:
+        rows = np.repeat(np.arange(space.dim), np.diff(u.indptr))
+        assert u.nnz == sum(np.count_nonzero(odd == parity) ** 2 for parity in (0, 1))
+        assert np.array_equal(odd[rows], odd[u.indices])
+    for op in built + [gamma(space, p), gamma(space, np.diag(np.diag(p)))]:
+        assert op.indices.dtype == op.indptr.dtype == np.int32
 
 
 def test_apply_squeezer_on_column_groups(rng):
@@ -266,19 +290,19 @@ def test_one_group_spaces_take_no_slices(monkeypatch):
 
 
 def test_squeezer_peak_memory_is_near_its_output(rng):
-    # Gamma(m) is built as its sector blocks and the series run on sector windows,
-    # so no dim x dim temporary sits beside the output
+    # Gamma(m) is built as its sector blocks, the series run on sector windows and
+    # only the two parity blocks of R are stored, so no dim x dim array is built
     space = FockSpace("bose", 3, 12)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
     squeezer(space, c)  # fills the creation cache of space
     tracemalloc.start()
     try:
-        r = squeezer(space, c)
+        squeezer(space, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * r.nbytes
+    assert peak <= 1.5 * 16 * space.dim**2  # bytes of the dense R
 
 
 def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
@@ -330,7 +354,7 @@ def test_implementers_match_the_ix_scatter_bit_for_bit(monkeypatch, spec):
     monkeypatch.setattr(bogolubov, "_implementer_matrix", ix_implementer_matrix)
     want = squeezer(space, c), bogolubov.shale_implementer(space, blocks)
     for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+        assert np.array_equal(dense(g), w)
 
 
 def slab_widths(monkeypatch):
@@ -359,7 +383,7 @@ def test_a_slab_that_would_be_a_lone_column_joins_the_slab_before(monkeypatch):
     want = ix_implementer_matrix(space, pref, ac, m, ac, -0.5)
     monkeypatch.setattr(ops, "_SLAB", 16)
     widths = slab_widths(monkeypatch)
-    assert np.array_equal(squeezer(space, c), want)
+    assert np.array_equal(dense(squeezer(space, c)), want)
     assert widths == [16] * 5 + [8] + [16] * 4 + [17]
 
 
@@ -387,18 +411,19 @@ def test_a_group_slices_its_windows_once_however_many_slabs(monkeypatch):
 
 def test_squeezer_peak_memory_runs_in_slabs(rng):
     # at bose d = 4, cutoff 10 the widest group holds 286 shared columns; in slabs of
-    # _SLAB columns the working set beside the output stays within half its size
+    # _SLAB columns, beside an output of two parity blocks, the whole peak stays near
+    # the size of the dense R
     space = FockSpace("bose", 4, 10)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
     squeezer(space, c)  # fills the creation cache of space
     tracemalloc.start()
     try:
-        r = squeezer(space, c)
+        squeezer(space, c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * r.nbytes
+    assert peak <= 1.2 * 16 * space.dim**2
 
 
 @pytest.mark.parametrize("legs", [1, 3])
@@ -406,7 +431,7 @@ def test_apply_pair_squeezer_is_squeezer_product(rng, legs):
     space = FockSpace("bose", 2, 7)
     gamma_one = np.array([[0.3]])
     x = rng.standard_normal((legs * space.dim, 4)) + 1j * rng.standard_normal((legs * space.dim, 4))
-    want = np.kron(np.eye(legs), squeezer(space, pair_kernel(gamma_one, "bose"))) @ x
+    want = np.kron(np.eye(legs), dense(squeezer(space, pair_kernel(gamma_one, "bose")))) @ x
     assert np.max(np.abs(apply_pair_squeezer(space, gamma_one, x) - want)) <= 1e-13
 
 
