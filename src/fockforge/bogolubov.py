@@ -200,9 +200,8 @@ def mode_pair_swap(d: int, k: int, l: int) -> BogolubovBlocks:
 
 def mode_pair_swap_implementer(space: FockSpace, k: int, l: int) -> np.ndarray:
     """The field monomial phi_k phi_l implementing mode_pair_swap, as a dense unitary."""
-    phi_k = space.creation(k) + space.annihilation(k)
-    phi_l = space.creation(l) + space.annihilation(l)
-    return dense(phi_k @ phi_l)
+    e = np.eye(space.d)
+    return dense(space.ladder(e[k], e[k]) @ space.ladder(e[l], e[l]))
 
 
 def degenerate_implementer(space: FockSpace, blocks: BogolubovBlocks) -> np.ndarray:

@@ -28,7 +28,8 @@ SIGN = {BOSE: -1.0, FERMI: 1.0}
 
 
 class FockSpace:
-    """Basis bookkeeping plus cached sparse creation matrices."""
+    """Basis bookkeeping plus the read-only row tables of every a*_k and a_k,
+    from which every ladder operator is built."""
 
     def __init__(self, statistics: str, d: int, n_max: int | None = None):
         statistics = statistics.lower()
@@ -75,8 +76,7 @@ class FockSpace:
         tails = [[math.comb(r + k, k) if statistics == BOSE else math.comb(k, r)
                   for r in range(n_max + 1)] for k in range(d - 1, -1, -1)]
         self._tails = np.array(tails) if statistics == BOSE else np.cumsum(tails, axis=1)
-        self._creation = {}
-        self._rows = None
+        self._tables = None
 
     def __repr__(self):
         return f"FockSpace({self.statistics}, d={self.d}, n_max={self.n_max}, dim={self.dim})"
@@ -98,22 +98,15 @@ class FockSpace:
         return np.eye(self.dim, dtype=complex)
 
     def creation(self, k: int) -> scipy.sparse.csr_array:
-        """a*_k in the occupation basis as a CSR array (truncation drops the top).
-
-        The CSR form of creation_rows(k), cached; its data is read-only, so
-        callers never change the cached array in place.
-        """
-        if k not in self._creation:
-            low, weight = self.creation_rows(k)
-            a = _rows_csr(low[:, None], weight[:, None].astype(complex))
-            a.data.flags.writeable = False
-            self._creation[k] = a
-        return self._creation[k]
+        """a*_k = a*(e_k) in the occupation basis, as a CSR array read from
+        ladder's table of a*_k (truncation drops the top)."""
+        return self.create(np.eye(self.d)[k])
 
     def creation_rows(self, k):
-        """a*_k by index arithmetic, cached and read-only: row i holds weight[i]
-        at column low[i], the state with one quantum fewer in mode k.  An
-        integer array k stacks the tables of its modes.
+        """a*_k by index arithmetic, read-only: row i holds weight[i] at column
+        low[i], the state with one quantum fewer in mode k.  The tables of all
+        modes are stacked: an integer k reads a view of its mode's row, an
+        integer array k the rows of its modes.
 
         The weight is sqrt(n_k) for bosons and (-1)^(n_0 + ... + n_{k-1})
         for fermions; a row whose mode k is empty has weight 0 and low 0.
@@ -122,7 +115,7 @@ class FockSpace:
         call builds the tables of every mode, and the table of a_k that
         ladder reads: row low[i] holds weight[i] at column i.
         """
-        if self._rows is None:
+        if self._tables is None:
             occ = self.occupations
             modes, filled = np.nonzero(occ.T)
             low = np.zeros((self.d, self.dim), dtype=np.int64)
@@ -135,8 +128,7 @@ class FockSpace:
             self._tables = low, weight, high, raised
             for table in self._tables:
                 table.flags.writeable = False
-            self._rows = list(zip(low, weight))
-        return self._rows[k] if np.ndim(k) == 0 else (self._tables[0][k], self._tables[1][k])
+        return self._tables[0][k], self._tables[1][k]
 
     def indices(self, occ) -> np.ndarray:
         """Basis indices of the occupation rows of occ, states of this space.  A row

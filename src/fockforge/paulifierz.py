@@ -534,8 +534,9 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     work.  The clusters and the projections run over the merged spectrum,
     since a degenerate eigenvalue may span blocks.
     """
-    entries = []  # per target: an unmatched reason, or the index of its chosen vector
-    located, chosen = [], []
+    # per target name: an unmatched reason, or its (value, comparison vector) until the
+    # Liouvillean pass replaces them with its (deviation, weight)
+    record = {}
     near = partial(_near_targets, [tgt for _, tgt, _ in targets])
     blocks = list(_block_spectra(comparison, mirror, near))
     vals_d = np.concatenate([vals for _, vals, _ in blocks])
@@ -545,7 +546,7 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
     for name, tgt, state in targets:
         i = int(np.argmin(np.abs(vals_d - tgt)))
         if abs(vals_d[i] - tgt) > _match_window(tgt):
-            entries.append((name, "target missing from comparison spectrum"))
+            record[name] = "target missing from comparison spectrum"
             continue
         vec = np.zeros(comparison.shape[0], dtype=complex)
         members = _cluster(vals_d, i)
@@ -555,34 +556,29 @@ def matched_spectral_deviation(liouvillean, comparison, dressing, targets, mirro
             sub = vecs[:, column[members & (owner == b)]]
             vec[idx] = sub @ _adjoint_product(sub, state[idx]) / (size or 1.0)
         captured = float(np.vdot(vec, vec).real)
-        if captured < OVERLAP_MIN:
-            entries.append((name, f"labelled state captured {captured:.3f}"))
-            continue
-        entries.append((name, len(chosen)))
-        located.append(tgt)
-        chosen.append(vec / np.linalg.norm(vec))
+        record[name] = (f"labelled state captured {captured:.3f}" if captured < OVERLAP_MIN
+                        else (tgt, vec / np.linalg.norm(vec)))
     del blocks
-    results = []
-    if chosen:
-        psi = dressing(np.stack(chosen, axis=1))
+    located = [name for name, entry in record.items() if not isinstance(entry, str)]
+    if located:
+        psi = dressing(np.stack([record[name][1] for name in located], axis=1))
         psi = psi / np.linalg.norm(psi, axis=0)
         spectra = [(vals, weights) for _, vals, weights in _block_spectra(liouvillean, mirror, psi)]
         vals_l = np.concatenate([vals for vals, _ in spectra])
         overlaps = np.concatenate([ov for _, ov in spectra])
-        for tgt, col in zip(located, overlaps.T):
+        for name, col in zip(located, overlaps.T):
             j = int(np.argmax(col))
             # near-degenerate eigenvalues act as one cluster for the overlap count
             cluster = _cluster(vals_l, j)
             weight = float(col[cluster].sum())
             if weight < OVERLAP_MIN:
-                results.append(f"best overlap {weight:.3f}")
+                record[name] = f"best overlap {weight:.3f}"
                 continue
             matched_val = float((col[cluster] * vals_l[cluster]).sum() / weight)
-            results.append((float(abs(matched_val - tgt)), weight))
+            record[name] = (float(abs(matched_val - record[name][0])), weight)
     out = {"matched": [], "unmatched": [], "deviation": 0.0}
-    for name, entry in entries:
-        if isinstance(entry, int):
-            entry = results[entry]
+    for name, _, _ in targets:
+        entry = record[name]
         if isinstance(entry, str):
             out["unmatched"].append((name, entry))
         else:

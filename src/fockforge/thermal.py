@@ -169,7 +169,6 @@ class DoubledRep:
         dens = params.density
         self._amp_left = sqrtm_psd(np.eye(d) - SIGN[params.kind] * dens)   # creation side
         self._amp_right = sqrtm_psd(dens)
-        self._u_pair = None
 
     @property
     def kind(self) -> str:
@@ -321,9 +320,7 @@ class DoubledRep:
 
     def pair_embedding(self):
         """Isometry from Gamma(Z) (x) Gamma(Zbar) box into the doubled space."""
-        if self._u_pair is None:
-            self._u_pair, _ = exp_law(self.space_single, self.space_single, target=self.space)
-        return self._u_pair
+        return exp_law(self.space_single, self.space_single, target=self.space)[0]
 
     def iota(self, b: np.ndarray) -> np.ndarray:
         """Identify a (Hilbert-Schmidt) matrix on Gamma(Z) with a doubled vector.

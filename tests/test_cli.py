@@ -254,6 +254,22 @@ def test_verify_car_task(tmp_path):
     assert cli.run(path, str(tmp_path / "car_rep.json"), "json", seed=3) == 0
 
 
+def test_integral_float_counts_as_an_integer(tmp_path, capsys):
+    # a JSON number such as 2.0 is the integer 2 (cli._numeric), a fractional one is none
+    model = {"schema_version": 1, "task": "verify-car"}
+    reports = []
+    for d in (2, 2.0):
+        path = write_model(tmp_path, "car.json", {**model, "d": d})
+        assert cli.run(path, str(tmp_path / "car_rep.json"), "json", seed=3) == 0
+        reports.append((tmp_path / "car_rep.json").read_bytes())
+    assert reports[0] == reports[1]
+    path = write_model(tmp_path, "car.json", {**model, "d": 2.5})
+    capsys.readouterr()
+    assert cli.run(path, None, "json", seed=3) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and "must be an integer" in err
+
+
 def test_verify_car_task_is_criterion_01():
     rng = np.random.default_rng(42)
     worst = max(cli.task_verify_car({"d": d, "trials": 34}, rng)[0]["residual"]

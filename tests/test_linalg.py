@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from fockforge import cli, ops
+from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import (NonSquareError, _self_adjoint, dense, exp_herm, ordered_products,
                              polar_decompose, require_square, sqrtm_psd)
 from fockforge.thermal import ThermalParams
@@ -13,6 +14,11 @@ from fockforge.thermal import ThermalParams
 def test_require_square_rejects_non_square():
     with pytest.raises(NonSquareError):
         require_square(np.zeros((2, 3)))
+
+
+def test_require_square_reads_a_scalar_as_one_by_one():
+    space = FockSpace("bose", 1, 4)
+    assert np.array_equal(dense(gamma(space, 0.5)), dense(gamma(space, [[0.5]])))
 
 
 def test_ordered_products_by_mask():

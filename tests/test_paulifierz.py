@@ -108,6 +108,16 @@ def test_model_validation():
         PauliFierzModel(np.eye(2), np.eye(1), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda: spin_boson(cutoff=17), ("cutoff", 17)),
+    (lambda: PauliFierzModel(np.diag([0.5, -0.5]), np.eye(4), 0.1 * np.ones((8, 2))), ("d", 4))],
+    ids=["cutoff-17", "d-4"])
+def test_models_past_desk_scale_warn_and_construct(build, size):
+    with pytest.warns(RuntimeWarning, match="desk-scale"):
+        model = build()
+    assert getattr(model, size[0]) == size[1]
+
+
 def test_coupled_create_factored(rng):
     k, d = 2, 2
     sp = FockSpace("bose", d, 4)
@@ -1178,3 +1188,31 @@ def test_comparison_keeps_every_cluster_member_a_target_reads():
     want = every_vector_match(comp, comp, lambda x: x, targets, None)
     assert matched_spectral_deviation(comp, comp, lambda x: x, targets, None) == want
     assert want["matched"][0][1] > 0.001 + 4e-5  # the far member carries half the weight
+
+
+@pytest.mark.parametrize("build, cutoffs", [(partial(spin_boson, 0.1, 1.0, 0.25), (4, 6)),
+                                            (REAL_D2[0], (2,))], ids=["spin-boson", "real-d2"])
+def test_near_targets_keeps_every_member_of_a_located_cluster(build, cutoffs):
+    # matched_spectral_deviation projects onto every member of a located target's
+    # comparison cluster, and _block_spectra holds only the eigenvectors that _near_targets
+    # keeps; so the keep mask, rounding margin included, must hold each member
+    model = build(cutoff=max(cutoffs))
+    levels = pf._reference_states(model)[0]
+    values = {semi_liouvillean: [t for _, t in pf._semi_targets(model, levels)],
+              standard_liouvillean: [levels[i] - levels[j] for i in range(3) for j in range(3)]}
+    members = 0
+    for n in cutoffs:
+        for liouvillean, targets in values.items():
+            comp, space = _comparison(liouvillean, model, n)
+            mirror = (pf._modular_mirror(model.dim_k, space)
+                      if liouvillean is standard_liouvillean else None)
+            near = partial(pf._near_targets, targets)
+            vals_d = np.concatenate([vals for _, vals, _ in pf._block_spectra(comp, mirror, near)])
+            keep = near(vals_d)
+            for t in targets:
+                i = int(np.argmin(np.abs(vals_d - t)))
+                if abs(vals_d[i] - t) <= pf._match_window(t):
+                    cluster = pf._cluster(vals_d, i)
+                    assert keep[cluster].all(), (n, liouvillean.__name__, t)
+                    members += np.count_nonzero(cluster)
+    assert members > 0
