@@ -115,15 +115,22 @@ def blocks_to_cd(blocks: BogolubovBlocks) -> CDPair:
 
 def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
                          prefactor: complex) -> scipy.sparse.csr_array:
-    """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2): upper signs for bosons."""
+    """prefactor exp(-+a*(d)/2) Gamma(p*^{-1}) exp(+-a(c)/2), upper signs for bosons,
+    built Gamma first as prefactor exp(-+a*(d)/2) exp(+-a(q p^T)/2) Gamma(p*^{-1}):
+    Gamma(p*^{-1}) conjugates a(c) to a(p c p^T), and p c p^T = q p^T.  The kernel
+    is the mean of q p^T and its other expression -s p q^T, as c and d are, so it
+    is exactly (anti)symmetric."""
+    p, q = blocks.p, blocks.q
     return _implementer_matrix(space, prefactor, multi_create(space, cd.d_kernel),
-                               np.linalg.inv(blocks.p.conj().T), multi_create(space, cd.c),
+                               np.linalg.inv(p.conj().T),
+                               multi_create(space, (q @ p.T - blocks.sign * p @ q.T) / 2),
                                0.5 * blocks.sign)
 
 
 def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> scipy.sparse.csr_array:
     """The unitary with positive vacuum expectation implementing r, a CSR array of
-    its two parity blocks (ops._implementer_matrix).
+    its two parity blocks (ops._implementer_matrix): det(p p*)^{s/4}
+    exp(-s a*(d)/2) exp(s a(q p^T)/2) Gamma(p*^{-1}), Gamma(p*^{-1}) first.
 
     Conjugation sends phi(y) to phi(r y).  Bosonic implementers live on
     the truncated space and are unitary only up to the truncation tail;
@@ -149,7 +156,7 @@ def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> scipy.sparse
 
 def metaplectic_pair(space: FockSpace, blocks: BogolubovBlocks):
     """The two-valued implementer (U, -U) with the determinantal phase, two CSR
-    arrays of their parity blocks.
+    arrays of their parity blocks, built Gamma first as shale_implementer is.
 
     The phase is the principal square root of det p* (fermionic) or of
     its inverse (bosonic); either member differs from the Shale

@@ -204,17 +204,38 @@ def _lambda_signs(numbers) -> np.ndarray:
 
 
 def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
-    """Additive second quantization, sum_{jk} h_jk a*_j a_k, as a CSR array."""
+    """Additive second quantization, sum_{jk} h_jk a*_j a_k, as a CSR array.
+
+    One assembly from the row tables of FockSpace.creation_rows, as
+    ops.multi_create builds a*(c): a*_j a_k reaches row r from the column
+    high[k, low[j, r]] of r - e_j + e_k, with the value
+    weight[j, r] (h_jk raised[k, low[j, r]]), and row r takes that entry for
+    every nonzero h_jk.  The column lies in r's own sector, and in the
+    graded lexicographic basis the columns of every row ascend with
+    e_k - e_j in lexicographic order.  The d diagonal terms meet at column
+    r and are summed in j order, so each entry rounds as the sum of the d
+    sparse products a*_j a(conj h_j) does.
+    """
     h = require_square(np.asarray(h, dtype=complex))
     if h.shape[0] != space.d:
         raise ValueError(f"h is {h.shape}, expected {space.d}x{space.d}")
-    out = scipy.sparse.csr_array((space.dim, space.dim), dtype=complex)
-    for j in range(space.d):
-        # sum_k h_jk a_k = a(conj h_j), a is antilinear
-        row = space.annihilate(np.conj(h[j]))
-        if row.nnz:
-            out = out + space.creation(j) @ row
-    return out
+    low, weight = space.creation_rows(np.arange(space.d))
+    high, raised = space._tables[2:]
+    j, k = np.nonzero(h)
+    eye = np.eye(space.d, dtype=np.int64)
+    # a stable sort, so the diagonal pairs, which share e_k - e_j = 0, stay in j order
+    j, k = (x[np.lexsort((eye[k] - eye[j]).T[::-1])] for x in (j, k))
+    below = low[j]
+    cols = high[k[:, None], below]
+    vals = weight[j] * (h[j, k][:, None] * raised[k[:, None], below])
+    diagonal = np.flatnonzero(j == k)
+    if len(diagonal):
+        cols[diagonal[0]] = np.arange(space.dim)  # also where mode j of the first term is empty
+        for i in diagonal[1:]:
+            vals[diagonal[0]] += vals[i]
+    keep = np.ones(len(j), dtype=bool)
+    keep[diagonal[1:]] = False
+    return _rows_csr(cols[keep].T, vals[keep].T)
 
 
 def gamma(space: FockSpace, p) -> scipy.sparse.csr_array:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, _gamma_blocks, _rows_csr, _sector_csr
+from .fock import FockSpace, _gamma_blocks, _rows_csr, _sector_csr, gamma
 from .linalg import _require_dense, exp_herm, require_square, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
@@ -153,48 +153,50 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
-def _implementer(space: FockSpace, pref, a_left, g, a_right, t: float, window):
-    """The map x -> pref exp(t a_left) Gamma(m) exp(-t a_right*) x, in place of a
-    complex x, for pair creators a_left, a_right, g = _gamma_blocks(space, m)
-    and the window of _exp_series: the one route of squeezers and Shale
-    implementers.  Both series take their slices here, once for every x.
-    Gamma(m) keeps every sector, so it acts one block of g at a time.
+def _implementer(space: FockSpace, pref, a_left, a_right, t: float, window):
+    """The map x -> pref exp(t a_left) exp(-t a_right*) x, in place of a complex x,
+    for pair creators a_left, a_right and the window of _exp_series: the one
+    route of squeezers and Shale implementers, on the columns of Gamma(m).
+    Second quantization is covariant, Gamma(m) a(k) Gamma(m)^{-1} = a(M k M^T)
+    with M = (m*)^{-1}, so pref exp(t a*(d)) Gamma(m) exp(-t a(k)) is this map
+    after Gamma(m), with a_right = a*(M k M^T).  Both series take their slices
+    here, once for every x.
     """
     # the arrays of a CSR a_right, read as CSC with conjugated data, are a_right*
     adjoint = scipy.sparse.csc_array((a_right.data.conj(), a_right.indices, a_right.indptr),
                                      shape=a_right.shape)
     lowering = _exp_series(space, adjoint, -2, -t, window)
-    lo, hi = (0, space.n_max) if window is None else window
-    # the lowering series ends on sector 0, or on hi's parity when the window is one sector
-    lo, start = 0 if lo < hi else hi % 2, space.sector_start
-    raising = _exp_series(space, a_left, 2, t, None if window is None else (lo, hi))
+    if window is not None:
+        # the lowering series ends on sector 0, or on hi's parity when the window is one sector
+        lo, hi = window
+        window = (0 if lo < hi else hi % 2, hi)
+    raising = _exp_series(space, a_left, 2, t, window)
 
     def apply(x):
-        y = lowering(x)
-        for n in range(lo, hi + 1):
-            rows = slice(start[n], start[n + 1])
-            # a diagonal m gives a diagonal; it acts as a matrix, since a product rounds otherwise
-            y[rows] = (g[n] if isinstance(g, list) else np.diag(g[rows])) @ y[rows]
-        y = raising(y)
+        y = raising(lowering(x))
         return np.multiply(pref, y, out=y)
     return apply
 
 
 def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right,
                         t: float) -> scipy.sparse.csr_array:
-    """_implementer on the identity, one column group at a time, as a CSR array
-    of its two parity blocks.  The pair creators never mix the parity classes,
-    so every row in sector n stores the columns of class n mod 2, ascending,
-    and sector n's data are one dense (sector x class) view that the slabs
-    write into; the other entries are exactly zero and are not stored.
+    """_implementer on the columns of Gamma(m), one column group at a time, as a
+    CSR array of its two parity blocks: pref exp(t a_left) exp(-t a_right*) Gamma(m).
+    The pair creators and Gamma(m) never mix the parity classes, so every row in
+    sector n stores the columns of class n mod 2, ascending, and sector n's data
+    are one dense (sector x class) view that the slabs write into; the other
+    entries are exactly zero and are not stored.
 
     A group is a run of whole sectors taken from the top sector down, closed
     once it holds as many basis vectors as the sectors below it.  The rest
     is one group once the nonzeros of both pair creators on its rows times
     its basis vectors are at most _GROUP_WORK.  A group's even and odd
-    columns, runs of their classes, share one identity.  The series run on
-    the group's sector windows: the lowering series of a group from sector n
-    touches sectors n, n-2, ... only.  A space of one group takes no slices.
+    columns, runs of their classes, share one buffer, filled with their
+    columns of Gamma(m): from its diagonal, or from its sector blocks
+    (fock._gamma_blocks), which lie on the group's own sectors.  The series
+    run on the group's sector windows: the lowering series of a group from
+    sector n touches sectors n, n-2, ... only.  A space of one group takes no
+    slices.
 
     A group runs in slabs of _SLAB shared columns, the last up to its end: a
     slab's buffer and series terms are all that sits beside the output, and
@@ -222,15 +224,21 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right,
     for lo, hi in groups:
         first = [np.searchsorted(cls, start[lo]) for cls in classes]
         cols = [cls[f:np.searchsorted(cls, start[hi + 1])] for f, cls in zip(first, classes)]
-        apply = _implementer(space, pref, a_left, g, a_right, t,
+        apply = _implementer(space, pref, a_left, a_right, t,
                              None if len(groups) == 1 else (lo, hi))
         width = max(map(len, cols))
         bounds = [*range(0, max(width - 1, 1), _SLAB), width]  # no slab is a lone column
         for s, e in zip(bounds, bounds[1:]):
             slab = [c[s:e] for c in cols]
             y = np.zeros((space.dim, max(map(len, slab))), dtype=complex)
-            for c in slab:
-                y[c, np.arange(len(c))] = 1.0
+            for parity, c in enumerate(slab):
+                if isinstance(g, list):
+                    cuts = np.searchsorted(c, start).tolist()
+                    for n in range(lo + (lo + parity) % 2, hi + 1, 2):
+                        y[start[n]:start[n + 1], cuts[n]:cuts[n + 1]] = \
+                            g[n][:, c[cuts[n]:cuts[n + 1]] - start[n]]
+                else:
+                    y[c, np.arange(len(c))] = g[c]
             y = apply(y)
             for parity, (f, c) in enumerate(zip(first, slab)):
                 for n in range(parity, space.n_max + 1, 2):
@@ -240,32 +248,38 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right,
 
 
 def _squeezer_factors(space: FockSpace, c):
-    """The prefactor, the pair creator a*(c) and the one-particle middle factor of R."""
+    """The prefactor, the pair creator a*(c), the one-particle middle factor m of R
+    and the pair creator a*(m^{-1} c m^{-T}) of its conjugated right kernel."""
     c = require_square(np.asarray(c, dtype=complex))
-    return (gaussian_normalization(space, c), multi_create(space, c),
-            sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T)))
+    m = sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T))
+    inv = np.linalg.inv(m)
+    return (gaussian_normalization(space, c), multi_create(space, c), m,
+            multi_create(space, inv @ c @ inv.T))
 
 
 def squeezer(space: FockSpace, c) -> scipy.sparse.csr_array:
     """The unitary R mapping the Gaussian vector of c back to the vacuum, a CSR
     array of its two parity blocks (_implementer_matrix).
 
-    R = det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2) Gamma((1 -+ cc*)^{1/2}) exp(a(c)/2),
-    upper signs for bosons, lower for fermions; the fermionic middle
-    factor Gamma((1+cc*)^{1/2}) is the one that makes R unitary and
-    consistent with the thermal dressing identities.  Both exponentials
-    are finite Taylor sums of n_max//2 terms.  Conjugation acts as
+    R = det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2) Gamma(m) exp(a(c)/2) with
+    m = (1 -+ cc*)^{1/2}, upper signs for bosons, lower for fermions; the
+    fermionic middle factor Gamma((1+cc*)^{1/2}) is the one that makes R
+    unitary and consistent with the thermal dressing identities.  It is built
+    Gamma(m) first, as det(1 -+ cc*)^{+-1/4} exp(-a*(c)/2) exp(a(m^{-1} c m^{-T})/2)
+    Gamma(m), since m is self-adjoint.  Both exponentials are finite Taylor
+    sums of n_max//2 terms.  Conjugation acts as
     a*(z) -> a*((1 -+ cc*)^{-1/2} z) +- a((1 -+ cc*)^{-1/2} c conj z).
     """
-    pref, ac, m = _squeezer_factors(space, c)
-    return _implementer_matrix(space, pref, ac, m, ac, -0.5)
+    pref, ac, m, right = _squeezer_factors(space, c)
+    return _implementer_matrix(space, pref, ac, m, right, -0.5)
 
 
 def _apply_squeezer(space: FockSpace, c, x: np.ndarray) -> np.ndarray:
-    """squeezer(space, c) @ x without forming the squeezer."""
-    pref, ac, m = _squeezer_factors(space, c)
-    return _implementer(space, pref, ac, _gamma_blocks(space, m), ac, -0.5,
-                        None)(np.array(x, dtype=complex))
+    """squeezer(space, c) @ x without forming the squeezer: Gamma(m) @ x, then the
+    two series of _implementer."""
+    pref, ac, m, right = _squeezer_factors(space, c)
+    x = gamma(space, m) @ np.asarray(x, dtype=complex)
+    return _implementer(space, pref, ac, right, -0.5, None)(x)
 
 
 def jordan_wigner(n: int):

@@ -178,9 +178,10 @@ def apply_pair_squeezer(space_w: FockSpace, gamma_one: np.ndarray, x: np.ndarray
     """(1 (x) R) x for the thermal dressing R = squeezer(space_w, pair_kernel(gamma_one, BOSE)).
 
     R acts on the last tensor leg, so x has r * space_w.dim rows for some
-    system dimension r (a vector or a block of columns).  Both pair
-    exponentials of R act on x as finite sums over the sparse a*(c), so
-    no dim_W x dim_W exponential is formed.
+    system dimension r (a vector or a block of columns).  Gamma(m) acts on x
+    first, as a sparse array, and then both pair exponentials of R, as
+    finite sums over sparse pair creators, so no dim_W x dim_W exponential
+    is formed.
     """
     dw = space_w.dim
     x = np.asarray(x, dtype=complex)

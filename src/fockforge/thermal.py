@@ -315,7 +315,8 @@ class DoubledRep:
 
     def r_gamma(self) -> scipy.sparse.csr_array:
         """The dressing unitary mapping omega_vector back to the vacuum: the squeezer
-        of the pair kernel, a CSR array of its two parity blocks."""
+        of the pair kernel, a CSR array of its two parity blocks, built Gamma(m)
+        first (ops.squeezer)."""
         return squeezer(self.space, pair_kernel(self.params.gamma, self.kind))
 
     def pair_embedding(self):

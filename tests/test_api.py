@@ -147,7 +147,8 @@ def test_production_exponentials_need_no_scipy_expm(monkeypatch):
 def test_creation_rows_census():
     # a*_k's index arithmetic lives in FockSpace: every builder indexed by occupation
     # reads its row tables, and a*_k itself is a*(e_k), one more read through ladder
-    assert callers("creation_rows") == ["fock._gamma_blocks", "fock.ladder", "ops.multi_create"]
+    assert callers("creation_rows") == ["fock._gamma_blocks", "fock.dgamma", "fock.ladder",
+                                        "ops.multi_create"]
 
 
 def test_coverage_map_names_what_exists():

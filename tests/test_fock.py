@@ -465,6 +465,32 @@ def test_row_table_builders_match_csr_routes_bit_for_bit(spec):
                 assert np.array_equal(got, want)
 
 
+def summed_dgamma(space, h):
+    """dGamma(h) as the parent route built it: the d sparse products a*_j a(conj h_j),
+    added one at a time."""
+    out = scipy.sparse.csr_array((space.dim, space.dim), dtype=complex)
+    for j in range(space.d):
+        row = space.annihilate(np.conj(h[j]))
+        if row.nnz:
+            out = out + space.creation(j) @ row
+    return out
+
+
+@pytest.mark.parametrize("spec", ROW_TABLE_SPACES)
+def test_dgamma_is_the_sum_of_its_products_bit_for_bit(spec):
+    # one assembly from the row tables, with its columns sorted; a diagonal h, and a row
+    # and column of zeros, leave pairs out of it.  The sum's products leave some rows
+    # unsorted, so it is compared once sorted, which moves no value.
+    sp = FockSpace(*spec)
+    rng = np.random.default_rng(sp.dim + 7 * sp.d)
+    a = rng.standard_normal((sp.d, sp.d)) + 1j * rng.standard_normal((sp.d, sp.d))
+    h = a + a.conj().T
+    partial = h.copy()
+    partial[0] = partial[:, 0] = 0.0
+    for x in (h, np.diag(np.diag(h)), partial):
+        assert same_csr(dgamma(sp, x), summed_dgamma(sp, x).sorted_indices())
+
+
 def test_creation_rows_are_read_only():
     sp = FockSpace("bose", 2, 3)
     low, weight = sp.creation_rows(1)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 from fockforge import bogolubov, ops
-from fockforge.fock import FockSpace, _gamma_blocks, gamma
+from fockforge.fock import FockSpace, gamma
 from fockforge.linalg import dense, sqrtm_psd
 from fockforge.ops import (PAULI_1, PAULI_2, PAULI_3, DoubledVector, _apply_squeezer,
                            _implementer,
@@ -306,10 +306,10 @@ def test_squeezer_peak_memory_is_near_its_output(rng):
 
 
 def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
-    """ops._implementer_matrix with each column group in one pass and its columns
-    scattered by one np.ix_ per parity class, the reference for the slabs and
-    for the scatter by row sector."""
-    g = _gamma_blocks(space, m)
+    """ops._implementer_matrix with each column group in one pass, read from and
+    scattered by one np.ix_ per parity class: the reference for the slabs, for
+    their fill with the columns of Gamma(m) and for the scatter by row sector."""
+    g = dense(gamma(space, m))
     start, groups, hi = space.sector_start, [], space.n_max
     nnz = a_left.indptr + a_right.indptr
     while hi >= 0:
@@ -324,9 +324,9 @@ def ix_implementer_matrix(space, pref, a_left, m, a_right, t):
         cols = [cls[np.searchsorted(cls, start[lo]):np.searchsorted(cls, start[hi + 1])]
                 for cls in classes]
         y = np.zeros((space.dim, max(map(len, cols))), dtype=complex)
-        for c in cols:
-            y[c, np.arange(len(c))] = 1.0
-        y = _implementer(space, pref, a_left, g, a_right, t,
+        for cls, c in zip(classes, cols):
+            y[cls, :len(c)] = g[np.ix_(cls, c)]
+        y = _implementer(space, pref, a_left, a_right, t,
                          None if len(groups) == 1 else (lo, hi))(y)
         for cls, c in zip(classes, cols):
             out[np.ix_(cls, c)] = y[cls, :len(c)]
@@ -379,8 +379,7 @@ def test_a_slab_that_would_be_a_lone_column_joins_the_slab_before(monkeypatch):
     rng = np.random.default_rng(space.dim)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     c = 0.35 * (a + a.T) / np.linalg.norm(a + a.T, 2)
-    pref, ac, m = ops._squeezer_factors(space, c)
-    want = ix_implementer_matrix(space, pref, ac, m, ac, -0.5)
+    want = ix_implementer_matrix(space, *ops._squeezer_factors(space, c), -0.5)
     monkeypatch.setattr(ops, "_SLAB", 16)
     widths = slab_widths(monkeypatch)
     assert np.array_equal(dense(squeezer(space, c)), want)
@@ -424,6 +423,24 @@ def test_squeezer_peak_memory_runs_in_slabs(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * 16 * space.dim**2
+
+
+@pytest.mark.parametrize("spec", [("bose", 2, 6), ("fermi", 4, None)])
+def test_gamma_conjugates_a_pair_annihilator_to_the_conjugated_kernel(spec):
+    # Gamma(m) a(k) = a(M k M^T) Gamma(m) with M = (m*)^{-1}: the covariance that lets an
+    # implementer apply Gamma(m) first; m is invertible and not diagonal
+    space = FockSpace(*spec)
+    rng = np.random.default_rng(space.dim)
+    d = space.d
+    m = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = a - space.sign * a.T
+    big_m = np.linalg.inv(m.conj().T)
+    g = dense(gamma(space, m))
+    lhs = g @ dense(multi_create(space, k)).conj().T
+    rhs = dense(multi_create(space, big_m @ k @ big_m.T)).conj().T @ g
+    assert np.max(np.abs(lhs)) > 1.0
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 @pytest.mark.parametrize("legs", [1, 3])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fockforge import bogolubov, ops
 from fockforge.bogolubov import (degenerate_implementer, metaplectic_pair, mode_pair_swap,
                                  random_blocks, shale_implementer)
 from fockforge.fock import FockSpace
 from fockforge.linalg import dense
-from fockforge.ops import gaussian_vector, squeezer
+from fockforge.ops import gaussian_vector, multi_create, squeezer
 from fockforge.paulifierz import apply_pair_squeezer
 from fockforge.thermal import DoubledRep, ThermalParams
 
@@ -156,6 +157,22 @@ def test_shale_implementer_matches_exact_series(mp40, statistics, d, n_max):
     # largest error measured 5.4e-16 (bose)
     assert _error(dense(shale_implementer(space, blocks)),
                   _exact_implementer(space, blocks)) <= 1e-14
+
+
+def test_shale_implementer_misses_the_exact_series_with_an_unconjugated_kernel(
+        mp40, monkeypatch):
+    # the mutant hands c itself to the lowering series that runs after Gamma(p*^{-1}),
+    # in place of the conjugated p c p^T = q p^T
+    def unconjugated(space, blocks, cd, prefactor):
+        return ops._implementer_matrix(space, prefactor, multi_create(space, cd.d_kernel),
+                                       np.linalg.inv(blocks.p.conj().T),
+                                       multi_create(space, cd.c), 0.5 * blocks.sign)
+
+    blocks = random_blocks(2, "bose", np.random.default_rng(4))
+    space = FockSpace("bose", 2, 6)
+    exact = _exact_implementer(space, blocks)
+    monkeypatch.setattr(bogolubov, "_implementer_from_cd", unconjugated)
+    assert _error(dense(shale_implementer(space, blocks)), exact) > 1e-6
 
 
 def test_pair_exponentials_need_no_expm(monkeypatch):
