@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import BOSE, FERMI, SIGN, FockSpace
-from .linalg import dense, require_square, sqrtm_psd
+from .linalg import _symmetric_part, dense, require_square, sqrtm_psd
 from .ops import _implementer_matrix, multi_create
 
 
@@ -130,7 +130,10 @@ def _implementer_from_cd(space: FockSpace, blocks: BogolubovBlocks, cd: CDPair,
 def shale_implementer(space: FockSpace, blocks: BogolubovBlocks) -> scipy.sparse.csr_array:
     """The unitary with positive vacuum expectation implementing r, a CSR array of
     its two parity blocks (ops._implementer_matrix): det(p p*)^{s/4}
-    exp(-s a*(d)/2) exp(s a(q p^T)/2) Gamma(p*^{-1}), Gamma(p*^{-1}) first.
+    exp(s a*(d)/2) exp(-s a(q p^T)/2) Gamma(p*^{-1}), Gamma(p*^{-1}) first, s the
+    statistics sign, as _implementer_from_cd builds it.  So U Omega is
+    det(p p*)^{s/4} exp(s a*(d)/2) Omega, and for the positive blocks of a pair
+    kernel c (positive_blocks_from_c(-s c)) U is ops.squeezer(space, c).
 
     Conjugation sends phi(y) to phi(r y).  Bosonic implementers live on
     the truncated space and are unitary only up to the truncation tail;
@@ -175,15 +178,13 @@ def positive_blocks_from_c(c, statistics: str) -> BogolubovBlocks:
     """The positive map p = (1 + s cc*)^{-1/2}, q = p c whose implementer is the squeezer of c.
 
     c is symmetric for bosons, where it must be a strict contraction, and
-    antisymmetric for fermions; s is the statistics sign.
+    antisymmetric for fermions; s is the statistics sign.  c is read through
+    linalg._symmetric_part, so q = p c is built from an exact kernel.
     """
-    c = require_square(np.asarray(c, dtype=complex))
     s = SIGN[statistics]
+    c = _symmetric_part(c, s)
     if s < 0 and np.linalg.norm(c, 2) >= 1.0:
         raise ValueError("need ||c|| < 1")
-    if np.max(np.abs(c + s * c.T)) > 1e-12 * max(1.0, np.abs(c).max()):
-        raise ValueError("bosonic kernel must be symmetric" if s < 0
-                         else "fermionic kernel must be antisymmetric")
     p = np.linalg.inv(sqrtm_psd(np.eye(c.shape[0]) + s * (c @ c.conj().T)))
     return BogolubovBlocks(p, p @ c, statistics)
 

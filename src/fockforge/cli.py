@@ -129,8 +129,6 @@ def task_bogolubov(model, rng):
     stat = _statistics(model)
     p = decode_matrix(_require(model, "p", list))
     q = decode_matrix(_require(model, "q", list))
-    if p.shape != q.shape or p.shape[0] != p.shape[1]:
-        raise SchemaError("p and q must be square matrices of equal shape")
     cutoff = _number(model, "cutoff", 12 if stat == "bose" else 0, integer=True)
     blocks = BogolubovBlocks(p, q, stat)
     checks = [_report("block-relations", max(validate_blocks(blocks).values()),
@@ -191,7 +189,7 @@ def task_thermal(model, rng):
         worst = max(worst, acceptance.two_point_defect(rep, z1, z2))
     tol_tp = _tolerance(model, "two_point", 1e-10 if stat == "fermi" else 1e-6)
     checks = [_report("two-point", worst, tol_tp)]
-    if np.linalg.eigvalsh(g).min() > 1e-12:
+    if np.linalg.eigvalsh(params.gamma).min() > 1e-12:
         res = acceptance.conjugation_defect(rep, rep.modular_conjugation(), rng, 3)
         checks.append(_report("modular-conjugation", res, _tolerance(model, "conjugation", 1e-10)))
     return checks

@@ -203,6 +203,15 @@ def _lambda_signs(numbers) -> np.ndarray:
     return (-1.0) ** (numbers * (numbers - 1) // 2)
 
 
+def _one_particle(space: FockSpace, m, name: str) -> np.ndarray:
+    """m as a complex d x d matrix on the one-particle space of space; ValueError
+    for any other shape."""
+    m = require_square(np.asarray(m, dtype=complex))
+    if m.shape[0] != space.d:
+        raise ValueError(f"{name} is {m.shape}, expected {space.d}x{space.d}")
+    return m
+
+
 def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     """Additive second quantization, sum_{jk} h_jk a*_j a_k, as a CSR array.
 
@@ -216,9 +225,7 @@ def dgamma(space: FockSpace, h) -> scipy.sparse.csr_array:
     r and are summed in j order, so each entry rounds as the sum of the d
     sparse products a*_j a(conj h_j) does.
     """
-    h = require_square(np.asarray(h, dtype=complex))
-    if h.shape[0] != space.d:
-        raise ValueError(f"h is {h.shape}, expected {space.d}x{space.d}")
+    h = _one_particle(space, h, "h")
     low, weight = space.creation_rows(np.arange(space.d))
     high, raised = space._tables[2:]
     j, k = np.nonzero(h)
@@ -281,9 +288,7 @@ def _gamma_blocks(space: FockSpace, p) -> list | np.ndarray:
     each k takes one product on slices, with the parents' slice made
     contiguous so that it rounds as the gathered copy did.
     """
-    p = require_square(np.asarray(p, dtype=complex))
-    if p.shape[0] != space.d:
-        raise ValueError(f"p is {p.shape}, expected {space.d}x{space.d}")
+    p = _one_particle(space, p, "p")
     start = space.sector_start
     if np.count_nonzero(p) == np.count_nonzero(np.diagonal(p)):
         diag = np.diag(p).tolist()

@@ -70,17 +70,33 @@ def require_square(a) -> np.ndarray:
 
 
 def _self_adjoint(m, name: str) -> np.ndarray:
-    """m as a complex square matrix; ValueError unless ||m - m*|| <= 1e-10 max(1, ||m||).
+    """m as a complex square matrix, stored exactly self-adjoint: the one rule for
+    the Hermitian one-particle inputs (K, h, gamma).  ValueError unless
+    ||m - m*|| <= 1e-10 max(1, ||m||); an accepted m that is not exactly
+    self-adjoint comes back as (m + m*)/2, so every later reader sees m = m*.
 
-    A finite m equal to m* passes without the two spectral norms (SVDs); a
-    non-finite one takes them, and fails as they do.
+    A finite m equal to m* passes as it is, without the two spectral norms
+    (SVDs); a non-finite one takes them, and fails as they do.
     """
     m = require_square(np.asarray(m, dtype=complex))
     if np.isfinite(m).all() and np.array_equal(m, m.conj().T):
         return m
     if np.linalg.norm(m - m.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(m, 2)):
         raise ValueError(f"{name} must be self-adjoint")
-    return m
+    return (m + m.conj().T) / 2
+
+
+def _symmetric_part(c, sign: float) -> np.ndarray:
+    """The pair kernel c as a complex square matrix, stored exactly symmetric for the
+    statistics sign -1 (bosons) and antisymmetric for +1 (fermions): the one rule for
+    pair kernels.  ValueError unless max|c + sign c^T| <= 1e-12 max(1, max|c|); an
+    accepted c comes back as (c - sign c^T)/2, which is c itself when c is exact.
+    """
+    c = require_square(np.asarray(c, dtype=complex))
+    if np.max(np.abs(c + sign * c.T)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
+        raise ValueError("fermionic pair kernel must be antisymmetric" if sign > 0
+                         else "bosonic pair kernel must be symmetric")
+    return (c - sign * c.T) / 2
 
 
 def window_norm(a, keep) -> float:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .fock import FockSpace, _gamma_blocks, _rows_csr, _sector_csr, gamma
-from .linalg import _require_dense, exp_herm, require_square, sqrtm_psd
+from .fock import FockSpace, _gamma_blocks, _one_particle, _rows_csr, _sector_csr, gamma
+from .linalg import _require_dense, _symmetric_part, exp_herm, sqrtm_psd
 
 _GROUP_WORK = 2**18  # below this work per series term, column groups cost more than they save
 _SLAB = 64  # columns of a group per pass, which bounds the working set beside the output
@@ -99,21 +99,21 @@ def multi_create(space: FockSpace, c) -> scipy.sparse.csr_array:
     """Two-particle creation a*(c) = sum_{jk} c_jk a*_j a*_k, as a CSR array.
 
     c is the kernel of a Hilbert-Schmidt map from the conjugate space,
-    symmetric for bosons and antisymmetric for fermions.  Raises the
-    particle number by two; for c the (anti)symmetrized product of w1, w2
-    it reduces to a*(w1) a*(w2).  The one pair creator of the package, built
-    by index arithmetic on the row tables of FockSpace.creation_rows: the
-    row of an occupation m holds, for every pair j <= k, c_jk a*_j a*_k +
-    c_kj a*_k a*_j at the column of m - e_j - e_k, and no operator product
-    is formed.  In the graded lexicographic basis those columns ascend with
-    (j, k) in lexicographic order, so the rows come out sorted.
+    symmetric for bosons and antisymmetric for fermions: a d x d matrix
+    (fock._one_particle) that linalg._symmetric_part accepts.  That rule is
+    only a guard here, and the kernel built is c as given, so a kernel the
+    package computes, such as a squeezer's conjugated right kernel, keeps
+    its bits.  Raises the particle number by two; for c the
+    (anti)symmetrized product of w1, w2 it reduces to a*(w1) a*(w2).  The
+    one pair creator of the package, built by index arithmetic on the row
+    tables of FockSpace.creation_rows: the row of an occupation m holds, for
+    every pair j <= k, c_jk a*_j a*_k + c_kj a*_k a*_j at the column of
+    m - e_j - e_k, and no operator product is formed.  In the graded
+    lexicographic basis those columns ascend with (j, k) in lexicographic
+    order, so the rows come out sorted.
     """
-    c = require_square(np.asarray(c, dtype=complex))
-    if c.shape[0] != space.d:
-        raise ValueError(f"kernel is {c.shape}, expected {space.d}x{space.d}")
-    if np.max(np.abs(c + space.sign * c.T)) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        raise ValueError("fermionic pair kernel must be antisymmetric" if space.is_fermi
-                         else "bosonic pair kernel must be symmetric")
+    c = _one_particle(space, c, "kernel")
+    _symmetric_part(c, space.sign)  # the guard only: a computed kernel keeps its bits
     # axes (k, r): a*_k reaches row r from column low[k, r] with weight[k, r]
     low, weight = space.creation_rows(np.arange(space.d))
     # a*_j a*_k reaches row r from column low[k, low[j, r]]; axes (j, k, r)
@@ -148,8 +148,11 @@ def gaussian_vector(space: FockSpace, c) -> np.ndarray:
     """The normalized pair-coherent vector built from the kernel c.
 
     Annihilated by a(z) - a*(c zbar) for bosons and a(z) + a*(c zbar)
-    for fermions; the bosonic kernel must be a strict contraction.
+    for fermions; the bosonic kernel must be a strict contraction.  c is
+    read through linalg._symmetric_part, so it is built exactly
+    (anti)symmetric.
     """
+    c = _symmetric_part(c, space.sign)
     return gaussian_normalization(space, c) * pair_exponential_vacuum(space, c)
 
 
@@ -249,8 +252,10 @@ def _implementer_matrix(space: FockSpace, pref, a_left, m, a_right,
 
 def _squeezer_factors(space: FockSpace, c):
     """The prefactor, the pair creator a*(c), the one-particle middle factor m of R
-    and the pair creator a*(m^{-1} c m^{-T}) of its conjugated right kernel."""
-    c = require_square(np.asarray(c, dtype=complex))
+    and the pair creator a*(m^{-1} c m^{-T}) of its conjugated right kernel, for c
+    read through linalg._symmetric_part: the right kernel is computed from an exact
+    c, so its asymmetry is rounding, whatever the input's was."""
+    c = _symmetric_part(c, space.sign)
     m = sqrtm_psd(np.eye(space.d) + space.sign * (c @ c.conj().T))
     inv = np.linalg.inv(m)
     return (gaussian_normalization(space, c), multi_create(space, c), m,
@@ -269,6 +274,10 @@ def squeezer(space: FockSpace, c) -> scipy.sparse.csr_array:
     Gamma(m), since m is self-adjoint.  Both exponentials are finite Taylor
     sums of n_max//2 terms.  Conjugation acts as
     a*(z) -> a*((1 -+ cc*)^{-1/2} z) +- a((1 -+ cc*)^{-1/2} c conj z).
+    c is read through linalg._symmetric_part, as gaussian_vector reads it, so
+    a kernel one accepts the other accepts.  It equals
+    bogolubov.shale_implementer of bogolubov.positive_blocks_from_c(-s c), s the
+    statistics sign.
     """
     pref, ac, m, right = _squeezer_factors(space, c)
     return _implementer_matrix(space, pref, ac, m, right, -0.5)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse
 
 from .fock import BOSE, FockSpace, dgamma
-from .linalg import _self_adjoint, dense, require_square
+from .linalg import _self_adjoint, dense
 from .ops import _apply_squeezer
 from .thermal import DoubledRep, ThermalParams, _leg_swap_index, pair_kernel
 
@@ -28,7 +28,12 @@ OVERLAP_MIN = 0.9
 
 @dataclass(frozen=True)
 class PauliFierzModel:
-    """System Hamiltonian K, self-adjoint boson energy h > 0, coupling v : K -> K (x) Z."""
+    """System Hamiltonian K, self-adjoint boson energy h > 0, coupling v : K -> K (x) Z,
+    and an optional bosonic density gamma commuting with h.
+
+    K and h are read through linalg._self_adjoint and gamma through ThermalParams,
+    so each is accepted within 1e-10 max(1, ||m||) of self-adjoint and stored
+    exactly self-adjoint."""
 
     K: np.ndarray
     h: np.ndarray
@@ -37,13 +42,9 @@ class PauliFierzModel:
     cutoff: int = DEFAULT_CUTOFF
 
     def __post_init__(self):
-        k = require_square(np.asarray(self.K, dtype=complex))
+        # stored Hermitian to the last bit, so H is too
+        k, h = _self_adjoint(self.K, "K"), _self_adjoint(self.h, "h")
         v = np.asarray(self.v, dtype=complex)
-        if np.linalg.norm(k - k.conj().T, 2) > 1e-12 * max(1.0, np.linalg.norm(k, 2)):
-            raise ValueError("K must be Hermitian")
-        h = _self_adjoint(self.h, "h")
-        # the validated inputs are stored Hermitian to the last bit, so H is too
-        k, h = (k + k.conj().T) / 2, (h + h.conj().T) / 2
         if np.linalg.eigvalsh(h).min() <= 0:
             raise ValueError("boson one-particle energy must be positive")
         if v.shape != (k.shape[0] * h.shape[0], k.shape[0]):
@@ -52,9 +53,8 @@ class PauliFierzModel:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
         if self.gamma is not None:
-            g = require_square(np.asarray(self.gamma, dtype=complex))
-            ThermalParams(BOSE, g, h=h)  # validates spectrum and [h, gamma] = 0
-            object.__setattr__(self, "gamma", g)
+            # ThermalParams checks the spectrum and [h, gamma] = 0, and stores gamma exact
+            object.__setattr__(self, "gamma", ThermalParams(BOSE, self.gamma, h=h).gamma)
         if self.dim_k > 8 or self.d > 3 or self.cutoff > 16:
             warnings.warn("model exceeds the desk-scale defaults (dim_K<=8, d<=3, cutoff<=16)",
                           RuntimeWarning)

@@ -185,6 +185,9 @@ def reduce_covariance(cov: CovarianceData) -> ReducedRepData:
     n_null = int(null.sum())
     if n_null and cov.kind == BOSE:
         raise DegenerateOmegaError("omega is degenerate relative to eta")
+    # a guard no input is known to reach: a real antisymmetric mu_t of even order has
+    # its singular values in equal pairs, so only rounding that split a pair across the
+    # threshold could leave an odd kernel
     if n_null % 2 == 1:
         raise OddKernelError(f"kernel of the commutator form has odd dimension {n_null}")
     # the polar part u vh of mu_t, extended over the kernel pair by pair in svd order

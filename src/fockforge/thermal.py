@@ -22,6 +22,7 @@ from .linalg import (_self_adjoint, dense, exp_herm, ordered_products, polar_dec
 from .ops import gaussian_vector, squeezer
 
 DEFAULT_SINGLE_CUTOFF = 8
+_BOSE_GAMMA_TOP = 1.0 - 1e-14  # a bosonic gamma's spectrum lies below this
 
 
 class KernelViolationError(ValueError):
@@ -95,10 +96,9 @@ class ThermalParams:
 
     def __post_init__(self):
         g = _self_adjoint(self.gamma, "gamma")
-        g = (g + g.conj().T) / 2
         w = np.linalg.eigvalsh(g)
         if self.kind == BOSE:
-            if w.min() < -1e-12 or w.max() >= 1.0 - 1e-14:
+            if w.min() < -1e-12 or w.max() >= _BOSE_GAMMA_TOP:
                 raise ValueError(f"bosonic gamma needs spectrum in [0,1), got [{w.min()},{w.max()}]")
         elif self.kind == FERMI:
             if w.min() < -1e-12:
@@ -406,7 +406,7 @@ def confined_gibbs(space: FockSpace, gamma_one: np.ndarray):
     (nonnegative) part of the reference missed by the truncation.
     """
     g = require_square(np.asarray(gamma_one, dtype=complex))
-    if not space.is_fermi and np.linalg.eigvalsh(g).max() >= 1.0:
+    if not space.is_fermi and np.linalg.eigvalsh(g).max() >= _BOSE_GAMMA_TOP:
         raise ValueError("bosonic gamma needs spectrum inside [0,1)")
     reference = float(np.linalg.det(np.eye(space.d) + space.sign * g).real ** space.sign)
     trace = float(gamma(space, g).trace().real)

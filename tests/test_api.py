@@ -151,6 +151,23 @@ def test_creation_rows_census():
                                         "ops.multi_create"]
 
 
+def test_one_rule_per_one_particle_input():
+    # the Hermitian rule and the pair-kernel rule live in linalg, and no other module
+    # raises either refusal; every builder of the fock layer reads one d x d helper
+    for path in sorted(PACKAGE.glob("*.py")):
+        raised = [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Raise)]
+        rules = [r for r in raised if re.search(r"self-adjoint|Hermitian|kernel must be", r)]
+        assert not rules or path.name == "linalg.py", (path.name, rules)
+    # PauliFierzModel reads K and h, ThermalParams gamma and h
+    assert set(callers("_self_adjoint")) == {"paulifierz.__post_init__", "thermal.__post_init__",
+                                             "thermal._doubled_generator", "thermal.gibbs"}
+    assert callers("_symmetric_part") == ["bogolubov.positive_blocks_from_c",
+                                          "ops._squeezer_factors", "ops.gaussian_vector",
+                                          "ops.multi_create"]
+    assert callers("_one_particle") == ["fock._gamma_blocks", "fock.dgamma", "ops.multi_create"]
+
+
 def test_coverage_map_names_what_exists():
     text = COVERAGE.read_text()
     modules = {path.stem for path in PACKAGE.glob("*.py")}

@@ -9,7 +9,7 @@ from fockforge.bogolubov import (BogolubovBlocks, FermiDegenerateError,
 from fockforge.fock import SIGN, FockSpace, gamma
 from fockforge.linalg import dense
 from fockforge.ops import (DoubledVector, apply_doubled_matrix, field, multi_create,
-                           squeezer)
+                           pair_exponential_vacuum, squeezer)
 
 
 @pytest.fixture
@@ -297,3 +297,41 @@ def test_compose_consistency(rng):
     b1 = random_blocks(2, "fermi", rng)
     b2 = random_blocks(2, "fermi", rng)
     assert np.linalg.norm(b1.compose(b2).matrix() - b1.matrix() @ b2.matrix(), 2) <= 1e-12
+
+
+@pytest.mark.parametrize("space, below", [(FockSpace("fermi", 4), None),
+                                          (FockSpace("bose", 2, 10), 6)])
+def test_shale_implementer_sends_the_vacuum_to_the_pair_vector_of_d(space, below):
+    # U = det(p p*)^{s/4} exp(s a*(d)/2) exp(-s a(q p^T)/2) Gamma(p*^{-1}), s the statistics
+    # sign, so U Omega = |det(p p*)|^{s/4} exp(s a*(d)/2) Omega; the bosonic series is read
+    # below the sector where the truncation reaches it.  The flipped signs miss.
+    blocks = random_blocks(space.d, space.statistics, np.random.default_rng(3))
+    s, d_kernel = space.sign, blocks_to_cd(blocks).d_kernel
+    det = abs(np.linalg.det(blocks.p @ blocks.p.conj().T).real)
+    keep = space.sector_mask(space.n_max if below is None else below - 1)
+    u_vacuum = dense(shale_implementer(space, blocks))[:, 0]
+
+    def miss(t):
+        want = det ** (t / 4) * pair_exponential_vacuum(space, t * d_kernel)
+        return np.abs(u_vacuum - want)[keep].max()
+    assert miss(s) <= 1e-14
+    assert miss(-s) > 0.1
+
+
+@pytest.mark.parametrize("space", [FockSpace("bose", 1, 16), FockSpace("bose", 2, 8),
+                                   FockSpace("fermi", 4), FockSpace("fermi", 3)],
+                         ids=repr)
+def test_squeezer_is_the_shale_implementer_of_the_positive_blocks_of_minus_s_c(space):
+    # the two implementer front ends read c through one kernel rule and build one operator:
+    # squeezer(c) = shale_implementer(positive_blocks_from_c(-s c)); +s c misses
+    rng = np.random.default_rng(5)
+    s = space.sign
+    a = rng.standard_normal((space.d, space.d)) + 1j * rng.standard_normal((space.d, space.d))
+    c = 0.4 * (a - s * a.T) / np.linalg.norm(a - s * a.T, 2)
+    r = dense(squeezer(space, c))
+
+    def miss(t):
+        u = shale_implementer(space, positive_blocks_from_c(t * c, space.statistics))
+        return np.abs(r - dense(u)).max()
+    assert miss(-s) <= 1e-13
+    assert miss(s) > 0.1

@@ -632,3 +632,37 @@ def test_report_digest_against_a_doctored_digest(monkeypatch, tmp_path, capsys):
                     f"now   {lines[2]}\nsaved (none)", f"now   (none)\nsaved {doctored[3]}"]
     assert tool.main(["--against", str(saved)]) == 1
     assert capsys.readouterr().out == "\n".join(diff) + "\n"
+
+
+def test_code_lines_counts_code_without_docstrings_comments_or_blank_lines(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = '''"""A module docstring
+over two lines."""
+
+import math  # a comment on a code line
+# a comment line
+
+
+class Box:
+    """A class docstring."""
+
+    def area(self, side):
+        """A function docstring."""
+        text = """a string that is code,
+over two lines"""
+        "a second string statement is code too"
+        return (side
+                * side)
+
+
+async def wait():
+    return math.pi
+'''
+    # import, class, def, text (2 lines), the second string, return (2 lines), async def, return
+    assert tool.code_lines(source) == 10
+    module = tmp_path / "box.py"
+    module.write_text(source)
+    assert tool.main([str(module), str(module)]) == 0
+    assert capsys.readouterr().out == "    10  box\n    10  box\n    20  total\n"
